@@ -34,12 +34,13 @@ Two comparisons, both emitting machine-readable results to
   assets over the wire).  Records are asserted bit-identical across
   transports; the ``tcp_vs_queue_speedup`` ratio tracks the framing
   overhead so a serialization regression cannot land silently.
-* **--fast-backend** -- the scorer-backend head-to-head: the same
-  shared-assets CAROL grid executed with ``scorer_backend`` exact /
-  fast / fast32.  The fast path must produce bit-identical records
-  and identical decision digests; fast32 must agree on every
-  decision (its rtol=1e-5 score tier is gated in the surrogate
-  bench).
+* **--fast-backend** -- the kernel-vs-oracle head-to-head: the same
+  shared-assets CAROL grid executed serially on the autodiff oracle
+  ascent (``exact``, from ``tests/gon_oracle.py``) and on the
+  production kernels in float64 (``fast``) and float32 (``fast32``).
+  The fast path must produce bit-identical records and identical
+  decision digests; fast32 agreement is recorded (its rtol=1e-5
+  score tier is gated in the surrogate bench).
 
 Run:  PYTHONPATH=src python benchmarks/bench_campaign.py [--fleet] [--tcp] [--fast-backend] [--quick]
 """
@@ -253,8 +254,10 @@ def run_fleet_bench(args: argparse.Namespace) -> dict:
 def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     """End-to-end campaign timing per scorer backend, parity asserted.
 
-    The same shared-assets CAROL grid executed with the exact autodiff
-    oracle, the fused float64 kernels (``fast``) and the float32
+    The same shared-assets CAROL grid executed serially with every
+    ascent on the autodiff oracle (``exact``, from ``tests/gon_oracle.py``;
+    serial because the oracle is swapped in within this process), on
+    the production float64 kernels (``fast``) and on the float32
     kernels (``fast32``).  ``fast`` is held to bit-identical records
     *and* identical decision digests.  ``fast32`` decision agreement is
     *recorded but not asserted* on this grid: the quick bench trains a
@@ -267,7 +270,10 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     per-ascent numbers carry the headline; these keys pin the
     integration.
     """
-    shared = replace(fleet_grid(args), shared_assets=True)
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+    from gon_oracle import oracle_ascents
+
+    shared = replace(fleet_grid(args), shared_assets=True, workers=1)
     print(
         f"\n-- fast-backend bench: {shared.n_seeds} x {shared.models[0]} on "
         f"paper-default, {shared.n_intervals} intervals, "
@@ -279,8 +285,12 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     results = {}
     timings = {}
     for backend in ("exact", "fast", "fast32"):
-        config = replace(shared, scorer_backend=backend)
-        seconds, result = _timed(run_campaign, config, prepared_assets=assets)
+        if backend == "exact":
+            with oracle_ascents():
+                seconds, result = _timed(run_campaign, shared, prepared_assets=assets)
+        else:
+            config = replace(shared, scorer_backend=backend)
+            seconds, result = _timed(run_campaign, config, prepared_assets=assets)
         results[backend] = result
         timings[backend] = seconds
         print(f"campaign, scorer_backend={backend:<7}: {seconds:6.2f} s")

@@ -11,11 +11,17 @@ implementations are timed:
   were computed and discarded) and an extra post-loop forward to read
   the confidence.  This is the path the batched engine replaced, and
   the baseline for the headline speedup.
-* **sequential** -- the current engine (frozen parameters, fused
+* **sequential** -- the autodiff engine (frozen parameters, fused
   attention, no redundant forward) still looping candidate by
   candidate through :func:`predict_qos`.
-* **batched** -- the whole stack through one vectorized
+* **batched** -- the whole stack through one vectorized autodiff
   :func:`predict_qos_batch` ascent.
+
+The autodiff ascents live in ``tests/gon_oracle.py`` (the parity oracle
+of the production kernel ascent); this script puts ``tests/`` on
+``sys.path`` to import them.  The ``fast_backend`` section times the
+production path -- :func:`repro.core.surrogate.generate_metrics_batch`
+on the graph-free kernel -- against them.
 
 Defaults mirror the paper scenario: 16 hosts / 4 LEIs, a 128-wide
 3-layer GON, ``neighbourhood_sample = 24`` candidates and
@@ -42,12 +48,13 @@ from repro.core import (
     N_M_FEATURES,
     N_S_FEATURES,
     QoSObjective,
-    predict_qos,
-    predict_qos_batch,
 )
 from repro.core.nodeshift import neighbours
 from repro.nn import Tensor
 from repro.simulator import initial_topology
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from gon_oracle import predict_qos, predict_qos_batch  # noqa: E402
 
 _EPS = 1e-8
 
@@ -162,12 +169,14 @@ def flat_gemm_bench(args: argparse.Namespace) -> dict:
 
 
 def fast_backend_bench(args: argparse.Namespace, model, samples) -> dict:
-    """The graph-free fused ascent kernels vs the autodiff oracle.
+    """The production kernel ascent vs the autodiff oracle.
 
     Times the same warm-started eq.-1 ascent over the neighbourhood
-    stack four ways -- the exact oracle looping per candidate, the
-    exact batched oracle, and the :mod:`repro.core.fastscore` kernel in
-    float64 (``fast``) and float32 (``fast32``).  Parity is part of the
+    stack four ways -- the autodiff oracle looping per candidate, the
+    batched autodiff oracle, and the production ascent
+    (:func:`repro.core.surrogate.generate_metrics_batch`) on the
+    :mod:`repro.core.fastscore` kernel in float64 (``fast``) and
+    float32 (``fast32``).  Parity is part of the
     bench contract: ``fast`` must reproduce the oracle's confidences
     *bit-for-bit* (it mirrors the autodiff op order), ``fast32`` within
     rtol=1e-5.  The headline criterion key is the per-candidate
@@ -175,8 +184,9 @@ def fast_backend_bench(args: argparse.Namespace, model, samples) -> dict:
     vs-batched ratios are recorded alongside because on a single BLAS
     stream the shared gemm floor caps them far lower.
     """
+    from gon_oracle import generate_metrics, generate_metrics_batch
     from repro.core.fastscore import FastGONKernel
-    from repro.core.surrogate import generate_metrics, generate_metrics_batch
+    from repro.core.surrogate import generate_metrics_batch as kernel_ascent
 
     schedules = np.stack([np.asarray(s.schedule, dtype=float) for s in samples])
     adjacencies = np.stack([np.asarray(s.adjacency, dtype=float) for s in samples])
@@ -206,14 +216,14 @@ def fast_backend_bench(args: argparse.Namespace, model, samples) -> dict:
         )
 
     def fast():
-        return kern64.ascent(
-            schedules, adjacencies, init_metrics=init,
+        return kernel_ascent(
+            kern64, schedules, adjacencies, init_metrics=init,
             gamma=gamma, max_steps=steps,
         )
 
     def fast32():
-        return kern32.ascent(
-            schedules, adjacencies, init_metrics=init,
+        return kernel_ascent(
+            kern32, schedules, adjacencies, init_metrics=init,
             gamma=gamma, max_steps=steps,
         )
 

@@ -14,9 +14,9 @@ them from the deterministic surface.
 ``--decisions`` additionally asserts *decision parity*: each CAROL-
 family record's ``diagnostics["decision_digest"]`` (the rolling hash
 over every repair choice and POT gate outcome) must match record-for-
-record.  This is the gate the fast scorer backends are held to -- a
-``--scorer-backend fast`` dump must make bit-identical records *and*
-identical decisions versus the exact-oracle dump.
+record.  This is the gate CI holds the fleet's service-side kernel
+ascents to -- a fleet dump must make bit-identical records *and*
+identical decisions versus a serial dump of the same grid.
 
 Either side may also be a ``campaign --store sqlite`` database
 (sniffed by the SQLite magic bytes) -- the store's records are read

@@ -246,7 +246,7 @@ def _cmd_campaign(args) -> int:
             # local process campaign while a remote service waits.
             overrides["transport"] = transport
             overrides["service_addr"] = args.connect
-        if args.scorer_backend != "exact":
+        if args.scorer_backend != "fast":
             overrides["scorer_backend"] = args.scorer_backend
         if args.store != "memory" or args.store_path:
             overrides["store"] = args.store
@@ -488,7 +488,7 @@ def _cmd_serve(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if args.scorer_backend != "exact":
+    if args.scorer_backend != "fast":
         config = replace(config, scorer_backend=args.scorer_backend)
 
     try:
@@ -790,12 +790,12 @@ def _shared_parents():
                        help="use this command's small CI-scale preset")
 
     backend = argparse.ArgumentParser(add_help=False)
-    backend.add_argument("--scorer-backend", type=str, default="exact",
-                         choices=["exact", "fast", "fast32"],
-                         help="GON ascent engine for CAROL-family models: "
-                              "'exact' (autodiff oracle, default), 'fast' "
-                              "(graph-free fused float64 kernels), or "
-                              "'fast32' (same kernels in float32)")
+    backend.add_argument("--scorer-backend", type=str, default="fast",
+                         choices=["fast", "fast32", "exact"],
+                         help="GON kernel arithmetic for CAROL-family "
+                              "models: 'fast' (float64, default; 'exact' "
+                              "is an alias) or 'fast32' (float32 "
+                              "decision scoring)")
     backend.add_argument("--auth-token", type=str, default=None,
                          help="pre-shared fleet auth token for TCP "
                               "transports (default: the REPRO_FLEET_TOKEN "

@@ -98,7 +98,7 @@ class FuzzConfig:
     workers: int = 1
     transport: str = "queue"
     service_addr: str = ""
-    scorer_backend: str = "exact"
+    scorer_backend: str = "fast"
     auth_token: str = ""
     store: str = "memory"
     store_path: str = ""

@@ -31,13 +31,7 @@ from .objectives import QoSObjective
 from .pot import PeakOverThreshold
 from .proactive import ProactiveCAROL
 from .scoring import LocalScorer, SurrogateScorer
-from .surrogate import (
-    SurrogateResult,
-    generate_metrics,
-    generate_metrics_batch,
-    predict_qos,
-    predict_qos_batch,
-)
+from .surrogate import SurrogateResult, generate_metrics_batch
 from .tabu import TabuResult, as_batched, batched_objective, tabu_search
 from .training import (
     TrainingConfig,
@@ -60,10 +54,7 @@ __all__ = [
     "SurrogateResult",
     "SurrogateScorer",
     "LocalScorer",
-    "generate_metrics",
     "generate_metrics_batch",
-    "predict_qos",
-    "predict_qos_batch",
     "TabuResult",
     "tabu_search",
     "batched_objective",

@@ -135,7 +135,7 @@ class CAROLDiagnostics:
         ``"fine_tune"``); ``payload`` is its outcome -- a chosen
         topology's ``canonical_key()`` or the POT gate's bool.  Two runs
         made identical decisions in identical order iff their digests
-        match, which is exactly the assertion the fast-backend parity
+        match, which is exactly the assertion the kernel-vs-oracle parity
         gate needs without shipping every topology in the record.
         """
         self._decision_hash.update(kind.encode())

@@ -1,45 +1,37 @@
-"""Graph-free fast inference backend for the GON scorer.
+"""Graph-free GON arithmetic: the network half of every eq.-1 ascent.
 
-The exact scoring path builds a full :class:`repro.nn.Tensor` autodiff
-graph per Adam step of the eq.-1 ascent just to read ``dD/dM`` -- even
-though every weight is frozen during inference.  This module replays
-the same arithmetic without the graph: a trained
-:class:`~repro.core.gon.GONDiscriminator` is exported once into a flat
-:class:`~repro.nn.serialization.InferencePack` of frozen arrays, and
-the forward **and the closed-form input gradient** of the
-GAT -> encoder -> discriminator stack are hand-written fused numpy
-kernels over the whole ``[B, n, F]`` stack.
+A trained :class:`~repro.core.gon.GONDiscriminator` is exported once
+into a flat :class:`~repro.nn.serialization.InferencePack` of frozen
+arrays, and :class:`FastGONKernel` evaluates the forward **and the
+closed-form input gradient** ``d sum(log clip(D)) / dM`` of the
+GAT -> encoder -> discriminator stack as fused numpy kernels over a
+whole ``[B, n, F]`` stack, with no :class:`repro.nn.Tensor` graph.
+The Adam/convergence loop that drives these kernels lives in
+:func:`repro.core.surrogate.generate_metrics_batch` -- the one
+production ascent (decisions, the scoring service, training).
 
-Fidelity contract (the tiered parity gates of ``core/scoring.py``):
+Fidelity contract:
 
-* every kernel mirrors the autodiff path's op order and gemm shapes --
-  the same flat ``[B*n, F]`` BLAS calls, the same masked-softmax
+* every kernel mirrors the autodiff op order and gemm shapes -- the
+  same flat ``[B*n, F]`` BLAS calls, the same masked-softmax
   arithmetic (non-edges pushed by -1e9, detached row-max shift, 1e-12
-  denominator), the same inclusive clip masks and the same Adam update
-  expression -- so float64 (``fast``) scores agree with the oracle to
-  rtol <= 1e-12 (empirically bit-identical on this BLAS);
-* the backward is evaluated at the *forward* stack size with zeroed
-  rows for mid-ascent frozen elements, exactly like the oracle's
-  differentiable-slice trick, so per-element trajectories match the
-  sequential semantics;
-* ``float32`` mode (``fast32``) reuses the same kernels on downcast
-  weights/state for the scoring (never training) path.
-
-Fused cross-request batching: :meth:`FastGONKernel.ascent` accepts
-*per-element* ``gamma`` and ``max_steps`` vectors.  Elements that hit
-their own step cap freeze exactly like tol-converged elements (their
-confidence is read from the same post-update forward), which is what
-lets the scoring service fuse same-shape requests with different
-ascent hyper-parameters into one kernel call.
+  denominator) and the same inclusive clip masks -- so a float64
+  kernel is bitwise-equal to the autodiff model it was exported from
+  (the test suite's autodiff oracle gates this on the whole catalog);
+* :meth:`FastGONKernel.input_gradient` runs at the *forward* stack
+  size with zeroed rows for frozen elements, exactly like the autodiff
+  differentiable-slice trick, so per-element trajectories never depend
+  on which batch-mates converged;
+* a float32 export (the ``fast32`` scorer backend) reuses the same
+  kernels on downcast weights for decision scoring, never training.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import telemetry as _telemetry
 from ..nn.gat import adjacency_with_self_loops
 from ..nn.serialization import (
     InferencePack,
@@ -48,20 +40,10 @@ from ..nn.serialization import (
 )
 from .features import N_NODE_FEATURES
 from .gon import GONDiscriminator
-from .surrogate import SurrogateResult
 
 __all__ = ["FastGONKernel", "gon_inference_meta"]
 
-_EPS = 1e-8  # clip epsilon of the ascent's log-likelihood (surrogate._EPS)
-
-# Telemetry for the fused kernel, mirroring the gon.ascent.* handles of
-# the exact oracle so fleet dashboards can compare backends directly.
-_FAST_SPAN = _telemetry.span("gon.fast.ascent")
-_FAST_CALLS = _telemetry.counter("gon.fast.calls")
-_FAST_ELEMENTS = _telemetry.counter("gon.fast.elements")
-_FAST_STEPS = _telemetry.counter("gon.fast.steps")
-_FAST_CONVERGED = _telemetry.counter("gon.fast.converged")
-_FAST_BATCH = _telemetry.histogram("gon.fast.batch_size", _telemetry.SIZE_EDGES)
+_EPS = 1e-8  # clip epsilon of the ascent's log-likelihood
 
 
 def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
@@ -80,7 +62,8 @@ class FastGONKernel:
 
     Instances are immutable snapshots: fine-tuning the live model does
     not affect a built kernel, so scorers re-export after every
-    generation bump (see :class:`repro.core.scoring.LocalScorer`).
+    generation bump (see :class:`repro.core.scoring.LocalScorer`) and
+    training exports once per minibatch.
     """
 
     def __init__(self, pack: InferencePack) -> None:
@@ -147,10 +130,12 @@ class FastGONKernel:
         self._head_b0 = take("head.blocks.0.bias", (hidden,))
         self._head_w1 = take("head.blocks.1.weight", (hidden, 1))
         self._head_b1 = take("head.blocks.1.bias", (1,))
-        self._ascents = 0  # monotonic call id, part of the forward tag
-        # Preallocated per-(batch, hosts) workspaces: forward
-        # activations, masked-softmax scratch and backward temporaries
-        # live here, so steady-state ascent steps allocate nothing.
+        # The preallocated workspace of the last ``(batch, hosts)``
+        # shape: forward activations, masked-softmax scratch and
+        # backward temporaries live here, so steady-state ascent steps
+        # allocate nothing.  At most one entry: an ascent runs at one
+        # stack size (it only shrinks when elements converge), so older
+        # shapes are dead weight.
         self._workspaces: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
@@ -168,13 +153,14 @@ class FastGONKernel:
         key = (batch, n)
         ws = self._workspaces.get(key)
         if ws is None:
+            self._workspaces.clear()
             h, dt = self.hidden, self.dtype
             flat = batch * n
             f_in = self.n_m_features + self.n_s_features
             dims = [f_in] + [h] * self.n_layers
             ws = {
                 "joint": np.empty((batch, n, f_in), dtype=dt),
-                "joint_tag": None,  # active-set signature of the S half
+                "joint_tag": None,  # schedule tag of the S half (see forward)
                 "u": np.empty((flat, N_NODE_FEATURES), dtype=dt),
                 "msg": np.empty((flat, h), dtype=dt),
                 "q": np.empty((flat, h), dtype=dt),
@@ -211,7 +197,18 @@ class FastGONKernel:
         return ws
 
     # ------------------------------------------------------------------
-    def _forward(
+    def graph_inputs(
+        self, adjacencies: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Self-looped attention masks and their -1e9 non-edge push."""
+        masks = adjacency_with_self_loops(np.asarray(adjacencies)).astype(
+            self.dtype
+        )
+        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
+        return masks, push
+
+    # ------------------------------------------------------------------
+    def forward(
         self,
         metrics: np.ndarray,
         schedules: np.ndarray,
@@ -222,11 +219,12 @@ class FastGONKernel:
         """Fused forward over a ``[k, n, F]`` stack.
 
         Returns the ``[k]`` confidence vector plus the saved
-        activations the closed-form backward needs.  Mirrors
-        ``GONDiscriminator.forward_batch`` op for op.  ``tag``
-        identifies the (schedule, active-set) pair: the ascent loop
-        passes a stable tag so the constant S half of the joint input
-        is only written once per active-set change.
+        activations :meth:`input_gradient` needs; both live in the
+        kernel's workspace until the next forward.  Mirrors
+        ``GONDiscriminator.forward_batch`` op for op.  ``tag`` names
+        the schedule stack: an ascent passes one tag per call so the
+        constant S half of the joint input is written once per
+        workspace instead of once per step.
         """
         k, n, _ = metrics.shape
         h = self.hidden
@@ -275,7 +273,7 @@ class FastGONKernel:
         att /= row
         agg = ws["agg"]
         np.matmul(att, messages, out=agg)
-        # sigma(agg).  The exact path clips the sigmoid input to
+        # sigma(agg).  The autodiff model clips the sigmoid input to
         # [-60, 60] first, but agg is an attention-weighted average of
         # tanh outputs: |agg| <= sum_j w_j |m_j| < 1 (weights are
         # non-negative and sum to at most 1), so the clip is an exact
@@ -317,15 +315,16 @@ class FastGONKernel:
         return scores, saved
 
     # ------------------------------------------------------------------
-    def _input_gradient(
+    def input_gradient(
         self, saved: Dict[str, np.ndarray], rows: Optional[np.ndarray]
     ) -> np.ndarray:
-        """``d sum(log clip(D)) / dM`` for the last saved forward.
+        """``d sum(log clip(D)) / dM`` for the last :meth:`forward`.
 
-        ``rows`` selects the still-active elements; like the oracle's
+        ``rows`` selects the still-active elements; like the autodiff
         differentiable-slice trick the gemms run at the forward stack
         size with zeroed gradient rows, and the caller slices the
-        result back down to the survivors.
+        result back down to the survivors.  The returned array is a
+        workspace view, valid until the next forward.
         """
         n = saved["n"]
         ws = saved["ws"]
@@ -409,141 +408,7 @@ class FastGONKernel:
         if metrics.shape[0] == 0:
             return np.zeros(0)
         schedules = np.asarray(schedules, dtype=self.dtype)
-        masks = adjacency_with_self_loops(np.asarray(adjacencies)).astype(
-            self.dtype
+        scores, _ = self.forward(
+            metrics, schedules, *self.graph_inputs(adjacencies)
         )
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
-        scores, _ = self._forward(metrics, schedules, masks, push)
         return scores.astype(np.float64, copy=True)
-
-    # ------------------------------------------------------------------
-    def ascent(
-        self,
-        schedules: Sequence[np.ndarray],
-        adjacencies: Sequence[np.ndarray],
-        init_metrics: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-        gamma=1e-3,
-        max_steps=40,
-        tol: float = 1e-5,
-    ) -> List[SurrogateResult]:
-        """Graph-free eq.-1 Adam ascent over a candidate stack.
-
-        Semantics match :func:`repro.core.surrogate.
-        generate_metrics_batch` element for element (warm starts,
-        per-element convergence freezing, confidence read from the
-        post-update forward).  ``gamma`` and ``max_steps`` may be
-        per-element vectors, which is what lets the scoring service
-        fuse same-shape requests with different hyper-parameters.
-        """
-        schedules = np.asarray(schedules, dtype=float)
-        adjacencies = np.asarray(adjacencies, dtype=float)
-        if schedules.ndim != 3 or adjacencies.ndim != 3:
-            raise ValueError(
-                f"expected stacked [B, ...] inputs, got schedules "
-                f"{schedules.shape} and adjacencies {adjacencies.shape}"
-            )
-        batch = schedules.shape[0]
-        if batch == 0:
-            return []
-        n_hosts = schedules.shape[1]
-        gamma_vec = np.broadcast_to(
-            np.asarray(gamma, dtype=float), (batch,)
-        ).astype(self.dtype)
-        if np.any(gamma_vec <= 0):
-            raise ValueError("gamma must be positive")
-        caps = np.broadcast_to(np.asarray(max_steps, dtype=int), (batch,)).copy()
-        if np.any(caps < 0):
-            raise ValueError("max_steps must be >= 0")
-
-        if init_metrics is None:
-            if rng is None:
-                raise ValueError("need rng when init_metrics is omitted")
-            current = rng.uniform(
-                0.0, 1.0, size=(batch, n_hosts, self.n_m_features)
-            ).astype(self.dtype)
-        else:
-            current = np.array(init_metrics, dtype=self.dtype, copy=True)
-            if current.shape[0] != batch:
-                raise ValueError(
-                    f"init_metrics batch {current.shape[0]} != {batch}"
-                )
-
-        sched = schedules.astype(self.dtype)
-        masks = adjacency_with_self_loops(adjacencies).astype(self.dtype)
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
-
-        first_moment = np.zeros_like(current)
-        second_moment = np.zeros_like(current)
-        beta1, beta2 = 0.9, 0.999
-        steps_taken = np.zeros(batch, dtype=int)
-        converged = np.zeros(batch, dtype=bool)
-        confidence = np.zeros(batch, dtype=self.dtype)
-
-        active = np.arange(batch)
-        self._ascents += 1
-        call_id = self._ascents
-        tag = (call_id, active.tobytes())
-        with _FAST_SPAN.time():
-            scores, saved = self._forward(
-                current[active], sched[active], masks[active], push[active],
-                tag=tag,
-            )
-            rows: Optional[np.ndarray] = None
-            for step in range(int(caps.max(initial=0))):
-                if active.size == 0:
-                    break
-                gradient = self._input_gradient(saved, rows)
-                if rows is not None:
-                    gradient = gradient[rows]
-                first_moment[active] = (
-                    beta1 * first_moment[active] + (1 - beta1) * gradient
-                )
-                second_moment[active] = (
-                    beta2 * second_moment[active] + (1 - beta2) * gradient ** 2
-                )
-                m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
-                v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
-                update = (
-                    gamma_vec[active][:, None, None]
-                    * m_hat
-                    / (np.sqrt(v_hat) + 1e-8)
-                )
-                current[active] = np.clip(current[active] + update, 0.0, 3.0)
-                steps_taken[active] = step + 1
-
-                scores, saved = self._forward(
-                    current[active], sched[active], masks[active], push[active],
-                    tag=tag,
-                )
-                rows = None
-                tol_done = (
-                    np.abs(update).reshape(active.size, -1).max(axis=1) < tol
-                )
-                done = tol_done | (steps_taken[active] >= caps[active])
-                if done.any():
-                    frozen = active[done]
-                    converged[frozen] = tol_done[done]
-                    confidence[frozen] = scores[done]
-                    active = active[~done]
-                    if active.size == 0:
-                        break
-                    rows = np.flatnonzero(~done)
-        if active.size:
-            confidence[active] = scores if rows is None else scores[rows]
-
-        _FAST_CALLS.inc()
-        _FAST_ELEMENTS.add(batch)
-        _FAST_STEPS.add(int(steps_taken.sum()))
-        _FAST_CONVERGED.add(int(converged.sum()))
-        _FAST_BATCH.observe(batch)
-
-        return [
-            SurrogateResult(
-                metrics=current[i].astype(np.float64, copy=True),
-                confidence=float(confidence[i]),
-                n_steps=int(steps_taken[i]),
-                converged=bool(converged[i]),
-            )
-            for i in range(batch)
-        ]

@@ -6,7 +6,7 @@ reads, and confidence-gated fine-tuning.  This module pins that surface
 down as the *scorer* interface so the execution backend is swappable:
 
 * :class:`LocalScorer` (the default) runs everything in-process on the
-  model CAROL owns -- the PR-2 batched engine, unchanged behaviour;
+  model CAROL owns;
 * ``repro.serving.FleetScorer`` routes ascent stacks to a shared
   scoring service consolidating many concurrent federations into one
   batched GON stream; when fine-tuning diverges this replica from the
@@ -26,42 +26,33 @@ consolidated stream (always 0 for :class:`LocalScorer`, whose stream
 *is* local; 0 for ``FleetScorer`` precisely when overlays keep every
 diverged ascent on the service).
 
-Inference backends and the parity contract
-------------------------------------------
-``LocalScorer`` (and, through it, the serving layer) selects one of
-three *inference backends* for the eq.-1 ascent:
+Inference backends
+------------------
+Every ascent runs through the one production path,
+:func:`repro.core.surrogate.generate_metrics_batch`, on a
+:class:`~repro.core.fastscore.FastGONKernel` exported from the
+scorer's model.  The backend only picks the kernel's arithmetic:
 
-``"exact"`` (default)
-    The autodiff Tensor-graph engine (`generate_metrics_batch`).  This
-    is the bit-exact oracle: records produced under it are the
-    reference every other backend is gated against, and the default
-    path stays bit-identical across releases.
-``"fast"``
-    The graph-free float64 kernel (:mod:`repro.core.fastscore`): the
-    forward and the closed-form input gradient of the
-    GAT->encoder->discriminator stack hand-written as fused numpy
-    kernels over the whole ``[B, n, F]`` stack, zero ``Tensor``
-    allocation per step.  Gate: scores within ``rtol=1e-12`` of the
-    oracle and *identical repair decisions* on the scenario catalog.
-    (The shipped kernel mirrors the autodiff op order exactly, so in
-    practice it is bitwise-equal -- the CI gate still only assumes
-    the documented tier.)
+``"fast"`` (default; ``"exact"`` is accepted as an alias)
+    float64 kernels, bitwise-equal to the autodiff ascent.  The test
+    suite keeps that autodiff ascent as its oracle
+    (``tests/gon_oracle.py``) and gates bit-identical records and
+    decision digests against it on the whole scenario catalog.
 ``"fast32"``
-    The same kernel with float32 arithmetic for scoring only (never
-    training).  Gate: scores within ``rtol=1e-5`` of the oracle on
-    every catalog scenario, plus a strong-majority decision-agreement
-    canary across the catalog.  Decision agreement is *expected but
-    not universal* by construction: wherever a surrogate scores two
-    candidates within float32 noise of each other the tie-break can
-    flip (observed on one of the nine catalog scenarios even at full
-    training scale, and commonly on undertrained GONs).  A kernel
-    regression flips decisions systematically; the canary catches
-    that, the rtol tier pins per-score correctness.
+    float32 kernels for decision scoring only (training always runs
+    float64).  Gate: scores within ``rtol=1e-5`` of float64 on every
+    catalog scenario, plus a strong-majority decision-agreement canary.
+    Agreement is *expected but not universal*: wherever a surrogate
+    scores two candidates within float32 noise of each other the
+    tie-break can flip (observed on one of the nine catalog scenarios
+    even at full training scale).  A kernel regression flips decisions
+    systematically; the canary catches that, the rtol tier pins
+    per-score correctness.
 
 Only the ascent goes through the kernel: ``confidence()`` (the POT
-gate input) and ``fine_tune()`` always run on the exact model path.
-Kernels re-export their weights after every ``generation`` bump, so a
-fine-tuned scorer never serves stale parameters.
+gate input, a single forward with no backward pass) reads the model
+directly.  Kernels re-export their weights after every ``generation``
+bump, so a fine-tuned scorer never serves stale parameters.
 """
 
 from __future__ import annotations
@@ -73,6 +64,7 @@ import numpy as np
 from ..telemetry import MetricsRegistry
 from .features import GONInput
 from .gon import GONDiscriminator
+from .fastscore import FastGONKernel
 from .surrogate import SurrogateResult, generate_metrics_batch
 from .training import TrainingConfig, fine_tune
 
@@ -80,14 +72,18 @@ __all__ = ["SurrogateScorer", "LocalScorer", "BACKENDS", "validate_backend"]
 
 #: Inference backends a scorer accepts (see the module docstring for
 #: the per-tier parity contract).
-BACKENDS = ("exact", "fast", "fast32")
+BACKENDS = ("fast", "fast32")
+#: Accepted spellings that name a backend in :data:`BACKENDS`.
+_ALIASES = {"exact": "fast"}
 
 
 def validate_backend(backend: str) -> str:
-    """Return ``backend`` or raise ``ValueError`` listing the options."""
+    """The canonical backend name, or ``ValueError`` listing the options."""
+    backend = _ALIASES.get(backend, backend)
     if backend not in BACKENDS:
         raise ValueError(
-            f"unknown scorer backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown scorer backend {backend!r}; expected one of "
+            f"{BACKENDS} (or the alias 'exact')"
         )
     return backend
 
@@ -132,13 +128,13 @@ class SurrogateScorer(Protocol):
 class LocalScorer:
     """In-process scorer over an owned :class:`GONDiscriminator`.
 
-    ``backend`` picks the ascent engine (``"exact"`` | ``"fast"`` |
-    ``"fast32"``, module docstring has the parity tiers).  The fast
-    kernel is built lazily on first ascent and rebuilt whenever
-    :meth:`fine_tune` bumps :attr:`generation`.
+    ``backend`` picks the kernel arithmetic (``"fast"`` | ``"fast32"``,
+    module docstring has the parity tiers).  The kernel is built lazily
+    on first ascent and rebuilt whenever :meth:`fine_tune` bumps
+    :attr:`generation`.
     """
 
-    def __init__(self, model: GONDiscriminator, backend: str = "exact") -> None:
+    def __init__(self, model: GONDiscriminator, backend: str = "fast") -> None:
         self.model = model
         self.backend = validate_backend(backend)
         self.generation = 0
@@ -152,11 +148,9 @@ class LocalScorer:
         self.telemetry = MetricsRegistry()
         self._fallbacks = self.telemetry.counter("scorer.local_fallbacks")
 
-    def _fast_kernel(self):
-        """The cached fast kernel, re-exported after fine-tuning."""
+    def kernel(self) -> FastGONKernel:
+        """The cached kernel, re-exported after fine-tuning."""
         if self._kernel is None or self._kernel_generation != self.generation:
-            from .fastscore import FastGONKernel
-
             dtype = "float32" if self.backend == "fast32" else "float64"
             self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
             self._kernel_generation = self.generation
@@ -175,16 +169,8 @@ class LocalScorer:
         gamma: float,
         max_steps: int,
     ) -> List[SurrogateResult]:
-        if self.backend != "exact":
-            return self._fast_kernel().ascent(
-                schedules,
-                adjacencies,
-                init_metrics=metrics,
-                gamma=gamma,
-                max_steps=max_steps,
-            )
         return generate_metrics_batch(
-            self.model,
+            self.kernel(),
             schedules,
             adjacencies,
             init_metrics=metrics,

@@ -13,8 +13,10 @@ Training uses Adam (lr 1e-4, weight decay 1e-5), batch size 32, an
 epochs (Fig. 4).
 
 Every minibatch runs fully vectorized: fake-sample generation is one
-batched eq.-1 ascent over the whole batch, and the discriminator loss
-is a single graph over the stacked real+fake scores (see
+batched eq.-1 ascent over the whole batch -- on a graph-free
+:class:`~repro.core.fastscore.FastGONKernel` exported from the current
+weights, the same ascent path decisions use -- and the discriminator
+loss is a single autodiff graph over the stacked real+fake scores (see
 :mod:`repro.core.surrogate` for the batched conventions).
 """
 
@@ -27,6 +29,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn import Adam, EarlyStopping, Tensor, minibatches, train_test_split
+from .fastscore import FastGONKernel
 from .features import GONInput
 from .gon import GONDiscriminator
 from .surrogate import generate_metrics_batch
@@ -131,11 +134,13 @@ def _train_step(
     scores (grouped by host count when the batch mixes federations).
     """
     groups = _host_count_groups(batch)
-    # Line 4: generate fake samples Z* from noise by one batched ascent.
+    # Line 4: generate fake samples Z* from noise by one batched ascent
+    # on a kernel exported from this step's weights.
+    kernel = FastGONKernel.from_model(model)
     fakes: List[Optional[np.ndarray]] = [None] * len(batch)
     for indices in groups:
         results = generate_metrics_batch(
-            model,
+            kernel,
             np.stack([batch[i].schedule for i in indices]),
             np.stack([batch[i].adjacency for i in indices]),
             init_metrics=None,
@@ -178,12 +183,13 @@ def evaluate(
     if not samples:
         raise ValueError("no evaluation samples")
     rng = np.random.default_rng(0)
+    kernel = FastGONKernel.from_model(model)
     errors = []
     confidences = []
     for indices in _host_count_groups(samples):
         group = [samples[i] for i in indices]
         results = generate_metrics_batch(
-            model,
+            kernel,
             np.stack([s.schedule for s in group]),
             np.stack([s.adjacency for s in group]),
             init_metrics=None,

@@ -34,6 +34,7 @@ from ..core import (
     CAROLConfig,
     GONDiscriminator,
     GONInput,
+    LocalScorer,
     ProactiveCAROL,
     TrainingConfig,
     TrainingHistory,
@@ -160,45 +161,27 @@ def build_model(
     assets: TrainedAssets,
     config: ExperimentConfig,
     carol_config: Optional[CAROLConfig] = None,
-    scorer_backend: str = "exact",
+    scorer_backend: str = "fast",
 ) -> ResilienceModel:
     """Instantiate any §V scheme by name with shared trained assets.
 
-    ``scorer_backend`` selects the GON ascent engine for CAROL-family
-    schemes (``repro.core.scoring.BACKENDS``); ``"exact"`` keeps the
-    default scorer construction so that path stays byte-for-byte the
-    historical one.  Non-GON surrogates ignore it.
+    ``scorer_backend`` selects the GON kernel arithmetic for
+    CAROL-family schemes (``repro.core.scoring.BACKENDS``).  Non-GON
+    surrogates ignore it.
     """
     alpha, beta = config.alpha, config.beta
     carol_config = carol_config or CAROLConfig(seed=config.seed)
 
-    def gon_scorer(gon):
-        # Only materialise an explicit scorer off the default path:
-        # passing scorer=None keeps CAROL's own LocalScorer(exact).
-        if scorer_backend == "exact":
-            return None
-        from ..core.scoring import LocalScorer
-
-        return LocalScorer(gon, backend=scorer_backend)
-
-    if name == "CAROL":
+    gon_models = {
+        "CAROL": CAROL,
+        PROACTIVE_NAME: ProactiveCAROL,
+        "CAROL-AlwaysFT": AlwaysFineTune,
+        "CAROL-NeverFT": NeverFineTune,
+    }
+    if name in gon_models:
         gon = assets.fresh_gon()
-        return CAROL(gon, alpha, beta, carol_config, scorer=gon_scorer(gon))
-    if name == PROACTIVE_NAME:
-        gon = assets.fresh_gon()
-        return ProactiveCAROL(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
-        )
-    if name == "CAROL-AlwaysFT":
-        gon = assets.fresh_gon()
-        return AlwaysFineTune(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
-        )
-    if name == "CAROL-NeverFT":
-        gon = assets.fresh_gon()
-        return NeverFineTune(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
-        )
+        scorer = LocalScorer(gon, backend=scorer_backend)
+        return gon_models[name](gon, alpha, beta, carol_config, scorer=scorer)
     if name == "CAROL-WithGAN":
         n_hosts = config.federation.n_hosts
         surrogate = GANSurrogate(

@@ -28,7 +28,9 @@ half, :func:`campaign_config_hash`, is the SHA-256 of
 :class:`CampaignConfig` fields that can change record *content*
 (:data:`GRID_IDENTITY_FIELDS` -- grid axes, root seed, interval and
 offline-training sizes, ``shared_assets``, ``fleet_merge``,
-``carol_overrides``, ``scorer_backend``) and **deliberately not** the
+``carol_overrides``, the canonical ``scorer_backend``), plus each
+scenario's full :meth:`ScenarioSpec.to_dict` and
+:data:`RECORD_SEMANTICS_VERSION`, and **deliberately not** the
 execution-topology fields (``workers``, ``mode``, ``transport``,
 ``service_addr``, timeouts, retry budget, credentials, the store
 settings themselves), because the cross-mode bit-identity contract
@@ -188,7 +190,7 @@ class CampaignConfig:
     shared_assets: bool = False
     #: Fleet only: let the scoring service concatenate concurrent
     #: request stacks into one ascent per bucket.  Maximum GON
-    #: consolidation, but scores match the exact path only to ~1e-15
+    #: consolidation, but scores match per-request scoring only to ~1e-15
     #: (BLAS gemm varies in the last ulp with the leading dimension),
     #: so the bitwise record guarantee is waived -- see
     #: :mod:`repro.serving.service`.
@@ -200,13 +202,13 @@ class CampaignConfig:
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
     #: gate and exercise fine-tuning (the overlay path in fleet mode).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: GON ascent engine for CAROL-family cells:
-    #: ``"exact"`` (default) is the autodiff oracle -- the bit-exact
-    #: reference path; ``"fast"``/``"fast32"`` score ascents on the
-    #: graph-free :mod:`repro.core.fastscore` kernel (float64 /
-    #: float32), CI-gated to identical repair decisions.  In fleet
-    #: mode the scoring service adopts the same backend.
-    scorer_backend: str = "exact"
+    #: GON kernel arithmetic for CAROL-family cells (every ascent runs
+    #: on the graph-free :mod:`repro.core.fastscore` kernel):
+    #: ``"fast"`` (default, float64, bitwise-equal to the autodiff
+    #: oracle; ``"exact"`` is accepted and stored as ``"fast"``) or
+    #: ``"fast32"`` (float32 decision scoring).  In fleet mode the
+    #: scoring service adopts the same backend.
+    scorer_backend: str = "fast"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
     #: lost and its leased cells re-queued.  0 disables the age check
@@ -278,7 +280,9 @@ class CampaignConfig:
         # the transport check below: core.scoring pulls the nn stack).
         from ..core.scoring import validate_backend
 
-        validate_backend(self.scorer_backend)
+        object.__setattr__(
+            self, "scorer_backend", validate_backend(self.scorer_backend)
+        )
         if self.transport not in ("queue", "tcp"):
             raise ValueError(
                 f"unknown fleet transport {self.transport!r}; "
@@ -351,15 +355,23 @@ GRID_IDENTITY_FIELDS = (
     "scorer_backend",
 )
 
+#: Version of what a record *means* for a fixed grid identity: bump it
+#: in any change that alters record content for an unchanged config
+#: (simulator semantics, decision logic, metric definitions), so stores
+#: written before the change refuse to resume into the new code.
+RECORD_SEMANTICS_VERSION = 1
+
 
 def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
     """The JSON-safe grid-identity payload (the hashing surface).
 
-    Model names are canonicalized first, so ``--models carol`` and
-    ``--models CAROL`` hash (and therefore resume) identically.
-    ``scorer_backend`` is included even though ``fast`` is CI-gated
-    bit-identical to ``exact``: ``fast32`` is not, and a conservative
-    hash beats silently mixing float32 records into an exact campaign.
+    Model names and the scorer backend are canonicalized first, so
+    ``--models carol``/``--models CAROL`` and ``exact``/``fast`` hash
+    (and therefore resume) identically; ``fast32`` changes records and
+    hashes apart.  Scenarios enter by *content* -- their
+    :meth:`ScenarioSpec.to_dict` -- so editing a catalog entry refuses
+    to resume under its old name, and :data:`RECORD_SEMANTICS_VERSION`
+    does the same for record-changing code.
     """
     return {
         "scenarios": list(config.scenarios),
@@ -377,6 +389,10 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
             [name, value] for name, value in config.carol_overrides
         ],
         "scorer_backend": config.scorer_backend,
+        "scenario_specs": [
+            get_scenario(name).to_dict() for name in config.scenarios
+        ],
+        "record_semantics": RECORD_SEMANTICS_VERSION,
     }
 
 
@@ -421,9 +437,9 @@ class RunTask:
     #: CAROLConfig field overrides for CAROL-family cells (see
     #: :attr:`CampaignConfig.carol_overrides`).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: Ascent engine for this cell's scorer (see
+    #: Kernel arithmetic for this cell's scorer (see
     #: :attr:`CampaignConfig.scorer_backend`).
-    scorer_backend: str = "exact"
+    scorer_backend: str = "fast"
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ Two transports carry the traffic (``CampaignConfig.transport``):
 
 Record-level bit-identity with serial execution holds on both
 transports because (a) the scored stacks are exactly the stacks an
-in-process scorer would run (exact policy -- see
+in-process scorer would run (per-request policy -- see
 :mod:`repro.serving.service` for why merging cannot be bitwise), (b)
 workers keep every RNG stream local, (c) a run whose POT gate opens
 fine-tunes a private copy-on-write weight copy exactly as its serial
@@ -800,7 +800,7 @@ def run_fleet_campaign(
             transport.request_queue,
             transport.reply_queues,
             merge_requests=bool(getattr(config, "fleet_merge", False)),
-            scorer_backend=getattr(config, "scorer_backend", "exact"),
+            scorer_backend=getattr(config, "scorer_backend", "fast"),
             coordinator=coordinator,
             heartbeat_timeout=heartbeat_timeout,
         )
@@ -944,7 +944,7 @@ def _run_tcp_fleet_campaign(
                 transport.request_queue,
                 transport.reply_queues,
                 merge_requests=bool(getattr(config, "fleet_merge", False)),
-                scorer_backend=getattr(config, "scorer_backend", "exact"),
+                scorer_backend=getattr(config, "scorer_backend", "fast"),
                 coordinator=coordinator,
                 heartbeat_timeout=heartbeat_timeout,
             )
@@ -1156,7 +1156,7 @@ def serve_fleet_service(
             transport.request_queue,
             transport.reply_queues,
             merge_requests=bool(getattr(config, "fleet_merge", False)),
-            scorer_backend=getattr(config, "scorer_backend", "exact"),
+            scorer_backend=getattr(config, "scorer_backend", "fast"),
             coordinator=coordinator,
             heartbeat_timeout=float(getattr(config, "heartbeat_timeout", 30.0)),
         )

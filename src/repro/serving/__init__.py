@@ -8,8 +8,8 @@ fleets).  The request path::
 
         ┌────────────────────────── parent process ─────────────────────────┐
         │  SharedArrayPack: GON weights + trace stacks, published once      │
-        │  GONScoringService: drain -> bucket by (model, n) -> one          │
-        │      generate_metrics_batch / forward_batch per bucket -> reply   │
+        │  GONScoringService: drain -> bucket by (model, n) -> one kernel   │
+        │      generate_metrics_batch / forward_batch per request -> reply  │
         └──────────▲──────────────────────────────┬─────────────────────────┘
           requests │ (one mp.Queue)               │ replies (one queue per worker)
         ┌──────────┴───────────┐      ┌───────────▼──────────┐
@@ -209,25 +209,27 @@ the bit-identity contract is asserted with telemetry on and off.
 
 Scorer backends on the service
 ------------------------------
-The service accepts ``scorer_backend=`` (``"exact"`` | ``"fast"`` |
-``"fast32"``, same contract as :mod:`repro.core.scoring`): ``"exact"``
-keeps the autodiff oracle and the historical batching behaviour
-bit-for-bit; the fast backends answer each ascent request with one
-graph-free fused-kernel call (:mod:`repro.core.fastscore`) over the
-request's own stack -- identical batch shapes to the exact policy, so
-the backend parity tiers carry over to the service unchanged.  With
-``merge_requests`` on, the kernel goes further than the exact merged
-policy: same-width ascent requests fuse into one call *across*
-gamma/max_steps buckets, since the kernel -- unlike the Tensor-graph
-oracle -- takes per-element ascent parameters.  Cross-request fusing
-concatenates stacks (a ~1-ulp BLAS effect), which is exactly the
-bitwise waiver ``merge_requests`` already opts into.  Fused elements
-are counted in ``ServiceStats.fused_elements`` and the
-``service.fused_elements`` telemetry counter.  Kernels are cached per
-``(model, generation-bucket)`` and invalidated exactly where overlays
-are installed or evicted, so a fine-tuned client never scores against
-stale fused weights.  The service also adapts its micro-batch flush
-window to the observed request inter-arrival EWMA (clamped to
+The service runs the one production ascent,
+:func:`repro.core.surrogate.generate_metrics_batch`, on a
+:class:`repro.core.fastscore.FastGONKernel` per resident replica.
+``scorer_backend=`` only picks the kernel arithmetic, with the same
+contract as :mod:`repro.core.scoring`: ``"fast"`` (float64; ``"exact"``
+is an alias) is bitwise-equal to the autodiff oracle the test suite
+keeps, and ``"fast32"`` trades float32 arithmetic for the rtol-1e-5
+tier.  Each ascent request gets its own call over its own stack --
+identical batch shapes to in-process scoring, so fleet records stay
+bit-identical to serial ones.  With ``merge_requests`` on, same-width
+ascent requests concatenate into one call even when their
+gamma/max_steps differ, since the ascent takes per-element
+hyper-parameter vectors; concatenation moves scores by ~1 ulp (BLAS
+leading dimension), which is the bitwise waiver ``merge_requests``
+opts into.  Merged elements are counted in
+``ServiceStats.merged_elements`` and the ``service.merged_elements``
+telemetry counter.  Kernels are cached per ``(model,
+generation-bucket)`` and invalidated exactly where overlays are
+installed or evicted, so a fine-tuned client never scores against
+stale weights.  The service also adapts its micro-batch flush window
+to the observed request inter-arrival EWMA (clamped to
 ``[window/20, window]``), surfaced as ``ServiceStats.window_seconds``
 and the ``service.window_seconds`` gauge.
 """

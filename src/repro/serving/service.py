@@ -8,9 +8,9 @@ Many lightweight simulation workers feed one scorer::
     worker N ──┘  (one queue)  │  loop     │  └─> reply queue N
                                └───────────┘
                  drain up to a micro-batch window,
-                 bucket by (model, n_hosts, gamma, steps),
-                 one generate_metrics_batch / forward_batch
-                 per bucket, replies routed by client id
+                 bucket by (model, n_hosts, generation),
+                 one kernel ascent / model forward per
+                 request (or bucket), replies routed by client id
 
 Each request carries a whole candidate stack (a tabu neighbourhood's
 cache misses); the scorer drains the request queue for a short
@@ -19,6 +19,11 @@ stays bounded), groups compatible requests into buckets and answers
 every bucket with batched GON evaluations on the single resident model
 replica -- the weights live once in shared memory instead of once per
 worker.
+
+Ascents run through the same production path as in-process scoring:
+:func:`repro.core.surrogate.generate_metrics_batch` on a
+:class:`~repro.core.fastscore.FastGONKernel` cached per resident
+replica.  Confidence requests stay on the model forward.
 
 Replies are keyed by ``(client, request)``; within a request, results
 are positional in the submitted stack.  Two execution policies:
@@ -29,8 +34,9 @@ are positional in the submitted stack.  Two execution policies:
   bit-identical to serial execution (BLAS gemm results vary in the
   last ulp with the leading dimension, so merging cannot be bitwise).
 * ``merge_requests=True``: all stacks in a bucket concatenate into one
-  ascent -- maximum consolidation, scores equal to the exact path
-  within ~1e-15 (see ``benchmarks/bench_surrogate.py``); decisions are
+  call -- ascents with different ``gamma``/``max_steps`` included,
+  as per-element vectors -- for maximum consolidation, with scores
+  equal to the per-request path within ~1e-15; decisions are
   score-argmins, so campaign results almost always still coincide,
   but the bitwise guarantee is waived.
 
@@ -72,6 +78,7 @@ import numpy as np
 from .. import telemetry as _telemetry
 from ..core.features import GONInput
 from ..core.gon import GONDiscriminator
+from ..core.fastscore import FastGONKernel
 from ..core.scoring import validate_backend
 from ..core.surrogate import SurrogateResult, generate_metrics_batch
 from ..core.training import TrainingConfig, fine_tune
@@ -112,7 +119,6 @@ _STATS_UPDATES = _telemetry.counter("service.stats_updates")
 _BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
 _BUCKET_OCCUPANCY = _telemetry.histogram("service.bucket_occupancy", SIZE_EDGES)
 _WINDOW_GAUGE = _telemetry.gauge("service.window_seconds")
-_FUSED_ELEMENTS = _telemetry.counter("service.fused_elements")
 
 # Elastic-fleet liveness telemetry (see the coordinator module for the
 # lease-queue counters ``fleet.leases`` / ``fleet.cells_requeued`` /
@@ -152,9 +158,10 @@ class AscentRequest:
 
     @property
     def bucket(self) -> tuple:
+        # gamma/max_steps stay out of the key: a merged ascent carries
+        # them as per-element vectors.
         return (
             "ascent", self.model_key, self.metrics.shape[1],
-            self.gamma, self.max_steps,
             *_generation_bucket(self.client_id, self.generation),
         )
 
@@ -350,10 +357,6 @@ class ServiceStats:
     #: Last micro-batch flush window the adaptive sizer chose (equals
     #: the configured ``window_seconds`` when adaptation is off).
     window_seconds: float = 0.0
-    #: Elements scored in cross-bucket fused ascents (fast backends
-    #: only: requests with different gamma/max_steps fused into one
-    #: kernel call via per-element hyper-parameter vectors).
-    fused_elements: int = 0
 
 
 class GONScoringService:
@@ -380,23 +383,14 @@ class GONScoringService:
         Stop draining once this many stacked elements are pending
         (keeps worst-case latency and peak memory bounded).
     merge_requests:
-        Concatenate compatible stacks into one ascent per bucket (see
+        Concatenate compatible stacks into one call per bucket (see
         module docstring for the exactness trade-off).
     scorer_backend:
-        Ascent engine, one of ``repro.core.scoring.BACKENDS``.  The
-        default ``"exact"`` keeps the autodiff oracle (bit-identical
-        records).  ``"fast"``/``"fast32"`` score ascents on the
-        graph-free :class:`repro.core.fastscore.FastGONKernel` (per
-        resident replica, re-exported when an overlay installs), one
-        kernel call per request -- same batch shapes as the exact
-        policy, so the backend's parity tier carries over unchanged.
-        Combined with ``merge_requests`` the kernel additionally fuses
-        same-shape ascent requests *across* gamma/max_steps buckets
-        into one call using per-element hyper-parameter vectors --
-        strictly more consolidation than the exact merged policy, under
-        the same last-ulp waiver (concatenation changes BLAS leading
-        dimensions).  Confidence requests always stay on the exact
-        model path.
+        Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``
+        (``"exact"`` is accepted as an alias of ``"fast"``).  Kernels
+        are cached per resident replica and re-exported when an
+        overlay installs; confidence requests always run on the model
+        forward.
     """
 
     def __init__(
@@ -408,7 +402,7 @@ class GONScoringService:
         max_batch_elements: int = 512,
         merge_requests: bool = False,
         poll_seconds: float = 0.5,
-        scorer_backend: str = "exact",
+        scorer_backend: str = "fast",
         adaptive_window: bool = True,
         coordinator=None,
         heartbeat_timeout: float = 30.0,
@@ -425,8 +419,8 @@ class GONScoringService:
         #: EWMA of request inter-arrival seconds (adaptive window input).
         self._interarrival_ewma: Optional[float] = None
         self._last_arrival: Optional[float] = None
-        #: ``(model_key, generation, owner) -> FastGONKernel`` for the
-        #: fast backends; invalidated when an overlay (re)installs.
+        #: ``(model_key, generation, owner) -> FastGONKernel``;
+        #: invalidated when an overlay (re)installs.
         self._kernels: Dict[tuple, object] = {}
         self.stats = ServiceStats()
         self.stats.window_seconds = window_seconds
@@ -665,7 +659,7 @@ class GONScoringService:
         self._overlays[(update.client_id, update.model_key)] = (
             update.generation, replica,
         )
-        # Any fast kernel exported from this client's previous overlay
+        # Any kernel exported from this client's previous overlay
         # is stale now; the next request re-exports from the replica.
         for key in [
             k for k in self._kernels
@@ -702,16 +696,14 @@ class GONScoringService:
         _OVERLAY_ELEMENTS.add(request.n_elements)
         return entry[1]
 
-    def _kernel_for(self, request, model: GONDiscriminator):
-        """The cached fast kernel for a request's resolved replica."""
+    def _kernel_for(self, request, model: GONDiscriminator) -> FastGONKernel:
+        """The cached kernel for a request's resolved replica."""
         key = (
             request.model_key,
             *_generation_bucket(request.client_id, request.generation),
         )
         kernel = self._kernels.get(key)
         if kernel is None:
-            from ..core.fastscore import FastGONKernel
-
             dtype = "float32" if self.scorer_backend == "fast32" else "float64"
             kernel = FastGONKernel.from_model(model, dtype=dtype)
             self._kernels[key] = kernel
@@ -775,56 +767,18 @@ class GONScoringService:
             _ELEMENTS.add(message.n_elements)
 
         with _DISPATCH_SPAN.time():
-            if self.scorer_backend != "exact" and self.merge_requests:
-                # Cross-request fusing concatenates stacks, and BLAS
-                # results vary in the last ulp with the leading
-                # dimension -- so fusing lives behind the same
-                # ``merge_requests`` knob that already waives the
-                # bitwise record guarantee for the exact policy.
-                buckets = self._fuse_ascent_buckets(buckets)
             for bucket_key, requests in buckets.items():
-                kind = bucket_key[0]
                 _BUCKET_OCCUPANCY.observe(len(requests))
-                if kind == "fused":
-                    self._run_fused(requests)
-                elif self.merge_requests and len(requests) > 1:
-                    self._run_merged(kind, requests)
-                elif self.scorer_backend != "exact" and kind == "ascent":
-                    # Fast backend, no merging: one kernel call per
-                    # request keeps batch shapes identical to the
-                    # exact policy, so the bitwise tier holds.
-                    for request in requests:
-                        self._run_fused([request])
+                run = (
+                    self._run_ascent if bucket_key[0] == "ascent"
+                    else self._run_confidence
+                )
+                if self.merge_requests:
+                    run(requests)
                 else:
                     for request in requests:
-                        self._run_exact(kind, request)
+                        run([request])
         return signed_off
-
-    def _fuse_ascent_buckets(self, buckets: "Dict[tuple, List]") -> "Dict[tuple, List]":
-        """Regroup ascent buckets for fast backends + ``merge_requests``.
-
-        The fast kernel takes per-element gamma/max_steps vectors, so
-        requests that differ *only* in those hyper-parameters can share
-        one fused ascent: the bucket key collapses from ``(model, n,
-        gamma, steps, generation, owner)`` to ``(model, n, generation,
-        owner)``.  Only called when ``merge_requests`` is on -- fusing
-        concatenates stacks, which moves scores by ~1 ulp (BLAS leading
-        dimension), the exact trade-off that knob opts into.  Confidence
-        buckets pass through untouched (they stay on the exact model
-        path).
-        """
-        fused: "Dict[tuple, List]" = {}
-        for bucket_key, requests in buckets.items():
-            if bucket_key[0] != "ascent":
-                fused.setdefault(bucket_key, []).extend(requests)
-                continue
-            request = requests[0]
-            key = (
-                "fused", request.model_key, request.metrics.shape[1],
-                *_generation_bucket(request.client_id, request.generation),
-            )
-            fused.setdefault(key, []).extend(requests)
-        return fused
 
     def _grant_lease(self, request: LeaseRequest) -> None:
         if self.coordinator is None:
@@ -876,67 +830,47 @@ class GONScoringService:
                 raise
             self._mark_lost(client_id, f"reply delivery failed: {error}")
 
-    # -- exact policy: one evaluation per request ----------------------
-    def _run_exact(self, kind: str, request) -> None:
-        self.stats.n_batches += 1
-        self.stats.batch_sizes.append(request.n_elements)
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(request.n_elements)
-        model = self._resolve_model(request)
-        if kind == "ascent":
-            results = generate_metrics_batch(
-                model,
-                request.schedules,
-                request.adjacencies,
-                init_metrics=request.metrics,
-                gamma=request.gamma,
-                max_steps=request.max_steps,
-            )
-            self._reply(request, _ascent_reply(request.request_id, results))
-        else:
-            scores = model.forward_batch(
-                request.metrics, request.schedules, request.adjacencies
-            ).data.copy()
-            self._reply(
-                request, ConfidenceReply(request.request_id, scores)
-            )
+    def _batch(self, requests: List) -> tuple:
+        """Account one scoring call; returns its replica and stacks.
 
-    # -- fast backends: one fused kernel ascent per shape group --------
-    def _run_fused(self, requests: List) -> None:
-        """Score a same-shape ascent group on the fast kernel.
-
-        Hyper-parameters ride as per-element vectors (``np.repeat``
-        over each request's stack), so one kernel call covers requests
-        that the exact policy would have scored bucket by bucket.
-        Replies chunk back out positionally, exactly like the merged
-        policy.
+        Bucket keys carry ``(generation, owner)``, so every request in
+        a merged call resolves to the same replica -- merging across
+        overlays is impossible by construction.
         """
-        self.stats.n_batches += 1
         model = self._resolve_model(requests[0])
         for request in requests[1:]:
             self.stats.overlay_elements += (
                 request.n_elements if request.generation else 0
             )
-        kernel = self._kernel_for(requests[0], model)
-        counts = [request.n_elements for request in requests]
-        metrics = np.concatenate([r.metrics for r in requests])
-        schedules = np.concatenate([r.schedules for r in requests])
-        adjacencies = np.concatenate([r.adjacencies for r in requests])
-        gamma = np.repeat([r.gamma for r in requests], counts)
-        max_steps = np.repeat([r.max_steps for r in requests], counts)
-        total = int(metrics.shape[0])
+        total = sum(request.n_elements for request in requests)
+        self.stats.n_batches += 1
         self.stats.batch_sizes.append(total)
         _BATCHES.inc()
         _BATCH_ELEMENTS.observe(total)
         if len(requests) > 1:
-            self.stats.fused_elements += total
-            _FUSED_ELEMENTS.add(total)
-        results = kernel.ascent(
+            self.stats.merged_elements += total
+            _MERGED_ELEMENTS.add(total)
+        return (model, *(
+            np.concatenate([getattr(r, name) for r in requests])
+            for name in ("metrics", "schedules", "adjacencies")
+        ))
+
+    def _run_ascent(self, requests: List) -> None:
+        """One kernel ascent over one request or a merged bucket.
+
+        Hyper-parameters ride as per-element vectors (``np.repeat``
+        over each request's stack) when requests merge; replies chunk
+        back out positionally.
+        """
+        model, metrics, schedules, adjacencies = self._batch(requests)
+        counts = [request.n_elements for request in requests]
+        results = generate_metrics_batch(
+            self._kernel_for(requests[0], model),
             schedules,
             adjacencies,
             init_metrics=metrics,
-            gamma=gamma,
-            max_steps=max_steps,
+            gamma=np.repeat([r.gamma for r in requests], counts),
+            max_steps=np.repeat([r.max_steps for r in requests], counts),
         )
         start = 0
         for request in requests:
@@ -944,50 +878,15 @@ class GONScoringService:
             start += request.n_elements
             self._reply(request, _ascent_reply(request.request_id, chunk))
 
-    # -- merged policy: one evaluation per bucket ----------------------
-    def _run_merged(self, kind: str, requests: List) -> None:
-        # Bucket keys carry (generation, owner), so every request here
-        # resolves to the same replica -- merging across overlays is
-        # impossible by construction.
-        self.stats.n_batches += 1
-        model = self._resolve_model(requests[0])
-        for request in requests[1:]:
-            self.stats.overlay_elements += (
-                request.n_elements if request.generation else 0
-            )
-        metrics = np.concatenate([r.metrics for r in requests])
-        schedules = np.concatenate([r.schedules for r in requests])
-        adjacencies = np.concatenate([r.adjacencies for r in requests])
-        self.stats.batch_sizes.append(int(metrics.shape[0]))
-        self.stats.merged_elements += int(metrics.shape[0])
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(int(metrics.shape[0]))
-        _MERGED_ELEMENTS.add(int(metrics.shape[0]))
-        if kind == "ascent":
-            results = generate_metrics_batch(
-                model,
-                schedules,
-                adjacencies,
-                init_metrics=metrics,
-                gamma=requests[0].gamma,
-                max_steps=requests[0].max_steps,
-            )
-            start = 0
-            for request in requests:
-                chunk = results[start:start + request.n_elements]
-                start += request.n_elements
-                self._reply(request, _ascent_reply(request.request_id, chunk))
-        else:
-            scores = model.forward_batch(
-                metrics, schedules, adjacencies
-            ).data.copy()
-            start = 0
-            for request in requests:
-                chunk = scores[start:start + request.n_elements]
-                start += request.n_elements
-                self._reply(
-                    request, ConfidenceReply(request.request_id, chunk)
-                )
+    def _run_confidence(self, requests: List) -> None:
+        """One model forward over one request or a merged bucket."""
+        model, metrics, schedules, adjacencies = self._batch(requests)
+        scores = model.forward_batch(metrics, schedules, adjacencies).data
+        start = 0
+        for request in requests:
+            chunk = scores[start:start + request.n_elements].copy()
+            start += request.n_elements
+            self._reply(request, ConfidenceReply(request.request_id, chunk))
 
 
 def _ascent_reply(
@@ -1126,7 +1025,7 @@ class FleetScorer:
     campaigns assert to be zero once overlays are on.
 
     ``backend`` mirrors :class:`repro.core.scoring.LocalScorer`: it
-    selects the ascent engine for the *worker-local fallback* path
+    selects the kernel arithmetic for the *worker-local fallback* path
     (the service's own backend is chosen service-side at construction).
     """
 
@@ -1135,7 +1034,7 @@ class FleetScorer:
         client: ScoringClient,
         model: GONDiscriminator,
         overlays: bool = True,
-        backend: str = "exact",
+        backend: str = "fast",
     ) -> None:
         self.client = client
         self.model = model
@@ -1183,8 +1082,7 @@ class FleetScorer:
         """Lazy in-process scorer for the fallback path.
 
         Shares :attr:`model` and tracks :attr:`generation`, so its
-        fast kernel (if ``backend`` selects one) re-exports after every
-        fine-tune.
+        kernel re-exports after every fine-tune.
         """
         from ..core.scoring import LocalScorer
 

@@ -19,15 +19,18 @@ from repro.core import (
     N_M_FEATURES,
     N_S_FEATURES,
     QoSObjective,
-    generate_metrics,
-    generate_metrics_batch,
-    predict_qos,
-    predict_qos_batch,
     tabu_search,
 )
 from repro.core.nodeshift import neighbours, random_node_shift
 from repro.core.tabu import as_batched, batched_objective
 from repro.nn import GraphEncoder
+
+from gon_oracle import (
+    generate_metrics,
+    generate_metrics_batch,
+    predict_qos,
+    predict_qos_batch,
+)
 
 RTOL, ATOL = 1e-9, 1e-12
 

@@ -12,11 +12,24 @@ from repro.core import (
     QoSObjective,
     SLO_COLUMN,
     from_interval,
-    generate_metrics,
     node_features,
-    predict_qos,
 )
+from repro.core.fastscore import FastGONKernel
+from repro.core.surrogate import generate_metrics_batch
 from repro.nn import Tensor
+
+from gon_oracle import generate_metrics, predict_qos
+
+
+def production_ascent(gon, schedule, adjacency, init_metrics=None, **kwargs):
+    """One-sample eq.-1 ascent on the production (kernel) path."""
+    return generate_metrics_batch(
+        FastGONKernel.from_model(gon),
+        np.asarray(schedule)[None],
+        np.asarray(adjacency)[None],
+        init_metrics=None if init_metrics is None else init_metrics[None],
+        **kwargs,
+    )[0]
 
 
 @pytest.fixture
@@ -106,7 +119,7 @@ class TestSurrogateGeneration:
     def test_ascent_increases_confidence(self, gon, rng):
         sample = make_sample(rng)
         before = gon.score(sample)
-        result = generate_metrics(
+        result = production_ascent(
             gon, sample.schedule, sample.adjacency,
             init_metrics=sample.metrics, gamma=1e-2, max_steps=30,
         )
@@ -114,7 +127,7 @@ class TestSurrogateGeneration:
 
     def test_metrics_stay_in_bounds(self, gon, rng):
         sample = make_sample(rng)
-        result = generate_metrics(
+        result = production_ascent(
             gon, sample.schedule, sample.adjacency,
             init_metrics=sample.metrics, gamma=0.1, max_steps=20,
         )
@@ -124,11 +137,11 @@ class TestSurrogateGeneration:
     def test_random_init_requires_rng(self, gon, rng):
         sample = make_sample(rng)
         with pytest.raises(ValueError):
-            generate_metrics(gon, sample.schedule, sample.adjacency)
+            production_ascent(gon, sample.schedule, sample.adjacency)
 
     def test_random_init_shape(self, gon, rng):
         sample = make_sample(rng)
-        result = generate_metrics(
+        result = production_ascent(
             gon, sample.schedule, sample.adjacency, rng=rng, max_steps=5
         )
         assert result.metrics.shape == sample.metrics.shape
@@ -136,7 +149,7 @@ class TestSurrogateGeneration:
     def test_gamma_validation(self, gon, rng):
         sample = make_sample(rng)
         with pytest.raises(ValueError):
-            generate_metrics(
+            production_ascent(
                 gon, sample.schedule, sample.adjacency,
                 init_metrics=sample.metrics, gamma=0.0,
             )
@@ -152,7 +165,7 @@ class TestSurrogateGeneration:
 
     def test_steps_bounded(self, gon, rng):
         sample = make_sample(rng)
-        result = generate_metrics(
+        result = production_ascent(
             gon, sample.schedule, sample.adjacency,
             init_metrics=sample.metrics, max_steps=7,
         )

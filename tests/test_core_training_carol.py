@@ -156,8 +156,9 @@ class TestCAROL:
     def test_maintenance_picks_incumbent_or_better(self, carol, small_config):
         """Per-interval maintenance never adopts a topology the
         surrogate scores worse than the engine's proposal."""
-        from repro.core.surrogate import predict_qos
         from repro.core.features import GONInput
+
+        from gon_oracle import predict_qos
         from repro.simulator import EdgeFederation
 
         federation = EdgeFederation(small_config)

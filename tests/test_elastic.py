@@ -451,27 +451,77 @@ class TestCampaignChaos:
         state = {}
 
         def chaos(handle):
-            coordinator = handle.coordinator
+            # Force a revoked attempt and its re-run to overlap, however
+            # short a cell is: hold every reply to a lease holder until
+            # it is blocked mid-cell, re-queue that cell, and release
+            # the held replies only once another worker has re-leased
+            # it.  Both attempts then deliver a CellDone and the
+            # coordinator must drop the second one.
+            coordinator, service = handle.coordinator, handle.service
             state["coordinator"] = coordinator
-            # Keep revoking live leases until a revoked attempt and
-            # its re-run overlap: both then deliver a CellDone and the
-            # coordinator must drop the second one.  A lone requeue
-            # can resolve without overlap (the zombie finishes before
-            # the cell is re-leased), so loop until the race lands.
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline and not coordinator.finished:
-                if coordinator.duplicate_completions:
-                    break
-                for cell in sorted(coordinator.lease_view()):
-                    coordinator.requeue_cell(cell)
-                time.sleep(0.05)
+            while not coordinator.finished:
+                leases = coordinator.lease_view()
+                if not leases:
+                    time.sleep(0.005)
+                    continue
+                cell = min(leases)
+                worker = leases[cell]["worker"]
+                hold = _HeldReplies(service.reply_queues[worker])
+                service.reply_queues[worker] = hold
+                try:
+                    _wait_for(
+                        lambda: hold.held or coordinator.finished,
+                        message="the lease holder to block on a reply",
+                    )
+                    # A held reply means the worker is waiting; if it
+                    # still holds ``cell`` it is waiting mid-cell (its
+                    # CellDone would have settled the lease first).
+                    if hold.held and coordinator.lease_view().get(
+                        cell, {}
+                    ).get("worker") == worker:
+                        coordinator.requeue_cell(cell)
+                        _wait_for(
+                            lambda: coordinator.lease_view().get(
+                                cell, {}
+                            ).get("worker") not in (None, worker),
+                            message="another worker to re-lease the cell",
+                        )
+                        state["requeued"] = cell
+                        return
+                finally:
+                    hold.release()
+                    service.reply_queues[worker] = hold.inner
 
         records = run_fleet_campaign(chaos_grid, tasks, chaos_assets, chaos=chaos)
         # Both the original lease holder and the re-lease worker ran
         # the cell; the coordinator kept the first result and the
         # parent deduplicated the record stream.
+        assert "requeued" in state
         assert _rows_by_cell(records) == serial_rows
         assert state["coordinator"].duplicate_completions >= 1
+
+
+class _HeldReplies:
+    """A reply channel that buffers replies until :meth:`release`."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.held: list = []
+        self._holding = True
+        self._lock = threading.Lock()
+
+    def put(self, reply) -> None:
+        with self._lock:
+            if self._holding:
+                self.held.append(reply)
+                return
+        self.inner.put(reply)
+
+    def release(self) -> None:
+        with self._lock:
+            self._holding = False
+            for reply in self.held:
+                self.inner.put(reply)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,25 @@
-"""Fast inference backend: export, kernels, backends, parity tiers.
+"""The production GON ascent against its autodiff oracle.
 
-Pins the PR-7 contract end to end:
+Every eq.-1 ascent in production runs
+:func:`repro.core.surrogate.generate_metrics_batch` on a
+:class:`repro.core.fastscore.FastGONKernel`; ``tests/gon_oracle.py``
+keeps the autodiff ascent it must reproduce.  Pinned here:
 
 * ``nn/serialization`` inference export -- pack/unpack round-trip
   equality and loud refusal on architecture or shape mismatches;
-* ``core/fastscore.FastGONKernel`` -- the graph-free fused forward and
-  closed-form input gradient must reproduce the autodiff oracle
-  *bit for bit* in float64 (the kernel mirrors the exact op order),
-  and within rtol=1e-5 in float32;
-* ``core/scoring.LocalScorer`` backend selection and post-fine-tune
-  kernel re-export;
-* the scoring service's fast-backend features: cross-bucket fused
-  ascents and the adaptive micro-batch window;
-* the scenario-catalog parity sweep: for every registered scenario the
-  ``fast`` backend must produce bit-identical campaign records and
-  identical decision digests, and ``fast32`` must agree on decisions
-  (trained surrogates separate candidates well beyond float32 noise);
+* the kernel ascent reproduces the oracle *bit for bit* in float64
+  (including staggered per-element convergence) and within rtol=1e-5
+  in float32, and keeps a single workspace alive;
+* ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
+  of ``fast``) and post-fine-tune kernel re-export;
+* the scoring service's kernel path: per-request bitwise replies,
+  merged ascents across hyper-parameters, the adaptive window;
+* training parity: ``train_gon`` through the kernel and through the
+  oracle yields bitwise-equal weights and an equal history;
+* the scenario-catalog sweep: for every registered scenario the
+  production campaign must produce records and decision digests
+  bit-identical to a campaign whose every ascent (training included)
+  ran on the oracle, and ``fast32`` must agree on most decisions;
 * ``benchmarks/compare_records.py --decisions``.
 """
 
@@ -33,7 +37,7 @@ from repro.core import GONDiscriminator
 from repro.core.fastscore import FastGONKernel, gon_inference_meta
 from repro.core.scoring import BACKENDS, LocalScorer, validate_backend
 from repro.core.surrogate import generate_metrics_batch
-from repro.core.training import TrainingConfig
+from repro.core.training import TrainingConfig, train_gon
 from repro.experiments import (
     CampaignConfig,
     prepare_campaign_assets,
@@ -46,6 +50,9 @@ from repro.nn.serialization import (
 )
 from repro.scenarios import all_scenarios
 from repro.serving import GONScoringService, ScoringClient
+
+from gon_oracle import generate_metrics_batch as oracle_batch
+from gon_oracle import oracle_ascents
 
 
 def _stacks(samples, count=None):
@@ -146,11 +153,11 @@ class TestFastKernelParity:
     def test_ascent_bitwise_equal(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        fast = kernel.ascent(
-            schedules, adjacencies, init_metrics=metrics,
+        fast = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
         )
-        oracle = generate_metrics_batch(
+        oracle = oracle_batch(
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
         )
@@ -163,24 +170,59 @@ class TestFastKernelParity:
         # times, exercising the oracle's narrowed-batch path.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        fast = kernel.ascent(
-            schedules, adjacencies, init_metrics=metrics,
+        fast = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-3, max_steps=40,
         )
-        oracle = generate_metrics_batch(
+        oracle = oracle_batch(
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-3, max_steps=40,
+        )
+        _assert_results_bitwise(fast, oracle)
+
+    def test_staggered_convergence_bitwise_equal(self):
+        # A tol that freezes only part of the stack mid-ascent.  Trained
+        # GONs keep Adam's step near gamma (nothing converges), so an
+        # untrained GON over random inputs provides the stagger.
+        rng = np.random.default_rng(42)
+        gon = GONDiscriminator(rng, hidden=16, n_layers=2)
+        batch, n = 8, 6
+        metrics = rng.uniform(0, 1, size=(batch, n, gon.n_m_features))
+        schedules = rng.uniform(0, 1, size=(batch, n, gon.n_s_features))
+        adjacencies = np.triu(rng.random((batch, n, n)) > 0.5, 1).astype(float)
+        adjacencies = adjacencies + adjacencies.swapaxes(-1, -2)
+        kwargs = dict(init_metrics=metrics, gamma=1e-2, max_steps=60,
+                      tol=9.9e-3)
+        fast = generate_metrics_batch(
+            FastGONKernel.from_model(gon), schedules, adjacencies, **kwargs
+        )
+        oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
+        converged = [r.converged for r in oracle]
+        assert any(converged) and not all(converged), converged
+        _assert_results_bitwise(fast, oracle)
+
+    def test_noise_start_bitwise_equal(self, trained_gon, session_samples):
+        # Training's form: noise starts drawn from the caller's rng.
+        kernel = FastGONKernel.from_model(trained_gon)
+        _, schedules, adjacencies = _stacks(session_samples, 5)
+        fast = generate_metrics_batch(
+            kernel, schedules, adjacencies, rng=np.random.default_rng(3),
+            gamma=1e-2, max_steps=10,
+        )
+        oracle = oracle_batch(
+            trained_gon, schedules, adjacencies, rng=np.random.default_rng(3),
+            gamma=1e-2, max_steps=10,
         )
         _assert_results_bitwise(fast, oracle)
 
     def test_fast32_within_rtol(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon, dtype="float32")
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        fast = kernel.ascent(
-            schedules, adjacencies, init_metrics=metrics,
+        fast = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
         )
-        oracle = generate_metrics_batch(
+        oracle = oracle_batch(
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
         )
@@ -194,24 +236,24 @@ class TestFastKernelParity:
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
     ):
-        # The property service-side fusing (merge_requests + fast)
-        # rests on: one kernel call with per-element gamma / step caps
-        # matches the separate per-request calls element for element.
-        # NOT bitwise -- concatenation changes the BLAS leading
-        # dimension, the documented ~1-ulp merge waiver -- so the
-        # comparison is allclose at merged-policy tightness.
+        # The property service-side merging rests on: one ascent with
+        # per-element gamma / step caps matches the separate
+        # per-request calls element for element.  NOT bitwise --
+        # concatenation changes the BLAS leading dimension, the
+        # documented ~1-ulp merge waiver -- so the comparison is
+        # allclose at merged-policy tightness.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        first = kernel.ascent(
-            schedules[:3], adjacencies[:3], init_metrics=metrics[:3],
+        first = generate_metrics_batch(
+            kernel, schedules[:3], adjacencies[:3], init_metrics=metrics[:3],
             gamma=1e-2, max_steps=5,
         )
-        second = kernel.ascent(
-            schedules[3:], adjacencies[3:], init_metrics=metrics[3:],
+        second = generate_metrics_batch(
+            kernel, schedules[3:], adjacencies[3:], init_metrics=metrics[3:],
             gamma=2e-3, max_steps=8,
         )
-        fused = kernel.ascent(
-            schedules, adjacencies, init_metrics=metrics,
+        fused = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=np.array([1e-2] * 3 + [2e-3] * 3),
             max_steps=np.array([5] * 3 + [8] * 3),
         )
@@ -231,15 +273,42 @@ class TestFastKernelParity:
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 2)
         with pytest.raises(ValueError):
-            kernel.ascent(
-                schedules, adjacencies, init_metrics=metrics,
+            generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
                 gamma=0.0, max_steps=3,
             )
         with pytest.raises(ValueError):
-            kernel.ascent(
-                schedules, adjacencies, init_metrics=metrics,
+            generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
                 gamma=1e-2, max_steps=-1,
             )
+
+    def test_workspace_cache_keeps_one_entry(
+        self, trained_gon, session_samples
+    ):
+        # Ascents at several stack sizes (and a forward-only read) must
+        # leave exactly one workspace alive, for the latest shape.
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 8)
+        for size in (8, 3, 5, 1, 8):
+            generate_metrics_batch(
+                kernel, schedules[:size], adjacencies[:size],
+                init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
+            )
+            assert list(kernel._workspaces) == [(size, metrics.shape[1])]
+        kernel.score_stack(metrics[:4], schedules[:4], adjacencies[:4])
+        assert list(kernel._workspaces) == [(4, metrics.shape[1])]
+        # A reused kernel still reproduces the oracle after evictions.
+        _assert_results_bitwise(
+            generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=3,
+            ),
+            oracle_batch(
+                trained_gon, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=3,
+            ),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +318,8 @@ class TestLocalScorerBackends:
     def test_validate_backend(self):
         for backend in BACKENDS:
             assert validate_backend(backend) == backend
+        assert BACKENDS == ("fast", "fast32")
+        assert validate_backend("exact") == "fast"
         with pytest.raises(ValueError):
             validate_backend("onnx")
 
@@ -257,12 +328,15 @@ class TestLocalScorerBackends:
             LocalScorer(trained_gon, backend="slow")
 
     def test_fast_backend_matches_exact(self, trained_gon, session_samples):
-        exact = LocalScorer(trained_gon)
-        fast = LocalScorer(trained_gon, backend="fast")
+        assert LocalScorer(trained_gon, backend="exact").backend == "fast"
+        fast = LocalScorer(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 5)
         _assert_results_bitwise(
             fast.ascent(metrics, schedules, adjacencies, 1e-2, 4),
-            exact.ascent(metrics, schedules, adjacencies, 1e-2, 4),
+            oracle_batch(
+                trained_gon, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=4,
+            ),
         )
 
     def test_fine_tune_re_exports_the_kernel(self, session_samples):
@@ -272,7 +346,7 @@ class TestLocalScorerBackends:
         scorer = LocalScorer(model, backend="fast")
         metrics, schedules, adjacencies = _stacks(session_samples, 4)
         scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3)
-        stale_kernel = scorer._fast_kernel()
+        stale_kernel = scorer.kernel()
         scorer.fine_tune(
             session_samples[:8],
             config=TrainingConfig(epochs=1, batch_size=4, seed=0),
@@ -280,10 +354,10 @@ class TestLocalScorerBackends:
             rng=np.random.default_rng(1),
         )
         assert scorer.generation == 1
-        assert scorer._fast_kernel() is not stale_kernel
+        assert scorer.kernel() is not stale_kernel
         _assert_results_bitwise(
             scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3),
-            generate_metrics_batch(
+            oracle_batch(
                 model, schedules, adjacencies, init_metrics=metrics,
                 gamma=1e-2, max_steps=3,
             ),
@@ -291,7 +365,7 @@ class TestLocalScorerBackends:
 
 
 # ----------------------------------------------------------------------
-# Scoring service: fused buckets + adaptive window
+# Scoring service: kernel ascents, merged buckets, adaptive window
 # ----------------------------------------------------------------------
 class TestServiceFastBackend:
     def _serve(self, trained_gon, n_clients=1, **kwargs):
@@ -311,13 +385,11 @@ class TestServiceFastBackend:
     def test_fast_backend_replies_bitwise_equal(
         self, trained_gon, session_samples
     ):
-        service, thread, (client,) = self._serve(
-            trained_gon, scorer_backend="fast"
-        )
+        service, thread, (client,) = self._serve(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 5)
         remote = client.ascent(metrics, schedules, adjacencies,
                                gamma=1e-2, max_steps=4)
-        oracle = generate_metrics_batch(
+        oracle = oracle_batch(
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=4,
         )
@@ -330,12 +402,10 @@ class TestServiceFastBackend:
         self, trained_gon, session_samples
     ):
         # Two clients with *different* ascent parameters on the default
-        # (merge_requests=False) fast service: every request gets its
-        # own kernel call, so replies equal the per-request oracle bit
-        # for bit and nothing is ever fused.
-        service, thread, clients = self._serve(
-            trained_gon, n_clients=2, scorer_backend="fast"
-        )
+        # (merge_requests=False) service: every request gets its own
+        # kernel call, so replies equal the per-request oracle bit for
+        # bit and nothing is ever merged.
+        service, thread, clients = self._serve(trained_gon, n_clients=2)
         metrics, schedules, adjacencies = _stacks(session_samples, 4)
         results = {}
 
@@ -356,7 +426,7 @@ class TestServiceFastBackend:
             worker.join(timeout=10)
         assert sorted(results) == [0, 1]
         for index, (gamma, steps) in enumerate(((1e-2, 4), (3e-3, 6))):
-            oracle = generate_metrics_batch(
+            oracle = oracle_batch(
                 trained_gon, schedules, adjacencies, init_metrics=metrics,
                 gamma=gamma, max_steps=steps,
             )
@@ -364,22 +434,22 @@ class TestServiceFastBackend:
         for client in clients:
             client.close()
         thread.join(timeout=10)
-        assert service.stats.fused_elements == 0
+        assert service.stats.merged_elements == 0
         assert service.stats.n_elements == 8
 
     def test_fused_batch_deterministic_when_queued_together(
         self, trained_gon, session_samples
     ):
-        # Deterministic fusing (merge_requests + fast): enqueue both
-        # requests *before* serve() drains, so they are guaranteed to
-        # share a batch, and the differing gamma / step caps fuse into
-        # one kernel call.  Merged replies carry the ~1-ulp waiver, so
-        # the oracle comparison is allclose, not bitwise.
+        # Deterministic merging: enqueue both requests *before*
+        # serve() drains, so they are guaranteed to share a batch, and
+        # the differing gamma / step caps ride one kernel call as
+        # per-element vectors.  Merged replies carry the ~1-ulp waiver,
+        # so the oracle comparison is allclose, not bitwise.
         request_queue = queue.Queue()
         replies = {0: queue.Queue(), 1: queue.Queue()}
         service = GONScoringService(
             {"scenario": trained_gon}, request_queue, replies,
-            scorer_backend="fast", merge_requests=True,
+            merge_requests=True,
         )
         metrics, schedules, adjacencies = _stacks(session_samples, 3)
         from repro.serving import AscentRequest, ClientDone
@@ -400,10 +470,11 @@ class TestServiceFastBackend:
         request_queue.put(ClientDone(client_id=0))
         request_queue.put(ClientDone(client_id=1))
         service.serve()
-        assert service.stats.fused_elements == 6
+        assert service.stats.merged_elements == 6
+        assert service.stats.n_batches == 1
         for client_id, (gamma, steps) in ((0, (1e-2, 3)), (1, (4e-3, 5))):
             reply = replies[client_id].get_nowait()
-            oracle = generate_metrics_batch(
+            oracle = oracle_batch(
                 trained_gon, schedules, adjacencies, init_metrics=metrics,
                 gamma=gamma, max_steps=steps,
             )
@@ -468,10 +539,19 @@ def _catalog_config(name: str) -> CampaignConfig:
 
 @pytest.fixture(scope="module")
 def catalog_sweep():
-    """Per-scenario campaign results for every backend (shared assets)."""
+    """Per-scenario campaign results: production backends and the oracle.
+
+    The ``oracle`` run trains its GON and takes every decision with the
+    autodiff ascent (serially, inside :func:`oracle_ascents`); the
+    production runs share kernel-trained assets.
+    """
     sweep = {}
     for spec in all_scenarios():
         config = _catalog_config(spec.name)
+        with oracle_ascents():
+            oracle = run_campaign(
+                config, prepared_assets=prepare_campaign_assets(config)
+            )
         assets = prepare_campaign_assets(config)
         sweep[spec.name] = {
             backend: run_campaign(
@@ -480,7 +560,12 @@ def catalog_sweep():
             )
             for backend in BACKENDS
         }
+        sweep[spec.name]["oracle"] = oracle
     return sweep
+
+
+def _digests(result):
+    return [r.diagnostics["decision_digest"] for r in result.records]
 
 
 class TestCatalogParity:
@@ -489,19 +574,11 @@ class TestCatalogParity:
 
     def test_fast_records_bit_identical_across_catalog(self, catalog_sweep):
         for name, results in catalog_sweep.items():
-            assert results["fast"].rows() == results["exact"].rows(), name
+            assert results["fast"].rows() == results["oracle"].rows(), name
 
     def test_fast_decisions_identical_across_catalog(self, catalog_sweep):
         for name, results in catalog_sweep.items():
-            fast = [
-                r.diagnostics["decision_digest"]
-                for r in results["fast"].records
-            ]
-            exact = [
-                r.diagnostics["decision_digest"]
-                for r in results["exact"].records
-            ]
-            assert fast == exact, name
+            assert _digests(results["fast"]) == _digests(results["oracle"]), name
 
     def test_fast32_decisions_agree_across_most_of_catalog(
         self, catalog_sweep
@@ -512,31 +589,24 @@ class TestCatalogParity:
         # *systematically*, so the canary asserts strong-majority
         # agreement rather than universality -- the rtol tier below is
         # the per-score correctness gate.
-        divergent = []
-        for name, results in catalog_sweep.items():
-            fast32 = [
-                r.diagnostics["decision_digest"]
-                for r in results["fast32"].records
-            ]
-            exact = [
-                r.diagnostics["decision_digest"]
-                for r in results["exact"].records
-            ]
-            if fast32 != exact:
-                divergent.append(name)
+        divergent = [
+            name for name, results in catalog_sweep.items()
+            if _digests(results["fast32"]) != _digests(results["oracle"])
+        ]
         assert len(divergent) <= 2, divergent
 
     def test_fast32_scores_within_rtol_across_catalog(self, catalog_sweep):
         # Scorer-level tier: confidences of one warm-start ascent over
-        # each scenario's trained surrogate, fast32 vs exact.
+        # each scenario's trained surrogate, fast32 vs the oracle.
         for name in catalog_sweep:
             config = _catalog_config(name)
             assets = prepare_campaign_assets(config)[name]
             gon = assets.fresh_gon()
             samples = assets.samples[:6]
             metrics, schedules, adjacencies = _stacks(samples)
-            exact = LocalScorer(gon).ascent(
-                metrics, schedules, adjacencies, 1e-2, 4
+            exact = oracle_batch(
+                gon, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=4,
             )
             fast32 = LocalScorer(gon, backend="fast32").ascent(
                 metrics, schedules, adjacencies, 1e-2, 4
@@ -548,6 +618,35 @@ class TestCatalogParity:
                 atol=1e-7,
                 err_msg=name,
             )
+
+
+# ----------------------------------------------------------------------
+# Training parity
+# ----------------------------------------------------------------------
+class TestTrainingParity:
+    def test_train_gon_kernel_matches_oracle(self, session_samples):
+        config = TrainingConfig(
+            epochs=2, batch_size=8, learning_rate=1e-3,
+            generation_steps=10, seed=0,
+        )
+
+        def train():
+            model = GONDiscriminator(
+                np.random.default_rng(0), hidden=16, n_layers=2
+            )
+            return model, train_gon(model, session_samples, config)
+
+        production, history = train()
+        with oracle_ascents():
+            oracle, oracle_history = train()
+        state, oracle_state = production.state_dict(), oracle.state_dict()
+        assert state.keys() == oracle_state.keys()
+        for name in state:
+            assert np.array_equal(state[name], oracle_state[name]), name
+        assert history.losses == oracle_history.losses
+        assert history.mses == oracle_history.mses
+        assert history.confidences == oracle_history.confidences
+        assert history.stopped_epoch == oracle_history.stopped_epoch == 2
 
 
 # ----------------------------------------------------------------------

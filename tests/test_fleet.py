@@ -26,7 +26,6 @@ from repro.core import (
     LocalScorer,
     TrainingConfig,
 )
-from repro.core.surrogate import generate_metrics_batch
 from repro.nn.serialization import freeze_state, pack_state, unpack_state
 from repro.serving import (
     AscentRequest,
@@ -38,6 +37,8 @@ from repro.serving import (
 )
 from repro.simulator import EdgeFederation
 from repro.simulator.detection import FailureReport
+
+from gon_oracle import generate_metrics_batch
 
 
 # ----------------------------------------------------------------------

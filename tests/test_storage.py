@@ -34,12 +34,14 @@ import pytest
 from repro.experiments.campaign import (
     CampaignConfig,
     GRID_IDENTITY_FIELDS,
+    RECORD_SEMANTICS_VERSION,
     campaign_config_hash,
     campaign_grid_identity,
     record_from_payload,
     record_to_payload,
     run_campaign,
 )
+from repro.scenarios import get_scenario, register
 from repro.serving.coordinator import CellCoordinator
 from repro.storage import (
     MemoryCampaignStore,
@@ -136,14 +138,28 @@ class TestConfigHash:
             dict(shared_assets=True),
             dict(fleet_merge=True),
             dict(carol_overrides=(("gamma", 0.5),)),
-            dict(scorer_backend="fast"),
+            dict(scorer_backend="fast32"),
         ):
             changed = dataclasses.replace(base, **change)
             assert campaign_config_hash(changed) != h, change
 
     def test_identity_covers_every_declared_field(self):
+        # Every declared config field, plus the two record-determining
+        # inputs that are not config fields: scenario content and the
+        # record-semantics version.
         grid = campaign_grid_identity(tiny_config())
-        assert set(grid) == set(GRID_IDENTITY_FIELDS)
+        assert set(grid) == set(GRID_IDENTITY_FIELDS) | {
+            "scenario_specs", "record_semantics",
+        }
+        assert grid["record_semantics"] == RECORD_SEMANTICS_VERSION
+        assert grid["scenario_specs"] == [get_scenario("fault-free").to_dict()]
+
+    def test_exact_backend_alias_hashes_like_fast(self):
+        exact = tiny_config(scorer_backend="exact")
+        assert exact.scorer_backend == "fast"
+        assert campaign_config_hash(exact) == campaign_config_hash(
+            tiny_config(scorer_backend="fast")
+        )
 
     def test_model_aliases_canonicalize_before_hashing(self):
         lower = tiny_config(models=("carol",))
@@ -427,6 +443,35 @@ class TestCampaignResume:
         conn.close()
         with pytest.raises(StoreError, match="different grid identity"):
             run_campaign(config)
+
+    def test_edited_catalog_spec_changes_hash_and_refuses_resume(
+        self, tmp_path
+    ):
+        config = tiny_config(
+            store="sqlite", store_path=str(tmp_path / "runs.db")
+        )
+        first = run_campaign(config)
+        before = campaign_config_hash(config)
+        original = get_scenario("fault-free")
+        edited = dataclasses.replace(
+            original,
+            workload=dataclasses.replace(
+                original.workload,
+                arrival_rate=original.workload.arrival_rate * 2,
+            ),
+        )
+        register(edited, overwrite=True)
+        try:
+            assert campaign_config_hash(config) != before
+            rerun = run_campaign(config)
+        finally:
+            register(original, overwrite=True)
+        counters = rerun.telemetry["counters"]
+        assert counters.get("fleet.cells_resumed", 0) == 0
+        assert counters["campaign.cells_started"] == len(first.records)
+        assert payloads(rerun) != payloads(first)
+        with open_store("sqlite", config.store_path) as check:
+            assert len(check.campaigns()) == 2
 
     def test_memory_store_preserves_run_everything_semantics(self):
         config = tiny_config()

@@ -524,6 +524,25 @@ class TestCampaignTelemetry:
         assert payload["telemetry"] == result.telemetry
         json.dumps(payload)  # JSON-safe end to end
 
+    def test_every_ascent_counts_under_one_namespace(self, campaign_assets):
+        from repro.experiments import run_campaign
+
+        result = run_campaign(_campaign_config(), campaign_assets)
+        counters = result.telemetry["counters"]
+        assert counters["gon.ascent.calls"] > 0
+        assert counters["gon.ascent.elements"] >= counters["gon.ascent.calls"]
+        assert counters["gon.ascent.steps"] > 0
+        assert result.telemetry["spans"]["gon.ascent"]["count"] == \
+            counters["gon.ascent.calls"]
+        assert result.telemetry["histograms"]["gon.ascent.batch_size"]
+        names = [
+            name
+            for section in result.telemetry.values()
+            if isinstance(section, dict)
+            for name in section
+        ]
+        assert not [name for name in names if name.startswith("gon.fast")]
+
     def test_pool_campaign_merges_worker_deltas(self, campaign_assets):
         from repro.experiments import run_campaign
 

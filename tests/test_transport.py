@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core import TrainingConfig
-from repro.core.surrogate import generate_metrics_batch
 from repro.nn.serialization import pack_state
 from repro.serving import (
     AscentRequest,
@@ -38,6 +37,8 @@ from repro.serving import (
 )
 from repro.serving import wire
 from repro.serving.service import AscentReply, ClientDone, OverlayUpdate
+
+from gon_oracle import generate_metrics_batch
 
 
 def _stacks(samples):
