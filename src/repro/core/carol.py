@@ -225,6 +225,12 @@ class CAROL(ResilienceModel):
             OrderedDict()
         )
         self._cache_generation = self.scorer.generation
+        # What :meth:`memory_bytes` (run twice per interval) reports
+        # without walking the cache: a running total of the cached M*
+        # bytes, kept on insert, eviction and flush, and the GON's
+        # footprint, fixed because its parameter shapes are.
+        self._cache_bytes = 0
+        self._model_bytes = self.model.footprint_bytes()
         self._training_config = TrainingConfig(
             generation_gamma=self.config.gamma,
             generation_steps=self.config.surrogate_steps,
@@ -258,6 +264,7 @@ class CAROL(ResilienceModel):
             len(self._score_cache)
         )
         self._score_cache.clear()
+        self._cache_bytes = 0
         self._cache_generation = self.scorer.generation
 
     def surrogate_scores(
@@ -307,9 +314,11 @@ class CAROL(ResilienceModel):
         if pending:
             batch = len(pending)
             first_slots = [slots[0] for slots in pending.values()]
+            # Read-only broadcast views: the ascent copies the warm
+            # start once and never writes the schedule stack.
             results = self.scorer.ascent(
-                np.repeat(metrics[None], batch, axis=0),
-                np.repeat(schedule[None], batch, axis=0),
+                np.broadcast_to(metrics, (batch, *metrics.shape)),
+                np.broadcast_to(schedule, (batch, *schedule.shape)),
                 np.stack([candidates[i].adjacency() for i in first_slots]),
                 gamma=self.config.gamma,
                 max_steps=self.config.surrogate_steps,
@@ -319,11 +328,13 @@ class CAROL(ResilienceModel):
                 entry = (float(self.objective(result.metrics)), result.metrics)
                 if capacity > 0:  # capacity 0 = caching disabled
                     self._score_cache[full_key] = entry
+                    self._cache_bytes += result.metrics.nbytes
                 for slot in slots:
                     out[slot] = entry
             evictions = diag_reg.counter("carol.cache.evictions")
             while len(self._score_cache) > capacity:
-                self._score_cache.popitem(last=False)
+                _key, (_score, evicted) = self._score_cache.popitem(last=False)
+                self._cache_bytes -= evicted.nbytes
                 evictions.inc()
         return out  # type: ignore[return-value]
 
@@ -500,7 +511,4 @@ class CAROL(ResilienceModel):
         # The persistent cache holds a predicted M* per entry; it is
         # resident broker memory like everything else here, so it
         # enters the Fig. 5e accounting rather than hiding from it.
-        cache_bytes = sum(
-            predicted.nbytes for _score, predicted in self._score_cache.values()
-        )
-        return self.model.footprint_bytes() + buffer_bytes + cache_bytes
+        return self._model_bytes + buffer_bytes + self._cache_bytes

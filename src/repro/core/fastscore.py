@@ -202,9 +202,9 @@ class FastGONKernel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Self-looped attention masks and their -1e9 non-edge push."""
         masks = adjacency_with_self_loops(np.asarray(adjacencies)).astype(
-            self.dtype
+            self.dtype, copy=False
         )
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
+        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype, copy=False)
         return masks, push
 
     # ------------------------------------------------------------------
@@ -245,7 +245,7 @@ class FastGONKernel:
             np.greater(z, 0.0, out=mask)
             z *= mask  # ReLU, every layer incl. the final one
             x = z
-        e_ms = np.sum(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
+        e_ms = np.add.reduce(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
         e_ms *= self.dtype.type(1.0) / n  # .mean(axis=1) == sum * (1/n)
 
         # --- eq. 4: one-layer GAT over u_i = M[:, :, :4].
@@ -264,11 +264,11 @@ class FastGONKernel:
         # Fused masked softmax (same arithmetic as nn.gat._masked_softmax).
         att += push
         row = ws["row"]
-        np.max(att, axis=-1, keepdims=True, out=row)
+        np.maximum.reduce(att, axis=-1, keepdims=True, out=row)
         att -= row
         np.exp(att, out=att)
         att *= masks
-        np.sum(att, axis=-1, keepdims=True, out=row)
+        np.add.reduce(att, axis=-1, keepdims=True, out=row)
         row += 1e-12
         att /= row
         agg = ws["agg"]
@@ -282,7 +282,7 @@ class FastGONKernel:
         np.exp(agg, out=agg)
         agg += 1.0
         np.reciprocal(agg, out=agg)  # g
-        e_g = np.sum(agg, axis=1, out=ws["e_g"])
+        e_g = np.add.reduce(agg, axis=1, out=ws["e_g"])
         e_g *= self.dtype.type(1.0) / n
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
@@ -361,7 +361,7 @@ class FastGONKernel:
         np.matmul(dagg, messages.swapaxes(-1, -2), out=datt)
         dmsg3 = ws["dmsg3"]
         np.matmul(att.swapaxes(-1, -2), dagg, out=dmsg3)
-        inner = np.sum(
+        inner = np.add.reduce(
             np.multiply(datt, att, out=ws["dscores"]),
             axis=-1, keepdims=True, out=ws["row"],
         )

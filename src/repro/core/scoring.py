@@ -49,10 +49,12 @@ scorer's model.  The backend only picks the kernel's arithmetic:
     systematically; the canary catches that, the rtol tier pins
     per-score correctness.
 
-Only the ascent goes through the kernel: ``confidence()`` (the POT
-gate input, a single forward with no backward pass) reads the model
-directly.  Kernels re-export their weights after every ``generation``
-bump, so a fine-tuned scorer never serves stale parameters.
+Confidence reads (``confidence()``, the POT gate input) run one
+forward on a float64 kernel under either backend, so the gate never
+depends on the backend's arithmetic; the float64 forward is
+bitwise-equal to the model's own (the catalog sweep gates this too).
+Kernels re-export their weights after every ``generation`` bump, so a
+fine-tuned scorer never serves stale parameters.
 """
 
 from __future__ import annotations
@@ -68,7 +70,13 @@ from .fastscore import FastGONKernel
 from .surrogate import SurrogateResult, generate_metrics_batch
 from .training import TrainingConfig, fine_tune
 
-__all__ = ["SurrogateScorer", "LocalScorer", "BACKENDS", "validate_backend"]
+__all__ = [
+    "SurrogateScorer",
+    "LocalScorer",
+    "BACKENDS",
+    "validate_backend",
+    "sample_confidence",
+]
 
 #: Inference backends a scorer accepts (see the module docstring for
 #: the per-tier parity contract).
@@ -86,6 +94,13 @@ def validate_backend(backend: str) -> str:
             f"{BACKENDS} (or the alias 'exact')"
         )
     return backend
+
+
+def sample_confidence(kernel: FastGONKernel, sample: GONInput) -> float:
+    """``D(M, S, G)`` of one sample: a single kernel forward."""
+    return float(kernel.score_stack(
+        sample.metrics[None], sample.schedule[None], sample.adjacency[None]
+    )[0])
 
 
 class SurrogateScorer(Protocol):
@@ -131,7 +146,7 @@ class LocalScorer:
     ``backend`` picks the kernel arithmetic (``"fast"`` | ``"fast32"``,
     module docstring has the parity tiers).  The kernel is built lazily
     on first ascent and rebuilt whenever :meth:`fine_tune` bumps
-    :attr:`generation`.
+    :attr:`generation`; so is the float64 kernel confidence reads use.
     """
 
     def __init__(self, model: GONDiscriminator, backend: str = "fast") -> None:
@@ -140,6 +155,8 @@ class LocalScorer:
         self.generation = 0
         self._kernel = None
         self._kernel_generation = -1
+        self._reader = None
+        self._reader_generation = -1
         # Per-instance registry backing the legacy ``diagnostics``
         # mapping (always enabled: these are record diagnostics, not
         # wall-clock telemetry).  In-process scoring is the
@@ -155,6 +172,21 @@ class LocalScorer:
             self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
             self._kernel_generation = self.generation
         return self._kernel
+
+    def confidence_kernel(self) -> FastGONKernel:
+        """The cached float64 kernel of confidence reads.
+
+        Its own instance, so single-sample reads never evict the
+        ascent kernel's workspace; under ``"fast"`` it shares that
+        kernel's export.
+        """
+        if self._reader is None or self._reader_generation != self.generation:
+            if self.backend == "fast":
+                self._reader = FastGONKernel(self.kernel().pack)
+            else:
+                self._reader = FastGONKernel.from_model(self.model)
+            self._reader_generation = self.generation
+        return self._reader
 
     @property
     def diagnostics(self) -> Dict[str, int]:
@@ -179,7 +211,7 @@ class LocalScorer:
         )
 
     def confidence(self, sample: GONInput) -> float:
-        return self.model.score(sample)
+        return sample_confidence(self.confidence_kernel(), sample)
 
     def fine_tune(
         self,

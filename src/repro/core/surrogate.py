@@ -23,12 +23,15 @@ GON -- so no autodiff graph is built per step.  A float64 kernel
 reproduces the autodiff ascent bit for bit; the test suite keeps that
 autodiff ascent as its parity oracle (``tests/gon_oracle.py``).
 
-Convergence is tracked per batch element: an element whose update norm
-falls below ``tol`` -- or that reaches its own step cap -- freezes (its
-metrics, step count and confidence are finalised) while the remaining
-elements continue in a compacted stack, so each element follows
-exactly the trajectory a one-element ascent would.  Results come back
-in input order.
+Adam runs as a fixed sequence of in-place ufuncs on preallocated
+``[k, n, F]`` state, and the kernel forward reads the whole stack, so
+a step does no fancy-index gathers or scatters.  Convergence is
+tracked per batch element: an element whose update norm falls below
+``tol`` -- or that reaches its own step cap -- freezes (its metrics,
+step count and confidence are finalised) and the stack is compacted
+to the survivors on that step only, so each element follows exactly
+the trajectory a one-element ascent would.  Results come back in
+input order.
 """
 
 from __future__ import annotations
@@ -87,10 +90,10 @@ def generate_metrics_batch(
         the noise starts (Algorithm 1's ``Z``) are drawn from ``rng``
         in one call.
     gamma / max_steps:
-        Ascent step size (the learning rate swept in Fig. 6a) and step
-        cap.  Either may be a per-element vector, which is what lets
-        the scoring service fuse requests with different
-        hyper-parameters into one call.
+        Ascent step size (the learning rate swept in Fig. 6a; positive
+        and finite) and step cap.  Either may be a per-element vector,
+        which is what lets the scoring service fuse requests with
+        different hyper-parameters into one call.
     tol:
         An element converges once its largest update falls below it.
 
@@ -109,11 +112,11 @@ def generate_metrics_batch(
     if batch == 0:
         return []
     dtype = kernel.dtype
-    gamma_vec = np.broadcast_to(
-        np.asarray(gamma, dtype=float), (batch,)
-    ).astype(dtype)
-    if np.any(gamma_vec <= 0):
-        raise ValueError("gamma must be positive")
+    gamma = np.asarray(gamma, dtype=float)
+    # ``not (gamma > 0)`` also catches NaN, which ``gamma <= 0`` lets by.
+    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+        raise ValueError("gamma must be positive and finite")
+    step_sizes = np.broadcast_to(gamma, (batch,)).astype(dtype)[:, None, None]
     caps = np.broadcast_to(np.asarray(max_steps, dtype=int), (batch,)).copy()
     if np.any(caps < 0):
         raise ValueError("max_steps must be >= 0")
@@ -131,16 +134,22 @@ def generate_metrics_batch(
                 f"init_metrics batch {current.shape[0]} != {batch}"
             )
 
-    sched = schedules.astype(dtype)
+    # Read-only inputs are never copied here (broadcast views pass
+    # through); compaction below makes the survivors' own arrays.
+    sched = np.asarray(schedules, dtype=dtype)
     masks, push = kernel.graph_inputs(adjacencies)
     first_moment = np.zeros_like(current)
     second_moment = np.zeros_like(current)
+    scratch = np.empty_like(current)
+    update = np.empty_like(current)
     beta1, beta2 = 0.9, 0.999
-    steps_taken = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    confidence = np.zeros(batch, dtype=dtype)
+    # Input indices of the stack's rows; None while no row has frozen.
+    order: Optional[np.ndarray] = None
+    cap_floor = int(caps.min())
+    # Frozen rows: (input indices or None, metrics, steps, converged,
+    # confidences) -- read out after the loop.
+    frozen: list = []
 
-    active = np.arange(batch)
     # One schedule tag per call: the kernel writes the constant S half
     # of its joint input once per workspace instead of every step.
     tag = object()
@@ -152,63 +161,89 @@ def generate_metrics_batch(
         # still describe the larger stack; ``rows`` maps the survivors
         # into it so their gradients are read without a new forward.
         rows: Optional[np.ndarray] = None
+        n_steps = 0
         for step in range(int(caps.max(initial=0))):
-            if active.size == 0:
-                break
             gradient = kernel.input_gradient(saved, rows)
             if rows is not None:
                 gradient = gradient[rows]
-            first_moment[active] = (
-                beta1 * first_moment[active] + (1 - beta1) * gradient
-            )
-            second_moment[active] = (
-                beta2 * second_moment[active] + (1 - beta2) * gradient ** 2
-            )
-            m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
-            v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
-            update = (
-                gamma_vec[active][:, None, None]
-                * m_hat
-                / (np.sqrt(v_hat) + 1e-8)
-            )
-            current[active] = np.clip(current[active] + update, 0.0, 3.0)
-            steps_taken[active] = step + 1
+            # Adam, in place: the same IEEE operations in the same
+            # order as ``m = b1*m + (1-b1)*g`` and friends.
+            first_moment *= beta1
+            np.multiply(gradient, 1 - beta1, out=scratch)
+            first_moment += scratch
+            second_moment *= beta2
+            np.square(gradient, out=scratch)
+            scratch *= 1 - beta2
+            second_moment += scratch
+            np.divide(first_moment, 1 - beta1 ** (step + 1), out=update)
+            np.divide(second_moment, 1 - beta2 ** (step + 1), out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += 1e-8
+            update *= step_sizes
+            update /= scratch
+            current += update
+            np.clip(current, 0.0, 3.0, out=current)
+            n_steps = step + 1
 
-            # One vectorized forward over the still-active stack: the
-            # next ascent point, and the confidence of any element the
-            # convergence mask freezes right here.
+            # One vectorized forward over the stack: the next ascent
+            # point, and the confidence of any element that freezes
+            # right here.
             scores, saved = kernel.forward(
-                current[active], sched[active], masks[active], push[active],
-                tag=tag,
+                current, sched, masks, push, tag=tag
             )
             rows = None
-            tol_done = (
-                np.abs(update).reshape(active.size, -1).max(axis=1) < tol
+            np.abs(update, out=scratch)
+            largest = np.maximum.reduce(
+                scratch.reshape(len(current), -1), axis=1
             )
-            done = tol_done | (steps_taken[active] >= caps[active])
-            if done.any():
-                frozen = active[done]
-                converged[frozen] = tol_done[done]
-                confidence[frozen] = scores[done]
-                active = active[~done]
-                if active.size == 0:
-                    break
-                rows = np.flatnonzero(~done)
-    if active.size:
-        confidence[active] = scores if rows is None else scores[rows]
+            tol_done = largest < tol
+            done = tol_done if n_steps < cap_floor else (
+                tol_done | (caps <= n_steps)
+            )
+            if not done.any():
+                continue
+            if done.all():
+                frozen.append((order, current, n_steps, tol_done, scores))
+                break
+            # Compact the stack once, on the step elements freeze.
+            frozen.append((
+                np.flatnonzero(done) if order is None else order[done],
+                current[done], n_steps, tol_done[done], scores[done],
+            ))
+            keep = ~done
+            rows = np.flatnonzero(keep)
+            order = rows if order is None else order[keep]
+            current = current[keep]
+            first_moment = first_moment[keep]
+            second_moment = second_moment[keep]
+            sched = sched[keep]
+            masks = masks[keep]
+            push = push[keep]
+            step_sizes = step_sizes[keep]
+            caps = caps[keep]
+            cap_floor = int(caps.min())
+            scratch = np.empty_like(current)
+            update = np.empty_like(current)
+        else:
+            # No step ran (every cap is 0): the start point is final.
+            frozen.append((None, current, 0, np.zeros(batch, bool), scores))
+
+    results: List[SurrogateResult] = [None] * batch  # type: ignore[list-item]
+    for indices, metrics, n_steps, converged, confidences in frozen:
+        for index, row, hit, confidence in zip(
+            range(batch) if indices is None else indices.tolist(),
+            metrics.astype(np.float64, copy=False),
+            converged.tolist(),
+            confidences.tolist(),
+        ):
+            results[index] = SurrogateResult(
+                metrics=row, confidence=confidence, n_steps=n_steps,
+                converged=hit,
+            )
 
     _ASCENT_CALLS.inc()
     _ASCENT_ELEMENTS.add(batch)
-    _ASCENT_STEPS.add(int(steps_taken.sum()))
-    _ASCENT_CONVERGED.add(int(converged.sum()))
+    _ASCENT_STEPS.add(sum(r.n_steps for r in results))
+    _ASCENT_CONVERGED.add(sum(r.converged for r in results))
     _ASCENT_BATCH.observe(batch)
-
-    return [
-        SurrogateResult(
-            metrics=current[i].astype(np.float64, copy=True),
-            confidence=float(confidence[i]),
-            n_steps=int(steps_taken[i]),
-            converged=bool(converged[i]),
-        )
-        for i in range(batch)
-    ]
+    return results

@@ -178,7 +178,8 @@ def evaluate(
 
     MSE compares the eq.-1 generation (warm-started from the true
     metrics' shape but random values) against the recorded metrics --
-    the quantity the paper grid-searches on (§IV-E).
+    the quantity the paper grid-searches on (§IV-E).  Confidences are
+    one forward of the same float64 kernel over the recorded samples.
     """
     if not samples:
         raise ValueError("no evaluation samples")
@@ -188,10 +189,12 @@ def evaluate(
     confidences = []
     for indices in _host_count_groups(samples):
         group = [samples[i] for i in indices]
+        schedules = np.stack([s.schedule for s in group])
+        adjacencies = np.stack([s.adjacency for s in group])
         results = generate_metrics_batch(
             kernel,
-            np.stack([s.schedule for s in group]),
-            np.stack([s.adjacency for s in group]),
+            schedules,
+            adjacencies,
             init_metrics=None,
             rng=rng,
             gamma=gamma,
@@ -201,7 +204,9 @@ def evaluate(
             float(np.mean((result.metrics - sample.metrics) ** 2))
             for sample, result in zip(group, results)
         )
-        confidences.extend(model.score_batch(group).tolist())
+        confidences.extend(kernel.score_stack(
+            np.stack([s.metrics for s in group]), schedules, adjacencies
+        ).tolist())
     return float(np.mean(errors)), float(np.mean(confidences))
 
 

@@ -9,7 +9,7 @@ fleets).  The request path::
         ┌────────────────────────── parent process ─────────────────────────┐
         │  SharedArrayPack: GON weights + trace stacks, published once      │
         │  GONScoringService: drain -> bucket by (model, n) -> one kernel   │
-        │      generate_metrics_batch / forward_batch per request -> reply  │
+        │      generate_metrics_batch / score_stack per request -> reply    │
         └──────────▲──────────────────────────────┬─────────────────────────┘
           requests │ (one mp.Queue)               │ replies (one queue per worker)
         ┌──────────┴───────────┐      ┌───────────▼──────────┐
@@ -225,8 +225,9 @@ hyper-parameter vectors; concatenation moves scores by ~1 ulp (BLAS
 leading dimension), which is the bitwise waiver ``merge_requests``
 opts into.  Merged elements are counted in
 ``ServiceStats.merged_elements`` and the ``service.merged_elements``
-telemetry counter.  Kernels are cached per ``(model,
-generation-bucket)`` and invalidated exactly where overlays are
+telemetry counter.  Confidence requests run one forward of a float64
+kernel under every backend.  Kernels are cached per ``(model,
+generation-bucket, dtype)`` and invalidated exactly where overlays are
 installed or evicted, so a fine-tuned client never scores against
 stale weights.  The service also adapts its micro-batch flush window
 to the observed request inter-arrival EWMA (clamped to

@@ -9,7 +9,7 @@ Many lightweight simulation workers feed one scorer::
                                └───────────┘
                  drain up to a micro-batch window,
                  bucket by (model, n_hosts, generation),
-                 one kernel ascent / model forward per
+                 one kernel ascent / kernel forward per
                  request (or bucket), replies routed by client id
 
 Each request carries a whole candidate stack (a tabu neighbourhood's
@@ -23,7 +23,8 @@ worker.
 Ascents run through the same production path as in-process scoring:
 :func:`repro.core.surrogate.generate_metrics_batch` on a
 :class:`~repro.core.fastscore.FastGONKernel` cached per resident
-replica.  Confidence requests stay on the model forward.
+replica; confidence requests run one forward on a float64 kernel
+under every backend.
 
 Replies are keyed by ``(client, request)``; within a request, results
 are positional in the submitted stack.  Two execution policies:
@@ -79,7 +80,7 @@ from .. import telemetry as _telemetry
 from ..core.features import GONInput
 from ..core.gon import GONDiscriminator
 from ..core.fastscore import FastGONKernel
-from ..core.scoring import validate_backend
+from ..core.scoring import LocalScorer, sample_confidence, validate_backend
 from ..core.surrogate import SurrogateResult, generate_metrics_batch
 from ..core.training import TrainingConfig, fine_tune
 from ..nn.serialization import pack_state, unpack_state
@@ -389,8 +390,8 @@ class GONScoringService:
         Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``
         (``"exact"`` is accepted as an alias of ``"fast"``).  Kernels
         are cached per resident replica and re-exported when an
-        overlay installs; confidence requests always run on the model
-        forward.
+        overlay installs; confidence requests always run on a float64
+        kernel.
     """
 
     def __init__(
@@ -419,7 +420,7 @@ class GONScoringService:
         #: EWMA of request inter-arrival seconds (adaptive window input).
         self._interarrival_ewma: Optional[float] = None
         self._last_arrival: Optional[float] = None
-        #: ``(model_key, generation, owner) -> FastGONKernel``;
+        #: ``(model_key, generation, owner, dtype) -> FastGONKernel``;
         #: invalidated when an overlay (re)installs.
         self._kernels: Dict[tuple, object] = {}
         self.stats = ServiceStats()
@@ -696,15 +697,23 @@ class GONScoringService:
         _OVERLAY_ELEMENTS.add(request.n_elements)
         return entry[1]
 
-    def _kernel_for(self, request, model: GONDiscriminator) -> FastGONKernel:
-        """The cached kernel for a request's resolved replica."""
+    def _kernel_for(
+        self, request, model: GONDiscriminator, dtype: Optional[str] = None
+    ) -> FastGONKernel:
+        """The cached kernel for a request's resolved replica.
+
+        ``dtype`` defaults to the backend's ascent arithmetic;
+        confidence requests ask for ``"float64"`` under every backend.
+        """
+        if dtype is None:
+            dtype = "float32" if self.scorer_backend == "fast32" else "float64"
         key = (
             request.model_key,
             *_generation_bucket(request.client_id, request.generation),
+            dtype,
         )
         kernel = self._kernels.get(key)
         if kernel is None:
-            dtype = "float32" if self.scorer_backend == "fast32" else "float64"
             kernel = FastGONKernel.from_model(model, dtype=dtype)
             self._kernels[key] = kernel
         return kernel
@@ -879,9 +888,11 @@ class GONScoringService:
             self._reply(request, _ascent_reply(request.request_id, chunk))
 
     def _run_confidence(self, requests: List) -> None:
-        """One model forward over one request or a merged bucket."""
+        """One float64 kernel forward over a request or merged bucket."""
         model, metrics, schedules, adjacencies = self._batch(requests)
-        scores = model.forward_batch(metrics, schedules, adjacencies).data
+        scores = self._kernel_for(
+            requests[0], model, "float64"
+        ).score_stack(metrics, schedules, adjacencies)
         start = 0
         for request in requests:
             chunk = scores[start:start + request.n_elements].copy()
@@ -1011,9 +1022,9 @@ class FleetScorer:
       on the published shared weights, and past the first fine-tune on
       this client's installed overlay, so diverged replicas stay in
       the consolidated batched stream;
-    * **confidence** -- computed locally on the replica (a single
-      forward; cheaper than a queue round-trip and bitwise-identical
-      to in-process execution);
+    * **confidence** -- computed locally on the replica (one float64
+      kernel forward; cheaper than a queue round-trip and
+      bitwise-identical to in-process execution);
     * **fine_tune** -- copy-on-write divergence: the read-only shared
       parameters are materialised into private writable arrays, the
       fine-tune runs locally, and the new state ships to the service
@@ -1079,20 +1090,20 @@ class FleetScorer:
         )
 
     def _local_scorer(self):
-        """Lazy in-process scorer for the fallback path.
+        """Lazy in-process scorer: confidence reads, fallback ascents.
 
         Shares :attr:`model` and tracks :attr:`generation`, so its
         kernel re-exports after every fine-tune.
         """
-        from ..core.scoring import LocalScorer
-
         if self._local is None:
             self._local = LocalScorer(self.model, backend=self.backend)
         self._local.generation = self.generation
         return self._local
 
     def confidence(self, sample: GONInput) -> float:
-        return self.model.score(sample)
+        return sample_confidence(
+            self._local_scorer().confidence_kernel(), sample
+        )
 
     def fine_tune(
         self,

@@ -13,8 +13,10 @@ the :class:`repro.nn.Tensor` autodiff engine through
 * :func:`generate_metrics_batch` / :func:`predict_qos_batch` -- the
   batched ascent with per-element convergence freezing;
 * :func:`oracle_ascents` -- a context manager that swaps the oracle in
-  for every production ascent (decisions, scoring service, training),
-  so whole campaigns can be run on it and compared with the kernel.
+  for every production ascent (decisions, scoring service, training)
+  and every confidence read (:meth:`FastGONKernel.score_stack` runs
+  the model forward instead), so whole campaigns can be run on it and
+  compared with the kernel.
 
 Test modules import it directly (``tests/`` is on ``sys.path`` under
 pytest); ``benchmarks/bench_surrogate.py`` adds ``tests/`` itself.
@@ -28,6 +30,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.fastscore import FastGONKernel
 from repro.core.features import GONInput
 from repro.core.gon import GONDiscriminator
 from repro.core.surrogate import SurrogateResult
@@ -340,9 +343,19 @@ def kernel_ascent(
     )
 
 
+def kernel_scores(kernel, metrics, schedules, adjacencies) -> np.ndarray:
+    """Drop-in for :meth:`FastGONKernel.score_stack` on the model forward."""
+    metrics = np.asarray(metrics, dtype=float)
+    if metrics.shape[0] == 0:
+        return np.zeros(0)
+    return model_from_kernel(kernel).forward_batch(
+        metrics, np.asarray(schedules, dtype=float), adjacencies
+    ).data.copy()
+
+
 @contextmanager
 def oracle_ascents():
-    """Run every production eq.-1 ascent on the autodiff oracle.
+    """Run every eq.-1 ascent and confidence read on the autodiff oracle.
 
     In-process only: worker processes a campaign forks or spawns keep
     the kernel, so oracle campaigns must run serially.
@@ -352,4 +365,5 @@ def oracle_ascents():
     with pytest.MonkeyPatch.context() as patch:
         for module in ASCENT_BINDINGS:
             patch.setattr(f"{module}.generate_metrics_batch", kernel_ascent)
+        patch.setattr(FastGONKernel, "score_stack", kernel_scores)
         yield

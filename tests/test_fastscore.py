@@ -11,15 +11,18 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
   (including staggered per-element convergence) and within rtol=1e-5
   in float32, and keeps a single workspace alive;
 * ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
-  of ``fast``) and post-fine-tune kernel re-export;
+  of ``fast``), float64 confidence reads under every backend, and
+  post-fine-tune kernel re-export;
 * the scoring service's kernel path: per-request bitwise replies,
-  merged ascents across hyper-parameters, the adaptive window;
+  merged ascents across hyper-parameters, float64 confidences, the
+  adaptive window;
 * training parity: ``train_gon`` through the kernel and through the
   oracle yields bitwise-equal weights and an equal history;
 * the scenario-catalog sweep: for every registered scenario the
   production campaign must produce records and decision digests
   bit-identical to a campaign whose every ascent (training included)
-  ran on the oracle, and ``fast32`` must agree on most decisions;
+  and confidence read ran on the oracle, and ``fast32`` must agree on
+  most decisions;
 * ``benchmarks/compare_records.py --decisions``.
 """
 
@@ -150,9 +153,13 @@ class TestFastKernelParity:
         oracle = trained_gon.forward_batch(metrics, schedules, adjacencies).data
         assert np.array_equal(scores, np.asarray(oracle).reshape(-1))
 
-    def test_ascent_bitwise_equal(self, trained_gon, session_samples):
+    # 1 = a lone ascent, 7 = a maintenance slate (incumbent + 6
+    # candidates), 24 = a full tabu neighbourhood sample.
+    @pytest.mark.parametrize("size", [1, 7, 24])
+    def test_ascent_bitwise_equal(self, trained_gon, session_samples, size):
         kernel = FastGONKernel.from_model(trained_gon)
-        metrics, schedules, adjacencies = _stacks(session_samples, 6)
+        metrics, schedules, adjacencies = _stacks(session_samples, size)
+        assert len(metrics) == size
         fast = generate_metrics_batch(
             kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
@@ -180,10 +187,18 @@ class TestFastKernelParity:
         )
         _assert_results_bitwise(fast, oracle)
 
-    def test_staggered_convergence_bitwise_equal(self):
-        # A tol that freezes only part of the stack mid-ascent.  Trained
-        # GONs keep Adam's step near gamma (nothing converges), so an
-        # untrained GON over random inputs provides the stagger.
+    @pytest.mark.parametrize("saturate, first_freeze", [
+        # Part of the stack freezes mid-ascent.
+        pytest.param(False, 51, id="mid_ascent"),
+        # Every third warm start saturates D past the log-likelihood
+        # clip: a zero gradient, a zero update, frozen on step 1.  The
+        # stack compacts before any survivor's second gradient.
+        pytest.param(True, 1, id="step_1"),
+    ])
+    def test_staggered_convergence_bitwise_equal(self, saturate, first_freeze):
+        # A tol that freezes only part of the stack.  Trained GONs keep
+        # Adam's step near gamma (nothing converges), so an untrained
+        # GON over random inputs provides the stagger.
         rng = np.random.default_rng(42)
         gon = GONDiscriminator(rng, hidden=16, n_layers=2)
         batch, n = 8, 6
@@ -191,6 +206,8 @@ class TestFastKernelParity:
         schedules = rng.uniform(0, 1, size=(batch, n, gon.n_s_features))
         adjacencies = np.triu(rng.random((batch, n, n)) > 0.5, 1).astype(float)
         adjacencies = adjacencies + adjacencies.swapaxes(-1, -2)
+        if saturate:
+            metrics[::3] *= 100.0
         kwargs = dict(init_metrics=metrics, gamma=1e-2, max_steps=60,
                       tol=9.9e-3)
         fast = generate_metrics_batch(
@@ -199,6 +216,8 @@ class TestFastKernelParity:
         oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
         converged = [r.converged for r in oracle]
         assert any(converged) and not all(converged), converged
+        steps = [r.n_steps for r in oracle if r.converged]
+        assert min(steps) == first_freeze, steps
         _assert_results_bitwise(fast, oracle)
 
     def test_noise_start_bitwise_equal(self, trained_gon, session_samples):
@@ -282,6 +301,15 @@ class TestFastKernelParity:
                 kernel, schedules, adjacencies, init_metrics=metrics,
                 gamma=1e-2, max_steps=-1,
             )
+        # Non-finite step sizes, scalar and per element: NaN slips
+        # past a plain ``gamma <= 0`` check.
+        for gamma in (np.nan, np.inf, -np.inf,
+                      np.array([1e-2, np.nan]), np.array([np.inf, 1e-2])):
+            with pytest.raises(ValueError, match="gamma"):
+                generate_metrics_batch(
+                    kernel, schedules, adjacencies, init_metrics=metrics,
+                    gamma=gamma, max_steps=3,
+                )
 
     def test_workspace_cache_keeps_one_entry(
         self, trained_gon, session_samples
@@ -339,6 +367,33 @@ class TestLocalScorerBackends:
             ),
         )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_confidence_reads_float64_kernel(
+        self, trained_gon, session_samples, backend
+    ):
+        # The POT gate input never depends on the backend: both read a
+        # float64 kernel, bitwise-equal to the model's own forward.
+        scorer = LocalScorer(trained_gon, backend=backend)
+        assert scorer.confidence_kernel().dtype == np.float64
+        for sample in session_samples[:12]:
+            assert scorer.confidence(sample) == trained_gon.score(sample)
+
+    def test_oracle_reads_confidence_on_the_model(
+        self, trained_gon, session_samples, monkeypatch
+    ):
+        scorer = LocalScorer(trained_gon)
+        kernel = scorer.confidence_kernel()
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel forward ran")
+
+        monkeypatch.setattr(kernel, "forward", no_kernel)
+        sample = session_samples[0]
+        with oracle_ascents():
+            assert scorer.confidence(sample) == trained_gon.score(sample)
+        with pytest.raises(AssertionError, match="kernel forward ran"):
+            scorer.confidence(sample)
+
     def test_fine_tune_re_exports_the_kernel(self, session_samples):
         # A private model instance: fine-tuning mutates weights.
         model = GONDiscriminator(np.random.default_rng(0), hidden=16,
@@ -355,6 +410,9 @@ class TestLocalScorerBackends:
         )
         assert scorer.generation == 1
         assert scorer.kernel() is not stale_kernel
+        assert scorer.confidence(session_samples[0]) == model.score(
+            session_samples[0]
+        )
         _assert_results_bitwise(
             scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3),
             oracle_batch(
@@ -394,6 +452,20 @@ class TestServiceFastBackend:
             gamma=1e-2, max_steps=4,
         )
         _assert_results_bitwise(remote, oracle)
+        client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_fast32_service_confidences_stay_float64(
+        self, trained_gon, session_samples
+    ):
+        service, thread, (client,) = self._serve(
+            trained_gon, scorer_backend="fast32"
+        )
+        metrics, schedules, adjacencies = _stacks(session_samples, 5)
+        remote = client.confidences(metrics, schedules, adjacencies)
+        local = trained_gon.forward_batch(metrics, schedules, adjacencies)
+        assert np.array_equal(remote, local.data)
         client.close()
         thread.join(timeout=10)
         assert not thread.is_alive()

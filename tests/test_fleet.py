@@ -563,6 +563,34 @@ class TestPersistentCache:
         assert len(carol._score_cache) <= 3
         assert carol.diagnostics.cache_evictions > 0
 
+    def test_memory_running_total_matches_recomputed_sum(
+        self, trained_gon, small_config
+    ):
+        # memory_bytes keeps a running total of the cached M* bytes;
+        # after FIFO evictions and fine-tune flushes it must still
+        # equal the walk it replaced, to the byte.
+        carol = _fresh_carol(trained_gon, score_cache_capacity=12)
+        federation = EdgeFederation(small_config)
+        for _ in range(small_config.n_intervals):
+            report = federation.begin_interval()
+            proposal = federation.propose_topology()
+            federation.set_topology(
+                carol.repair(federation.view, report, proposal)
+            )
+            carol.observe(federation.run_interval(), federation.view)
+            recomputed = (
+                carol.model.footprint_bytes()
+                + sum(
+                    s.metrics.nbytes + s.schedule.nbytes + s.adjacency.nbytes
+                    for s in carol.buffer
+                )
+                + sum(m.nbytes for _score, m in carol._score_cache.values())
+            )
+            assert carol.memory_bytes() == recomputed
+        diag = carol.diagnostics
+        assert diag.n_fine_tunes >= 1
+        assert diag.cache_evictions > diag.n_fine_tunes * 12
+
     def test_scope_validation(self):
         with pytest.raises(ValueError, match="score_cache_scope"):
             CAROLConfig(score_cache_scope="telepathy")
