@@ -616,13 +616,20 @@ class _ElasticCollector:
     A cell is accounted for when its record arrived *or* a drained
     worker reported it poisoned.  Duplicate records (zombie workers
     finishing a revoked lease) are dropped first-wins and counted in
-    ``fleet.duplicate_records``.  Liveness, not a wall-clock budget,
-    decides when to give up: while any worker is alive we keep
-    waiting; once every worker has exited, whatever is coming is
-    already in the queue's pipe buffer, so a short drain grace period
-    bounds the wait before failing loudly.  ``result()`` joins the
-    thread and re-raises whatever the drain loop raised (lost-record
-    errors, a failing ``on_record`` persist).
+    ``fleet.duplicate_records``.
+
+    Exit rule: a worker's :class:`_WorkerDone` is its last frame on the
+    results queue, and each producer's frames arrive in order, so the
+    drain returns the moment no cell is outstanding and every spawned
+    worker has reported -- nothing of theirs can still be in flight.
+    Only a worker that died without reporting (SIGKILL, chaos) falls
+    back to liveness, not a wall-clock budget: while any worker is
+    alive we keep waiting; once every worker has exited, whatever is
+    coming is already in the queue's pipe buffer, so a short drain
+    grace period bounds the wait before failing loudly, and a final
+    sweep picks up buffered stragglers.  ``result()`` joins the thread
+    and re-raises whatever the drain loop raised (lost-record errors, a
+    failing ``on_record`` persist).
     """
 
     def __init__(
@@ -639,6 +646,8 @@ class _ElasticCollector:
         self.records: Dict[int, RunRecord] = {}
         self.poisoned: Set[int] = set()
         self.snapshots: List[dict] = []
+        #: Worker ids whose :class:`_WorkerDone` has arrived.
+        self._reported: Set[int] = set()
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(
             target=self._drain, name="fleet-collector", daemon=True
@@ -647,6 +656,7 @@ class _ElasticCollector:
 
     def _take(self, item) -> None:
         if isinstance(item, _WorkerDone):
+            self._reported.add(item.worker_id)
             self.snapshots.append(item.snapshot)
             self.poisoned.update(item.poisoned)
         elif item.run_index in self.records:
@@ -663,6 +673,10 @@ class _ElasticCollector:
                 outstanding = (
                     self._expected - set(self.records) - self.poisoned
                 )
+                if not outstanding and self._reported.issuperset(
+                    range(len(self._workers))
+                ):
+                    return  # every worker's last frame is in
                 alive = any(w.is_alive() for w in list(self._workers))
                 if not outstanding and not alive:
                     break

@@ -229,10 +229,7 @@ telemetry counter.  Confidence requests run one forward of a float64
 kernel under every backend.  Kernels are cached per ``(model,
 generation-bucket, dtype)`` and invalidated exactly where overlays are
 installed or evicted, so a fine-tuned client never scores against
-stale weights.  The service also adapts its micro-batch flush window
-to the observed request inter-arrival EWMA (clamped to
-``[window/20, window]``), surfaced as ``ServiceStats.window_seconds``
-and the ``service.window_seconds`` gauge.
+stale weights.
 """
 
 from .chaos import ChaosControl

@@ -7,18 +7,20 @@ Many lightweight simulation workers feed one scorer::
        ...     ├─────────────> │  scorer   │──┤      ...
     worker N ──┘  (one queue)  │  loop     │  └─> reply queue N
                                └───────────┘
-                 drain up to a micro-batch window,
+                 drain what is already queued,
                  bucket by (model, n_hosts, generation),
                  one kernel ascent / kernel forward per
                  request (or bucket), replies routed by client id
 
 Each request carries a whole candidate stack (a tabu neighbourhood's
-cache misses); the scorer drains the request queue for a short
-micro-batching window (bounded by ``max_batch_elements`` so latency
-stays bounded), groups compatible requests into buckets and answers
-every bucket with batched GON evaluations on the single resident model
+cache misses).  The scorer blocks only while its queue is empty: once a
+message is in hand it takes whatever else is already queued, without
+waiting for more (bounded by ``max_batch_elements`` so latency stays
+bounded), groups compatible requests into buckets and answers every
+bucket with batched GON evaluations on the single resident model
 replica -- the weights live once in shared memory instead of once per
-worker.
+worker.  Requests that arrive while a batch is being scored form the
+next batch.
 
 Ascents run through the same production path as in-process scoring:
 :func:`repro.core.surrogate.generate_metrics_batch` on a
@@ -71,7 +73,7 @@ import queue as queue_module
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,7 +121,6 @@ _OVERLAY_ELEMENTS = _telemetry.counter("service.overlay_elements")
 _STATS_UPDATES = _telemetry.counter("service.stats_updates")
 _BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
 _BUCKET_OCCUPANCY = _telemetry.histogram("service.bucket_occupancy", SIZE_EDGES)
-_WINDOW_GAUGE = _telemetry.gauge("service.window_seconds")
 
 # Elastic-fleet liveness telemetry (see the coordinator module for the
 # lease-queue counters ``fleet.leases`` / ``fleet.cells_requeued`` /
@@ -213,7 +214,7 @@ class OverlayUpdate:
     buffer: np.ndarray
     manifest: Tuple[Tuple[str, Tuple[int, ...], str, int], ...]
 
-    #: Overlay installs never consume micro-batch window budget.
+    #: Overlay installs never count toward ``max_batch_elements``.
     n_elements: int = 0
 
 
@@ -234,7 +235,7 @@ class StatsUpdate:
     snapshot per client (snapshots are cumulative) and merges them with
     its own registry into the fleet-wide view behind ``/status`` --
     see :meth:`GONScoringService.merged_telemetry`.  Fire-and-forget,
-    never consumes micro-batch window budget, and carries no arrays.
+    never counts toward ``max_batch_elements``, and carries no arrays.
     """
 
     client_id: int
@@ -339,15 +340,18 @@ class ConfidenceReply:
 
 @dataclass
 class ServiceStats:
-    """Scorer-side telemetry (read after :meth:`serve` returns)."""
+    """Scorer-side counters (read after :meth:`serve` returns).
+
+    Fixed-size by design: ``/status`` serialises it on every poll.  The
+    per-batch size distribution lives in the ``service.batch_elements``
+    histogram.
+    """
 
     n_requests: int = 0
     n_elements: int = 0
     n_batches: int = 0
     #: Elements that ran in a batch merged from >= 2 requests.
     merged_elements: int = 0
-    #: Per-batch element counts (the consolidation histogram).
-    batch_sizes: List[int] = field(default_factory=list)
     #: Per-client weight overlays installed (including re-installs when
     #: a client fine-tunes again and replaces its previous overlay).
     overlay_installs: int = 0
@@ -355,9 +359,6 @@ class ServiceStats:
     overlay_evictions: int = 0
     #: Stacked elements scored on an overlay replica (generation > 0).
     overlay_elements: int = 0
-    #: Last micro-batch flush window the adaptive sizer chose (equals
-    #: the configured ``window_seconds`` when adaptation is off).
-    window_seconds: float = 0.0
 
 
 class GONScoringService:
@@ -369,20 +370,13 @@ class GONScoringService:
         ``model_key -> GONDiscriminator`` -- one resident replica per
         published weight set (fleet campaigns use one per scenario).
     request_queue / reply_queues:
-        Any queue objects with the stdlib ``get(timeout)/put`` surface
-        (``multiprocessing.Queue`` across processes, ``queue.Queue``
-        in-process for tests).
-    window_seconds:
-        Micro-batching window ceiling: after the first request arrives,
-        how long to keep draining for batch-mates before scoring.  With
-        ``adaptive_window`` (default) the *actual* flush window is sized
-        from the observed request inter-arrival EWMA -- roughly four
-        arrival gaps, clamped to ``[window_seconds / 20,
-        window_seconds]`` -- so a chatty fleet flushes early instead of
-        idling out the full fixed window.
+        Any queue objects with the stdlib ``get(timeout)/get_nowait/put``
+        surface (``multiprocessing.Queue`` across processes,
+        ``queue.Queue`` in-process for tests).
     max_batch_elements:
-        Stop draining once this many stacked elements are pending
-        (keeps worst-case latency and peak memory bounded).
+        Stop taking already-queued messages once this many stacked
+        elements are pending (keeps worst-case latency and peak memory
+        bounded).
     merge_requests:
         Concatenate compatible stacks into one call per bucket (see
         module docstring for the exactness trade-off).
@@ -399,32 +393,24 @@ class GONScoringService:
         models: Dict[str, GONDiscriminator],
         request_queue,
         reply_queues: Dict[int, object],
-        window_seconds: float = 0.002,
         max_batch_elements: int = 512,
         merge_requests: bool = False,
         poll_seconds: float = 0.5,
         scorer_backend: str = "fast",
-        adaptive_window: bool = True,
         coordinator=None,
         heartbeat_timeout: float = 30.0,
     ) -> None:
         self.models = models
         self.request_queue = request_queue
         self.reply_queues = reply_queues
-        self.window_seconds = window_seconds
         self.max_batch_elements = max_batch_elements
         self.merge_requests = merge_requests
         self.poll_seconds = poll_seconds
         self.scorer_backend = validate_backend(scorer_backend)
-        self.adaptive_window = adaptive_window
-        #: EWMA of request inter-arrival seconds (adaptive window input).
-        self._interarrival_ewma: Optional[float] = None
-        self._last_arrival: Optional[float] = None
         #: ``(model_key, generation, owner, dtype) -> FastGONKernel``;
         #: invalidated when an overlay (re)installs.
         self._kernels: Dict[tuple, object] = {}
         self.stats = ServiceStats()
-        self.stats.window_seconds = window_seconds
         #: Copy-on-write per-client replicas installed by
         #: :class:`OverlayUpdate`: ``(client_id, model_key) ->
         #: (generation, replica)``.  Base models stay untouched.
@@ -488,6 +474,10 @@ class GONScoringService:
         ``abort`` is polled while the queue is idle; returning True
         raises (used to detect dead workers -- legacy -- or a fully
         dead fleet -- elastic -- instead of hanging).
+
+        The loop blocks only while the queue is empty.  Once a message
+        is in hand it takes whatever else is already queued, up to
+        ``max_batch_elements``, and dispatches at once.
         """
         while not self._serve_complete():
             try:
@@ -500,17 +490,11 @@ class GONScoringService:
                         "signing off"
                     )
                 continue
-            self._observe_arrival()
             pending = [message]
             with _DRAIN_SPAN.time():
-                deadline = time.monotonic() + self._flush_window()
                 while self._pending_elements(pending) < self.max_batch_elements:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
                     try:
-                        pending.append(self.request_queue.get(timeout=remaining))
-                        self._observe_arrival()
+                        pending.append(self.request_queue.get_nowait())
                     except queue_module.Empty:
                         break
             self.signed_off.update(self._dispatch(pending))
@@ -595,47 +579,6 @@ class GONScoringService:
     def inject_drop_next_reply(self, client_id: int) -> None:
         """Silently drop the next reply addressed to ``client_id``."""
         self._drop_next_reply.add(int(client_id))
-
-    # -- adaptive micro-batch window -----------------------------------
-    #: EWMA smoothing for inter-arrival observations.
-    _EWMA_ALPHA = 0.2
-    #: The flush window covers roughly this many arrival gaps.
-    _WINDOW_GAIN = 4.0
-    #: Lower clamp as a fraction of the configured ceiling.
-    _WINDOW_FLOOR = 1.0 / 20.0
-
-    def _observe_arrival(self) -> None:
-        """Fold one request arrival into the inter-arrival EWMA.
-
-        Gaps are clamped to the configured window ceiling before
-        folding, so an idle stretch relaxes the window back toward the
-        ceiling instead of blowing the average up unboundedly.
-        """
-        now = time.monotonic()
-        if self._last_arrival is not None:
-            gap = min(now - self._last_arrival, self.window_seconds)
-            if self._interarrival_ewma is None:
-                self._interarrival_ewma = gap
-            else:
-                self._interarrival_ewma += self._EWMA_ALPHA * (
-                    gap - self._interarrival_ewma
-                )
-        self._last_arrival = now
-
-    def _flush_window(self) -> float:
-        """The flush window for this drain (EWMA-sized, clamped)."""
-        window = self.window_seconds
-        if self.adaptive_window and self._interarrival_ewma is not None:
-            window = min(
-                max(
-                    self._WINDOW_GAIN * self._interarrival_ewma,
-                    self.window_seconds * self._WINDOW_FLOOR,
-                ),
-                self.window_seconds,
-            )
-        self.stats.window_seconds = window
-        _WINDOW_GAUGE.set(window)
-        return window
 
     @staticmethod
     def _pending_elements(pending: Sequence) -> int:
@@ -853,7 +796,6 @@ class GONScoringService:
             )
         total = sum(request.n_elements for request in requests)
         self.stats.n_batches += 1
-        self.stats.batch_sizes.append(total)
         _BATCHES.inc()
         _BATCH_ELEMENTS.observe(total)
         if len(requests) > 1:

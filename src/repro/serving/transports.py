@@ -124,8 +124,9 @@ class _FaultableQueue:
 
     Reader threads enqueue decoded messages with :meth:`put`; on a
     protocol error they enqueue the exception with :meth:`fail`, and
-    the next service-side :meth:`get` raises it -- turning any client
-    misbehaviour into a loud ``serve()`` failure instead of a hang.
+    the next service-side :meth:`get` or :meth:`get_nowait` raises it
+    -- turning any client misbehaviour into a loud ``serve()`` failure
+    instead of a hang.
     """
 
     def __init__(self) -> None:
@@ -138,7 +139,13 @@ class _FaultableQueue:
         self._queue.put(_Fault(error))
 
     def get(self, timeout: Optional[float] = None):
-        item = self._queue.get(timeout=timeout)
+        return self._unwrap(self._queue.get(timeout=timeout))
+
+    def get_nowait(self):
+        return self._unwrap(self._queue.get_nowait())
+
+    @staticmethod
+    def _unwrap(item):
         if isinstance(item, _Fault):
             raise item.error
         return item

@@ -11,6 +11,8 @@ Exercises the lease-based cell queue end to end:
 * TCP auth (token mismatch rejected before ``Welcome``, the accept
   loop surviving the rejection) and the configurable post-handshake
   read timeout;
+* the record collector's exit rule: it returns on the workers' final
+  ``_WorkerDone`` frames without waiting for their processes to exit;
 * full campaign chaos: SIGKILL mid-cell, late-joining workers,
   poisoned cells, and duplicate-result delivery -- every surviving
   record must stay bit-identical to the serial reference;
@@ -28,6 +30,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +41,11 @@ from repro.experiments import (
     run_campaign,
 )
 from repro.experiments.campaign import CampaignConfig, plan_tasks
-from repro.experiments.fleet import run_fleet_campaign
+from repro.experiments.fleet import (
+    _ElasticCollector,
+    _WorkerDone,
+    run_fleet_campaign,
+)
 from repro.serving import (
     CellCoordinator,
     CellDone,
@@ -365,6 +372,34 @@ def serial_rows(chaos_grid, chaos_assets):
 
 def _rows_by_cell(records):
     return {record.run_index: record.row() for record in records}
+
+
+class _LiveWorker:
+    """A worker process stand-in that never exits."""
+
+    def is_alive(self) -> bool:
+        return True
+
+
+class TestElasticCollector:
+    def test_returns_once_every_worker_reported(self):
+        # Every cell's record and every worker's _WorkerDone are in the
+        # queue while the workers still look alive: the collector must
+        # return on the frames alone, not wait for the processes.
+        results = queue.Queue()
+        for cell in range(3):
+            results.put(SimpleNamespace(run_index=cell))
+        results.put(_WorkerDone(0, {"counters": {"test.a": 1}}))
+        results.put(_WorkerDone(1, {"counters": {"test.b": 2}}, (7,)))
+        collector = _ElasticCollector(
+            results, {0, 1, 2, 7}, [_LiveWorker(), _LiveWorker()]
+        )
+        collector._thread.join(timeout=2.0)
+        assert not collector._thread.is_alive()
+        records, poisoned, snapshots = collector.result()
+        assert sorted(records) == [0, 1, 2]
+        assert poisoned == {7}
+        assert len(snapshots) == 2
 
 
 class TestCampaignChaos:

@@ -14,8 +14,9 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
   of ``fast``), float64 confidence reads under every backend, and
   post-fine-tune kernel re-export;
 * the scoring service's kernel path: per-request bitwise replies,
-  merged ascents across hyper-parameters, float64 confidences, the
-  adaptive window;
+  merged ascents across hyper-parameters, float64 confidences,
+  dispatch on arrival (no blocking read while a message is in hand)
+  and a fixed-size ``/status`` service section;
 * training parity: ``train_gon`` through the kernel and through the
   oracle yields bitwise-equal weights and an equal history;
 * the scenario-catalog sweep: for every registered scenario the
@@ -28,10 +29,12 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 
 from __future__ import annotations
 
+import json
 import queue
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,7 +426,7 @@ class TestLocalScorerBackends:
 
 
 # ----------------------------------------------------------------------
-# Scoring service: kernel ascents, merged buckets, adaptive window
+# Scoring service: kernel ascents, merged buckets, dispatch on arrival
 # ----------------------------------------------------------------------
 class TestServiceFastBackend:
     def _serve(self, trained_gon, n_clients=1, **kwargs):
@@ -561,32 +564,98 @@ class TestServiceFastBackend:
                 atol=1e-9,
             )
 
-    def test_adaptive_window_stays_clamped(self, trained_gon, session_samples):
-        window = 0.002
-        service, thread, (client,) = self._serve(
-            trained_gon, window_seconds=window
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 2)
-        for _ in range(4):
-            client.ascent(metrics, schedules, adjacencies,
-                          gamma=1e-2, max_steps=2)
-        client.close()
-        thread.join(timeout=10)
-        floor = window * GONScoringService._WINDOW_FLOOR
-        assert floor <= service.stats.window_seconds <= window
-
-    def test_adaptive_window_off_keeps_configured_window(
+    def test_serve_never_waits_while_holding_a_message(
         self, trained_gon, session_samples
     ):
-        window = 0.002
-        service, thread, (client,) = self._serve(
-            trained_gon, window_seconds=window, adaptive_window=False
-        )
+        # Two waves of messages; the second becomes readable only once
+        # the first is answered.  Holding a message, serve() may take
+        # what is already queued but must never block or wait on a
+        # timeout for batch-mates.
+        from repro.serving import AscentRequest, ClientDone
+
         metrics, schedules, adjacencies = _stacks(session_samples, 2)
-        client.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
+
+        def request(request_id):
+            return AscentRequest(
+                client_id=0, request_id=request_id, model_key="scenario",
+                metrics=metrics, schedules=schedules,
+                adjacencies=adjacencies, gamma=1e-2, max_steps=2,
+            )
+
+        requests = _RecordingRequestQueue(
+            [[request(1)], [request(2), ClientDone(client_id=0)]]
+        )
+        service = GONScoringService(
+            {"scenario": trained_gon}, requests, {0: requests.reply_queue}
+        )
+        service.serve()
+        assert [reply.request_id for reply in requests.replies] == [1, 2]
+        held = [(method, timeout) for method, timeout, holding
+                in requests.reads if holding]
+        assert held, "serve() never looked for already-queued messages"
+        assert set(held) == {("get_nowait", None)}
+        assert service.stats.n_batches == 2
+
+    def test_status_service_section_stays_fixed_size(
+        self, trained_gon, session_samples
+    ):
+        from repro.experiments.fleet import _status_provider
+
+        service, thread, (client,) = self._serve(trained_gon)
+        provider = _status_provider(
+            service, SimpleNamespace(n_connected=1), n_clients=1
+        )
+        metrics, schedules, adjacencies = _stacks(session_samples, 1)
+
+        def section_length(n_batches):
+            for _ in range(n_batches):
+                client.ascent(metrics, schedules, adjacencies,
+                              gamma=1e-2, max_steps=2)
+            return len(json.dumps(provider()["service"]))
+
+        # 2 then 8 batches: every counter stays one digit wide.
+        assert section_length(2) == section_length(6)
+        assert service.stats.n_batches == 8
         client.close()
         thread.join(timeout=10)
-        assert service.stats.window_seconds == window
+        assert not thread.is_alive()
+
+
+class _RecordingRequestQueue:
+    """A request queue serving message waves and logging every read.
+
+    Wave ``i + 1`` becomes readable once a reply for wave ``i`` is
+    sent.  ``reads`` holds ``(method, timeout, holding)`` per read,
+    where ``holding`` says a message had been read since the last
+    reply -- i.e. serve() had work in hand when it read.
+    """
+
+    def __init__(self, waves) -> None:
+        self._waves = [list(wave) for wave in waves]
+        self._ready = self._waves.pop(0)
+        self._holding = False
+        self.reads: list = []
+        self.replies: list = []
+        self.reply_queue = SimpleNamespace(put=self._on_reply)
+
+    def _read(self, method, timeout):
+        self.reads.append((method, timeout, self._holding))
+        if not self._ready:
+            raise queue.Empty
+        self._holding = True
+        return self._ready.pop(0)
+
+    def get(self, timeout=None):
+        return self._read("get", timeout)
+
+    def get_nowait(self):
+        return self._read("get_nowait", None)
+
+    def _on_reply(self, reply) -> None:
+        self.replies.append(reply)
+        self._holding = False
+        if self._waves:
+            self._ready.extend(self._waves.pop(0))
 
 
 # ----------------------------------------------------------------------
