@@ -65,10 +65,11 @@ _DEFAULT_JSON = os.path.join(
 )
 
 
-def seed_predict_qos(model, sample, objective, gamma, max_steps, tol=1e-5):
-    """The seed repo's per-candidate scoring loop, verbatim.
+def seed_predict_qos(model, sample, objective, gamma, max_steps):
+    """The seed repo's per-candidate scoring loop.
 
-    Kept as the benchmark baseline: eq.-1 Adam ascent one sample at a
+    Verbatim but for its update-norm early exit, which never fired and
+    left with the production ascent's.  Kept as the benchmark baseline: eq.-1 Adam ascent one sample at a
     time, parameters left requiring grad (the engine computed and
     discarded their gradients every step), and a final full forward
     pass just to read the confidence.
@@ -90,8 +91,6 @@ def seed_predict_qos(model, sample, objective, gamma, max_steps, tol=1e-5):
         v_hat = second_moment / (1 - beta2 ** (step + 1))
         update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
         current = Tensor(np.clip(current.data + update, 0.0, 3.0), requires_grad=True)
-        if float(np.abs(update).max()) < tol:
-            break
     final_score = model(current.detach(), sample.schedule, sample.adjacency)
     del final_score
     return objective(current.data)

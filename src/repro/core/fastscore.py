@@ -6,9 +6,16 @@ arrays, and :class:`FastGONKernel` evaluates the forward **and the
 closed-form input gradient** ``d sum(log clip(D)) / dM`` of the
 GAT -> encoder -> discriminator stack as fused numpy kernels over a
 whole ``[B, n, F]`` stack, with no :class:`repro.nn.Tensor` graph.
-The Adam/convergence loop that drives these kernels lives in
+The fixed-step Adam loop that drives these kernels lives in
 :func:`repro.core.surrogate.generate_metrics_batch` -- the one
 production ascent (decisions, the scoring service, training).
+
+Each ``(stack, hosts)`` shape is compiled once into a plan: every
+buffer and every reshaped, sliced or transposed view the kernels
+touch, so a call is straight-line ufunc/matmul work with no
+allocation.  Decisions interleave stacks of about 1, 7 and 10-20
+candidates on one kernel, so plans live in a small per-kernel LRU
+(:data:`MAX_PLANS`) rather than a single workspace.
 
 Fidelity contract:
 
@@ -18,17 +25,14 @@ Fidelity contract:
   denominator) and the same inclusive clip masks -- so a float64
   kernel is bitwise-equal to the autodiff model it was exported from
   (the test suite's autodiff oracle gates this on the whole catalog);
-* :meth:`FastGONKernel.input_gradient` runs at the *forward* stack
-  size with zeroed rows for frozen elements, exactly like the autodiff
-  differentiable-slice trick, so per-element trajectories never depend
-  on which batch-mates converged;
 * a float32 export (the ``fast32`` scorer backend) reuses the same
   kernels on downcast weights for decision scoring, never training.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,6 +49,11 @@ __all__ = ["FastGONKernel", "gon_inference_meta"]
 
 _EPS = 1e-8  # clip epsilon of the ascent's log-likelihood
 
+#: Compiled plans kept per kernel.  Decisions interleave lone ascents
+#: (k = 1), maintenance slates (k ~ 7) and tabu samples (k ~ 10-20),
+#: so one entry would be rebuilt on most calls.
+MAX_PLANS = 4
+
 
 def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
     """Architecture metadata an :class:`InferencePack` needs for a GON."""
@@ -55,6 +64,95 @@ def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
         "n_m_features": int(model.n_m_features),
         "n_s_features": int(model.n_s_features),
     }
+
+
+class _Plan:
+    """Buffers of one ``(k, n)`` stack shape and every view of them.
+
+    Built once per shape, so :meth:`FastGONKernel.forward` and
+    :meth:`FastGONKernel.input_gradient` only make ufunc/matmul calls
+    on ready views and steady-state ascent steps allocate nothing.
+    A plan holds arrays (and the last schedule tag) only -- never its
+    kernel or itself -- so a dropped kernel and its plans are freed by
+    reference counting, without waiting for the cycle collector.
+    """
+
+    def __init__(self, k: int, n: int, hidden: int, n_layers: int,
+                 n_m: int, n_s: int, dtype: np.dtype) -> None:
+        h = hidden
+        flat = k * n
+        f_in = n_m + n_s
+
+        def empty(*shape, kind=dtype):
+            return np.empty(shape, dtype=kind)
+
+        self.inv_n = dtype.type(1.0) / n
+        self.tag: object = None  # schedule tag of the S half (forward)
+
+        # Forward.
+        self.joint = empty(k, n, f_in)
+        self.joint_m = self.joint[..., :n_m]
+        self.joint_s = self.joint[..., n_m:]
+        self.x0 = self.joint.reshape(flat, f_in)
+        self.u = self.x0[:, :N_NODE_FEATURES]
+        self.ms_z = [empty(flat, h) for _ in range(n_layers)]
+        # ReLU masks hold 0.0/1.0 in the compute dtype: multiplying by
+        # them equals a bool mask's cast bit for bit, and skips numpy's
+        # mixed-dtype loop.
+        self.ms_mask = [empty(flat, h) for _ in range(n_layers)]
+        self.ms_out3 = self.ms_z[-1].reshape(k, n, h)
+        self.msg = empty(flat, h)
+        self.msg3 = self.msg.reshape(k, n, h)
+        self.msg3_t = self.msg3.swapaxes(-1, -2)
+        self.q = empty(flat, h)
+        self.q3 = self.q.reshape(k, n, h)
+        self.att = empty(k, n, n)
+        self.att_t = self.att.swapaxes(-1, -2)
+        self.row = empty(k, n, 1)
+        self.agg = empty(k, n, h)
+        self.h0 = empty(k, 2 * h)
+        self.h0_ms = self.h0[:, :h]
+        self.h0_g = self.h0[:, h:]
+        self.z1 = empty(k, h)
+        self.mask1 = empty(k, h)
+        self.z2 = empty(k, 1)
+        self.scores = self.z2.reshape(k)
+
+        # Backward.
+        self.clipped = empty(k)
+        self.inside = empty(k, kind=bool)
+        self.inside_hi = empty(k, kind=bool)
+        self.dz2 = empty(k, 1)
+        self.dz2_flat = self.dz2.reshape(k)
+        self.dr1 = empty(k, h)
+        self.dz1 = empty(k, h)
+        self.dh0 = empty(k, 2 * h)
+        self.de_ms3 = self.dh0[:, None, :h]
+        self.de_g3 = self.dh0[:, None, h:]
+        self.dagg = empty(k, n, h)
+        self.dtmp3 = empty(k, n, h)
+        self.dtmp = self.dtmp3.reshape(flat, h)
+        self.datt = empty(k, n, n)
+        self.dsc = empty(k, n, n)
+        self.dsc_t = self.dsc.swapaxes(-1, -2)
+        self.dmsg3 = empty(k, n, h)
+        self.dmsg = self.dmsg3.reshape(flat, h)
+        self.dpre = empty(flat, h)
+        self.du = empty(flat, N_NODE_FEATURES)
+        self.du3 = self.du.reshape(k, n, N_NODE_FEATURES)
+        djoint = empty(flat, f_in)
+        djoint3 = djoint.reshape(k, n, f_in)
+        self.grad = djoint3[..., :n_m]
+        self.grad_u = djoint3[..., :N_NODE_FEATURES]
+        # Encoder backward, top layer first: layer i writes d input to
+        # a [flat, h] buffer, layer 0 to d joint.
+        dz = [empty(flat, h) for _ in range(n_layers)]
+        dx = [djoint] + [empty(flat, h) for _ in range(1, n_layers)]
+        self.ms_back = [
+            (self.ms_mask[i].reshape(k, n, h), dz[i],
+             dz[i].reshape(k, n, h), dx[i], dx[i].reshape(k, n, -1))
+            for i in reversed(range(n_layers))
+        ]
 
 
 class FastGONKernel:
@@ -130,13 +228,16 @@ class FastGONKernel:
         self._head_b0 = take("head.blocks.0.bias", (hidden,))
         self._head_w1 = take("head.blocks.1.weight", (hidden, 1))
         self._head_b1 = take("head.blocks.1.bias", (1,))
-        # The preallocated workspace of the last ``(batch, hosts)``
-        # shape: forward activations, masked-softmax scratch and
-        # backward temporaries live here, so steady-state ascent steps
-        # allocate nothing.  At most one entry: an ascent runs at one
-        # stack size (it only shrinks when elements converge), so older
-        # shapes are dead weight.
-        self._workspaces: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+        # Transposed views the backward gemms read (BLAS takes them as
+        # transpose flags, exactly like an inline ``.T``).
+        self._head_w1_t = self._head_w1.T
+        self._head_w0_t = self._head_w0.T
+        self._gat_a_t = self._gat_a.T
+        self._gat_w_t = self._gat_w.T
+        self._ms_back = [weight.T for weight, _ in reversed(self._ms)]
+        # Compiled plans of the latest ``(stack, hosts)`` shapes, least
+        # recently used first; see :class:`_Plan`.
+        self._plans: "OrderedDict[Tuple[int, int], _Plan]" = OrderedDict()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,52 +250,21 @@ class FastGONKernel:
         return cls(pack)
 
     # ------------------------------------------------------------------
-    def _workspace(self, batch: int, n: int) -> Dict[str, np.ndarray]:
-        key = (batch, n)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            self._workspaces.clear()
-            h, dt = self.hidden, self.dtype
-            flat = batch * n
-            f_in = self.n_m_features + self.n_s_features
-            dims = [f_in] + [h] * self.n_layers
-            ws = {
-                "joint": np.empty((batch, n, f_in), dtype=dt),
-                "joint_tag": None,  # schedule tag of the S half (see forward)
-                "u": np.empty((flat, N_NODE_FEATURES), dtype=dt),
-                "msg": np.empty((flat, h), dtype=dt),
-                "q": np.empty((flat, h), dtype=dt),
-                "att": np.empty((batch, n, n), dtype=dt),
-                "row": np.empty((batch, n, 1), dtype=dt),
-                "agg": np.empty((batch, n, h), dtype=dt),
-                "e_ms": np.empty((batch, h), dtype=dt),
-                "e_g": np.empty((batch, h), dtype=dt),
-                "h0": np.empty((batch, 2 * h), dtype=dt),
-                "z1": np.empty((batch, h), dtype=dt),
-                "mask1": np.empty((batch, h), dtype=bool),
-                "z2": np.empty((batch, 1), dtype=dt),
-                # backward scratch
-                "dz1": np.empty((batch, h), dtype=dt),
-                "dh0": np.empty((batch, 2 * h), dtype=dt),
-                "dagg": np.empty((batch, n, h), dtype=dt),
-                "datt": np.empty((batch, n, n), dtype=dt),
-                "dscores": np.empty((batch, n, n), dtype=dt),
-                "dmsg3": np.empty((batch, n, h), dtype=dt),
-                "dtmp3": np.empty((batch, n, h), dtype=dt),
-                "dmsg_flat": np.empty((flat, h), dtype=dt),
-                "dpre": np.empty((flat, h), dtype=dt),
-                "du": np.empty((flat, N_NODE_FEATURES), dtype=dt),
-                "djoint": np.empty((flat, f_in), dtype=dt),
-                "dmetrics": np.empty((batch, n, self.n_m_features), dtype=dt),
-            }
-            for i in range(self.n_layers):
-                ws[f"ms_z{i}"] = np.empty((flat, dims[i + 1]), dtype=dt)
-                ws[f"ms_mask{i}"] = np.empty((flat, dims[i + 1]), dtype=bool)
-                ws[f"ms_dz{i}"] = np.empty((flat, dims[i + 1]), dtype=dt)
-                if i:
-                    ws[f"ms_dx{i}"] = np.empty((flat, dims[i]), dtype=dt)
-            self._workspaces[key] = ws
-        return ws
+    def _plan(self, k: int, n: int) -> "_Plan":
+        """The compiled plan of a ``[k, n]`` stack (LRU, bounded)."""
+        key = (k, n)
+        plans = self._plans
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _Plan(
+                k, n, self.hidden, self.n_layers, self.n_m_features,
+                self.n_s_features, self.dtype,
+            )
+            if len(plans) > MAX_PLANS:
+                plans.popitem(last=False)
+        else:
+            plans.move_to_end(key)
+        return plan
 
     # ------------------------------------------------------------------
     def graph_inputs(
@@ -215,55 +285,48 @@ class FastGONKernel:
         masks: np.ndarray,
         push: np.ndarray,
         tag: object = None,
-    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    ) -> Tuple[np.ndarray, "_Plan"]:
         """Fused forward over a ``[k, n, F]`` stack.
 
-        Returns the ``[k]`` confidence vector plus the saved
-        activations :meth:`input_gradient` needs; both live in the
-        kernel's workspace until the next forward.  Mirrors
-        ``GONDiscriminator.forward_batch`` op for op.  ``tag`` names
-        the schedule stack: an ascent passes one tag per call so the
-        constant S half of the joint input is written once per
-        workspace instead of once per step.
+        Returns the ``[k]`` confidence vector plus the plan holding
+        the activations :meth:`input_gradient` needs; both are plan
+        buffers, valid until the next forward at the same shape.
+        Mirrors ``GONDiscriminator.forward_batch`` op for op.  ``tag``
+        names the schedule stack: an ascent passes one tag per call so
+        the constant S half of the joint input is written once per
+        call instead of once per step.
         """
         k, n, _ = metrics.shape
-        h = self.hidden
-        ws = self._workspace(k, n)
+        p = self._plan(k, n)
 
         # --- eq. 3: per-host feed-forward over [M, S], mean-pooled.
-        joint = ws["joint"]
-        joint[..., : self.n_m_features] = metrics
-        if tag is None or ws["joint_tag"] != tag:
-            joint[..., self.n_m_features:] = schedules
-            ws["joint_tag"] = tag
-        x = joint.reshape(k * n, -1)
-        for i, (weight, bias) in enumerate(self._ms):
-            z = ws[f"ms_z{i}"]
+        p.joint_m[...] = metrics
+        if tag is None or p.tag is not tag:
+            p.joint_s[...] = schedules
+            p.tag = tag
+        x = p.x0
+        for (weight, bias), z, mask in zip(self._ms, p.ms_z, p.ms_mask):
             np.matmul(x, weight, out=z)
             z += bias
-            mask = ws[f"ms_mask{i}"]
             np.greater(z, 0.0, out=mask)
             z *= mask  # ReLU, every layer incl. the final one
             x = z
-        e_ms = np.add.reduce(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
-        e_ms *= self.dtype.type(1.0) / n  # .mean(axis=1) == sum * (1/n)
+        # .mean(axis=1) == sum * (1/n), straight into h0's E_MS half.
+        np.add.reduce(p.ms_out3, axis=1, out=p.h0_ms)
+        p.h0_ms *= p.inv_n
 
-        # --- eq. 4: one-layer GAT over u_i = M[:, :, :4].
-        u_flat = ws["u"]
-        u_flat.reshape(k, n, -1)[...] = metrics[..., :N_NODE_FEATURES]
-        msg = ws["msg"]
-        np.matmul(u_flat, self._gat_w, out=msg)
+        # --- eq. 4: one-layer GAT over u_i = M[:, :, :4], read in place
+        # from the joint input.
+        msg = p.msg
+        np.matmul(p.u, self._gat_w, out=msg)
         msg += self._gat_b
         np.tanh(msg, out=msg)  # messages_flat
-        q = ws["q"]
-        np.matmul(msg, self._gat_a, out=q)
-        messages = msg.reshape(k, n, h)
-        queries = q.reshape(k, n, h)
-        att = ws["att"]
-        np.matmul(queries, messages.swapaxes(-1, -2), out=att)
+        np.matmul(msg, self._gat_a, out=p.q)
+        att = p.att
+        np.matmul(p.q3, p.msg3_t, out=att)
         # Fused masked softmax (same arithmetic as nn.gat._masked_softmax).
         att += push
-        row = ws["row"]
+        row = p.row
         np.maximum.reduce(att, axis=-1, keepdims=True, out=row)
         att -= row
         np.exp(att, out=att)
@@ -271,8 +334,8 @@ class FastGONKernel:
         np.add.reduce(att, axis=-1, keepdims=True, out=row)
         row += 1e-12
         att /= row
-        agg = ws["agg"]
-        np.matmul(att, messages, out=agg)
+        agg = p.agg
+        np.matmul(att, p.msg3, out=agg)
         # sigma(agg).  The autodiff model clips the sigmoid input to
         # [-60, 60] first, but agg is an attention-weighted average of
         # tanh outputs: |agg| <= sum_j w_j |m_j| < 1 (weights are
@@ -282,119 +345,98 @@ class FastGONKernel:
         np.exp(agg, out=agg)
         agg += 1.0
         np.reciprocal(agg, out=agg)  # g
-        e_g = np.add.reduce(agg, axis=1, out=ws["e_g"])
-        e_g *= self.dtype.type(1.0) / n
+        np.add.reduce(agg, axis=1, out=p.h0_g)
+        p.h0_g *= p.inv_n
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
-        h0 = ws["h0"]
-        h0[:, :h] = e_ms
-        h0[:, h:] = e_g
-        z1 = ws["z1"]
-        np.matmul(h0, self._head_w0, out=z1)
+        z1 = p.z1
+        np.matmul(p.h0, self._head_w0, out=z1)
         z1 += self._head_b0
-        mask1 = ws["mask1"]
-        np.greater(z1, 0.0, out=mask1)
-        z1 *= mask1  # r1
-        z2 = ws["z2"]
+        np.greater(z1, 0.0, out=p.mask1)
+        z1 *= p.mask1  # r1
+        z2 = p.z2
         np.matmul(z1, self._head_w1, out=z2)
         z2 += self._head_b1
-        scores = 1.0 / (1.0 + np.exp(-np.clip(z2, -60.0, 60.0)))
-        scores = scores.reshape(-1)
-
-        saved = {
-            "n": n,
-            "ws": ws,
-            "messages": messages,
-            "queries": queries,
-            "att": att,
-            "g": agg,
-            "r1": z1,
-            "mask1": mask1,
-            "scores": scores,
-        }
-        return scores, saved
+        # 1 / (1 + exp(-clip(z2, -60, 60))), in place.  The bounds are
+        # non-zero, so minimum(maximum()) equals np.clip bit for bit.
+        np.maximum(z2, -60.0, out=z2)
+        np.minimum(z2, 60.0, out=z2)
+        np.negative(z2, out=z2)
+        np.exp(z2, out=z2)
+        z2 += 1.0
+        np.divide(1.0, z2, out=z2)
+        return p.scores, p
 
     # ------------------------------------------------------------------
-    def input_gradient(
-        self, saved: Dict[str, np.ndarray], rows: Optional[np.ndarray]
-    ) -> np.ndarray:
+    def input_gradient(self, p: "_Plan") -> np.ndarray:
         """``d sum(log clip(D)) / dM`` for the last :meth:`forward`.
 
-        ``rows`` selects the still-active elements; like the autodiff
-        differentiable-slice trick the gemms run at the forward stack
-        size with zeroed gradient rows, and the caller slices the
-        result back down to the survivors.  The returned array is a
-        workspace view, valid until the next forward.
+        ``p`` is the plan :meth:`forward` returned.  The result is a
+        view of the plan's ``[k, n, F]`` joint-input gradient, valid
+        until the next :meth:`input_gradient` at the same shape.
         """
-        n = saved["n"]
-        ws = saved["ws"]
-        scores = saved["scores"]
-        k = scores.shape[0]
-        h = self.hidden
-        inv_n = self.dtype.type(1.0) / n
+        scores = p.scores
 
-        clipped = np.clip(scores, _EPS, 1.0 - _EPS)
-        d_scores = ((scores >= _EPS) & (scores <= 1.0 - _EPS)) / clipped
-        if rows is not None:
-            keep = np.zeros(k, dtype=bool)
-            keep[rows] = True
-            d_scores = np.where(keep, d_scores, 0.0)
-        dz2 = (d_scores * scores * (1.0 - scores)).reshape(k, 1)
-        dr1 = dz2 @ self._head_w1.T
-        dz1 = np.multiply(dr1, saved["mask1"], out=ws["dz1"])
-        dh0 = np.matmul(dz1, self._head_w0.T, out=ws["dh0"])
-        dh0 *= inv_n
-        de_ms = dh0[:, :h]
-        de_g = dh0[:, h:]
+        # d log clip(D) / dD: the clip's inclusive pass-through mask
+        # over the clipped score.  Non-zero bounds again.
+        clipped = p.clipped
+        np.maximum(scores, _EPS, out=clipped)
+        np.minimum(clipped, 1.0 - _EPS, out=clipped)
+        inside = p.inside
+        np.greater_equal(scores, _EPS, out=inside)
+        np.less_equal(scores, 1.0 - _EPS, out=p.inside_hi)
+        inside &= p.inside_hi
+        d_scores = p.dz2_flat
+        np.divide(inside, clipped, out=d_scores)
+        d_scores *= scores
+        np.subtract(1.0, scores, out=clipped)
+        d_scores *= clipped  # (d * D) * (1 - D): dz2
+        np.matmul(p.dz2, self._head_w1_t, out=p.dr1)
+        np.multiply(p.dr1, p.mask1, out=p.dz1)
+        np.matmul(p.dz1, self._head_w0_t, out=p.dh0)
+        p.dh0 *= p.inv_n
 
         # --- GAT branch.
-        messages = saved["messages"]
-        queries = saved["queries"]
-        att = saved["att"]
-        g = saved["g"]
-        dagg = ws["dagg"]
+        att = p.att
+        dagg = p.dagg
+        tmp3 = p.dtmp3
         # Autodiff order is (grad * out) * (1 - out); keep it bit-exact.
-        np.multiply(g, de_g[:, None, :], out=dagg)
-        one_minus = np.subtract(1.0, g, out=ws["dtmp3"])
-        dagg *= one_minus
-        datt = ws["datt"]
-        np.matmul(dagg, messages.swapaxes(-1, -2), out=datt)
-        dmsg3 = ws["dmsg3"]
-        np.matmul(att.swapaxes(-1, -2), dagg, out=dmsg3)
-        inner = np.add.reduce(
-            np.multiply(datt, att, out=ws["dscores"]),
-            axis=-1, keepdims=True, out=ws["row"],
-        )
-        dsc = np.subtract(datt, inner, out=ws["dscores"])
+        np.multiply(p.agg, p.de_g3, out=dagg)
+        np.subtract(1.0, p.agg, out=tmp3)
+        dagg *= tmp3
+        datt = p.datt
+        np.matmul(dagg, p.msg3_t, out=datt)
+        dmsg3 = p.dmsg3
+        np.matmul(p.att_t, dagg, out=dmsg3)
+        dsc = p.dsc
+        np.multiply(datt, att, out=dsc)
+        np.add.reduce(dsc, axis=-1, keepdims=True, out=p.row)
+        np.subtract(datt, p.row, out=dsc)
         dsc *= att
-        dmsg3 += np.matmul(dsc.swapaxes(-1, -2), queries, out=ws["dtmp3"])
-        dqueries = np.matmul(dsc, messages, out=ws["dtmp3"])
-        dpre = ws["dpre"]
-        np.matmul(dqueries.reshape(k * n, h), self._gat_a.T, out=dpre)
-        dmsg_flat = np.add(
-            dmsg3.reshape(k * n, h), dpre, out=ws["dmsg_flat"]
-        )
-        tanh_d = np.square(messages.reshape(k * n, h), out=dpre)
-        np.subtract(1.0, tanh_d, out=tanh_d)
-        dmsg_flat *= tanh_d  # now d(pre-tanh)
-        du = np.matmul(dmsg_flat, self._gat_w.T, out=ws["du"])
+        np.matmul(p.dsc_t, p.q3, out=tmp3)
+        dmsg3 += tmp3
+        np.matmul(dsc, p.msg3, out=tmp3)  # d queries
+        dpre = p.dpre
+        np.matmul(p.dtmp, self._gat_a_t, out=dpre)
+        dmsg = p.dmsg
+        dmsg += dpre
+        np.square(p.msg, out=dpre)
+        np.subtract(1.0, dpre, out=dpre)
+        dmsg *= dpre  # now d(pre-tanh)
+        np.matmul(dmsg, self._gat_w_t, out=p.du)
 
-        # --- [M, S] encoder branch.
-        dr = de_ms[:, None, :]  # broadcast over the host axis
-        for i in reversed(range(self.n_layers)):
-            dz = ws[f"ms_dz{i}"]
-            np.multiply(
-                dr, ws[f"ms_mask{i}"].reshape(k, n, -1), out=dz.reshape(k, n, -1)
-            )
-            weight = self._ms[i][0]
-            if i == 0:
-                d_joint = np.matmul(dz, weight.T, out=ws["djoint"])
-                break
-            dr = np.matmul(dz, weight.T, out=ws[f"ms_dx{i}"]).reshape(k, n, -1)
-        d_metrics = ws["dmetrics"]
-        d_metrics[...] = d_joint.reshape(k, n, -1)[..., : self.n_m_features]
-        d_metrics[..., :N_NODE_FEATURES] += du.reshape(k, n, N_NODE_FEATURES)
-        return d_metrics
+        # --- [M, S] encoder branch, top layer first; the top layer's
+        # upstream is d E_MS broadcast over the host axis.
+        upstream = p.de_ms3
+        for weight_t, (mask3, dz, dz3, out, out3) in zip(
+            self._ms_back, p.ms_back
+        ):
+            np.multiply(upstream, mask3, out=dz3)
+            np.matmul(dz, weight_t, out=out)
+            upstream = out3
+        # dM: the M half of d joint, plus the GAT input's gradient.
+        np.add(p.grad_u, p.du3, out=p.grad_u)
+        return p.grad
 
     # ------------------------------------------------------------------
     def score_stack(

@@ -359,7 +359,9 @@ GRID_IDENTITY_FIELDS = (
 #: in any change that alters record content for an unchanged config
 #: (simulator semantics, decision logic, metric definitions), so stores
 #: written before the change refuse to resume into the new code.
-RECORD_SEMANTICS_VERSION = 1
+#: Version 2: eq.-1 ascents always run their full step count (version
+#: 1 could stop an element early on an update-norm tolerance).
+RECORD_SEMANTICS_VERSION = 2
 
 
 def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:

@@ -1046,6 +1046,7 @@ def _status_provider(
         status = {
             "workers": {
                 "connected": transport.n_connected,
+                "peak_connected": transport.peak_connected,
                 "expected": n_clients,
                 "signed_off": len(service.signed_off),
                 "lost": len(service.lost),

@@ -18,7 +18,6 @@ graph layers) evaluate ``B`` samples in one vectorized pass -- see
 
 from .activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from .conv import Conv1d, max_pool1d
-from .dropout import Dropout
 from .functional import (
     bce_with_logits,
     binary_cross_entropy,
@@ -33,7 +32,7 @@ from .functional import (
 )
 from .gat import GraphAttention, GraphEncoder, adjacency_with_self_loops
 from .linear import FeedForward, Linear
-from .lstm import LSTM, LSTMAutoencoder, LSTMCell
+from .lstm import LSTM, LSTMCell
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .serialization import load_module, load_state, save_module, save_state
@@ -55,10 +54,8 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "LeakyReLU",
-    "Dropout",
     "LSTM",
     "LSTMCell",
-    "LSTMAutoencoder",
     "GraphAttention",
     "GraphEncoder",
     "adjacency_with_self_loops",

@@ -1,9 +1,8 @@
 """LSTM cells and sequence layers.
 
-Required by three baselines: FRAS (fuzzy *recurrent* surrogate),
-TopoMAD (LSTM + VAE reconstruction) and the LSTM-autoencoder variants
-discussed in related work.  Implemented as a fused-gate cell over the
-autodiff tensors.
+Required by two baselines: FRAS (fuzzy *recurrent* surrogate) and
+TopoMAD (LSTM + VAE reconstruction).  Implemented as a fused-gate cell
+over the autodiff tensors.
 """
 
 from __future__ import annotations
@@ -87,28 +86,3 @@ class LSTM(Module):
             outputs.append(h)
         return stack(outputs, axis=0), h_c  # type: ignore[return-value]
 
-
-class LSTMAutoencoder(Module):
-    """Sequence autoencoder: encode to final hidden state, decode back.
-
-    The reconstruction-error baselines (TopoMAD-style detectors and the
-    recurrent-autoencoder detectors of related work) wrap this class.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.encoder = LSTM(input_size, hidden_size, rng)
-        self.decoder = LSTM(input_size, hidden_size, rng)
-        from .linear import Linear
-
-        self.head = Linear(hidden_size, input_size, rng, activation_hint="linear")
-
-    def forward(self, sequence) -> Tensor:
-        sequence = as_tensor(sequence)
-        _, (h, c) = self.encoder(sequence)
-        # Decode by feeding zeros, conditioned on the encoder state.
-        seq_len = sequence.shape[0]
-        zeros = Tensor(np.zeros(sequence.shape))
-        hidden, _ = self.decoder(zeros, (h, c))
-        reconstructions = [self.head(hidden[t]) for t in range(seq_len)]
-        return stack(reconstructions, axis=0)

@@ -193,7 +193,7 @@ Three pieces tie the distributed picture together:
 * **status endpoint** -- ``python -m repro serve --status-port N``
   binds :class:`StatusServer` (stdlib ``http.server``, daemon thread,
   read-only) next to the scoring socket.  ``GET /status`` answers one
-  JSON object: connected/expected/signed-off workers, cells
+  JSON object: connected/peak/expected/signed-off workers, cells
   started/completed/in-flight (derived from the merged
   ``campaign.cells_*`` counters), the legacy :class:`ServiceStats`
   view, and the full merged telemetry.  ``GET /metrics`` renders the
@@ -218,10 +218,10 @@ is an alias) is bitwise-equal to the autodiff oracle the test suite
 keeps, and ``"fast32"`` trades float32 arithmetic for the rtol-1e-5
 tier.  Each ascent request gets its own call over its own stack --
 identical batch shapes to in-process scoring, so fleet records stay
-bit-identical to serial ones.  With ``merge_requests`` on, same-width
-ascent requests concatenate into one call even when their
-gamma/max_steps differ, since the ascent takes per-element
-hyper-parameter vectors; concatenation moves scores by ~1 ulp (BLAS
+bit-identical to serial ones.  With ``merge_requests`` on, ascent
+requests of the same width and step count concatenate into one call
+even when their gammas differ, since the ascent takes a per-element
+step-size vector; concatenation moves scores by ~1 ulp (BLAS
 leading dimension), which is the bitwise waiver ``merge_requests``
 opts into.  Merged elements are counted in
 ``ServiceStats.merged_elements`` and the ``service.merged_elements``

@@ -37,11 +37,12 @@ are positional in the submitted stack.  Two execution policies:
   bit-identical to serial execution (BLAS gemm results vary in the
   last ulp with the leading dimension, so merging cannot be bitwise).
 * ``merge_requests=True``: all stacks in a bucket concatenate into one
-  call -- ascents with different ``gamma``/``max_steps`` included,
-  as per-element vectors -- for maximum consolidation, with scores
-  equal to the per-request path within ~1e-15; decisions are
-  score-argmins, so campaign results almost always still coincide,
-  but the bitwise guarantee is waived.
+  call -- ascents with different ``gamma`` included, as a per-element
+  vector; the step count is part of the bucket key, since every
+  element of an ascent runs the same number of steps -- for maximum
+  consolidation, with scores equal to the per-request path within
+  ~1e-15; decisions are score-argmins, so campaign results almost
+  always still coincide, but the bitwise guarantee is waived.
 
 Per-client weight overlays
 --------------------------
@@ -160,10 +161,10 @@ class AscentRequest:
 
     @property
     def bucket(self) -> tuple:
-        # gamma/max_steps stay out of the key: a merged ascent carries
-        # them as per-element vectors.
+        # gamma stays out of the key: a merged ascent carries it as a
+        # per-element vector.  Every element runs the same step count.
         return (
-            "ascent", self.model_key, self.metrics.shape[1],
+            "ascent", self.model_key, self.metrics.shape[1], self.max_steps,
             *_generation_bucket(self.client_id, self.generation),
         )
 
@@ -326,7 +327,7 @@ class WorkerLost:
 @dataclass(frozen=True)
 class AscentReply:
     request_id: int
-    metrics: np.ndarray      # [B, n, F] converged M* stack
+    metrics: np.ndarray      # [B, n, F] M* stack
     confidences: np.ndarray  # [B]
     n_steps: np.ndarray      # [B]
     converged: np.ndarray    # [B] bool
@@ -809,9 +810,9 @@ class GONScoringService:
     def _run_ascent(self, requests: List) -> None:
         """One kernel ascent over one request or a merged bucket.
 
-        Hyper-parameters ride as per-element vectors (``np.repeat``
-        over each request's stack) when requests merge; replies chunk
-        back out positionally.
+        ``gamma`` rides as a per-element vector (``np.repeat`` over
+        each request's stack) when requests merge; the bucket key fixes
+        ``max_steps``.  Replies chunk back out positionally.
         """
         model, metrics, schedules, adjacencies = self._batch(requests)
         counts = [request.n_elements for request in requests]
@@ -821,7 +822,7 @@ class GONScoringService:
             adjacencies,
             init_metrics=metrics,
             gamma=np.repeat([r.gamma for r in requests], counts),
-            max_steps=np.repeat([r.max_steps for r in requests], counts),
+            max_steps=requests[0].max_steps,
         )
         start = 0
         for request in requests:

@@ -5,10 +5,11 @@ A stdlib :mod:`http.server` bound next to the scoring socket
 
 ``/status``
     One JSON object assembled by the provider callback at request
-    time -- connected/expected/signed-off workers, cells completed and
-    in flight (derived from the merged ``campaign.cells_*`` counters
-    the STATS frames ship), the legacy :class:`~repro.serving.ServiceStats`
-    view, and the full merged telemetry snapshot.
+    time -- connected/peak/expected/signed-off workers, cells
+    completed and in flight (derived from the merged
+    ``campaign.cells_*`` counters the STATS frames ship), the legacy
+    :class:`~repro.serving.ServiceStats` view, and the full merged
+    telemetry snapshot.
 
 ``/metrics``
     The merged snapshot in Prometheus text exposition format

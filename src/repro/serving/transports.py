@@ -71,6 +71,7 @@ class TransportError(RuntimeError):
 
 _AUTH_REJECTIONS = _telemetry.counter("fleet.auth_rejections")
 _HANDSHAKE_REJECTIONS = _telemetry.counter("fleet.handshake_rejections")
+_WORKERS_PEAK = _telemetry.gauge("fleet.workers_peak")
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -222,6 +223,10 @@ class TcpTransport:
         self._threads: list = []
         self._closed = threading.Event()
         self.auth_rejections = 0
+        #: Most clients ever connected at once (``/status`` and the
+        #: ``fleet.workers_peak`` gauge): unlike :attr:`n_connected` it
+        #: survives the workers signing off.
+        self.peak_connected = 0
         #: Monotonic timestamp of the last frame received from any
         #: client (idle-timeout watchdogs key off this).  Heartbeat
         #: :class:`Ping` frames deliberately do *not* refresh it: a
@@ -323,6 +328,9 @@ class TcpTransport:
             return False
         self._send_locks[client_id] = threading.Lock()
         self._sockets[client_id] = conn
+        if len(self._sockets) > self.peak_connected:
+            self.peak_connected = len(self._sockets)
+            _WORKERS_PEAK.set(self.peak_connected)
         self.reply_queues.setdefault(client_id, _TcpReplyWriter(self, client_id))
         self.last_activity = time.monotonic()
         wire.send_message(conn, Welcome(client_id=client_id))

@@ -11,7 +11,7 @@ the :class:`repro.nn.Tensor` autodiff engine through
   time (the paper's literal loop; ``adaptive=False`` gives the plain
   gradient form of eq. 1);
 * :func:`generate_metrics_batch` / :func:`predict_qos_batch` -- the
-  batched ascent with per-element convergence freezing;
+  batched ascent, a fixed number of steps over the whole stack;
 * :func:`oracle_ascents` -- a context manager that swaps the oracle in
   for every production ascent (decisions, scoring service, training)
   and every confidence read (:meth:`FastGONKernel.score_stack` runs
@@ -82,7 +82,6 @@ def generate_metrics(
     rng: Optional[np.random.Generator] = None,
     gamma: float = 1e-3,
     max_steps: int = 40,
-    tol: float = 1e-5,
     adaptive: bool = True,
 ) -> SurrogateResult:
     """One-sample eq.-1 ascent; returns ``M*`` with its confidence."""
@@ -101,7 +100,6 @@ def generate_metrics(
     second_moment = np.zeros_like(start)
     beta1, beta2 = 0.9, 0.999
     steps_taken = 0
-    converged = False
     with _frozen_parameters(model):
         score = model(current, schedule, adjacency)
         for step in range(max_steps):
@@ -123,15 +121,12 @@ def generate_metrics(
             )
             steps_taken = step + 1
             score = model(current, schedule, adjacency)
-            if float(np.abs(update).max()) < tol:
-                converged = True
-                break
 
     return SurrogateResult(
         metrics=current.data.copy(),
         confidence=float(score.data),
         n_steps=steps_taken,
-        converged=converged,
+        converged=False,
     )
 
 
@@ -143,14 +138,11 @@ def generate_metrics_batch(
     rng: Optional[np.random.Generator] = None,
     gamma: float = 1e-3,
     max_steps: int = 40,
-    tol: float = 1e-5,
     adaptive: bool = True,
 ) -> List[SurrogateResult]:
-    """Batched autodiff ascent with per-element convergence freezing.
+    """Batched autodiff ascent: one graph per step over the whole stack.
 
-    Frozen elements leave a compacted stack; the surviving rows'
-    gradients are read from a differentiable slice of the last forward
-    instead of a new one.  Matches looped :func:`generate_metrics`.
+    Matches looped :func:`generate_metrics`.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -181,66 +173,37 @@ def generate_metrics_batch(
     first_moment = np.zeros_like(current)
     second_moment = np.zeros_like(current)
     beta1, beta2 = 0.9, 0.999
-    steps_taken = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    confidence = np.zeros(batch, dtype=float)
-
-    active = np.arange(batch)
+    steps_taken = 0
     with _frozen_parameters(model):
-        tensor = Tensor(current[active], requires_grad=True)
-        scores = model.forward_batch(
-            tensor, schedules[active], adjacencies[active]
-        )
-        rows: Optional[np.ndarray] = None
+        tensor = Tensor(current, requires_grad=True)
+        scores = model.forward_batch(tensor, schedules, adjacencies)
         for step in range(max_steps):
-            if active.size == 0:
-                break
             log_likelihood = scores.clip(_EPS, 1.0 - _EPS).log()
             log_likelihood.sum().backward()
             gradient = tensor.grad
             if gradient is None:
                 break
-            if rows is not None:
-                gradient = gradient[rows]
             if adaptive:
-                first_moment[active] = (
-                    beta1 * first_moment[active] + (1 - beta1) * gradient
+                first_moment = beta1 * first_moment + (1 - beta1) * gradient
+                second_moment = (
+                    beta2 * second_moment + (1 - beta2) * gradient ** 2
                 )
-                second_moment[active] = (
-                    beta2 * second_moment[active] + (1 - beta2) * gradient ** 2
-                )
-                m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
-                v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
+                m_hat = first_moment / (1 - beta1 ** (step + 1))
+                v_hat = second_moment / (1 - beta2 ** (step + 1))
                 update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
             else:
                 update = gamma * gradient
-            current[active] = np.clip(current[active] + update, 0.0, 3.0)
-            steps_taken[active] = step + 1
-
-            tensor = Tensor(current[active], requires_grad=True)
-            scores = model.forward_batch(
-                tensor, schedules[active], adjacencies[active]
-            )
-            rows = None
-            done = np.abs(update).reshape(active.size, -1).max(axis=1) < tol
-            if done.any():
-                frozen = active[done]
-                converged[frozen] = True
-                confidence[frozen] = scores.data[done]
-                active = active[~done]
-                if active.size == 0:
-                    break
-                rows = np.flatnonzero(~done)
-                scores = scores[rows]
-    if active.size:
-        confidence[active] = scores.data
+            current = np.clip(current + update, 0.0, 3.0)
+            steps_taken = step + 1
+            tensor = Tensor(current, requires_grad=True)
+            scores = model.forward_batch(tensor, schedules, adjacencies)
 
     return [
         SurrogateResult(
             metrics=current[i].copy(),
-            confidence=float(confidence[i]),
-            n_steps=int(steps_taken[i]),
-            converged=bool(converged[i]),
+            confidence=float(scores.data[i]),
+            n_steps=steps_taken,
+            converged=False,
         )
         for i in range(batch)
     ]
@@ -327,8 +290,7 @@ def kernel_ascent(
     init_metrics=None,
     rng=None,
     gamma=1e-3,
-    max_steps=40,
-    tol: float = 1e-5,
+    max_steps: int = 40,
 ) -> List[SurrogateResult]:
     """Drop-in for the production ascent, run on the autodiff oracle."""
     return generate_metrics_batch(
@@ -338,8 +300,7 @@ def kernel_ascent(
         init_metrics=init_metrics,
         rng=rng,
         gamma=_uniform(gamma, "gamma"),
-        max_steps=int(_uniform(max_steps, "max_steps")),
-        tol=tol,
+        max_steps=max_steps,
     )
 
 

@@ -8,15 +8,15 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * ``nn/serialization`` inference export -- pack/unpack round-trip
   equality and loud refusal on architecture or shape mismatches;
 * the kernel ascent reproduces the oracle *bit for bit* in float64
-  (including staggered per-element convergence) and within rtol=1e-5
-  in float32, and keeps a single workspace alive;
+  and within rtol=1e-5 in float32; its compiled per-shape plans stay
+  bounded and die with their kernel;
 * ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
   of ``fast``), float64 confidence reads under every backend, and
   post-fine-tune kernel re-export;
 * the scoring service's kernel path: per-request bitwise replies,
-  merged ascents across hyper-parameters, float64 confidences,
-  dispatch on arrival (no blocking read while a message is in hand)
-  and a fixed-size ``/status`` service section;
+  merged ascents across step sizes (never across step counts), float64
+  confidences, dispatch on arrival (no blocking read while a message
+  is in hand) and a fixed-size ``/status`` service section;
 * training parity: ``train_gon`` through the kernel and through the
   oracle yields bitwise-equal weights and an equal history;
 * the scenario-catalog sweep: for every registered scenario the
@@ -29,10 +29,12 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import queue
 import sys
 import threading
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -40,7 +42,11 @@ import numpy as np
 import pytest
 
 from repro.core import GONDiscriminator
-from repro.core.fastscore import FastGONKernel, gon_inference_meta
+from repro.core.fastscore import (
+    MAX_PLANS,
+    FastGONKernel,
+    gon_inference_meta,
+)
 from repro.core.scoring import BACKENDS, LocalScorer, validate_backend
 from repro.core.surrogate import generate_metrics_batch
 from repro.core.training import TrainingConfig, train_gon
@@ -176,8 +182,7 @@ class TestFastKernelParity:
     def test_long_ascent_with_narrowing_bitwise_equal(
         self, trained_gon, session_samples
     ):
-        # 40 steps with a small gamma: elements converge at different
-        # times, exercising the oracle's narrowed-batch path.
+        # 40 steps with a small gamma: a long fixed-shape ascent.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
         fast = generate_metrics_batch(
@@ -188,39 +193,6 @@ class TestFastKernelParity:
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-3, max_steps=40,
         )
-        _assert_results_bitwise(fast, oracle)
-
-    @pytest.mark.parametrize("saturate, first_freeze", [
-        # Part of the stack freezes mid-ascent.
-        pytest.param(False, 51, id="mid_ascent"),
-        # Every third warm start saturates D past the log-likelihood
-        # clip: a zero gradient, a zero update, frozen on step 1.  The
-        # stack compacts before any survivor's second gradient.
-        pytest.param(True, 1, id="step_1"),
-    ])
-    def test_staggered_convergence_bitwise_equal(self, saturate, first_freeze):
-        # A tol that freezes only part of the stack.  Trained GONs keep
-        # Adam's step near gamma (nothing converges), so an untrained
-        # GON over random inputs provides the stagger.
-        rng = np.random.default_rng(42)
-        gon = GONDiscriminator(rng, hidden=16, n_layers=2)
-        batch, n = 8, 6
-        metrics = rng.uniform(0, 1, size=(batch, n, gon.n_m_features))
-        schedules = rng.uniform(0, 1, size=(batch, n, gon.n_s_features))
-        adjacencies = np.triu(rng.random((batch, n, n)) > 0.5, 1).astype(float)
-        adjacencies = adjacencies + adjacencies.swapaxes(-1, -2)
-        if saturate:
-            metrics[::3] *= 100.0
-        kwargs = dict(init_metrics=metrics, gamma=1e-2, max_steps=60,
-                      tol=9.9e-3)
-        fast = generate_metrics_batch(
-            FastGONKernel.from_model(gon), schedules, adjacencies, **kwargs
-        )
-        oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
-        converged = [r.converged for r in oracle]
-        assert any(converged) and not all(converged), converged
-        steps = [r.n_steps for r in oracle if r.converged]
-        assert min(steps) == first_freeze, steps
         _assert_results_bitwise(fast, oracle)
 
     def test_noise_start_bitwise_equal(self, trained_gon, session_samples):
@@ -259,11 +231,11 @@ class TestFastKernelParity:
         self, trained_gon, session_samples
     ):
         # The property service-side merging rests on: one ascent with
-        # per-element gamma / step caps matches the separate
-        # per-request calls element for element.  NOT bitwise --
-        # concatenation changes the BLAS leading dimension, the
-        # documented ~1-ulp merge waiver -- so the comparison is
-        # allclose at merged-policy tightness.
+        # per-element gamma matches the separate per-request calls
+        # element for element.  NOT bitwise -- concatenation changes
+        # the BLAS leading dimension, the documented ~1-ulp merge
+        # waiver -- so the comparison is allclose at merged-policy
+        # tightness.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
         first = generate_metrics_batch(
@@ -272,12 +244,11 @@ class TestFastKernelParity:
         )
         second = generate_metrics_batch(
             kernel, schedules[3:], adjacencies[3:], init_metrics=metrics[3:],
-            gamma=2e-3, max_steps=8,
+            gamma=2e-3, max_steps=5,
         )
         fused = generate_metrics_batch(
             kernel, schedules, adjacencies, init_metrics=metrics,
-            gamma=np.array([1e-2] * 3 + [2e-3] * 3),
-            max_steps=np.array([5] * 3 + [8] * 3),
+            gamma=np.array([1e-2] * 3 + [2e-3] * 3), max_steps=5,
         )
         split = first + second
         np.testing.assert_allclose(
@@ -304,6 +275,13 @@ class TestFastKernelParity:
                 kernel, schedules, adjacencies, init_metrics=metrics,
                 gamma=1e-2, max_steps=-1,
             )
+        # One step count per call: every element runs the same shape.
+        for steps in (np.array([3, 5]), 2.5):
+            with pytest.raises(TypeError):
+                generate_metrics_batch(
+                    kernel, schedules, adjacencies, init_metrics=metrics,
+                    gamma=1e-2, max_steps=steps,
+                )
         # Non-finite step sizes, scalar and per element: NaN slips
         # past a plain ``gamma <= 0`` check.
         for gamma in (np.nan, np.inf, -np.inf,
@@ -314,32 +292,68 @@ class TestFastKernelParity:
                     gamma=gamma, max_steps=3,
                 )
 
-    def test_workspace_cache_keeps_one_entry(
+    def test_plan_cache_stays_bounded_across_alternating_sizes(
         self, trained_gon, session_samples
     ):
-        # Ascents at several stack sizes (and a forward-only read) must
-        # leave exactly one workspace alive, for the latest shape.
+        # Decisions interleave lone ascents, maintenance slates and
+        # tabu samples on one kernel.  The plan cache holds every one
+        # of those shapes, stays at its bound, and once warm it builds
+        # no new plan.
         kernel = FastGONKernel.from_model(trained_gon)
-        metrics, schedules, adjacencies = _stacks(session_samples, 8)
-        for size in (8, 3, 5, 1, 8):
+        metrics, schedules, adjacencies = _stacks(session_samples, 12)
+        sizes = (1, 7, 12)
+
+        def ascend(size):
+            return generate_metrics_batch(
+                kernel, schedules[:size], adjacencies[:size],
+                init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
+            )
+
+        # One more shape than fits: the cache evicts down to its bound.
+        for size in range(2, 3 + MAX_PLANS):
+            ascend(size)
+            assert len(kernel._plans) <= MAX_PLANS
+        for size in sizes:
+            ascend(size)
+        warm = dict(kernel._plans)
+        for size in sizes * 3:
+            ascend(size)
+            assert len(kernel._plans) == MAX_PLANS
+        assert all(kernel._plans[key] is plan for key, plan in warm.items())
+        # A plan reused across calls and shapes still reproduces the
+        # oracle bit for bit.
+        for size in sizes:
+            _assert_results_bitwise(
+                ascend(size),
+                oracle_batch(
+                    trained_gon, schedules[:size], adjacencies[:size],
+                    init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
+                ),
+            )
+
+    def test_dropped_kernel_is_freed_by_reference_counting(
+        self, trained_gon, session_samples
+    ):
+        # Plans must not reference their kernel or themselves: a cycle
+        # would keep every re-exported kernel's buffers alive until the
+        # cycle collector happens to run.
+        metrics, schedules, adjacencies = _stacks(session_samples, 7)
+        kernel = FastGONKernel.from_model(trained_gon)
+        for size in (1, 7, 3):
             generate_metrics_batch(
                 kernel, schedules[:size], adjacencies[:size],
                 init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
             )
-            assert list(kernel._workspaces) == [(size, metrics.shape[1])]
-        kernel.score_stack(metrics[:4], schedules[:4], adjacencies[:4])
-        assert list(kernel._workspaces) == [(4, metrics.shape[1])]
-        # A reused kernel still reproduces the oracle after evictions.
-        _assert_results_bitwise(
-            generate_metrics_batch(
-                kernel, schedules, adjacencies, init_metrics=metrics,
-                gamma=1e-2, max_steps=3,
-            ),
-            oracle_batch(
-                trained_gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=1e-2, max_steps=3,
-            ),
-        )
+        kernel.score_stack(metrics, schedules, adjacencies)
+        alive = weakref.ref(kernel)
+        plans = [weakref.ref(plan) for plan in kernel._plans.values()]
+        gc.disable()
+        try:
+            del kernel
+            assert alive() is None
+            assert all(plan() is None for plan in plans)
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +531,8 @@ class TestServiceFastBackend:
     ):
         # Deterministic merging: enqueue both requests *before*
         # serve() drains, so they are guaranteed to share a batch, and
-        # the differing gamma / step caps ride one kernel call as
-        # per-element vectors.  Merged replies carry the ~1-ulp waiver,
+        # the differing gammas ride one kernel call as a per-element
+        # vector.  Merged replies carry the ~1-ulp waiver,
         # so the oracle comparison is allclose, not bitwise.
         request_queue = queue.Queue()
         replies = {0: queue.Queue(), 1: queue.Queue()}
@@ -529,7 +543,7 @@ class TestServiceFastBackend:
         metrics, schedules, adjacencies = _stacks(session_samples, 3)
         from repro.serving import AscentRequest, ClientDone
 
-        for client_id, (gamma, steps) in ((0, (1e-2, 3)), (1, (4e-3, 5))):
+        for client_id, (gamma, steps) in ((0, (1e-2, 4)), (1, (4e-3, 4))):
             request_queue.put(
                 AscentRequest(
                     client_id=client_id,
@@ -547,7 +561,7 @@ class TestServiceFastBackend:
         service.serve()
         assert service.stats.merged_elements == 6
         assert service.stats.n_batches == 1
-        for client_id, (gamma, steps) in ((0, (1e-2, 3)), (1, (4e-3, 5))):
+        for client_id, (gamma, steps) in ((0, (1e-2, 4)), (1, (4e-3, 4))):
             reply = replies[client_id].get_nowait()
             oracle = oracle_batch(
                 trained_gon, schedules, adjacencies, init_metrics=metrics,
@@ -563,6 +577,47 @@ class TestServiceFastBackend:
                 np.stack([r.metrics for r in oracle]),
                 atol=1e-9,
             )
+
+    def test_merged_service_never_merges_across_step_counts(
+        self, trained_gon, session_samples
+    ):
+        # Every element of an ascent runs the same number of steps, so
+        # the step count is part of the bucket key: two queued requests
+        # that differ only in max_steps run as two unmerged calls, each
+        # bitwise-equal to the oracle.
+        from repro.serving import AscentRequest, ClientDone
+
+        request_queue = queue.Queue()
+        replies = {0: queue.Queue(), 1: queue.Queue()}
+        service = GONScoringService(
+            {"scenario": trained_gon}, request_queue, replies,
+            merge_requests=True,
+        )
+        metrics, schedules, adjacencies = _stacks(session_samples, 3)
+        for client_id, steps in ((0, 3), (1, 5)):
+            request_queue.put(AscentRequest(
+                client_id=client_id, request_id=1, model_key="scenario",
+                metrics=metrics, schedules=schedules,
+                adjacencies=adjacencies, gamma=1e-2, max_steps=steps,
+            ))
+        request_queue.put(ClientDone(client_id=0))
+        request_queue.put(ClientDone(client_id=1))
+        service.serve()
+        assert service.stats.n_batches == 2
+        assert service.stats.merged_elements == 0
+        for client_id, steps in ((0, 3), (1, 5)):
+            reply = replies[client_id].get_nowait()
+            oracle = oracle_batch(
+                trained_gon, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=steps,
+            )
+            assert np.array_equal(
+                reply.metrics, np.stack([r.metrics for r in oracle])
+            )
+            assert reply.confidences.tolist() == [
+                r.confidence for r in oracle
+            ]
+            assert reply.n_steps.tolist() == [steps] * 3
 
     def test_serve_never_waits_while_holding_a_message(
         self, trained_gon, session_samples
@@ -603,7 +658,8 @@ class TestServiceFastBackend:
 
         service, thread, (client,) = self._serve(trained_gon)
         provider = _status_provider(
-            service, SimpleNamespace(n_connected=1), n_clients=1
+            service, SimpleNamespace(n_connected=1, peak_connected=1),
+            n_clients=1,
         )
         metrics, schedules, adjacencies = _stacks(session_samples, 1)
 

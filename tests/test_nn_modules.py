@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     Adam,
-    Dropout,
     FeedForward,
     LeakyReLU,
     Linear,
@@ -66,7 +65,7 @@ class TestModuleSystem:
         assert layer.weight.grad is None
 
     def test_train_eval_propagates(self, rng):
-        seq = Sequential(Dropout(0.5, rng), Linear(2, 2, rng))
+        seq = Sequential(ReLU(), Linear(2, 2, rng))
         seq.eval()
         assert all(not m.training for m in seq.modules())
         seq.train()
@@ -130,24 +129,6 @@ class TestActivationsAndDropout:
     def test_sigmoid_tanh_layers(self):
         assert Sigmoid()(Tensor(np.zeros(1))).data.item() == pytest.approx(0.5)
         assert Tanh()(Tensor(np.zeros(1))).data.item() == pytest.approx(0.0)
-
-    def test_dropout_eval_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        layer.eval()
-        x = np.ones((10, 10))
-        np.testing.assert_array_equal(layer(Tensor(x)).data, x)
-
-    def test_dropout_train_zeroes_and_scales(self, rng):
-        layer = Dropout(0.5, rng)
-        out = layer(Tensor(np.ones((100, 100)))).data
-        zero_fraction = float((out == 0).mean())
-        assert 0.4 < zero_fraction < 0.6
-        kept = out[out != 0]
-        np.testing.assert_allclose(kept, 2.0)
-
-    def test_dropout_rejects_p_one(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
 
 
 class TestOptimisers:

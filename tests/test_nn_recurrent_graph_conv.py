@@ -9,7 +9,6 @@ from repro.nn import (
     GraphAttention,
     GraphEncoder,
     LSTM,
-    LSTMAutoencoder,
     LSTMCell,
     Tensor,
     adjacency_with_self_loops,
@@ -72,12 +71,6 @@ class TestLSTM:
             opt.step()
             losses.append(float(loss.data))
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
-
-    def test_autoencoder_shapes(self, rng):
-        ae = LSTMAutoencoder(4, 8, rng)
-        seq = np.random.default_rng(0).normal(size=(6, 4))
-        out = ae(Tensor(seq))
-        assert out.shape == (6, 4)
 
 
 class TestGraphAttention:

@@ -473,6 +473,30 @@ class TestCampaignResume:
         with open_store("sqlite", config.store_path) as check:
             assert len(check.campaigns()) == 2
 
+    def test_older_record_semantics_changes_hash_and_refuses_resume(
+        self, tmp_path, monkeypatch
+    ):
+        # A store written by code of the previous record semantics
+        # (version 1 let ascents stop early on an update-norm tol) must
+        # not resume into the current code.
+        config = tiny_config(
+            store="sqlite", store_path=str(tmp_path / "runs.db")
+        )
+        current = campaign_config_hash(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.experiments.campaign.RECORD_SEMANTICS_VERSION",
+                RECORD_SEMANTICS_VERSION - 1,
+            )
+            assert campaign_config_hash(config) != current
+            first = run_campaign(config)
+        rerun = run_campaign(config)
+        counters = rerun.telemetry["counters"]
+        assert counters.get("fleet.cells_resumed", 0) == 0
+        assert counters["campaign.cells_started"] == len(first.records)
+        with open_store("sqlite", config.store_path) as check:
+            assert len(check.campaigns()) == 2
+
     def test_memory_store_preserves_run_everything_semantics(self):
         config = tiny_config()
         first = run_campaign(config)

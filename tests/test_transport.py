@@ -10,7 +10,8 @@ over the network hop:
 * every failure mode -- garbage frames, truncated frames, a client
   disconnecting mid-ascent, stale-generation requests, unknown asset
   packs -- surfaces as a loud ``TransportError`` on both sides of the
-  socket, never as a hang.
+  socket, never as a hang;
+* the peak number of connected workers outlives their sockets.
 """
 
 import socket
@@ -483,3 +484,32 @@ class TestTransportFailureModes:
         probe.close()
         with pytest.raises(TransportError, match="could not reach"):
             TcpWorkerChannel(f"127.0.0.1:{port}", connect_timeout=0.5)
+
+    def test_peak_connected_outlives_the_workers(self, trained_gon):
+        # The fleet smoke checks the fleet reached full strength after
+        # the run, so the peak must survive the sockets closing -- on
+        # /status and in the telemetry gauge `serve --telemetry-json`
+        # writes.
+        from repro.experiments.fleet import _status_provider
+
+        transport = TcpTransport(2, elastic=True)
+        transport.start()
+        try:
+            channels = [TcpWorkerChannel(transport.address) for _ in range(2)]
+            service = GONScoringService(
+                {"scenario": trained_gon},
+                transport.request_queue,
+                transport.reply_queues,
+            )
+            status = _status_provider(service, transport, 2)
+            assert status()["workers"]["peak_connected"] == 2
+            for channel in channels:
+                transport.close_client(channel.client_id)
+                channel.close()
+            workers = status()["workers"]
+            assert workers["connected"] == 0
+            assert workers["peak_connected"] == 2
+            gauges = service.merged_telemetry()["gauges"]
+            assert gauges["fleet.workers_peak"] == 2
+        finally:
+            transport.close()
