@@ -10,12 +10,11 @@ The fixed-step Adam loop that drives these kernels lives in
 :func:`repro.core.surrogate.generate_metrics_batch` -- the one
 production ascent (decisions, the scoring service, training).
 
-Each ``(stack, hosts)`` shape is compiled once into a plan: every
-buffer and every reshaped, sliced or transposed view the kernels
-touch, so a call is straight-line ufunc/matmul work with no
-allocation.  Decisions interleave stacks of about 1, 7 and 10-20
-candidates on one kernel, so plans live in a small per-kernel LRU
-(:data:`MAX_PLANS`) rather than a single workspace.
+A ``(stack, hosts)`` shape is compiled into a plan: every buffer and
+every reshaped, sliced or transposed view the kernels touch, so a
+step is straight-line ufunc/matmul work with no allocation.  A kernel
+keeps one plan, for its latest shape: an ascent runs all its steps at
+one shape, so the plan is built at most once per call.
 
 Fidelity contract:
 
@@ -31,8 +30,7 @@ Fidelity contract:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,11 +47,6 @@ __all__ = ["FastGONKernel", "gon_inference_meta"]
 
 _EPS = 1e-8  # clip epsilon of the ascent's log-likelihood
 
-#: Compiled plans kept per kernel.  Decisions interleave lone ascents
-#: (k = 1), maintenance slates (k ~ 7) and tabu samples (k ~ 10-20),
-#: so one entry would be rebuilt on most calls.
-MAX_PLANS = 4
-
 
 def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
     """Architecture metadata an :class:`InferencePack` needs for a GON."""
@@ -69,12 +62,13 @@ def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
 class _Plan:
     """Buffers of one ``(k, n)`` stack shape and every view of them.
 
-    Built once per shape, so :meth:`FastGONKernel.forward` and
+    Built when the kernel's stack shape changes, so
+    :meth:`FastGONKernel.forward` and
     :meth:`FastGONKernel.input_gradient` only make ufunc/matmul calls
-    on ready views and steady-state ascent steps allocate nothing.
-    A plan holds arrays (and the last schedule tag) only -- never its
-    kernel or itself -- so a dropped kernel and its plans are freed by
-    reference counting, without waiting for the cycle collector.
+    on ready views and ascent steps allocate nothing.  A plan holds
+    arrays (and the last schedule tag) only -- never its kernel or
+    itself -- so a dropped kernel and its plan are freed by reference
+    counting, without waiting for the cycle collector.
     """
 
     def __init__(self, k: int, n: int, hidden: int, n_layers: int,
@@ -86,6 +80,7 @@ class _Plan:
         def empty(*shape, kind=dtype):
             return np.empty(shape, dtype=kind)
 
+        self.shape = (k, n)
         self.inv_n = dtype.type(1.0) / n
         self.tag: object = None  # schedule tag of the S half (forward)
 
@@ -235,9 +230,9 @@ class FastGONKernel:
         self._gat_a_t = self._gat_a.T
         self._gat_w_t = self._gat_w.T
         self._ms_back = [weight.T for weight, _ in reversed(self._ms)]
-        # Compiled plans of the latest ``(stack, hosts)`` shapes, least
-        # recently used first; see :class:`_Plan`.
-        self._plans: "OrderedDict[Tuple[int, int], _Plan]" = OrderedDict()
+        # The compiled plan of the latest ``(stack, hosts)`` shape; see
+        # :class:`_Plan`.
+        self._last_plan: Optional[_Plan] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -251,19 +246,13 @@ class FastGONKernel:
 
     # ------------------------------------------------------------------
     def _plan(self, k: int, n: int) -> "_Plan":
-        """The compiled plan of a ``[k, n]`` stack (LRU, bounded)."""
-        key = (k, n)
-        plans = self._plans
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _Plan(
+        """The compiled plan of a ``[k, n]`` stack; replaces the last."""
+        plan = self._last_plan
+        if plan is None or plan.shape != (k, n):
+            plan = self._last_plan = _Plan(
                 k, n, self.hidden, self.n_layers, self.n_m_features,
                 self.n_s_features, self.dtype,
             )
-            if len(plans) > MAX_PLANS:
-                plans.popitem(last=False)
-        else:
-            plans.move_to_end(key)
         return plan
 
     # ------------------------------------------------------------------

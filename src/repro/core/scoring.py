@@ -176,9 +176,9 @@ class LocalScorer:
     def confidence_kernel(self) -> FastGONKernel:
         """The cached float64 kernel of confidence reads.
 
-        Its own instance, so single-sample reads never take a slot in
-        the ascent kernel's plan cache; under ``"fast"`` it shares
-        that kernel's export.
+        Its own instance, so single-sample reads never replace the
+        ascent kernel's plan; under ``"fast"`` it shares that
+        kernel's export.
         """
         if self._reader is None or self._reader_generation != self.generation:
             if self.backend == "fast":

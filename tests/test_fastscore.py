@@ -8,8 +8,8 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * ``nn/serialization`` inference export -- pack/unpack round-trip
   equality and loud refusal on architecture or shape mismatches;
 * the kernel ascent reproduces the oracle *bit for bit* in float64
-  and within rtol=1e-5 in float32; its compiled per-shape plans stay
-  bounded and die with their kernel;
+  and within rtol=1e-5 in float32; a kernel keeps one compiled plan,
+  reuses it across same-shape calls and frees it with itself;
 * ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
   of ``fast``), float64 confidence reads under every backend, and
   post-fine-tune kernel re-export;
@@ -42,11 +42,7 @@ import numpy as np
 import pytest
 
 from repro.core import GONDiscriminator
-from repro.core.fastscore import (
-    MAX_PLANS,
-    FastGONKernel,
-    gon_inference_meta,
-)
+from repro.core.fastscore import FastGONKernel, gon_inference_meta
 from repro.core.scoring import BACKENDS, LocalScorer, validate_backend
 from repro.core.surrogate import generate_metrics_batch
 from repro.core.training import TrainingConfig, train_gon
@@ -209,6 +205,43 @@ class TestFastKernelParity:
         )
         _assert_results_bitwise(fast, oracle)
 
+    @pytest.mark.parametrize("scale, shift", [
+        # Scaled warm starts push D into (1 - 1e-8, 1).
+        pytest.param(50.0, 0.0, id="high"),
+        # A lowered head bias pushes unscaled starts into (0, 1e-8).
+        pytest.param(10.0, -22.0, id="low"),
+    ])
+    def test_saturated_start_bitwise_equal(self, scale, shift):
+        # Warm starts whose D lies past the log-likelihood clip: the
+        # clip's pass-through mask is false there, so those elements
+        # get a zero gradient although D * (1 - D) is not zero.
+        # Trained GONs over catalog inputs never leave the clip's
+        # range, so an untrained GON over scaled random inputs
+        # provides the saturation.
+        rng = np.random.default_rng(42)
+        gon = GONDiscriminator(rng, hidden=16, n_layers=2)
+        gon.head.blocks[1].bias.data += shift
+        batch, n = 8, 6
+        metrics = rng.uniform(0, 1, size=(batch, n, gon.n_m_features))
+        schedules = rng.uniform(0, 1, size=(batch, n, gon.n_s_features))
+        adjacencies = np.triu(rng.random((batch, n, n)) > 0.5, 1).astype(float)
+        adjacencies = adjacencies + adjacencies.swapaxes(-1, -2)
+        metrics[::3] *= scale
+        kernel = FastGONKernel.from_model(gon)
+        scores, plan = kernel.forward(
+            metrics, schedules, *kernel.graph_inputs(adjacencies)
+        )
+        saturated = (scores < 1e-8) | (scores > 1.0 - 1e-8)
+        assert saturated.any() and not saturated.all(), scores
+        assert ((scores > 0.0) & (scores < 1.0)).all(), scores
+        grad = kernel.input_gradient(plan)
+        assert not grad[saturated].any()
+        assert grad[~saturated].any()
+        kwargs = dict(init_metrics=metrics, gamma=1e-2, max_steps=8)
+        fast = generate_metrics_batch(kernel, schedules, adjacencies, **kwargs)
+        oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
+        _assert_results_bitwise(fast, oracle)
+
     def test_fast32_within_rtol(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon, dtype="float32")
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
@@ -292,16 +325,16 @@ class TestFastKernelParity:
                     gamma=gamma, max_steps=3,
                 )
 
-    def test_plan_cache_stays_bounded_across_alternating_sizes(
+    def test_workspace_cache_keeps_one_entry(
         self, trained_gon, session_samples
     ):
         # Decisions interleave lone ascents, maintenance slates and
-        # tabu samples on one kernel.  The plan cache holds every one
-        # of those shapes, stays at its bound, and once warm it builds
-        # no new plan.
+        # tabu samples on one kernel.  The kernel keeps exactly one
+        # compiled plan, for the latest shape; a call at that shape
+        # reuses it, and every step of an ascent runs on it.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 12)
-        sizes = (1, 7, 12)
+        n = metrics.shape[1]
 
         def ascend(size):
             return generate_metrics_batch(
@@ -309,20 +342,16 @@ class TestFastKernelParity:
                 init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
             )
 
-        # One more shape than fits: the cache evicts down to its bound.
-        for size in range(2, 3 + MAX_PLANS):
+        for size in (1, 7, 12) * 2:
             ascend(size)
-            assert len(kernel._plans) <= MAX_PLANS
-        for size in sizes:
+            plan = kernel._last_plan
+            assert plan.shape == (size, n)
             ascend(size)
-        warm = dict(kernel._plans)
-        for size in sizes * 3:
-            ascend(size)
-            assert len(kernel._plans) == MAX_PLANS
-        assert all(kernel._plans[key] is plan for key, plan in warm.items())
-        # A plan reused across calls and shapes still reproduces the
-        # oracle bit for bit.
-        for size in sizes:
+            assert kernel._last_plan is plan
+        kernel.score_stack(metrics[:4], schedules[:4], adjacencies[:4])
+        assert kernel._last_plan.shape == (4, n)
+        # A replaced plan still reproduces the oracle bit for bit.
+        for size in (1, 7, 12):
             _assert_results_bitwise(
                 ascend(size),
                 oracle_batch(
@@ -334,24 +363,31 @@ class TestFastKernelParity:
     def test_dropped_kernel_is_freed_by_reference_counting(
         self, trained_gon, session_samples
     ):
-        # Plans must not reference their kernel or themselves: a cycle
-        # would keep every re-exported kernel's buffers alive until the
-        # cycle collector happens to run.
+        # A plan must not reference its kernel or itself: a cycle would
+        # keep every replaced plan and every re-exported kernel's
+        # buffers alive until the cycle collector happens to run.
         metrics, schedules, adjacencies = _stacks(session_samples, 7)
         kernel = FastGONKernel.from_model(trained_gon)
-        for size in (1, 7, 3):
+
+        def ascend(size):
             generate_metrics_batch(
                 kernel, schedules[:size], adjacencies[:size],
                 init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
             )
-        kernel.score_stack(metrics, schedules, adjacencies)
-        alive = weakref.ref(kernel)
-        plans = [weakref.ref(plan) for plan in kernel._plans.values()]
+
+        ascend(1)
+        replaced = weakref.ref(kernel._last_plan)
         gc.disable()
         try:
+            ascend(7)
+            assert replaced() is None
+            ascend(3)
+            kernel.score_stack(metrics, schedules, adjacencies)
+            alive = weakref.ref(kernel)
+            plan = weakref.ref(kernel._last_plan)
             del kernel
             assert alive() is None
-            assert all(plan() is None for plan in plans)
+            assert plan() is None
         finally:
             gc.enable()
 
