@@ -12,7 +12,7 @@ Two comparisons, both emitting machine-readable results to
 
   1. the PR-1 process-pool path: every run trains its own GON and
      scores in-process (the baseline the speedup is measured against);
-  2. fleet mode: assets trained once, published via shared memory,
+  2. fleet mode: assets trained once, served over localhost TCP,
      all runs feeding one batched scoring service (exact policy;
      records bit-identical to serial/process at equal shared assets);
   3. the process pool with the same shared assets -- isolates the
@@ -28,12 +28,6 @@ Two comparisons, both emitting machine-readable results to
   noise).  The resulting ``telemetry_overhead_ratio`` is gated by
   ``check_regression.py`` against an absolute 1.10x cap: observability
   that costs more than 10% of a campaign fails CI.
-* **--tcp** -- the transport head-to-head: the same fleet grid
-  executed over the in-machine queue transport and over TCP sockets
-  on localhost (length-prefixed binary frames, workers fetching
-  assets over the wire).  Records are asserted bit-identical across
-  transports; the ``tcp_vs_queue_speedup`` ratio tracks the framing
-  overhead so a serialization regression cannot land silently.
 * **--fast-backend** -- the kernel-vs-oracle head-to-head: the same
   shared-assets CAROL grid executed serially on the autodiff oracle
   ascent (``exact``, from ``tests/gon_oracle.py``) and on the
@@ -42,7 +36,7 @@ Two comparisons, both emitting machine-readable results to
   decision digests; fast32 agreement is recorded (its rtol=1e-5
   score tier is gated in the surrogate bench).
 
-Run:  PYTHONPATH=src python benchmarks/bench_campaign.py [--fleet] [--tcp] [--fast-backend] [--quick]
+Run:  PYTHONPATH=src python benchmarks/bench_campaign.py [--fleet] [--fast-backend] [--quick]
 """
 
 from __future__ import annotations
@@ -332,74 +326,6 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
 
 
 # ----------------------------------------------------------------------
-# --tcp: queue vs TCP transport head-to-head on the same fleet grid
-# ----------------------------------------------------------------------
-def run_tcp_bench(args: argparse.Namespace) -> dict:
-    """Queue-transport vs TCP-transport fleet execution, bit-identity
-    asserted -- the framing/socket overhead measured on localhost."""
-    base = fleet_grid(args)
-    queue_config = replace(base, mode="fleet", shared_assets=True)
-    tcp_config = replace(queue_config, transport="tcp")
-    print(
-        f"\n-- transport bench: {queue_config.n_seeds} x "
-        f"{queue_config.models[0]} on paper-default, "
-        f"{queue_config.workers} workers, queue vs tcp --"
-    )
-
-    prep_seconds, assets = _timed(prepare_campaign_assets, queue_config)
-    print(f"shared asset preparation (once)   : {prep_seconds:6.2f} s")
-
-    queue_sink: list = []
-    queue_seconds, queue_records = _timed(
-        run_fleet_campaign,
-        queue_config,
-        plan_tasks(queue_config),
-        assets,
-        queue_sink,
-    )
-    print(f"fleet exec, queue transport       : {queue_seconds:6.2f} s")
-
-    tcp_sink: list = []
-    tcp_seconds, tcp_records = _timed(
-        run_fleet_campaign,
-        tcp_config,
-        plan_tasks(tcp_config),
-        assets,
-        tcp_sink,
-    )
-    print(f"fleet exec, tcp transport (local) : {tcp_seconds:6.2f} s")
-
-    queue_rows = CampaignResult(config=queue_config, records=queue_records).rows()
-    tcp_rows = CampaignResult(config=tcp_config, records=tcp_records).rows()
-    identical = queue_rows == tcp_rows
-    assert identical, "tcp fleet records diverged from queue transport"
-
-    ratio = queue_seconds / max(tcp_seconds, 1e-9)
-    print(
-        f"tcp/queue wall-clock ratio        : {ratio:.2f}x "
-        f"(>1 means tcp was faster; framing overhead shows as <1); "
-        f"records bit-identical: {identical}"
-    )
-    return {
-        "scenario": "paper-default",
-        "model": queue_config.models[0],
-        "n_runs": queue_config.n_seeds,
-        "workers": queue_config.workers,
-        "n_intervals": queue_config.n_intervals,
-        "queue_exec_s": round(queue_seconds, 3),
-        "tcp_exec_s": round(tcp_seconds, 3),
-        "tcp_vs_queue_speedup": round(ratio, 2),
-        "bit_identical_tcp_vs_queue": identical,
-        "service": {
-            "queue_requests": queue_sink[0].n_requests,
-            "tcp_requests": tcp_sink[0].n_requests,
-            "queue_elements": queue_sink[0].n_elements,
-            "tcp_elements": tcp_sink[0].n_elements,
-        },
-    }
-
-
-# ----------------------------------------------------------------------
 # --telemetry: instrumentation cost (enabled vs disabled registry)
 # ----------------------------------------------------------------------
 def run_telemetry_bench(args: argparse.Namespace) -> dict:
@@ -570,11 +496,6 @@ def main(argv=None) -> int:
         "--fleet", action="store_true", help="run the process-vs-fleet CAROL head-to-head"
     )
     parser.add_argument(
-        "--tcp",
-        action="store_true",
-        help="run the queue-vs-tcp transport head-to-head on the fleet grid (localhost sockets)",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="measure the metrics-registry cost: the serial grid timed with "
@@ -645,18 +566,11 @@ def main(argv=None) -> int:
         payload["fleet"] = run_fleet_bench(args)
         if not args.no_cache_bench:
             payload["cache"] = run_cache_bench(args)
-    if args.tcp:
-        payload["tcp"] = run_tcp_bench(args)
     if args.telemetry:
         payload["telemetry"] = run_telemetry_bench(args)
     if args.fast_backend:
         payload["fast_backend"] = run_fast_backend_bench(args)
-    if (
-        not args.fleet
-        and not args.tcp
-        and not args.telemetry
-        and not args.fast_backend
-    ):
+    if not args.fleet and not args.telemetry and not args.fast_backend:
         payload["serial_vs_process"] = run_legacy(args)
 
     os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)

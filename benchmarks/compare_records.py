@@ -1,10 +1,11 @@
 """Assert two ``campaign --record-json`` dumps agree record-for-record.
 
-CI runs the fleet smoke twice -- once over the queue transport, once
-over TCP sockets against a separately served scoring service -- and
-this check pins the transport contract in the pipeline itself: the
+CI runs the fleet smoke twice -- once against a self-hosted scoring
+service, once against a separately served one (``repro serve``) --
+plus chaos, resume and serial runs of the same grids, and this check
+pins the cross-mode contract in the pipeline itself: the
 deterministic record surface (scenario, model, seeds, every metric)
-must be **bit-identical** across transports.  Execution observability
+must be **bit-identical** across execution modes.  Execution observability
 legitimately differs between modes -- diagnostics counters (overlay/
 fallback/cache) *and* the merged telemetry snapshot, which carries
 wall-clock spans that differ on every run -- so both are explicitly
@@ -128,7 +129,7 @@ def record_rows(
         if decisions:
             # Lifted out of the execution-only diagnostics on demand:
             # the digest is deterministic for a given decision stream,
-            # so it *is* comparable across transports and backends.
+            # so it *is* comparable across execution modes and backends.
             diagnostics = record.get("diagnostics") or {}
             row["decision_digest"] = diagnostics.get("decision_digest")
         rows.append(row)

@@ -38,12 +38,11 @@ Multi-node fleets split the two halves across commands::
     python -m repro serve --ci --expect-workers 2 --port 7911
 
     # machine B (or the same box): run the simulation workers
-    python -m repro campaign --ci --fleet --transport tcp \\
-        --connect hostA:7911 --workers 2
+    python -m repro campaign --ci --fleet --connect hostA:7911 --workers 2
 
-``--transport tcp`` without ``--connect`` self-hosts the service on an
-ephemeral localhost port (single-box TCP mode); both sides must be
-launched with the same grid flags so the asset catalogs agree.
+``--fleet`` without ``--connect`` self-hosts the service on an
+ephemeral localhost port; both sides must be launched with the same
+grid flags so the asset catalogs agree.
 
 The service is *elastic* (see :mod:`repro.serving`): cells are leased
 one at a time from a coordinator-held queue, late workers may join a
@@ -229,7 +228,6 @@ def _cmd_campaign(args) -> int:
         run_campaign,
     )
 
-    transport = args.transport or ("tcp" if args.connect else "queue")
     if args.ci:
         if args.fleet:
             config = fleet_ci_campaign_config(workers=args.workers)
@@ -240,11 +238,10 @@ def _cmd_campaign(args) -> int:
             # Honour the flag on the smoke grid too (a no-op for its
             # heuristic models, but never silently ignored).
             overrides["shared_assets"] = True
-        if transport != "queue" or args.connect:
+        if args.connect:
             # Applied regardless of --fleet so a forgotten flag fails
             # config validation loudly instead of silently running a
             # local process campaign while a remote service waits.
-            overrides["transport"] = transport
             overrides["service_addr"] = args.connect
         if args.scorer_backend != "fast":
             overrides["scorer_backend"] = args.scorer_backend
@@ -277,10 +274,9 @@ def _cmd_campaign(args) -> int:
                 seed=args.seed,
                 n_intervals=args.intervals or None,
                 mode="fleet" if args.fleet else "process",
-                # Passed through unconditionally: --transport tcp
-                # without --fleet must fail validation loudly, never
-                # silently run a local queue campaign.
-                transport=transport,
+                # Passed through unconditionally: --connect without
+                # --fleet must fail validation loudly, never silently
+                # run a local process campaign.
                 service_addr=args.connect,
                 shared_assets=args.shared_assets or args.fleet,
                 scorer_backend=args.scorer_backend,
@@ -333,12 +329,10 @@ def _cmd_fuzz(args) -> int:
     from .serving import TransportError
     from .storage import StoreError
 
-    transport = args.transport or ("tcp" if args.connect else "queue")
     mode = "fleet" if args.fleet else "process"
     plumbing = dict(
         mode=mode,
         workers=args.workers,
-        transport=transport,
         service_addr=args.connect,
         scorer_backend=args.scorer_backend,
         auth_token=_resolve_auth_token(args),
@@ -477,7 +471,6 @@ def _cmd_serve(args) -> int:
     try:
         config = replace(
             config,
-            transport="tcp",
             workers=expect_workers,
             heartbeat_timeout=args.heartbeat_timeout,
             cell_retry_budget=args.retry_budget,
@@ -508,7 +501,7 @@ def _cmd_serve(args) -> int:
             f"fleet scoring service listening on {host}:{port} "
             f"(expecting {expect_workers} workers, late joiners welcome; "
             f"connect with `python -m repro campaign ... --fleet "
-            f"--transport tcp --connect {host}:{port}`)",
+            f"--connect {host}:{port}`)",
             flush=True,
         )
 
@@ -797,9 +790,8 @@ def _shared_parents():
                               "is an alias) or 'fast32' (float32 "
                               "decision scoring)")
     backend.add_argument("--auth-token", type=str, default=None,
-                         help="pre-shared fleet auth token for TCP "
-                              "transports (default: the REPRO_FLEET_TOKEN "
-                              "environment variable)")
+                         help="pre-shared fleet auth token (default: "
+                              "the REPRO_FLEET_TOKEN environment variable)")
     backend.add_argument("--store", type=str, default="memory",
                          choices=["memory", "sqlite"],
                          help="campaign record store: 'memory' (default; "
@@ -810,22 +802,16 @@ def _shared_parents():
                          help="sqlite store database file (required with "
                               "--store sqlite)")
 
-    transport = argparse.ArgumentParser(add_help=False)
-    transport.add_argument("--workers", type=int, default=1,
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--workers", type=int, default=1,
                            help="worker processes (1 = serial)")
-    transport.add_argument("--fleet", action="store_true",
+    execution.add_argument("--fleet", action="store_true",
                            help="fleet mode: shared assets + one batched "
                                 "GON scoring service")
-    transport.add_argument("--transport", type=str, default="",
-                           choices=["", "queue", "tcp"],
-                           help="fleet plumbing: 'queue' (single machine, "
-                                "default) or 'tcp' (sockets; multi-node "
-                                "capable)")
-    transport.add_argument("--connect", type=str, default="",
+    execution.add_argument("--connect", type=str, default="",
                            help="host:port of an external scoring service "
-                                "(python -m repro serve); implies "
-                                "--transport tcp")
-    return grid, seeds, backend, transport
+                                "(python -m repro serve); requires --fleet")
+    return grid, seeds, backend, execution
 
 
 ARTIFACTS = ("table1", "fig2", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
@@ -854,13 +840,13 @@ def main(argv=None) -> int:
     scenarios.add_argument("name", nargs="?", default="",
                            help="scenario name (for show)")
 
-    grid_parent, seeds_parent, backend_parent, transport_parent = (
+    grid_parent, seeds_parent, backend_parent, execution_parent = (
         _shared_parents()
     )
 
     campaign = subparsers.add_parser(
         "campaign", help="run a scenario x model x seed grid",
-        parents=[grid_parent, seeds_parent, backend_parent, transport_parent],
+        parents=[grid_parent, seeds_parent, backend_parent, execution_parent],
     )
     campaign.add_argument("--shared-assets", action="store_true",
                           help="train CAROL-family assets once per "
@@ -913,7 +899,7 @@ def main(argv=None) -> int:
         "fuzz",
         help="fuzz a scenario with random seeded chaos schedules and "
              "shrink any QoS cliffs found",
-        parents=[seeds_parent, backend_parent, transport_parent],
+        parents=[seeds_parent, backend_parent, execution_parent],
     )
     fuzz.add_argument("--scenario", type=str, default="paper-default",
                       help="base catalog scenario to perturb")

@@ -96,7 +96,6 @@ class FuzzConfig:
     #: Execution plumbing, passed straight to the campaign configs.
     mode: str = "process"
     workers: int = 1
-    transport: str = "queue"
     service_addr: str = ""
     scorer_backend: str = "fast"
     auth_token: str = ""
@@ -181,7 +180,6 @@ class FuzzResult:
                 "shrink": self.config.shrink,
                 "mode": self.config.mode,
                 "workers": self.config.workers,
-                "transport": self.config.transport,
                 # auth_token is intentionally absent: fuzz reports are
                 # shared artifacts and must never carry credentials.
             },
@@ -331,7 +329,6 @@ def evaluation_campaign_config(
         seed=config.seed,
         n_intervals=config.n_intervals,
         mode=config.mode,
-        transport=config.transport,
         service_addr=config.service_addr,
         shared_assets=(config.mode == "fleet"),
         scorer_backend=config.scorer_backend,

@@ -49,9 +49,9 @@ Execution modes
 CAROL-family assets (trace + trained GON) are prepared once per
 scenario in the parent -- seeded from the campaign root, not the run
 seed -- and shipped to workers as pickled copies.  ``mode="fleet"``
-(which implies shared assets) instead publishes those assets *once*
-into ``multiprocessing.shared_memory`` and runs lightweight simulation
-workers that feed one batched GON scoring service -- see
+(which implies shared assets) instead packs those assets *once*,
+serves them over TCP, and runs lightweight simulation workers that
+feed one batched GON scoring service -- see
 :mod:`repro.serving` and :mod:`repro.experiments.fleet`.  The
 bit-identity guarantee extends across all modes at equal
 ``shared_assets``: serial, process-pool and fleet execution of the
@@ -169,14 +169,12 @@ class CampaignConfig:
     #: "fleet" runs simulation workers against one shared batched GON
     #: scoring service (implies ``shared_assets``).
     mode: str = "process"
-    #: Fleet plumbing: "queue" keeps the single-machine
-    #: ``multiprocessing`` path (bit-for-bit the historical
-    #: behaviour); "tcp" frames the same request/reply dataclasses
-    #: over sockets (:mod:`repro.serving.wire`) so workers may live on
-    #: other machines.  Both transports produce records bit-identical
-    #: to serial execution.
-    transport: str = "queue"
-    #: TCP only: ``"host:port"`` of an externally hosted scoring
+    #: Fleet plumbing.  ``"tcp"`` is the only transport: the service
+    #: frames its request/reply dataclasses over sockets
+    #: (:mod:`repro.serving.wire`), so workers may live on other
+    #: machines.  Kept as a field so configs that name it still load.
+    transport: str = "tcp"
+    #: Fleet only: ``"host:port"`` of an externally hosted scoring
     #: service (``python -m repro serve``).  When set, this campaign
     #: spawns only simulation workers -- they connect to the remote
     #: service and fetch the offline assets over the socket, so no
@@ -212,17 +210,17 @@ class CampaignConfig:
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
     #: lost and its leased cells re-queued.  0 disables the age check
-    #: (reader EOFs and the queue-mode process watchdog still fire).
+    #: (socket EOFs still fire).
     heartbeat_timeout: float = 30.0
     #: Distinct failed attempts a cell gets before it is quarantined
     #: as *poisoned* -- reported, never retried again.  A poison cell
     #: that kept killing workers must not sink the whole campaign.
     cell_retry_budget: int = 3
-    #: Pre-shared fleet auth token (TCP transports): workers send it
-    #: in their ``Hello`` and the service rejects mismatches before
-    #: ``Welcome``.  Empty disables the check.  Deliberately excluded
-    #: from :meth:`CampaignResult.to_payload` -- secrets never enter
-    #: record dumps.
+    #: Pre-shared fleet auth token: workers send it in their ``Hello``
+    #: and the service rejects mismatches before ``Welcome``.  Empty
+    #: disables the check.  Deliberately excluded from
+    #: :meth:`CampaignResult.to_payload` -- secrets never enter record
+    #: dumps.
     auth_token: str = ""
     #: Campaign record store backend (:mod:`repro.storage`):
     #: ``"memory"`` (default) keeps the historical in-process
@@ -277,27 +275,22 @@ class CampaignConfig:
                 "has nothing to point at)"
             )
         # One source of truth for backend names (lazy for symmetry with
-        # the transport check below: core.scoring pulls the nn stack).
+        # the address check below: core.scoring pulls the nn stack).
         from ..core.scoring import validate_backend
 
         object.__setattr__(
             self, "scorer_backend", validate_backend(self.scorer_backend)
         )
-        if self.transport not in ("queue", "tcp"):
+        if self.transport != "tcp":
             raise ValueError(
-                f"unknown fleet transport {self.transport!r}; "
-                "expected 'queue' or 'tcp'"
-            )
-        if self.transport == "tcp" and self.mode != "fleet":
-            raise ValueError(
-                "transport='tcp' requires mode='fleet' (only fleet "
-                "campaigns route scoring through a service)"
+                f"unknown fleet transport {self.transport!r}; TCP "
+                "('tcp') is the only transport"
             )
         if self.service_addr:
-            if self.transport != "tcp":
+            if self.mode != "fleet":
                 raise ValueError(
-                    "service_addr requires transport='tcp' (queue "
-                    "transports cannot reach a remote service)"
+                    "service_addr requires mode='fleet' (only fleet "
+                    "campaigns route scoring through a service)"
                 )
             # One source of truth for what a valid address looks like
             # (imported lazily: serving pulls in the nn stack).
@@ -994,13 +987,13 @@ def ci_campaign_config(workers: int = 2) -> CampaignConfig:
 
 def fleet_ci_campaign_config(workers: int = 2) -> CampaignConfig:
     """The fleet-mode smoke grid: a tiny CAROL + ProactiveCAROL
-    campaign through the shared-memory assets and the batched scoring
+    campaign through the TCP-served assets and the batched scoring
     service.
 
     One scenario x {CAROL, CAROL-Proactive} x two seeds at three
     intervals with a midget GON -- seconds of work, yet it exercises
-    asset publication, the worker/scorer queues, bucketed batching,
-    proactive fleet routing and record collection.
+    asset fetches, the lease loop, bucketed batching, proactive fleet
+    routing and record collection.
     """
     return CampaignConfig(
         scenarios=("paper-default",),

@@ -5,10 +5,11 @@ its own copy of the offline assets and executes its own GON inference
 stream.  Fleet mode splits the run differently (see
 :mod:`repro.serving` for the subsystem diagram):
 
-* the parent publishes each scenario's trained GON weights and trace
-  stacks *once*;
-* ``N`` lightweight simulation workers mount read-only views of those
-  assets and run the discrete-interval loop;
+* the serving side packs each scenario's trained GON weights and trace
+  stacks *once* and serves them over TCP;
+* ``N`` lightweight simulation workers connect, fetch those assets
+  over the socket once per process, and run the discrete-interval
+  loop;
 * every CAROL-family surrogate ascent is submitted to the
   :class:`~repro.serving.GONScoringService`, which buckets concurrent
   requests by ``(scenario, host count)`` and answers them with batched
@@ -25,36 +26,30 @@ or how often it is retried after a worker dies -- never changes the
 record.  That independence is what makes work stealing, crash
 re-queue and duplicate suppression safe:
 
-* a worker that dies mid-cell (socket EOF, missed heartbeats, or a
-  dead process noticed by the queue-mode watchdog) has its leases
-  revoked and re-queued for the survivors;
+* a worker that dies mid-cell (socket EOF or missed heartbeats) has
+  its leases revoked and re-queued for the survivors;
 * a cell that keeps killing workers exhausts its bounded retry budget
   and is quarantined as *poisoned* -- reported, not retried forever;
-* late workers may join a running TCP campaign (handshake assigns ids
-  in accept order) and immediately start pulling queued cells;
+* late workers may join a running campaign (handshake assigns ids in
+  accept order) and immediately start pulling queued cells;
 * duplicate records from zombie workers (a cell revoked and re-run
   elsewhere) are deduplicated first-wins on collection.
 
-Two transports carry the traffic (``CampaignConfig.transport``):
+The traffic travels as length-prefixed binary frames over sockets
+(:mod:`repro.serving.wire`), so workers may live on other machines.
+Without ``CampaignConfig.service_addr`` the campaign hosts the service
+itself on an ephemeral localhost port; with it, workers connect to an
+externally hosted service (``python -m repro serve``) instead.
 
-* ``"queue"`` -- ``multiprocessing`` queues and shared-memory asset
-  segments; the fleet lives on one machine (the historical path,
-  preserved bit-for-bit behind :class:`~repro.serving.QueueTransport`);
-* ``"tcp"`` -- length-prefixed binary frames over sockets
-  (:mod:`repro.serving.wire`); workers fetch assets over the socket
-  and may live on other machines.  With ``CampaignConfig.service_addr``
-  set, workers connect to an externally hosted service
-  (``python -m repro serve``) instead of one spawned here.
-
-Record-level bit-identity with serial execution holds on both
-transports because (a) the scored stacks are exactly the stacks an
-in-process scorer would run (per-request policy -- see
-:mod:`repro.serving.service` for why merging cannot be bitwise), (b)
-workers keep every RNG stream local, (c) a run whose POT gate opens
-fine-tunes a private copy-on-write weight copy exactly as its serial
-twin would, then ships the diverged state back as a per-client overlay
-(``pack_state`` roundtrips are bit-exact), and (d) the TCP wire moves
-float64 payloads as raw packed bytes, never through text.
+Record-level bit-identity with serial execution holds because (a) the
+scored stacks are exactly the stacks an in-process scorer would run
+(per-request policy -- see :mod:`repro.serving.service` for why
+merging cannot be bitwise), (b) workers keep every RNG stream local,
+(c) a run whose POT gate opens fine-tunes a private copy-on-write
+weight copy exactly as its serial twin would, then ships the diverged
+state back as a per-client overlay (``pack_state`` roundtrips are
+bit-exact), and (d) the wire moves float64 payloads as raw packed
+bytes, never through text.
 """
 
 from __future__ import annotations
@@ -76,15 +71,11 @@ from ..baselines import AlwaysFineTune, NeverFineTune
 from ..core import CAROL, GONDiscriminator, GONInput, ProactiveCAROL
 from ..nn.serialization import pack_state, unpack_state
 from ..serving import (
-    AttachedArrayPack,
     ClientDone,
     FleetScorer,
     GONScoringService,
-    QueueTransport,
     ScoringClient,
     ServiceStats,
-    SharedArrayPack,
-    SharedPackHandle,
     StatsUpdate,
     StatusServer,
     TcpTransport,
@@ -94,7 +85,7 @@ from ..serving import (
 )
 from ..serving.chaos import ChaosControl
 from ..serving.coordinator import CellCoordinator
-from ..serving.service import CellDone, LeaseGrant, LeaseRequest, Ping, WorkerLost
+from ..serving.service import CellDone, LeaseGrant, LeaseRequest, Ping
 from ..telemetry import merge_snapshots
 from .calibration import PROACTIVE_NAME, TrainedAssets, build_model
 from .campaign import (
@@ -154,18 +145,6 @@ class _WorkerDone:
     poisoned: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class _ScenarioHandles:
-    """Picklable pointers to one scenario's published assets."""
-
-    weights: SharedPackHandle
-    trace: SharedPackHandle
-    gon_hidden: int
-    gon_layers: int
-    seed: int
-    gan_seed: int
-
-
 @dataclass
 class FleetChaosHandle:
     """Live fleet internals handed to a ``chaos=`` hook.
@@ -175,43 +154,25 @@ class FleetChaosHandle:
     tests use it to SIGKILL workers mid-cell, revoke leases, or spawn
     late joiners against a *real* running campaign.  ``coordinator``,
     ``service`` and ``transport`` are ``None`` when the scoring
-    service is remote; ``spawn_worker`` is only available on the TCP
-    paths (queue transports have a fixed reply-queue roster).
+    service is remote.
     """
 
     workers: List = field(default_factory=list)
     coordinator: Optional[CellCoordinator] = None
     service: Optional[GONScoringService] = None
-    transport: Optional[object] = None
+    transport: Optional[TcpTransport] = None
     address: Optional[str] = None
     spawn_worker: Optional[Callable[[], object]] = None
 
 
 def _trace_arrays(assets: TrainedAssets) -> Dict[str, np.ndarray]:
-    """The offline trace as stacked arrays (the published layout)."""
+    """The offline trace as stacked arrays (the served layout)."""
     return {
         "metrics": np.stack([s.metrics for s in assets.samples]),
         "schedules": np.stack([s.schedule for s in assets.samples]),
         "adjacencies": np.stack([s.adjacency for s in assets.samples]),
         "objectives": np.asarray(assets.objectives, dtype=float),
     }
-
-
-def _publish_assets(
-    assets: TrainedAssets,
-) -> tuple:
-    """Publish one scenario's weights + trace into shared memory."""
-    weight_pack = SharedArrayPack(assets.gon_state)
-    trace_pack = SharedArrayPack(_trace_arrays(assets))
-    handles = _ScenarioHandles(
-        weights=weight_pack.handle,
-        trace=trace_pack.handle,
-        gon_hidden=assets.gon_hidden,
-        gon_layers=assets.gon_layers,
-        seed=assets.seed,
-        gan_seed=assets.gan_seed,
-    )
-    return weight_pack, trace_pack, handles
 
 
 def _mount_gon(
@@ -225,51 +186,6 @@ def _mount_gon(
     return model
 
 
-def _rebuild_assets(
-    weight_arrays: Dict[str, np.ndarray],
-    trace_arrays: Dict[str, np.ndarray],
-    gon_hidden: int,
-    gon_layers: int,
-    seed: int,
-    gan_seed: int,
-) -> TrainedAssets:
-    """Worker side: :class:`TrainedAssets` over published array views."""
-    n_samples = trace_arrays["metrics"].shape[0]
-    return TrainedAssets(
-        trace=None,
-        samples=[
-            GONInput(
-                trace_arrays["metrics"][i],
-                trace_arrays["schedules"][i],
-                trace_arrays["adjacencies"][i],
-            )
-            for i in range(n_samples)
-        ],
-        objectives=[float(v) for v in trace_arrays["objectives"]],
-        gon_state=weight_arrays,
-        gon_hidden=gon_hidden,
-        gon_layers=gon_layers,
-        training_history=None,
-        gan_seed=gan_seed,
-        seed=seed,
-    )
-
-
-def _attach_assets(handles: _ScenarioHandles) -> tuple:
-    """Worker side: rebuild :class:`TrainedAssets` over shared views."""
-    weight_pack = AttachedArrayPack(handles.weights)
-    trace_pack = AttachedArrayPack(handles.trace)
-    assets = _rebuild_assets(
-        weight_pack.arrays,
-        trace_pack.arrays,
-        handles.gon_hidden,
-        handles.gon_layers,
-        handles.seed,
-        handles.gan_seed,
-    )
-    return assets, (weight_pack, trace_pack)
-
-
 def _execute_fleet_run(
     task: RunTask,
     assets: Optional[TrainedAssets],
@@ -279,7 +195,7 @@ def _execute_fleet_run(
 
     Runs through the same :func:`campaign.run_cell` tail as every
     other mode; only the model factory differs -- GON-CAROL models
-    mount the shared weight views and a :class:`FleetScorer` instead
+    mount the fetched weight views and a :class:`FleetScorer` instead
     of a private copy of the weights.
     """
 
@@ -343,30 +259,25 @@ def _start_heartbeat(
 
 
 def _run_lease_loop(
-    client_id: int,
+    channel: TcpWorkerChannel,
     tasks_by_cell: Dict[int, RunTask],
     assets_by_scenario: Dict[str, TrainedAssets],
-    request_endpoint,
-    reply_endpoint,
     results_queue,
     base: dict,
 ) -> Tuple[int, ...]:
     """Pull-run-acknowledge until the coordinator reports the grid drained.
 
-    ``request_endpoint`` / ``reply_endpoint`` are queue-likes (the
-    worker's mp queues, or the :class:`TcpWorkerChannel` twice).
     Returns the poisoned cell ids the drained grant carried.  Raises
     on protocol violations (the reply to a ``LeaseRequest`` must be
     the matching ``LeaseGrant`` -- anything else means the service and
     worker disagree about the conversation state).
     """
+    client_id = channel.client_id
     request_ids = _count(1)
     while True:
         request_id = next(request_ids)
-        request_endpoint.put(
-            LeaseRequest(client_id=client_id, request_id=request_id)
-        )
-        grant = reply_endpoint.get()
+        channel.put(LeaseRequest(client_id=client_id, request_id=request_id))
+        grant = channel.get()
         if not isinstance(grant, LeaseGrant) or grant.request_id != request_id:
             raise RuntimeError(
                 f"worker {client_id} lease request {request_id} answered "
@@ -380,70 +291,58 @@ def _run_lease_loop(
             time.sleep(_LEASE_POLL_SECONDS)
             continue
         task = tasks_by_cell[grant.cell_id]
-        client = ScoringClient(
-            client_id, task.scenario, request_endpoint, reply_endpoint
-        )
+        client = ScoringClient(client_id, task.scenario, channel, channel)
         record = _execute_fleet_run(
             task, assets_by_scenario.get(task.scenario), client
         )
         results_queue.put(record)
-        request_endpoint.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
+        channel.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
         # Cumulative-so-far snapshot for the service's live /status
         # view (latest per client replaces earlier ones).
-        request_endpoint.put(StatsUpdate(client_id, _telemetry.delta(base)))
+        channel.put(StatsUpdate(client_id, _telemetry.delta(base)))
 
 
-def _fleet_worker_main(
-    worker_id: int,
-    tasks: Sequence[RunTask],
-    handles: Dict[str, _ScenarioHandles],
-    request_queue,
-    reply_queue,
-    results_queue,
-    heartbeat_interval: float = 5.0,
-) -> None:
-    """Worker process: mount shared assets, lease cells, stream records.
+def _fetch_assets(
+    channel: TcpWorkerChannel, tasks: Sequence[RunTask]
+) -> Dict[str, TrainedAssets]:
+    """Worker side: :class:`TrainedAssets` over fetched array views.
 
-    Every worker receives the *full* task list -- which cells it
-    actually runs is decided lease by lease at runtime.
+    Each scenario a CAROL-family cell needs is fetched once per
+    process (:func:`repro.serving.fetch_array_pack` caches the packs);
+    the rebuilt samples and weights are zero-copy views of the
+    received buffers.
     """
-    opened: List[AttachedArrayPack] = []
-    # Everything below is reported relative to this base so the
-    # fork-inherited parent registry state never double-counts.
-    base = _telemetry.snapshot()
-    stop_heartbeat = threading.Event()
-    try:
-        assets_by_scenario: Dict[str, TrainedAssets] = {}
-        for scenario, scenario_handles in handles.items():
-            assets, packs = _attach_assets(scenario_handles)
-            assets_by_scenario[scenario] = assets
-            opened.extend(packs)
-        tasks_by_cell = {task.run_index: task for task in tasks}
-        stop_heartbeat = _start_heartbeat(
-            worker_id, request_queue.put, heartbeat_interval
+    index = channel.fetch_index()
+    assets_by_scenario: Dict[str, TrainedAssets] = {}
+    needed = sorted(
+        {task.scenario for task in tasks if task.model in _CAROL_FAMILY}
+    )
+    for scenario in needed:
+        meta = index.get(scenario)
+        if meta is None:
+            continue
+        weights = fetch_array_pack(channel, f"{scenario}/weights").arrays
+        trace = fetch_array_pack(channel, f"{scenario}/trace").arrays
+        assets_by_scenario[scenario] = TrainedAssets(
+            trace=None,
+            samples=[
+                GONInput(metrics, schedule, adjacency)
+                for metrics, schedule, adjacency in zip(
+                    trace["metrics"], trace["schedules"], trace["adjacencies"]
+                )
+            ],
+            objectives=[float(v) for v in trace["objectives"]],
+            gon_state=weights,
+            gon_hidden=int(meta["gon_hidden"]),
+            gon_layers=int(meta["gon_layers"]),
+            training_history=None,
+            gan_seed=int(meta["gan_seed"]),
+            seed=int(meta["seed"]),
         )
-        poisoned = _run_lease_loop(
-            worker_id,
-            tasks_by_cell,
-            assets_by_scenario,
-            request_queue,
-            reply_queue,
-            results_queue,
-            base,
-        )
-        results_queue.put(
-            _WorkerDone(worker_id, _telemetry.delta(base), poisoned)
-        )
-    finally:
-        # Sign off even on failure so the scorer loop can revoke this
-        # worker's lease and hand the cell to a survivor.
-        stop_heartbeat.set()
-        request_queue.put(ClientDone(worker_id))
-        for pack in opened:
-            pack.close()
+    return assets_by_scenario
 
 
-def _tcp_fleet_worker_main(
+def _worker_main(
     worker_id: int,
     tasks: Sequence[RunTask],
     address: str,
@@ -451,56 +350,34 @@ def _tcp_fleet_worker_main(
     heartbeat_interval: float = 5.0,
     auth_token: str = "",
 ) -> None:
-    """TCP worker: connect, fetch assets over the socket, lease cells.
+    """Worker process: connect, fetch assets, lease cells, stream records.
 
-    Mirrors :func:`_fleet_worker_main` with the network asset path:
-    each needed scenario's weight and trace packs are fetched once
-    (cached per process by :func:`repro.serving.fetch_array_pack`)
-    instead of attaching ``multiprocessing.shared_memory``.  The
-    client id is assigned by the service at handshake -- late joiners
-    simply connect and start leasing; ``worker_id`` only names the
-    local process.
+    Every worker receives the *full* task list -- which cells it
+    actually runs is decided lease by lease at runtime.  The client id
+    is assigned by the service at handshake -- late joiners simply
+    connect and start leasing; ``worker_id`` only names the local
+    process.
     """
     channel = TcpWorkerChannel(address, auth_token=auth_token)
+    # Everything below is reported relative to this base so the
+    # fork-inherited parent registry state never double-counts.
     base = _telemetry.snapshot()
     stop_heartbeat = threading.Event()
     try:
-        index = channel.fetch_index()
-        assets_by_scenario: Dict[str, TrainedAssets] = {}
-        needed = sorted(
-            {task.scenario for task in tasks if task.model in _CAROL_FAMILY}
-        )
-        for scenario in needed:
-            meta = index.get(scenario)
-            if meta is None:
-                continue
-            weights = fetch_array_pack(channel, f"{scenario}/weights")
-            trace = fetch_array_pack(channel, f"{scenario}/trace")
-            assets_by_scenario[scenario] = _rebuild_assets(
-                weights.arrays,
-                trace.arrays,
-                int(meta["gon_hidden"]),
-                int(meta["gon_layers"]),
-                int(meta["seed"]),
-                int(meta["gan_seed"]),
-            )
+        assets_by_scenario = _fetch_assets(channel, tasks)
         tasks_by_cell = {task.run_index: task for task in tasks}
         stop_heartbeat = _start_heartbeat(
             channel.client_id, channel.put, heartbeat_interval
         )
         poisoned = _run_lease_loop(
-            channel.client_id,
-            tasks_by_cell,
-            assets_by_scenario,
-            channel,
-            channel,
-            results_queue,
-            base,
+            channel, tasks_by_cell, assets_by_scenario, results_queue, base
         )
         results_queue.put(
             _WorkerDone(worker_id, _telemetry.delta(base), poisoned)
         )
     finally:
+        # Sign off even on failure so the service can revoke this
+        # worker's lease and hand the cell to a survivor.
         stop_heartbeat.set()
         try:
             channel.put(ClientDone(channel.client_id))
@@ -564,42 +441,6 @@ def _start_chaos(
     thread = threading.Thread(target=run, name="fleet-chaos", daemon=True)
     thread.start()
     return thread
-
-
-def _start_worker_watchdog(
-    workers: List, request_queue, service: GONScoringService
-) -> threading.Event:
-    """Queue-mode liveness: dead worker processes become ``WorkerLost``.
-
-    TCP readers see an EOF when a worker dies; multiprocessing queues
-    report nothing, so the parent polls ``Process.is_alive`` and
-    injects the loss frame itself.  A worker whose ``ClientDone`` is
-    already queued wins the race harmlessly -- the service ignores
-    losses for signed-off clients.
-    """
-    stop = threading.Event()
-
-    def watch() -> None:
-        notified: Set[int] = set()
-        while not stop.wait(0.5):
-            for client_id, worker in enumerate(list(workers)):
-                if client_id in notified or worker.is_alive():
-                    continue
-                notified.add(client_id)
-                if client_id in service.signed_off:
-                    continue
-                request_queue.put(
-                    WorkerLost(
-                        client_id,
-                        reason=(
-                            "worker process exited with code "
-                            f"{worker.exitcode}"
-                        ),
-                    )
-                )
-
-    threading.Thread(target=watch, name="fleet-watchdog", daemon=True).start()
-    return stop
 
 
 class _ElasticCollector:
@@ -739,6 +580,15 @@ def run_fleet_campaign(
 ) -> List[RunRecord]:
     """Execute ``tasks`` with an elastic fleet against one scoring service.
 
+    Without ``config.service_addr`` the parent binds an ephemeral
+    localhost port, serves the scoring loop itself (elastic: late
+    joiners welcome, reader EOFs become lease revocations) and spawns
+    local workers that connect to it.  With ``service_addr`` the
+    workers connect to an externally hosted service
+    (``python -m repro serve``) and fetch assets from it -- this
+    process never trains or publishes anything, and lease accounting
+    lives entirely in the serving process.
+
     ``shared_assets`` maps scenario name -> offline assets (from
     :func:`~repro.experiments.campaign.prepare_campaign_assets`).
     ``stats_sink``, when given, receives the scorer's
@@ -751,8 +601,7 @@ def run_fleet_campaign(
     ``record_sink``, when given, receives each first-seen record the
     moment it arrives from a worker -- ``run_campaign`` passes its
     store persist hook here, which is what makes a SIGKILLed fleet
-    campaign resumable.  ``config.transport`` selects queue or TCP
-    plumbing; ``chaos`` (tests only) receives a
+    campaign resumable.  ``chaos`` (tests only) receives a
     :class:`FleetChaosHandle` on a daemon thread once the fleet is
     running.
     """
@@ -761,163 +610,21 @@ def run_fleet_campaign(
         if telemetry_sink is not None:
             telemetry_sink.append(merge_snapshots())
         return []
-    if getattr(config, "transport", "queue") == "tcp":
-        return _run_tcp_fleet_campaign(
-            config, tasks, shared_assets, stats_sink, telemetry_sink, chaos,
-            record_sink,
-        )
     base = _telemetry.snapshot()
     ctx = multiprocessing.get_context()
     n_workers = max(1, min(config.workers, len(tasks)))
-    retry_budget = int(getattr(config, "cell_retry_budget", 3))
-    heartbeat_timeout = float(getattr(config, "heartbeat_timeout", 30.0))
+    retry_budget = config.cell_retry_budget
+    heartbeat_timeout = config.heartbeat_timeout
     interval = _heartbeat_interval(heartbeat_timeout)
-    coordinator = CellCoordinator(
-        [task.run_index for task in tasks], retry_budget=retry_budget
-    )
-
-    packs: List[SharedArrayPack] = []
-    handles: Dict[str, _ScenarioHandles] = {}
-    models: Dict[str, GONDiscriminator] = {}
-    workers: List = []
-    watchdog_stop: Optional[threading.Event] = None
-    try:
-        for scenario, assets in shared_assets.items():
-            weight_pack, trace_pack, scenario_handles = _publish_assets(assets)
-            packs.extend((weight_pack, trace_pack))
-            handles[scenario] = scenario_handles
-            # The service replica reads the same shared segment: the
-            # weights exist once on the machine, scorer included.
-            models[scenario] = _mount_gon(
-                weight_pack.arrays, assets.gon_hidden, assets.gon_layers,
-                assets.seed,
-            )
-
-        transport = QueueTransport(n_workers, ctx=ctx)
-        results_queue = ctx.Queue()
-        workers.extend(
-            ctx.Process(
-                target=_fleet_worker_main,
-                args=(
-                    i, tasks, handles,
-                    *transport.worker_endpoints(i), results_queue, interval,
-                ),
-                daemon=True,
-            )
-            for i in range(n_workers)
-        )
-        for worker in workers:
-            worker.start()
-
-        service = GONScoringService(
-            models,
-            transport.request_queue,
-            transport.reply_queues,
-            merge_requests=bool(getattr(config, "fleet_merge", False)),
-            scorer_backend=getattr(config, "scorer_backend", "fast"),
-            coordinator=coordinator,
-            heartbeat_timeout=heartbeat_timeout,
-        )
-        watchdog_stop = _start_worker_watchdog(
-            workers, transport.request_queue, service
-        )
-        _start_chaos(
-            chaos,
-            FleetChaosHandle(
-                workers=workers,
-                coordinator=coordinator,
-                service=service,
-                transport=transport,
-            ),
-        )
-
-        def abort() -> bool:
-            if coordinator.finished:
-                return False
-            if any(worker.is_alive() for worker in list(workers)):
-                return False
-            raise RuntimeError(
-                "fleet campaign stalled: every worker exited (a worker "
-                "crashed -- check stderr above) with cells "
-                f"{sorted(set(coordinator.lease_view()))} leased and "
-                f"{coordinator.status()['pending']} still queued"
-            )
-
-        collector = _ElasticCollector(
-            results_queue,
-            {task.run_index for task in tasks},
-            workers,
-            on_record=record_sink,
-        )
-        stats = serve_transport(service, transport, abort=abort)
-        if stats_sink is not None:
-            stats_sink.append(stats)
-
-        records, poisoned, worker_snapshots = collector.result()
-        poisoned |= set(coordinator.poisoned)
-        _warn_poisoned(poisoned, retry_budget)
-        if telemetry_sink is not None:
-            # The parent delta carries the service-side registry
-            # (service.*, gon.*, fleet.*); each worker delta carries
-            # its sim/campaign/carol side.
-            telemetry_sink.append(
-                merge_snapshots(_telemetry.delta(base), *worker_snapshots)
-            )
-        for worker in workers:
-            worker.join(timeout=_COLLECT_TIMEOUT)
-        return sorted(records.values(), key=lambda record: record.run_index)
-    finally:
-        if watchdog_stop is not None:
-            watchdog_stop.set()
-        # On failure paths (stalled fleet, lost records) the survivors
-        # are still blocked on their reply queues: tear them down so a
-        # long-lived host process never accumulates stuck children.
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=5.0)
-        for pack in packs:
-            pack.close()
-            pack.unlink()
-
-
-def _run_tcp_fleet_campaign(
-    config,
-    tasks: Sequence[RunTask],
-    shared_assets: Dict[str, TrainedAssets],
-    stats_sink: Optional[List[ServiceStats]] = None,
-    telemetry_sink: Optional[List[dict]] = None,
-    chaos: Optional[Callable[[FleetChaosHandle], None]] = None,
-    record_sink: Optional[Callable[[RunRecord], None]] = None,
-) -> List[RunRecord]:
-    """Fleet execution over sockets: self-hosted or external service.
-
-    Without ``config.service_addr`` the parent binds an ephemeral
-    localhost port, serves the scoring loop itself (elastic: late
-    joiners welcome, reader EOFs become lease revocations) and spawns
-    local workers that connect to it.  With ``service_addr`` the
-    workers connect to an externally hosted service
-    (``python -m repro serve``) and fetch assets from it -- this
-    process never trains or publishes anything, and lease accounting
-    lives entirely in the serving process.
-    """
-    base = _telemetry.snapshot()
-    ctx = multiprocessing.get_context()
-    n_workers = max(1, min(config.workers, len(tasks)))
-    retry_budget = int(getattr(config, "cell_retry_budget", 3))
-    heartbeat_timeout = float(getattr(config, "heartbeat_timeout", 30.0))
-    interval = _heartbeat_interval(heartbeat_timeout)
-    auth_token = str(getattr(config, "auth_token", "") or "")
-    service_addr = str(getattr(config, "service_addr", "") or "")
+    auth_token = config.auth_token
 
     transport: Optional[TcpTransport] = None
     coordinator: Optional[CellCoordinator] = None
     service: Optional[GONScoringService] = None
     workers: List = []
     try:
-        if service_addr:
-            address = service_addr
-            models: Dict[str, GONDiscriminator] = {}
+        if config.service_addr:
+            address = config.service_addr
         else:
             coordinator = CellCoordinator(
                 [task.run_index for task in tasks], retry_budget=retry_budget
@@ -938,7 +645,7 @@ def _run_tcp_fleet_campaign(
 
         def spawn_worker():
             worker = ctx.Process(
-                target=_tcp_fleet_worker_main,
+                target=_worker_main,
                 args=(
                     next(worker_ids), tasks, address, results_queue,
                     interval, auth_token,
@@ -957,8 +664,8 @@ def _run_tcp_fleet_campaign(
                 models,
                 transport.request_queue,
                 transport.reply_queues,
-                merge_requests=bool(getattr(config, "fleet_merge", False)),
-                scorer_backend=getattr(config, "scorer_backend", "fast"),
+                merge_requests=config.fleet_merge,
+                scorer_backend=config.scorer_backend,
                 coordinator=coordinator,
                 heartbeat_timeout=heartbeat_timeout,
             )
@@ -1005,6 +712,9 @@ def _run_tcp_fleet_campaign(
             poisoned |= set(coordinator.poisoned)
         _warn_poisoned(poisoned, retry_budget)
         if telemetry_sink is not None:
+            # The parent delta carries the service-side registry
+            # (service.*, gon.*, fleet.*); each worker delta carries
+            # its sim/campaign/carol side.
             telemetry_sink.append(
                 merge_snapshots(_telemetry.delta(base), *worker_snapshots)
             )
@@ -1012,6 +722,9 @@ def _run_tcp_fleet_campaign(
             worker.join(timeout=_COLLECT_TIMEOUT)
         return sorted(records.values(), key=lambda record: record.run_index)
     finally:
+        # On failure paths (stalled fleet, lost records) the survivors
+        # are still blocked on their sockets: tear them down so a
+        # long-lived host process never accumulates stuck children.
         for worker in workers:
             if worker.is_alive():
                 worker.terminate()

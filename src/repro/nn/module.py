@@ -103,9 +103,9 @@ class Module:
 
         ``copy=False`` adopts the incoming arrays directly (zero-copy)
         when dtype and shape already match -- the path used to mount
-        read-only shared-memory weight views published by
-        :mod:`repro.serving.shared` without duplicating them per
-        process.  Such parameters cannot be trained until replaced with
+        read-only weight views over a packed buffer (the fleet's
+        service replica and fetched worker assets) without copying
+        them.  Such parameters cannot be trained until replaced with
         writable copies (see ``FleetScorer`` copy-on-write).
         """
         own = dict(self.named_parameters())

@@ -11,8 +11,8 @@ Two read-only export paths back the fleet-scale serving layer
   process's weights can be handed out without risking mutation;
 * :func:`pack_state` / :func:`unpack_state` -- flatten a state dict
   into one contiguous buffer plus a picklable manifest, the layout
-  published through ``multiprocessing.shared_memory`` so worker
-  processes mount zero-copy weight views instead of pickled copies.
+  the fleet serves over its socket so worker processes mount
+  zero-copy weight views over the received bytes.
 
 A third path backs the graph-free fast inference backend
 (:mod:`repro.core.fastscore`):
@@ -108,7 +108,7 @@ def pack_state(
     Arrays are laid out back to back (8-byte aligned, C order, sorted
     by name so the layout is a pure function of the state).  The
     manifest is a plain picklable list, cheap to ship to workers; the
-    buffer is what gets published into shared memory.
+    buffer is what crosses the fleet wire.
     """
     manifest: StateManifest = []
     offset = 0
@@ -200,7 +200,7 @@ def verify_inference_pack(pack: InferencePack, module: Module) -> None:
                 f"inference pack dtype mismatch for {name!r}: "
                 f"{array.dtype} != {pack.dtype}"
             )
-    # Bit-exact round-trip through the shared-memory pack format: the
+    # Bit-exact round-trip through the fleet's pack format: the
     # flat layout must reproduce every array byte for byte.
     buffer, manifest = pack_state(dict(pack.arrays))
     rebuilt = unpack_state(buffer, manifest)
@@ -216,9 +216,8 @@ def unpack_state(
 ) -> Dict[str, np.ndarray]:
     """Rebuild ``{name: array}`` views into a packed buffer.
 
-    ``buffer`` may be a ``numpy`` array or any buffer-protocol object
-    (e.g. ``multiprocessing.shared_memory.SharedMemory().buf``); the
-    returned arrays are zero-copy views, read-only by default.
+    ``buffer`` may be a ``numpy`` array or any buffer-protocol object;
+    the returned arrays are zero-copy views, read-only by default.
     """
     state: Dict[str, np.ndarray] = {}
     for name, shape, dtype, offset in manifest:

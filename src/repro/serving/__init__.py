@@ -3,30 +3,32 @@
 Turns a campaign from "N processes x 1 surrogate each" into "N
 lightweight simulation workers feeding one batched GON scorer", the
 consolidation that sharing one inference stream across federations
-buys (ROADMAP: batched campaign-level inference + shared-memory
-fleets).  The request path::
+buys.  Workers and service talk over TCP only, on one machine or many.
+The request path::
 
-        ┌────────────────────────── parent process ─────────────────────────┐
-        │  SharedArrayPack: GON weights + trace stacks, published once      │
+        ┌───────────────────────── serving process ─────────────────────────┐
+        │  TcpTransport: GON weights + trace stacks packed once, served to  │
+        │      each worker on request; one reader thread per client socket  │
         │  GONScoringService: drain -> bucket by (model, n) -> one kernel   │
         │      generate_metrics_batch / score_stack per request -> reply    │
         └──────────▲──────────────────────────────┬─────────────────────────┘
-          requests │ (one mp.Queue)               │ replies (one queue per worker)
-        ┌──────────┴───────────┐      ┌───────────▼──────────┐
-        │ worker k: simulation │      │ FleetScorer: ascents │
-        │ + CAROL decision loop│ ───> │ remote @ generation 0,│
-        │ (zero-copy weights)  │      │ local after fine-tune │
-        └──────────────────────┘      └──────────────────────┘
+          requests │ (frames, one FIFO)           │ replies (per-client socket)
+        ┌──────────┴────────────┐     ┌───────────▼─────────────┐
+        │ worker k: simulation  │     │ FleetScorer: ascents    │
+        │ + CAROL decision loop │ ──> │ remote at every         │
+        │ (fetched weights)     │     │ generation via overlays │
+        └───────────────────────┘     └─────────────────────────┘
 
-* :mod:`repro.serving.shared` -- one-copy asset publication over
-  ``multiprocessing.shared_memory`` with read-only zero-copy views;
+* :mod:`repro.serving.shared` -- the worker-side asset fetch: each
+  packed buffer crosses the socket once per process and is viewed
+  read-only, zero-copy;
 * :mod:`repro.serving.service` -- the micro-batching scorer loop, the
   worker-side :class:`ScoringClient`, and :class:`FleetScorer`, the
   ``repro.core.scoring.SurrogateScorer`` backend CAROL mounts in
   fleet campaigns (see :mod:`repro.experiments.fleet`).
 
 The invariants this docstring states in protocol terms -- bit-identity
-across transports, the overlay/generation rules, the lease/poison
+with serial execution, the overlay/generation rules, the lease/poison
 lifecycle, and the cell-id/config-hash scheme that lets a
 :mod:`repro.storage` store pre-complete the coordinator on resume --
 are collected with their soundness arguments in
@@ -65,18 +67,17 @@ the pre-overlay behaviour (local scoring after divergence); that path
 counts every degraded ascent in ``diagnostics["local_fallbacks"]``
 instead of silently leaving the stream.
 
-Transports and the wire format
-------------------------------
-The service is transport-agnostic: it drains one FIFO with the stdlib
-``get(timeout)`` surface and replies through per-client ``put``
-endpoints.  :mod:`repro.serving.transports` provides two bundles of
-those endpoints:
-
-* :class:`QueueTransport` -- ``multiprocessing`` queues, the
-  single-machine path, bit-for-bit the pre-transport behaviour;
-* :class:`TcpTransport` / :class:`TcpWorkerChannel` -- sockets, so one
-  service can host workers from many machines
-  (``python -m repro serve`` + ``python -m repro campaign --connect``).
+The transport and the wire format
+--------------------------------
+The service is transport-agnostic in code: it drains one FIFO with the
+stdlib ``get(timeout)`` surface and replies through per-client ``put``
+endpoints (in-process ``queue.Queue`` objects in unit tests).
+Campaigns reach it through :mod:`repro.serving.transports`:
+:class:`TcpTransport` on the service side and :class:`TcpWorkerChannel`
+on the worker side, so one service can host workers from many machines
+(``python -m repro serve`` + ``python -m repro campaign --connect``),
+or a ``--fleet`` campaign can self-host it on an ephemeral localhost
+port.
 
 The TCP wire format (:mod:`repro.serving.wire`) is pickle-free
 length-prefixed binary framing::
@@ -85,13 +86,12 @@ length-prefixed binary framing::
              | header(JSON scalars + array manifest)
              | body(pack_state buffer: raw array bytes)
 
-and it carries exactly the queue transport's dataclasses
+and it carries the service's protocol dataclasses
 (:class:`AscentRequest`, :class:`ConfidenceRequest`,
 :class:`OverlayUpdate`, :class:`ClientDone`, the replies) plus a
 handshake (HELLO/WELCOME assigns client ids in accept order) and an
-asset channel (remote workers fetch each scenario's packed weights and
-trace stacks once, cached per process, instead of mapping
-``multiprocessing.shared_memory`` -- see
+asset channel (workers fetch each scenario's packed weights and trace
+stacks once, cached per process -- see
 :func:`~repro.serving.shared.fetch_array_pack`).
 
 Transport guarantees, in the same spirit as the overlay invariants:
@@ -139,8 +139,8 @@ makes the elasticity below safe:
 1. **Liveness** -- workers ping (:class:`Ping`, a daemon heartbeat
    thread) so the service can tell "busy in a long numpy cell" from
    "dead".  A client whose last frame is older than
-   ``heartbeat_timeout`` -- or whose socket reader hits EOF, or whose
-   process the queue-mode watchdog finds dead -- is declared lost
+   ``heartbeat_timeout`` -- or whose socket reader hits EOF -- is
+   declared lost
    (``fleet.workers_lost``); Pings deliberately do not count as
    ``--max-idle`` transport activity.
 2. **Re-queue with a bounded budget** -- a lost worker's leased cells
@@ -167,10 +167,9 @@ makes the elasticity below safe:
    exactly the code paths organic faults take; injections land in the
    ``fleet.*`` counters and the ``/status`` ``fleet`` section.
 
-The legacy fixed-roster semantics (loud ``TransportError`` on any
-disconnect before ClientDone) are fully preserved when no coordinator
-is attached -- ``QueueTransport`` campaigns and roster-mode
-``TcpTransport`` tests keep their pre-elastic contracts.
+Without a coordinator the service keeps fixed-roster semantics (loud
+``TransportError`` on any disconnect before ClientDone): roster-mode
+``TcpTransport`` and in-process queue tests rely on them.
 
 Telemetry: STATS frames and the status endpoint
 -----------------------------------------------
@@ -251,15 +250,8 @@ from .service import (
     WorkerLost,
 )
 from .status import StatusServer
-from .shared import (
-    AttachedArrayPack,
-    FetchedArrayPack,
-    SharedArrayPack,
-    SharedPackHandle,
-    fetch_array_pack,
-)
+from .shared import FetchedArrayPack, fetch_array_pack
 from .transports import (
-    QueueTransport,
     TcpTransport,
     TcpWorkerChannel,
     TransportError,
@@ -285,12 +277,8 @@ __all__ = [
     "StatsUpdate",
     "StatusServer",
     "WorkerLost",
-    "AttachedArrayPack",
     "FetchedArrayPack",
-    "SharedArrayPack",
-    "SharedPackHandle",
     "fetch_array_pack",
-    "QueueTransport",
     "TcpTransport",
     "TcpWorkerChannel",
     "TransportError",

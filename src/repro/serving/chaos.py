@@ -85,9 +85,9 @@ class ChaosControl:
 
     def _kill_worker(self, params: dict) -> dict:
         client_id = self._target_client(params)
-        if self.transport is None or not hasattr(self.transport, "close_client"):
+        if self.transport is None:
             raise ValueError("kill_worker needs a TCP transport")
-        if client_id not in getattr(self.transport, "_sockets", {}):
+        if client_id not in self.transport._sockets:
             raise ValueError(f"client {client_id} has no open connection")
         self.transport.close_client(client_id)
         return {"client_id": client_id}

@@ -18,8 +18,8 @@ message is in hand it takes whatever else is already queued, without
 waiting for more (bounded by ``max_batch_elements`` so latency stays
 bounded), groups compatible requests into buckets and answers every
 bucket with batched GON evaluations on the single resident model
-replica -- the weights live once in shared memory instead of once per
-worker.  Requests that arrive while a batch is being scored form the
+replica -- the scoring weights live once, in the service, instead of
+once per worker.  Requests that arrive while a batch is being scored form the
 next batch.
 
 Ascents run through the same production path as in-process scoring:
@@ -311,9 +311,8 @@ class Ping:
 class WorkerLost:
     """Service-internal notice that a client died before signing off.
 
-    Enqueued by the transport layer (TCP reader threads on EOF, or the
-    campaign parent's process watchdog for queue transports) -- never
-    sent by workers and never crosses the wire.  The service revokes
+    Enqueued by the transport layer (TCP reader threads on EOF) --
+    never sent by workers and never crosses the wire.  The service revokes
     the dead client's leases and evicts its overlays; the message is
     idempotent and ignored for clients that already signed off.
     """
@@ -372,8 +371,8 @@ class GONScoringService:
         published weight set (fleet campaigns use one per scenario).
     request_queue / reply_queues:
         Any queue objects with the stdlib ``get(timeout)/get_nowait/put``
-        surface (``multiprocessing.Queue`` across processes,
-        ``queue.Queue`` in-process for tests).
+        surface (a :class:`~repro.serving.TcpTransport`'s endpoints
+        across processes, ``queue.Queue`` in-process for tests).
     max_batch_elements:
         Stop taking already-queued messages once this many stacked
         elements are pending (keeps worst-case latency and peak memory
@@ -430,7 +429,7 @@ class GONScoringService:
         self.coordinator = coordinator
         #: Elastic mode: seconds without any frame from a client before
         #: it is declared dead and its leases are revoked; 0 disables
-        #: the timeout (EOF/watchdog notices still apply).
+        #: the timeout (EOF notices still apply).
         self.heartbeat_timeout = float(heartbeat_timeout)
         #: Clients declared dead (heartbeat timeout, EOF notice, or
         #: reply-delivery failure).  Their leases were revoked and

@@ -1,21 +1,17 @@
-"""Pluggable fleet transports: in-machine queues or TCP sockets.
+"""The fleet transport: length-prefixed frames over TCP sockets.
 
-:class:`GONScoringService` is transport-agnostic: it drains *any*
-object with the stdlib ``get(timeout)`` surface and replies through
-*any* per-client object with ``put``.  A transport bundles those two
-endpoints plus the worker-side counterparts:
-
-* :class:`QueueTransport` -- the PR-3/4 single-machine path,
-  ``multiprocessing`` queues created in exactly the historical order,
-  preserving that mode's behaviour bit-for-bit;
-* :class:`TcpTransport` -- the multi-node path.  The service listens on
-  a socket; each accepted client gets a dedicated **reader thread**
-  that decodes length-prefixed frames (:mod:`repro.serving.wire`) and
-  feeds them into the service's single FIFO request queue.  A client's
-  socket is read sequentially, so its messages enter the FIFO in send
-  order and the overlay protocol's install-before-score guarantee
-  survives the network hop; cross-client interleaving is harmless
-  because generation > 0 buckets are private per client.
+:class:`GONScoringService` drains *any* object with the stdlib
+``get(timeout)`` surface and replies through *any* per-client object
+with ``put``.  :class:`TcpTransport` bundles those two endpoints on
+the service side, and :class:`TcpWorkerChannel` is the worker-side
+counterpart.  The service listens on a socket; each accepted client
+gets a dedicated **reader thread** that decodes length-prefixed frames
+(:mod:`repro.serving.wire`) and feeds them into the service's single
+FIFO request queue.  A client's socket is read sequentially, so its
+messages enter the FIFO in send order and the overlay protocol's
+install-before-score guarantee survives the network hop; cross-client
+interleaving is harmless because generation > 0 buckets are private
+per client.
 
 Failure semantics are deliberately loud.  A malformed or truncated
 frame, a client vanishing before :class:`ClientDone`, or a reply to a
@@ -24,16 +20,14 @@ dead socket all surface as :class:`TransportError` out of
 the failure to every connected client before re-raising, so remote
 workers blocked on a reply fail loudly too.
 
-The TCP transport doubles as the asset channel: publish
-``pack_state``-packed buffers via ``asset_packs`` and remote workers
-fetch each one once at startup (see
-:func:`repro.serving.shared.fetch_array_pack`) instead of attaching
-``multiprocessing.shared_memory``.
+The transport doubles as the asset channel: publish
+``pack_state``-packed buffers via ``asset_packs`` and workers fetch
+each one once at startup (see
+:func:`repro.serving.shared.fetch_array_pack`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_module
 import socket
 import threading
@@ -57,7 +51,6 @@ from .wire import (
 
 __all__ = [
     "TransportError",
-    "QueueTransport",
     "TcpTransport",
     "TcpWorkerChannel",
     "parse_address",
@@ -82,34 +75,6 @@ def parse_address(address: str) -> Tuple[str, int]:
             f"malformed service address {address!r}; expected 'host:port'"
         )
     return host, int(port)
-
-
-# ----------------------------------------------------------------------
-# Queue transport (single machine, the historical fleet path)
-# ----------------------------------------------------------------------
-class QueueTransport:
-    """``multiprocessing`` queues: one request FIFO, per-client replies.
-
-    Queue construction order matches the pre-transport fleet runner
-    exactly (request queue first, then reply queues 0..N-1), so queue
-    campaigns behave bit-for-bit as before the refactor.
-    """
-
-    def __init__(self, n_clients: int, ctx=None) -> None:
-        ctx = ctx or multiprocessing.get_context()
-        self.n_clients = n_clients
-        self.request_queue = ctx.Queue()
-        self.reply_queues = {i: ctx.Queue() for i in range(n_clients)}
-
-    def start(self) -> None:
-        """Queues need no background machinery."""
-
-    def worker_endpoints(self, client_id: int):
-        """Picklable ``(request_queue, reply_queue)`` for one worker."""
-        return self.request_queue, self.reply_queues[client_id]
-
-    def close(self) -> None:
-        """Queues are reclaimed with the processes; nothing to do."""
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +584,5 @@ def serve_transport(service, transport, abort=None):
     try:
         return service.serve(abort=abort)
     except BaseException as error:
-        broadcast = getattr(transport, "broadcast_error", None)
-        if broadcast is not None:
-            broadcast(f"{type(error).__name__}: {error}")
+        transport.broadcast_error(f"{type(error).__name__}: {error}")
         raise

@@ -1,9 +1,9 @@
 """Length-prefixed binary framing for the TCP fleet transport.
 
-The socket transport (:mod:`repro.serving.transports`) ships exactly
-the dataclasses the queue transport ships -- :class:`AscentRequest`,
+The socket transport (:mod:`repro.serving.transports`) ships the
+service's protocol dataclasses -- :class:`AscentRequest`,
 :class:`ConfidenceRequest`, :class:`OverlayUpdate`, :class:`ClientDone`
-and their replies -- but over a wire format with no pickle anywhere:
+and their replies -- over a wire format with no pickle anywhere:
 
 ``frame := MAGIC(4) | type(1) | header_len(u32) | body_len(u32)
            | header(JSON) | body(packed arrays)``
@@ -184,7 +184,7 @@ _ARRAY_FIELDS = {
     # Elastic-fleet frames (protocol 2): the lease queue and the
     # heartbeat.  Scalar-only payloads, appended after every protocol-1
     # frame.  (The service-internal WorkerLost notice deliberately has
-    # no wire code: it is enqueued locally by transports/watchdogs and
+    # no wire code: it is enqueued locally by the transport and
     # must never arrive from a client.)
     LeaseRequest: (),
     LeaseGrant: (),
@@ -192,9 +192,8 @@ _ARRAY_FIELDS = {
     Ping: (),
 }
 
-#: Replies are consumed by clients that may mutate result arrays (the
-#: queue transport hands out private pickled copies); decode these to
-#: writable private arrays instead of read-only views.
+#: Replies are consumed by clients that may mutate result arrays;
+#: decode these to writable private arrays instead of read-only views.
 _COPY_ON_DECODE = (AscentReply, ConfidenceReply)
 
 #: Fields holding a ``pack_state`` manifest: JSON turns the nested

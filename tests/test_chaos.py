@@ -376,7 +376,7 @@ class TestFuzzer:
         fleet = run_fuzz(FuzzConfig(**dict(
             self.TINY, shrink=False, mode="fleet", workers=2,
         )))
-        strip = ("mode", "workers", "transport")
+        strip = ("mode", "workers")
         a, b = serial.to_payload(), fleet.to_payload()
         for payload in (a, b):
             for key in strip:

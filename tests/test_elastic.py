@@ -355,7 +355,7 @@ class TestTcpAuthAndTimeouts:
 
 @pytest.fixture(scope="module")
 def chaos_grid() -> CampaignConfig:
-    return replace(fleet_ci_campaign_config(workers=3), n_seeds=3, transport="tcp")
+    return replace(fleet_ci_campaign_config(workers=3), n_seeds=3)
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +365,7 @@ def chaos_assets(chaos_grid):
 
 @pytest.fixture(scope="module")
 def serial_rows(chaos_grid, chaos_assets):
-    serial = replace(chaos_grid, mode="process", workers=1, transport="queue")
+    serial = replace(chaos_grid, mode="process", workers=1)
     result = run_campaign(serial, prepared_assets=chaos_assets)
     return {record.run_index: record.row() for record in result.records}
 

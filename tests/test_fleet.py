@@ -1,16 +1,16 @@
-"""Fleet serving stack: shared memory, scoring service, persistent cache.
+"""Fleet serving stack: state export, scoring service, persistent cache.
 
-Covers the PR-3 subsystems end to end:
+Covers the fleet subsystems end to end:
 
 * read-only state export and zero-copy loading (``repro.nn``);
-* shared-memory array packs (publish / attach / unlink);
 * the bucketed scoring service -- exact-policy results bitwise equal
   to in-process scoring, merged policy equal to tight tolerance;
 * ``FleetScorer`` copy-on-write divergence on fine-tune;
 * CAROL's persistent surrogate cache: counters monotone, entries
   reused across intervals, full invalidation exactly when fine-tuning
   fires, capacity-bounded eviction, both cache scopes;
-* fleet-mode campaigns bit-identical to serial execution.
+* fleet-mode campaigns (over TCP, the only transport) bit-identical
+  to serial execution.
 """
 
 import queue
@@ -29,11 +29,9 @@ from repro.core import (
 from repro.nn.serialization import freeze_state, pack_state, unpack_state
 from repro.serving import (
     AscentRequest,
-    AttachedArrayPack,
     FleetScorer,
     GONScoringService,
     ScoringClient,
-    SharedArrayPack,
 )
 from repro.simulator import EdgeFederation
 from repro.simulator.detection import FailureReport
@@ -88,35 +86,6 @@ class TestStateExport:
         # state_dict() still hands out private copies of the views.
         first = next(iter(frozen))
         assert model.state_dict()[first] is not frozen[first]
-
-
-# ----------------------------------------------------------------------
-# Shared-memory packs
-# ----------------------------------------------------------------------
-class TestSharedArrayPack:
-    def test_publish_attach_roundtrip(self, rng):
-        arrays = {"m": rng.standard_normal((4, 6)), "v": np.arange(3.0)}
-        pack = SharedArrayPack(arrays)
-        try:
-            attached = AttachedArrayPack(pack.handle)
-            try:
-                for name in arrays:
-                    assert np.array_equal(attached.arrays[name], arrays[name])
-                    assert not attached.arrays[name].flags.writeable
-            finally:
-                attached.close()
-        finally:
-            pack.close()
-            pack.unlink()
-
-    def test_owner_views_share_the_segment(self, rng):
-        pack = SharedArrayPack({"w": rng.standard_normal(8)})
-        try:
-            assert not pack.arrays["w"].flags.writeable
-            assert pack.arrays["w"].nbytes == 64
-        finally:
-            pack.close()
-            pack.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -750,23 +719,26 @@ class TestFleetCampaign:
                 scenarios=("fault-free",), models=("carol",),
                 mode="fleet", transport="carrier-pigeon",
             )
-        # TCP plumbing only exists for fleet campaigns.
-        with pytest.raises(ValueError, match="mode='fleet'"):
-            CampaignConfig(
-                scenarios=("fault-free",), models=("carol",),
-                transport="tcp",
-            )
-        # An external service implies the TCP transport...
-        with pytest.raises(ValueError, match="service_addr"):
-            CampaignConfig(
-                scenarios=("fault-free",), models=("carol",),
-                mode="fleet", service_addr="127.0.0.1:7911",
-            )
-        # ...and a well-formed host:port.
+        # An external service needs a well-formed host:port.
         with pytest.raises(ValueError, match="host:port"):
             CampaignConfig(
                 scenarios=("fault-free",), models=("carol",),
-                mode="fleet", transport="tcp", service_addr="nonsense",
+                mode="fleet", service_addr="nonsense",
+            )
+
+    def test_tcp_is_the_only_transport(self):
+        from repro.experiments import CampaignConfig
+
+        grid = dict(scenarios=("fault-free",), models=("carol",))
+        assert CampaignConfig(**grid, mode="fleet").transport == "tcp"
+        # The default must also validate for non-fleet campaigns.
+        assert CampaignConfig(**grid).transport == "tcp"
+        with pytest.raises(ValueError, match="TCP"):
+            CampaignConfig(**grid, mode="fleet", transport="queue")
+        # --connect without --fleet must fail loudly, not run locally.
+        with pytest.raises(ValueError, match="service_addr requires mode='fleet'"):
+            CampaignConfig(
+                **grid, mode="process", service_addr="127.0.0.1:7911"
             )
 
     def test_carol_overrides_validated(self):
@@ -832,8 +804,8 @@ class TestTcpFleetCampaign:
     def test_tcp_fleet_bit_identical_to_serial(
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
-        """The socket transport changes the plumbing, not one bit of
-        the records: same grid, serial vs TCP fleet, rows equal."""
+        """A token-gated self-hosted fleet: every worker authenticates
+        over the socket, and the records match serial bit for bit."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -843,26 +815,10 @@ class TestTcpFleetCampaign:
             prepared_assets=tiny_fleet_assets,
         )
         tcp = run_campaign(
-            replace(tiny_fleet_grid, transport="tcp"),
+            replace(tiny_fleet_grid, auth_token="fleet-secret"),
             prepared_assets=tiny_fleet_assets,
         )
         assert serial.rows() == tcp.rows()
-
-    def test_tcp_matches_queue_transport(
-        self, tiny_fleet_grid, tiny_fleet_assets
-    ):
-        from dataclasses import replace
-
-        from repro.experiments import run_campaign
-
-        queue_result = run_campaign(
-            tiny_fleet_grid, prepared_assets=tiny_fleet_assets
-        )
-        tcp_result = run_campaign(
-            replace(tiny_fleet_grid, transport="tcp"),
-            prepared_assets=tiny_fleet_assets,
-        )
-        assert queue_result.rows() == tcp_result.rows()
 
     def test_tcp_proactive_fleet_with_fine_tunes_bit_identical(
         self, tiny_fleet_grid, tiny_fleet_assets
@@ -886,10 +842,7 @@ class TestTcpFleetCampaign:
             replace(grid, mode="process", workers=1),
             prepared_assets=tiny_fleet_assets,
         )
-        fleet = run_campaign(
-            replace(grid, transport="tcp"),
-            prepared_assets=tiny_fleet_assets,
-        )
+        fleet = run_campaign(grid, prepared_assets=tiny_fleet_assets)
         assert serial.rows() == fleet.rows()
         # Fine-tuning fired somewhere in the grid, its overlay crossed
         # the socket, and no ascent degraded to worker-local scoring.
@@ -947,10 +900,7 @@ class TestTcpFleetCampaign:
             prepared_assets=tiny_fleet_assets,
         )
         remote = run_campaign(
-            replace(
-                tiny_fleet_grid, transport="tcp",
-                service_addr=endpoint["addr"],
-            )
+            replace(tiny_fleet_grid, service_addr=endpoint["addr"])
         )
         thread.join(timeout=60)
         assert not thread.is_alive()

@@ -27,7 +27,6 @@ from repro.serving import (
     AscentRequest,
     FleetScorer,
     GONScoringService,
-    QueueTransport,
     ScoringClient,
     TcpTransport,
     TcpWorkerChannel,
@@ -107,8 +106,8 @@ class TestWireCodec:
         assert np.array_equal(decoded.n_steps, reply.n_steps)
         assert decoded.n_steps.dtype == reply.n_steps.dtype
         assert np.array_equal(decoded.converged, reply.converged)
-        # Replies decode to private writable copies (the queue
-        # transport hands out pickled copies; parity of semantics).
+        # Replies decode to private writable copies: clients may
+        # mutate result arrays.
         assert decoded.metrics.flags.writeable
 
     def test_overlay_update_roundtrip(self, rng):
@@ -230,20 +229,6 @@ class TestWireCodec:
             parse_address("localhost")
         with pytest.raises(TransportError, match="host:port"):
             parse_address("host:port")
-
-
-# ----------------------------------------------------------------------
-# Queue transport (the preserved historical plumbing)
-# ----------------------------------------------------------------------
-class TestQueueTransport:
-    def test_endpoints_are_the_service_queues(self):
-        transport = QueueTransport(2)
-        transport.start()
-        request_queue, reply_queue = transport.worker_endpoints(1)
-        assert request_queue is transport.request_queue
-        assert reply_queue is transport.reply_queues[1]
-        assert set(transport.reply_queues) == {0, 1}
-        transport.close()
 
 
 # ----------------------------------------------------------------------
