@@ -35,7 +35,7 @@ build artifacts.
 Multi-node fleets split the two halves across commands::
 
     # machine A: host the scoring service (trains/publishes assets)
-    python -m repro serve --ci --expect-workers 2 --port 7911
+    python -m repro serve --ci --min-workers 2 --port 7911
 
     # machine B (or the same box): run the simulation workers
     python -m repro campaign --ci --fleet --connect hostA:7911 --workers 2
@@ -434,18 +434,9 @@ def _cmd_serve(args) -> int:
     from .experiments.fleet import serve_fleet_service
     from .serving import TransportError
 
-    # --min-workers / --max-idle are the elastic-era spellings;
-    # --expect-workers / --idle-timeout remain as aliases.
-    expect_workers = (
-        args.min_workers if args.min_workers is not None
-        else args.expect_workers
-    )
-    idle_timeout = (
-        args.max_idle if args.max_idle is not None else args.idle_timeout
-    )
     auth_token = _resolve_auth_token(args)
     if args.ci:
-        config = fleet_ci_campaign_config(workers=expect_workers)
+        config = fleet_ci_campaign_config(workers=args.min_workers)
     else:
         if not args.scenarios:
             print("serve requires --scenarios (or --ci)", file=sys.stderr)
@@ -459,7 +450,7 @@ def _cmd_serve(args) -> int:
                     m for m in (args.models or "carol").split(",") if m.strip()
                 ),
                 n_seeds=args.seeds,
-                workers=expect_workers,
+                workers=args.min_workers,
                 seed=args.seed,
                 n_intervals=args.intervals or None,
                 mode="fleet",
@@ -471,7 +462,7 @@ def _cmd_serve(args) -> int:
     try:
         config = replace(
             config,
-            workers=expect_workers,
+            workers=args.min_workers,
             heartbeat_timeout=args.heartbeat_timeout,
             cell_retry_budget=args.retry_budget,
             auth_token=auth_token,
@@ -499,7 +490,7 @@ def _cmd_serve(args) -> int:
     def ready(host: str, port: int) -> None:
         print(
             f"fleet scoring service listening on {host}:{port} "
-            f"(expecting {expect_workers} workers, late joiners welcome; "
+            f"(expecting {args.min_workers} workers, late joiners welcome; "
             f"connect with `python -m repro campaign ... --fleet "
             f"--connect {host}:{port}`)",
             flush=True,
@@ -512,8 +503,8 @@ def _cmd_serve(args) -> int:
             assets,
             host=args.host,
             port=args.port,
-            n_clients=expect_workers,
-            idle_timeout=idle_timeout,
+            n_clients=args.min_workers,
+            idle_timeout=args.max_idle,
             on_ready=ready,
             status_port=args.status_port if args.status_port >= 0 else None,
             telemetry_sink=telemetry_sink,
@@ -866,19 +857,15 @@ def main(argv=None) -> int:
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (0 picks an ephemeral port, "
                             "printed on startup)")
-    serve.add_argument("--expect-workers", type=int, default=2,
+    serve.add_argument("--min-workers", type=int, default=2,
                        help="expected fleet size (status display + "
                             "asset sizing); the elastic service "
                             "accepts late joiners beyond it and exits "
                             "when the cell queue is drained")
-    serve.add_argument("--min-workers", type=int, default=None,
-                       help="elastic-era alias for --expect-workers")
-    serve.add_argument("--idle-timeout", type=float, default=600.0,
+    serve.add_argument("--max-idle", type=float, default=600.0,
                        help="abort (exit nonzero) after this many "
                             "seconds without non-heartbeat traffic; "
                             "0 waits forever")
-    serve.add_argument("--max-idle", type=float, default=None,
-                       help="elastic-era alias for --idle-timeout")
     serve.add_argument("--heartbeat-timeout", type=float, default=30.0,
                        help="declare a worker lost (and re-queue its "
                             "leased cell) when its last frame is older "

@@ -76,29 +76,7 @@ class CAROLConfig:
     #: across scheduling intervals between fine-tunes; FIFO eviction
     #: bounds its footprint.  0 disables caching entirely.
     score_cache_capacity: int = 4096
-    #: What the cached score is keyed against besides the topology:
-    #:
-    #: * ``"context"`` (default) -- the hash of the warm-start metrics
-    #:   and schedule.  Hits are exact (identical ascent inputs ->
-    #:   identical scores); since the observed context drifts every
-    #:   interval, reuse is mostly *within* an interval (tabu
-    #:   revisits, multi-broker rounds, the proactive phases).
-    #: * ``"generation"`` -- the topology alone, valid until the next
-    #:   fine-tune.  The eq.-1 ascent approximates a fixed point of
-    #:   the *model*, and the model only changes when the POT gate
-    #:   opens, so a topology's score is reused across intervals and
-    #:   quiet-interval maintenance becomes nearly free.  Scores then
-    #:   lag the current context between fine-tunes -- a documented
-    #:   throughput/fidelity trade (see ``benchmarks/bench_campaign``).
-    score_cache_scope: str = "context"
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.score_cache_scope not in ("context", "generation"):
-            raise ValueError(
-                f"unknown score_cache_scope {self.score_cache_scope!r}; "
-                "expected 'context' or 'generation'"
-            )
 
 
 @dataclass
@@ -243,15 +221,10 @@ class CAROL(ResilienceModel):
     def _context_hash(self, metrics: np.ndarray, schedule: np.ndarray) -> bytes:
         """Digest of the ascent context (warm start ``M`` and ``S``).
 
-        Under the default ``"context"`` cache scope this, together with
-        a topology's canonical key, pins down every input of the eq.-1
-        ascent, so equal keys guarantee equal scores and cached entries
-        are exact, not approximations.  Under ``"generation"`` scope
-        the context collapses to a constant: entries are keyed on the
-        topology alone and live until the next fine-tune flush.
+        Together with a topology's canonical key this pins down every
+        input of the eq.-1 ascent, so equal keys guarantee equal scores
+        and cached entries are exact, not approximations.
         """
-        if self.config.score_cache_scope == "generation":
-            return b"generation"
         digest = hashlib.blake2b(digest_size=16)
         digest.update(repr(metrics.shape).encode())
         digest.update(metrics.tobytes())

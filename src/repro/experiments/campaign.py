@@ -27,13 +27,12 @@ half, :func:`campaign_config_hash`, is the SHA-256 of
 :func:`campaign_grid_identity`: exactly the
 :class:`CampaignConfig` fields that can change record *content*
 (:data:`GRID_IDENTITY_FIELDS` -- grid axes, root seed, interval and
-offline-training sizes, ``shared_assets``, ``fleet_merge``,
-``carol_overrides``, the canonical ``scorer_backend``), plus each
-scenario's full :meth:`ScenarioSpec.to_dict` and
-:data:`RECORD_SEMANTICS_VERSION`, and **deliberately not** the
-execution-topology fields (``workers``, ``mode``, ``transport``,
-``service_addr``, timeouts, retry budget, credentials, the store
-settings themselves), because the cross-mode bit-identity contract
+offline-training sizes, ``shared_assets``, ``carol_overrides``, the
+canonical ``scorer_backend``), plus each scenario's full
+:meth:`ScenarioSpec.to_dict` and :data:`RECORD_SEMANTICS_VERSION`,
+and **deliberately not** the execution-topology fields (``workers``,
+``mode``, ``transport``, ``service_addr``, timeouts, retry budget,
+credentials, the store settings themselves), because the cross-mode bit-identity contract
 guarantees those cannot change a record.  Two configs with equal
 hashes therefore produce byte-identical records -- which is what lets
 a :mod:`repro.storage` store substitute a stored record for a re-run
@@ -186,13 +185,6 @@ class CampaignConfig:
     #: CAROL-family records contain -- it is part of the grid spec, so
     #: serial == process == fleet holds at equal ``shared_assets``.
     shared_assets: bool = False
-    #: Fleet only: let the scoring service concatenate concurrent
-    #: request stacks into one ascent per bucket.  Maximum GON
-    #: consolidation, but scores match per-request scoring only to ~1e-15
-    #: (BLAS gemm varies in the last ulp with the leading dimension),
-    #: so the bitwise record guarantee is waived -- see
-    #: :mod:`repro.serving.service`.
-    fleet_merge: bool = False
     #: Extra :class:`~repro.core.CAROLConfig` fields applied to every
     #: CAROL-family cell, as ``((field, value), ...)`` pairs (hashable
     #: and picklable).  Part of the grid spec, so the serial == process
@@ -343,7 +335,6 @@ GRID_IDENTITY_FIELDS = (
     "gon_layers",
     "gon_epochs",
     "shared_assets",
-    "fleet_merge",
     "carol_overrides",
     "scorer_backend",
 )
@@ -379,7 +370,6 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
         "gon_layers": config.gon_layers,
         "gon_epochs": config.gon_epochs,
         "shared_assets": config.shared_assets,
-        "fleet_merge": config.fleet_merge,
         "carol_overrides": [
             [name, value] for name, value in config.carol_overrides
         ],
@@ -749,7 +739,6 @@ class CampaignResult:
                 "transport": self.config.transport,
                 "service_addr": self.config.service_addr,
                 "shared_assets": self.config.shared_assets,
-                "fleet_merge": self.config.fleet_merge,
                 "scorer_backend": self.config.scorer_backend,
                 "heartbeat_timeout": self.config.heartbeat_timeout,
                 "cell_retry_budget": self.config.cell_retry_budget,
@@ -992,7 +981,7 @@ def fleet_ci_campaign_config(workers: int = 2) -> CampaignConfig:
 
     One scenario x {CAROL, CAROL-Proactive} x two seeds at three
     intervals with a midget GON -- seconds of work, yet it exercises
-    asset fetches, the lease loop, bucketed batching, proactive fleet
+    asset fetches, the lease loop, the scoring service, proactive fleet
     routing and record collection.
     """
     return CampaignConfig(

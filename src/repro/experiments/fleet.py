@@ -11,9 +11,9 @@ stream.  Fleet mode splits the run differently (see
   over the socket once per process, and run the discrete-interval
   loop;
 * every CAROL-family surrogate ascent is submitted to the
-  :class:`~repro.serving.GONScoringService`, which buckets concurrent
-  requests by ``(scenario, host count)`` and answers them with batched
-  eq.-1 ascents on the single resident weight replica.
+  :class:`~repro.serving.GONScoringService`, which answers each
+  request with one batched eq.-1 ascent on the scenario's resident
+  weight replica.
 
 Cells are no longer pre-sharded across workers.  The coordinator side
 holds the whole ``(scenario, model, seed)`` grid as a lease-based
@@ -43,13 +43,13 @@ externally hosted service (``python -m repro serve``) instead.
 
 Record-level bit-identity with serial execution holds because (a) the
 scored stacks are exactly the stacks an in-process scorer would run
-(per-request policy -- see :mod:`repro.serving.service` for why
-merging cannot be bitwise), (b) workers keep every RNG stream local,
-(c) a run whose POT gate opens fine-tunes a private copy-on-write
-weight copy exactly as its serial twin would, then ships the diverged
-state back as a per-client overlay (``pack_state`` roundtrips are
-bit-exact), and (d) the wire moves float64 payloads as raw packed
-bytes, never through text.
+(one kernel call per request -- see :mod:`repro.serving.service` for
+why concatenating requests could not be bitwise), (b) workers keep
+every RNG stream local, (c) a run whose POT gate opens fine-tunes a
+private copy-on-write weight copy exactly as its serial twin would,
+then ships the diverged state back as a per-client overlay
+(``pack_state`` roundtrips are bit-exact), and (d) the wire moves
+float64 payloads as raw packed bytes, never through text.
 """
 
 from __future__ import annotations
@@ -664,7 +664,6 @@ def run_fleet_campaign(
                 models,
                 transport.request_queue,
                 transport.reply_queues,
-                merge_requests=config.fleet_merge,
                 scorer_backend=config.scorer_backend,
                 coordinator=coordinator,
                 heartbeat_timeout=heartbeat_timeout,
@@ -883,7 +882,6 @@ def serve_fleet_service(
             models,
             transport.request_queue,
             transport.reply_queues,
-            merge_requests=bool(getattr(config, "fleet_merge", False)),
             scorer_backend=getattr(config, "scorer_backend", "fast"),
             coordinator=coordinator,
             heartbeat_timeout=float(getattr(config, "heartbeat_timeout", 30.0)),

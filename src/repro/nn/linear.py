@@ -61,18 +61,16 @@ class Linear(Module):
             # over the batch slice by slice); one [B*n, F] product does
             # forward and both backward products in single BLAS calls.
             #
-            # Flat-gemm decision (ROADMAP item, measured by
-            # ``benchmarks/bench_surrogate.py`` -> BENCH_surrogate.json
-            # "flat_gemm"): the reshape is 4-9x faster than a per-slice
-            # loop at the GON's shapes and exact (max|diff| = 0.0) at
-            # every benchmarked shape on this BLAS.  In general BLAS
-            # only guarantees per-row agreement to the last ulp or two
-            # when the leading dimension changes, so the parity
+            # The flat gemm measured 5-10x faster than a per-slice
+            # loop at ``[24, 16, 13] @ [13, 32]`` and exact (max|diff| =
+            # 0.0) with OpenBLAS 0.3.31 on a 2-core x86 box.  In general
+            # BLAS only guarantees per-row agreement to the last ulp or
+            # two when the leading dimension changes, so the parity
             # tolerance of ``tests/test_batched.py`` (rtol 1e-9) is the
             # contract, and anything needing *bitwise* batch-size
-            # invariance must keep stack shapes fixed instead (see
-            # ``repro.serving.service`` on why the fleet scorer's exact
-            # policy never merges request stacks).
+            # invariance must keep stack shapes fixed instead (which is
+            # why the fleet scorer runs every request stack as its own
+            # call).
             lead = x.shape[:-1]
             out = (x.reshape(-1, self.in_features) @ self.weight).reshape(
                 *lead, self.out_features

@@ -9,7 +9,7 @@ The request path::
         ┌───────────────────────── serving process ─────────────────────────┐
         │  TcpTransport: GON weights + trace stacks packed once, served to  │
         │      each worker on request; one reader thread per client socket  │
-        │  GONScoringService: drain -> bucket by (model, n) -> one kernel   │
+        │  GONScoringService: drain the queue -> one kernel                 │
         │      generate_metrics_batch / score_stack per request -> reply    │
         └──────────▲──────────────────────────────┬─────────────────────────┘
           requests │ (frames, one FIFO)           │ replies (per-client socket)
@@ -22,7 +22,7 @@ The request path::
 * :mod:`repro.serving.shared` -- the worker-side asset fetch: each
   packed buffer crosses the socket once per process and is viewed
   read-only, zero-copy;
-* :mod:`repro.serving.service` -- the micro-batching scorer loop, the
+* :mod:`repro.serving.service` -- the scorer loop, the
   worker-side :class:`ScoringClient`, and :class:`FleetScorer`, the
   ``repro.core.scoring.SurrogateScorer`` backend CAROL mounts in
   fleet campaigns (see :mod:`repro.experiments.fleet`).
@@ -50,11 +50,11 @@ safe and exact:
    FIFO request queue and clients are synchronous, so an install
    always lands before the first request at its generation and no
    request can observe a stale replica.
-2. **Isolation** -- bucket keys extend with ``(generation, owner)``:
-   generation-0 requests from any client still share (and may merge
-   into) the base bucket, while generation > 0 buckets are private to
-   the owning client -- two clients at different generations, or two
-   diverged clients at the same generation, never share a bucket.
+2. **Isolation** -- kernels are keyed by ``(generation, owner)``:
+   generation-0 requests from any client share the base model, while
+   generation > 0 weights are private to the owning client -- two
+   clients at different generations, or two diverged clients at the
+   same generation, never share a replica or a kernel.
 3. **Bit-identity** -- ``pack_state``/``unpack_state`` roundtrips are
    bit-exact and the service runs the same ``generate_metrics_batch``
    on identical stack shapes, so overlay-scored fleet records remain
@@ -100,7 +100,7 @@ Transport guarantees, in the same spirit as the overlay invariants:
    reader thread feeding the service's single FIFO, so a client's
    messages enter the queue in send order and install-before-score
    survives the network hop.  Cross-client interleaving is unordered
-   and harmless: generation > 0 buckets are private per client.
+   and harmless: generation > 0 overlays are private per client.
 2. **Bit-identity** -- float64 payloads cross the wire as raw packed
    bytes (no text round-trip), so a TCP fleet campaign on localhost
    produces records bit-identical to serial execution, overlays
@@ -217,18 +217,11 @@ is an alias) is bitwise-equal to the autodiff oracle the test suite
 keeps, and ``"fast32"`` trades float32 arithmetic for the rtol-1e-5
 tier.  Each ascent request gets its own call over its own stack --
 identical batch shapes to in-process scoring, so fleet records stay
-bit-identical to serial ones.  With ``merge_requests`` on, ascent
-requests of the same width and step count concatenate into one call
-even when their gammas differ, since the ascent takes a per-element
-step-size vector; concatenation moves scores by ~1 ulp (BLAS
-leading dimension), which is the bitwise waiver ``merge_requests``
-opts into.  Merged elements are counted in
-``ServiceStats.merged_elements`` and the ``service.merged_elements``
-telemetry counter.  Confidence requests run one forward of a float64
-kernel under every backend.  Kernels are cached per ``(model,
-generation-bucket, dtype)`` and invalidated exactly where overlays are
-installed or evicted, so a fine-tuned client never scores against
-stale weights.
+bit-identical to serial ones.  Confidence requests run one forward of
+a float64 kernel under every backend.  Kernels are cached per
+``(model, generation, owner, dtype)`` and invalidated exactly where
+overlays are installed or evicted, so a fine-tuned client never
+scores against stale weights.
 """
 
 from .chaos import ChaosControl

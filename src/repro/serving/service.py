@@ -1,4 +1,4 @@
-"""The fleet scoring service: queue -> bucket -> batched GON ascent.
+"""The fleet scoring service: queue -> one GON kernel call per request.
 
 Many lightweight simulation workers feed one scorer::
 
@@ -8,19 +8,17 @@ Many lightweight simulation workers feed one scorer::
     worker N ──┘  (one queue)  │  loop     │  └─> reply queue N
                                └───────────┘
                  drain what is already queued,
-                 bucket by (model, n_hosts, generation),
                  one kernel ascent / kernel forward per
-                 request (or bucket), replies routed by client id
+                 request, replies routed by client id
 
 Each request carries a whole candidate stack (a tabu neighbourhood's
 cache misses).  The scorer blocks only while its queue is empty: once a
 message is in hand it takes whatever else is already queued, without
 waiting for more (bounded by ``max_batch_elements`` so latency stays
-bounded), groups compatible requests into buckets and answers every
-bucket with batched GON evaluations on the single resident model
-replica -- the scoring weights live once, in the service, instead of
-once per worker.  Requests that arrive while a batch is being scored form the
-next batch.
+bounded), and answers every request with a batched GON evaluation on
+its resident model replica -- the scoring weights live once, in the
+service, instead of once per worker.  Requests that arrive while a
+batch is being scored form the next batch.
 
 Ascents run through the same production path as in-process scoring:
 :func:`repro.core.surrogate.generate_metrics_batch` on a
@@ -29,20 +27,12 @@ replica; confidence requests run one forward on a float64 kernel
 under every backend.
 
 Replies are keyed by ``(client, request)``; within a request, results
-are positional in the submitted stack.  Two execution policies:
-
-* ``merge_requests=False`` (default): each request's stack runs as its
-  own vectorized ascent.  Stack shapes are then *identical* to what an
-  in-process scorer would run, which keeps fleet campaign records
-  bit-identical to serial execution (BLAS gemm results vary in the
-  last ulp with the leading dimension, so merging cannot be bitwise).
-* ``merge_requests=True``: all stacks in a bucket concatenate into one
-  call -- ascents with different ``gamma`` included, as a per-element
-  vector; the step count is part of the bucket key, since every
-  element of an ascent runs the same number of steps -- for maximum
-  consolidation, with scores equal to the per-request path within
-  ~1e-15; decisions are score-argmins, so campaign results almost
-  always still coincide, but the bitwise guarantee is waived.
+are positional in the submitted stack.  Each request's stack runs as
+its own kernel call, so stack shapes are *identical* to what an
+in-process scorer would run, which keeps fleet campaign records
+bit-identical to serial execution (BLAS gemm results vary in the last
+ulp with the leading dimension, so concatenating requests could not
+be bitwise).
 
 Per-client weight overlays
 --------------------------
@@ -52,14 +42,10 @@ stream: it ships its full packed state (``nn/serialization.pack_state``)
 as an :class:`OverlayUpdate`, and the service installs a *copy-on-write
 overlay* -- a private replica mounted over the shipped buffer, resident
 next to the generation-0 base model.  Requests carry the client's
-``generation``; the bucket key extends with ``(generation, owner)`` so
-
-* generation-0 requests from any client keep sharing the base bucket
-  (and may merge under ``merge_requests``);
-* two clients at *different* generations never share a bucket;
-* overlay weights are private per client, so generation > 0 buckets
-  are additionally keyed by the owning client -- only requests from
-  the same diverged client may merge with each other.
+``generation``: generation-0 requests from any client score on the base
+model, and past generation 0 each client scores on its own overlay, so
+two clients at different generations (or two diverged clients at the
+same generation) never share weights or a cached kernel.
 
 Queue FIFO ordering makes the protocol race-free: a client installs
 its overlay (one fire-and-forget message) before submitting any
@@ -106,7 +92,7 @@ __all__ = [
     "FleetScorer",
 ]
 
-# Micro-batcher telemetry (process registry).  The classic
+# Scorer-loop telemetry (process registry).  The classic
 # :class:`ServiceStats` dataclass remains the stable legacy view; the
 # registry mirrors it so the merged fleet snapshot (``/status``,
 # ``--record-json``) carries the same counters under ``service.*``.
@@ -115,13 +101,11 @@ _DISPATCH_SPAN = _telemetry.span("service.dispatch")
 _REQUESTS = _telemetry.counter("service.requests")
 _ELEMENTS = _telemetry.counter("service.elements")
 _BATCHES = _telemetry.counter("service.batches")
-_MERGED_ELEMENTS = _telemetry.counter("service.merged_elements")
 _OVERLAY_INSTALLS = _telemetry.counter("service.overlay_installs")
 _OVERLAY_EVICTIONS = _telemetry.counter("service.overlay_evictions")
 _OVERLAY_ELEMENTS = _telemetry.counter("service.overlay_elements")
 _STATS_UPDATES = _telemetry.counter("service.stats_updates")
 _BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
-_BUCKET_OCCUPANCY = _telemetry.histogram("service.bucket_occupancy", SIZE_EDGES)
 
 # Elastic-fleet liveness telemetry (see the coordinator module for the
 # lease-queue counters ``fleet.leases`` / ``fleet.cells_requeued`` /
@@ -129,18 +113,6 @@ _BUCKET_OCCUPANCY = _telemetry.histogram("service.bucket_occupancy", SIZE_EDGES)
 _WORKERS_LOST = _telemetry.counter("fleet.workers_lost")
 _REPLIES_DROPPED = _telemetry.counter("fleet.replies_dropped")
 _HEARTBEAT_AGE = _telemetry.gauge("fleet.heartbeat_age_max_seconds")
-
-
-def _generation_bucket(client_id: int, generation: int) -> tuple:
-    """The bucket-key suffix isolating diverged clients.
-
-    Generation 0 is the shared published weight set: every client's
-    requests are compatible and the owner slot collapses to -1.  Past
-    generation 0 the weights are a per-client overlay, so the owning
-    client enters the key -- two clients at different generations (or
-    two diverged clients at the same generation) never share a bucket.
-    """
-    return (generation, client_id if generation else -1)
 
 
 @dataclass(frozen=True)
@@ -160,15 +132,6 @@ class AscentRequest:
     generation: int = 0
 
     @property
-    def bucket(self) -> tuple:
-        # gamma stays out of the key: a merged ascent carries it as a
-        # per-element vector.  Every element runs the same step count.
-        return (
-            "ascent", self.model_key, self.metrics.shape[1], self.max_steps,
-            *_generation_bucket(self.client_id, self.generation),
-        )
-
-    @property
     def n_elements(self) -> int:
         return int(self.metrics.shape[0])
 
@@ -184,13 +147,6 @@ class ConfidenceRequest:
     schedules: np.ndarray
     adjacencies: np.ndarray
     generation: int = 0
-
-    @property
-    def bucket(self) -> tuple:
-        return (
-            "confidence", self.model_key, self.metrics.shape[1],
-            *_generation_bucket(self.client_id, self.generation),
-        )
 
     @property
     def n_elements(self) -> int:
@@ -350,8 +306,6 @@ class ServiceStats:
     n_requests: int = 0
     n_elements: int = 0
     n_batches: int = 0
-    #: Elements that ran in a batch merged from >= 2 requests.
-    merged_elements: int = 0
     #: Per-client weight overlays installed (including re-installs when
     #: a client fine-tunes again and replaces its previous overlay).
     overlay_installs: int = 0
@@ -377,9 +331,6 @@ class GONScoringService:
         Stop taking already-queued messages once this many stacked
         elements are pending (keeps worst-case latency and peak memory
         bounded).
-    merge_requests:
-        Concatenate compatible stacks into one call per bucket (see
-        module docstring for the exactness trade-off).
     scorer_backend:
         Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``
         (``"exact"`` is accepted as an alias of ``"fast"``).  Kernels
@@ -394,7 +345,6 @@ class GONScoringService:
         request_queue,
         reply_queues: Dict[int, object],
         max_batch_elements: int = 512,
-        merge_requests: bool = False,
         poll_seconds: float = 0.5,
         scorer_backend: str = "fast",
         coordinator=None,
@@ -404,7 +354,6 @@ class GONScoringService:
         self.request_queue = request_queue
         self.reply_queues = reply_queues
         self.max_batch_elements = max_batch_elements
-        self.merge_requests = merge_requests
         self.poll_seconds = poll_seconds
         self.scorer_backend = validate_backend(scorer_backend)
         #: ``(model_key, generation, owner, dtype) -> FastGONKernel``;
@@ -650,11 +599,10 @@ class GONScoringService:
         """
         if dtype is None:
             dtype = "float32" if self.scorer_backend == "fast32" else "float64"
-        key = (
-            request.model_key,
-            *_generation_bucket(request.client_id, request.generation),
-            dtype,
-        )
+        # Generation 0 is the published weight set every client shares
+        # (owner -1); past it each client scores on its own overlay.
+        owner = request.client_id if request.generation else -1
+        key = (request.model_key, request.generation, owner, dtype)
         kernel = self._kernels.get(key)
         if kernel is None:
             kernel = FastGONKernel.from_model(model, dtype=dtype)
@@ -663,14 +611,14 @@ class GONScoringService:
 
     # ------------------------------------------------------------------
     def _dispatch(self, pending: Sequence) -> set:
-        """Bucket the drained messages, score, reply; returns sign-offs.
+        """Apply the drained messages, score, reply; returns sign-offs.
 
         Messages apply in arrival order, so an :class:`OverlayUpdate`
         drained alongside its client's follow-up requests installs
-        before any bucket is scored.
+        before any request is scored.
         """
         signed_off: set = set()
-        buckets: "Dict[tuple, List]" = {}
+        requests: list = []
         for message in pending:
             if isinstance(message, WorkerLost):
                 self._mark_lost(message.client_id, message.reason)
@@ -712,24 +660,18 @@ class GONScoringService:
                     self.worker_snapshots[message.client_id] = message.snapshot
                 _STATS_UPDATES.inc()
                 continue
-            buckets.setdefault(message.bucket, []).append(message)
+            requests.append(message)
             self.stats.n_requests += 1
             self.stats.n_elements += message.n_elements
             _REQUESTS.inc()
             _ELEMENTS.add(message.n_elements)
 
         with _DISPATCH_SPAN.time():
-            for bucket_key, requests in buckets.items():
-                _BUCKET_OCCUPANCY.observe(len(requests))
-                run = (
-                    self._run_ascent if bucket_key[0] == "ascent"
-                    else self._run_confidence
-                )
-                if self.merge_requests:
-                    run(requests)
+            for request in requests:
+                if isinstance(request, AscentRequest):
+                    self._run_ascent(request)
                 else:
-                    for request in requests:
-                        run([request])
+                    self._run_confidence(request)
         return signed_off
 
     def _grant_lease(self, request: LeaseRequest) -> None:
@@ -782,64 +724,33 @@ class GONScoringService:
                 raise
             self._mark_lost(client_id, f"reply delivery failed: {error}")
 
-    def _batch(self, requests: List) -> tuple:
-        """Account one scoring call; returns its replica and stacks.
-
-        Bucket keys carry ``(generation, owner)``, so every request in
-        a merged call resolves to the same replica -- merging across
-        overlays is impossible by construction.
-        """
-        model = self._resolve_model(requests[0])
-        for request in requests[1:]:
-            self.stats.overlay_elements += (
-                request.n_elements if request.generation else 0
-            )
-        total = sum(request.n_elements for request in requests)
+    def _count_call(self, request) -> GONDiscriminator:
+        """Account one scoring call; returns the replica it runs on."""
         self.stats.n_batches += 1
         _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(total)
-        if len(requests) > 1:
-            self.stats.merged_elements += total
-            _MERGED_ELEMENTS.add(total)
-        return (model, *(
-            np.concatenate([getattr(r, name) for r in requests])
-            for name in ("metrics", "schedules", "adjacencies")
-        ))
+        _BATCH_ELEMENTS.observe(request.n_elements)
+        return self._resolve_model(request)
 
-    def _run_ascent(self, requests: List) -> None:
-        """One kernel ascent over one request or a merged bucket.
-
-        ``gamma`` rides as a per-element vector (``np.repeat`` over
-        each request's stack) when requests merge; the bucket key fixes
-        ``max_steps``.  Replies chunk back out positionally.
-        """
-        model, metrics, schedules, adjacencies = self._batch(requests)
-        counts = [request.n_elements for request in requests]
+    def _run_ascent(self, request: AscentRequest) -> None:
+        """One kernel ascent over one request's stack."""
+        model = self._count_call(request)
         results = generate_metrics_batch(
-            self._kernel_for(requests[0], model),
-            schedules,
-            adjacencies,
-            init_metrics=metrics,
-            gamma=np.repeat([r.gamma for r in requests], counts),
-            max_steps=requests[0].max_steps,
+            self._kernel_for(request, model),
+            request.schedules,
+            request.adjacencies,
+            init_metrics=request.metrics,
+            gamma=request.gamma,
+            max_steps=request.max_steps,
         )
-        start = 0
-        for request in requests:
-            chunk = results[start:start + request.n_elements]
-            start += request.n_elements
-            self._reply(request, _ascent_reply(request.request_id, chunk))
+        self._reply(request, _ascent_reply(request.request_id, results))
 
-    def _run_confidence(self, requests: List) -> None:
-        """One float64 kernel forward over a request or merged bucket."""
-        model, metrics, schedules, adjacencies = self._batch(requests)
-        scores = self._kernel_for(
-            requests[0], model, "float64"
-        ).score_stack(metrics, schedules, adjacencies)
-        start = 0
-        for request in requests:
-            chunk = scores[start:start + request.n_elements].copy()
-            start += request.n_elements
-            self._reply(request, ConfidenceReply(request.request_id, chunk))
+    def _run_confidence(self, request: ConfidenceRequest) -> None:
+        """One float64 kernel forward over one request's stack."""
+        model = self._count_call(request)
+        scores = self._kernel_for(request, model, "float64").score_stack(
+            request.metrics, request.schedules, request.adjacencies
+        )
+        self._reply(request, ConfidenceReply(request.request_id, scores.copy()))
 
 
 def _ascent_reply(

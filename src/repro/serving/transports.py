@@ -10,7 +10,7 @@ gets a dedicated **reader thread** that decodes length-prefixed frames
 FIFO request queue.  A client's socket is read sequentially, so its
 messages enter the FIFO in send order and the overlay protocol's
 install-before-score guarantee survives the network hop; cross-client
-interleaving is harmless because generation > 0 buckets are private
+interleaving is harmless because generation > 0 overlays are private
 per client.
 
 Failure semantics are deliberately loud.  A malformed or truncated

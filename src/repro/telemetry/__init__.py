@@ -9,9 +9,9 @@ only) metrics layer threaded through every hot path:
   batch-size histogram),
 * the surrogate score cache and tabu search (hit/miss/eviction and
   iteration/evaluation counters),
-* the :class:`~repro.serving.GONScoringService` micro-batcher (the
-  span that takes already-queued messages, batch-size and
-  bucket-occupancy histograms, overlay install/eviction counters),
+* the :class:`~repro.serving.GONScoringService` scorer loop (the
+  span that takes already-queued messages, the batch-size histogram,
+  overlay install/eviction counters),
 * wire framing (frames/bytes sent and received).
 
 The model

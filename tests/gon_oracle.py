@@ -19,7 +19,7 @@ the :class:`repro.nn.Tensor` autodiff engine through
   compared with the kernel.
 
 Test modules import it directly (``tests/`` is on ``sys.path`` under
-pytest); ``benchmarks/bench_surrogate.py`` adds ``tests/`` itself.
+pytest).
 """
 
 from __future__ import annotations

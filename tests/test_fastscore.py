@@ -13,10 +13,10 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
   of ``fast``), float64 confidence reads under every backend, and
   post-fine-tune kernel re-export;
-* the scoring service's kernel path: per-request bitwise replies,
-  merged ascents across step sizes (never across step counts), float64
-  confidences, dispatch on arrival (no blocking read while a message
-  is in hand) and a fixed-size ``/status`` service section;
+* the scoring service's kernel path: per-request bitwise replies (one
+  kernel call per request, also when requests are queued together),
+  float64 confidences, dispatch on arrival (no blocking read while a
+  message is in hand) and a fixed-size ``/status`` service section;
 * training parity: ``train_gon`` through the kernel and through the
   oracle yields bitwise-equal weights and an equal history;
 * the scenario-catalog sweep: for every registered scenario the
@@ -263,12 +263,10 @@ class TestFastKernelParity:
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
     ):
-        # The property service-side merging rests on: one ascent with
-        # per-element gamma matches the separate per-request calls
-        # element for element.  NOT bitwise -- concatenation changes
-        # the BLAS leading dimension, the documented ~1-ulp merge
-        # waiver -- so the comparison is allclose at merged-policy
-        # tightness.
+        # One ascent with per-element gamma matches the separate
+        # per-request calls element for element.  NOT bitwise --
+        # concatenation changes the BLAS leading dimension (~1 ulp) --
+        # so the comparison is allclose.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
         first = generate_metrics_batch(
@@ -476,7 +474,7 @@ class TestLocalScorerBackends:
 
 
 # ----------------------------------------------------------------------
-# Scoring service: kernel ascents, merged buckets, dispatch on arrival
+# Scoring service: kernel ascents, one call per request, dispatch on arrival
 # ----------------------------------------------------------------------
 class TestServiceFastBackend:
     def _serve(self, trained_gon, n_clients=1, **kwargs):
@@ -526,10 +524,9 @@ class TestServiceFastBackend:
     def test_concurrent_requests_stay_bitwise_without_merging(
         self, trained_gon, session_samples
     ):
-        # Two clients with *different* ascent parameters on the default
-        # (merge_requests=False) service: every request gets its own
-        # kernel call, so replies equal the per-request oracle bit for
-        # bit and nothing is ever merged.
+        # Two clients with *different* ascent parameters: every request
+        # gets its own kernel call, so replies equal the per-request
+        # oracle bit for bit.
         service, thread, clients = self._serve(trained_gon, n_clients=2)
         metrics, schedules, adjacencies = _stacks(session_samples, 4)
         results = {}
@@ -559,93 +556,39 @@ class TestServiceFastBackend:
         for client in clients:
             client.close()
         thread.join(timeout=10)
-        assert service.stats.merged_elements == 0
         assert service.stats.n_elements == 8
 
     def test_fused_batch_deterministic_when_queued_together(
         self, trained_gon, session_samples
     ):
-        # Deterministic merging: enqueue both requests *before*
-        # serve() drains, so they are guaranteed to share a batch, and
-        # the differing gammas ride one kernel call as a per-element
-        # vector.  Merged replies carry the ~1-ulp waiver,
-        # so the oracle comparison is allclose, not bitwise.
-        request_queue = queue.Queue()
-        replies = {0: queue.Queue(), 1: queue.Queue()}
-        service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies,
-            merge_requests=True,
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 3)
-        from repro.serving import AscentRequest, ClientDone
-
-        for client_id, (gamma, steps) in ((0, (1e-2, 4)), (1, (4e-3, 4))):
-            request_queue.put(
-                AscentRequest(
-                    client_id=client_id,
-                    request_id=1,
-                    model_key="scenario",
-                    metrics=metrics,
-                    schedules=schedules,
-                    adjacencies=adjacencies,
-                    gamma=gamma,
-                    max_steps=steps,
-                )
-            )
-        request_queue.put(ClientDone(client_id=0))
-        request_queue.put(ClientDone(client_id=1))
-        service.serve()
-        assert service.stats.merged_elements == 6
-        assert service.stats.n_batches == 1
-        for client_id, (gamma, steps) in ((0, (1e-2, 4)), (1, (4e-3, 4))):
-            reply = replies[client_id].get_nowait()
-            oracle = oracle_batch(
-                trained_gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=gamma, max_steps=steps,
-            )
-            np.testing.assert_allclose(
-                reply.confidences,
-                [r.confidence for r in oracle],
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                reply.metrics,
-                np.stack([r.metrics for r in oracle]),
-                atol=1e-9,
-            )
-
-    def test_merged_service_never_merges_across_step_counts(
-        self, trained_gon, session_samples
-    ):
-        # Every element of an ascent runs the same number of steps, so
-        # the step count is part of the bucket key: two queued requests
-        # that differ only in max_steps run as two unmerged calls, each
-        # bitwise-equal to the oracle.
+        # Enqueue both requests *before* serve() drains, so they are
+        # guaranteed to land in one drained batch: each still runs as
+        # its own kernel call, with its own gamma and step count, and
+        # both replies equal the per-request oracle bit for bit.
         from repro.serving import AscentRequest, ClientDone
 
         request_queue = queue.Queue()
         replies = {0: queue.Queue(), 1: queue.Queue()}
         service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies,
-            merge_requests=True,
+            {"scenario": trained_gon}, request_queue, replies
         )
         metrics, schedules, adjacencies = _stacks(session_samples, 3)
-        for client_id, steps in ((0, 3), (1, 5)):
+        asks = ((0, (1e-2, 4)), (1, (4e-3, 6)))
+        for client_id, (gamma, steps) in asks:
             request_queue.put(AscentRequest(
                 client_id=client_id, request_id=1, model_key="scenario",
                 metrics=metrics, schedules=schedules,
-                adjacencies=adjacencies, gamma=1e-2, max_steps=steps,
+                adjacencies=adjacencies, gamma=gamma, max_steps=steps,
             ))
         request_queue.put(ClientDone(client_id=0))
         request_queue.put(ClientDone(client_id=1))
         service.serve()
         assert service.stats.n_batches == 2
-        assert service.stats.merged_elements == 0
-        for client_id, steps in ((0, 3), (1, 5)):
+        for client_id, (gamma, steps) in asks:
             reply = replies[client_id].get_nowait()
             oracle = oracle_batch(
                 trained_gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=1e-2, max_steps=steps,
+                gamma=gamma, max_steps=steps,
             )
             assert np.array_equal(
                 reply.metrics, np.stack([r.metrics for r in oracle])

@@ -3,12 +3,11 @@
 Covers the fleet subsystems end to end:
 
 * read-only state export and zero-copy loading (``repro.nn``);
-* the bucketed scoring service -- exact-policy results bitwise equal
-  to in-process scoring, merged policy equal to tight tolerance;
+* the scoring service -- results bitwise equal to in-process scoring;
 * ``FleetScorer`` copy-on-write divergence on fine-tune;
 * CAROL's persistent surrogate cache: counters monotone, entries
   reused across intervals, full invalidation exactly when fine-tuning
-  fires, capacity-bounded eviction, both cache scopes;
+  fires, capacity-bounded eviction;
 * fleet-mode campaigns (over TCP, the only transport) bit-identical
   to serial execution.
 """
@@ -31,6 +30,7 @@ from repro.serving import (
     AscentRequest,
     FleetScorer,
     GONScoringService,
+    OverlayUpdate,
     ScoringClient,
 )
 from repro.simulator import EdgeFederation
@@ -95,12 +95,9 @@ class TestStateExport:
 def service_setup(trained_gon):
     request_queue, reply_queue = queue.Queue(), queue.Queue()
 
-    def start(merge_requests=False):
+    def start():
         service = GONScoringService(
-            {"scenario": trained_gon},
-            request_queue,
-            {0: reply_queue},
-            merge_requests=merge_requests,
+            {"scenario": trained_gon}, request_queue, {0: reply_queue}
         )
         thread = threading.Thread(target=service.serve, daemon=True)
         thread.start()
@@ -150,55 +147,6 @@ class TestScoringService:
         assert np.array_equal(remote, local)
         client.close()
         thread.join(timeout=10)
-
-    def test_merged_policy_matches_to_tolerance(
-        self, trained_gon, session_samples
-    ):
-        # Both clients are registered before serve() starts, so the
-        # service cannot wind down until each has signed off -- no
-        # startup race -- and two concurrent requests genuinely merge.
-        request_queue = queue.Queue()
-        replies = {0: queue.Queue(), 1: queue.Queue()}
-        service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies,
-            merge_requests=True,
-        )
-        thread = threading.Thread(target=service.serve, daemon=True)
-        thread.start()
-        client = ScoringClient(0, "scenario", request_queue, replies[0])
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        other = {}
-
-        def second_client():
-            peer = ScoringClient(1, "scenario", request_queue, replies[1])
-            other["result"] = peer.ascent(
-                metrics, schedules, adjacencies, gamma=1e-2, max_steps=5
-            )
-            peer.close()
-
-        peer_thread = threading.Thread(target=second_client, daemon=True)
-        peer_thread.start()
-        mine = client.ascent(metrics, schedules, adjacencies,
-                             gamma=1e-2, max_steps=5)
-        peer_thread.join(timeout=10)
-        assert "result" in other
-        local = generate_metrics_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for result_set in (mine, other["result"]):
-            for r, l in zip(result_set, local):
-                np.testing.assert_allclose(
-                    r.metrics, l.metrics, rtol=1e-9, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    r.confidence, l.confidence, rtol=1e-9, atol=1e-12
-                )
-        client.close()
-        thread.join(timeout=10)
-        stats = service.stats
-        assert stats.n_requests == 2
-        assert stats.n_elements == 8
 
     def test_service_stats_track_elements(self, service_setup,
                                           session_samples):
@@ -382,25 +330,50 @@ class TestOverlayLifecycle:
         client.close()
         thread.join(timeout=10)
 
-    def test_generations_never_share_a_bucket(self, session_samples):
+    def test_generations_never_share_a_bucket(
+        self, trained_gon, session_samples
+    ):
+        # Requests share a cached kernel only when they score on the
+        # same weights: generation 0 is the shared base model, while
+        # every diverged client scores on its own overlay.
+        service = GONScoringService(
+            {"scenario": trained_gon}, queue.Queue(),
+            {0: queue.Queue(), 1: queue.Queue()},
+        )
         metrics, schedules, adjacencies = _stacks(session_samples[:2])
+        buffer, manifest = pack_state(trained_gon.state_dict())
 
-        def request(client_id, generation):
-            return AscentRequest(
+        def install(client_id, generation):
+            service._install_overlay(OverlayUpdate(
+                client_id=client_id, model_key="scenario",
+                generation=generation, buffer=buffer,
+                manifest=tuple(manifest),
+            ))
+
+        def kernel(client_id, generation):
+            request = AscentRequest(
                 client_id=client_id, request_id=1, model_key="scenario",
                 metrics=metrics, schedules=schedules,
                 adjacencies=adjacencies, gamma=1e-2, max_steps=5,
                 generation=generation,
             )
+            return service._kernel_for(
+                request, service._resolve_model(request)
+            )
 
-        # Generation 0 is the shared base model: clients may merge.
-        assert request(0, 0).bucket == request(1, 0).bucket
-        # Different generations never share a bucket...
-        assert request(0, 0).bucket != request(0, 1).bucket
-        assert request(0, 1).bucket != request(0, 2).bucket
+        install(0, 1)
+        install(1, 1)
+        # Generation 0 is the shared base model: clients share it.
+        assert kernel(0, 0) is kernel(1, 0)
+        # Different generations never share a kernel...
+        first = kernel(0, 1)
+        assert first is not kernel(0, 0)
         # ...and neither do two diverged clients at equal generation
         # (their overlay weights are private).
-        assert request(0, 1).bucket != request(1, 1).bucket
+        assert first is not kernel(1, 1)
+        # A newer overlay retires the client's stale kernel.
+        install(0, 2)
+        assert kernel(0, 2) is not first
 
     def test_stale_generation_request_is_a_protocol_error(
         self, trained_gon, session_samples
@@ -472,23 +445,11 @@ class TestPersistentCache:
         federation, healthy, proposal = _healthy_interval(small_config)
         carol.repair(federation.view, healthy, proposal)
         misses = carol.diagnostics.cache_misses
-        # A perturbed observation changes the context hash: exact
-        # scope must re-score rather than serve stale entries.
+        # A perturbed observation changes the context hash: the cache
+        # must re-score rather than serve stale entries.
         federation.view.last_metrics.host_metrics[0, 0] += 0.25
         carol.repair(federation.view, healthy, proposal)
         assert carol.diagnostics.cache_misses > misses
-
-    def test_generation_scope_survives_context_drift(
-        self, trained_gon, small_config
-    ):
-        carol = _fresh_carol(trained_gon, score_cache_scope="generation")
-        federation, healthy, proposal = _healthy_interval(small_config)
-        carol.repair(federation.view, healthy, proposal)
-        misses = carol.diagnostics.cache_misses
-        federation.view.last_metrics.host_metrics[0, 0] += 0.25
-        carol.repair(federation.view, healthy, proposal)
-        # Topology keys unchanged -> all hits despite the drift.
-        assert carol.diagnostics.cache_misses == misses
 
     def test_invalidation_exactly_when_fine_tune_fires(
         self, trained_gon, small_config
@@ -559,10 +520,6 @@ class TestPersistentCache:
         diag = carol.diagnostics
         assert diag.n_fine_tunes >= 1
         assert diag.cache_evictions > diag.n_fine_tunes * 12
-
-    def test_scope_validation(self):
-        with pytest.raises(ValueError, match="score_cache_scope"):
-            CAROLConfig(score_cache_scope="telepathy")
 
     def test_local_scorer_generation_tracks_fine_tunes(
         self, trained_gon, session_samples

@@ -136,7 +136,6 @@ class TestConfigHash:
             dict(gon_layers=3),
             dict(gon_epochs=7),
             dict(shared_assets=True),
-            dict(fleet_merge=True),
             dict(carol_overrides=(("gamma", 0.5),)),
             dict(scorer_backend="fast32"),
         ):
