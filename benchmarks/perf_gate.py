@@ -6,14 +6,22 @@ parent's ``perfbench/run.py`` and this checkout's, with ``--seed 0
 last JSON line.  Both sides run on the same machine, so the verdict
 cannot flip with its core count.
 
-The gate fails (exit 1) when
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``, and each side
+runs ``PAIRS`` times per workload.  The gate fails (exit 1) when
 
-* any run exits non-zero or reports ``correct: false``;
+* a run of the change exits non-zero or reports ``correct: false``;
 * the change fails a larger share of its attempted cells than the
   parent;
 * the change's median of an ``end_to_end`` metric is worse than the
   parent's median by more than the metric's ``bound``, relative to the
   parent (``better`` gives the direction).
+
+Only the change is gated on its own runs.  A parent run that exits
+non-zero or reports ``correct: false`` is reported and left out of the
+parent's medians, so a change that fixes a broken parent can pass; a
+workload the parent cannot run at all (for instance one this change
+adds to ``BENCHMARK.json``) is not gated, like a metric the parent does
+not report.
 
 For each workload and metric it prints both medians, the relative
 change, the bound and the spread (max - min) of the parent's runs.
@@ -22,7 +30,7 @@ Deliberately stdlib-only, like ``compare_records.py``.
 Usage (from the change's checkout)::
 
     git worktree add ../parent <parent-sha>
-    python benchmarks/perf_gate.py --parent ../parent [--pairs 3] [--seconds 5]
+    python benchmarks/perf_gate.py --parent ../parent
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ import sys
 from typing import Dict, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Alternating parent/change runs per workload.
+PAIRS = 3
 
 
 def run_once(checkout: str, workload: str, seconds: float) -> dict:
@@ -86,22 +97,34 @@ def _values(runs: List[dict], name: str) -> List[float]:
     return [float(run["metrics"][name]["value"]) for run in runs if name in run.get("metrics", {})]
 
 
+def problem(run: dict) -> str:
+    """Why ``run`` cannot be measured, or ``""`` when it can."""
+    if run.get("returncode", 0) != 0:
+        return f"exited {run['returncode']}"
+    if not run.get("correct"):
+        return "reported correct: false"
+    return ""
+
+
 def evaluate(
     end_to_end: List[dict], workload: str, parent: List[dict], change: List[dict]
 ) -> Tuple[List[str], List[str]]:
     """Compare one workload's runs; returns ``(report lines, failures)``."""
-    failures = []
-    for side, runs in (("parent", parent), ("change", change)):
-        for index, run in enumerate(runs, 1):
-            if run.get("returncode", 0) != 0:
-                failures.append(f"{workload}: {side} run {index} exited {run['returncode']}")
-            elif not run.get("correct"):
-                failures.append(f"{workload}: {side} run {index} reported correct: false")
+    lines, failures = [], []
+    for index, run in enumerate(change, 1):
+        if problem(run):
+            failures.append(f"{workload}: change run {index} {problem(run)}")
+    for index, run in enumerate(parent, 1):
+        if problem(run):
+            lines.append(f"{workload:<12} parent run {index} {problem(run)}; left out")
+    parent = [run for run in parent if not problem(run)]
+    if not parent:
+        lines.append(f"{workload:<12} no parent run measured; not gated")
+        return lines, failures
     parent_share, change_share = failed_share(parent), failed_share(change)
     if change_share > parent_share:
         failures.append(f"{workload}: failed share {change_share:.3%} > parent {parent_share:.3%}")
 
-    lines = []
     for metric in end_to_end:
         name, bound = metric["name"], float(metric["bound"])
         parent_values, change_values = _values(parent, name), _values(change, name)
@@ -133,12 +156,6 @@ def evaluate(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument(
-        "--pairs", type=int, default=3, help="alternating parent/change runs per workload"
-    )
-    parser.add_argument(
-        "--seconds", type=float, default=5.0, help="--seconds of every perfbench run"
-    )
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as source:
@@ -147,13 +164,13 @@ def main(argv=None) -> int:
     failures = []
     for workload in (entry["name"] for entry in spec["workloads"]):
         runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(checkouts[side], workload, args.seconds)
+                run = run_once(checkouts[side], workload, spec["run_seconds"])
                 runs[side].append(run)
                 print(
-                    f"# {workload} pair {pair + 1}/{args.pairs} {side}: exit "
+                    f"# {workload} pair {pair + 1}/{PAIRS} {side}: exit "
                     f"{run['returncode']}, correct {run.get('correct')}",
                     flush=True,
                 )

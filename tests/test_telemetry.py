@@ -615,7 +615,7 @@ MAX_OVERHEAD_RATIO = 1.10
 
 
 def _telemetry_overhead_ratio(config) -> float:
-    """Enabled/disabled wall-clock of one campaign, min of 3 each.
+    """Enabled/disabled wall-clock of one campaign, min of 5 each.
 
     The two states are interleaved, alternating which runs first, so
     drift in machine speed hits both alike; the min is the least noisy
@@ -625,7 +625,8 @@ def _telemetry_overhead_ratio(config) -> float:
 
     times = {True: [], False: []}
     try:
-        for order in ((True, False), (False, True), (True, False)):
+        for index in range(5):
+            order = (True, False) if index % 2 == 0 else (False, True)
             for enabled in order:
                 telemetry.set_enabled(enabled)
                 started = time.perf_counter()
@@ -641,9 +642,11 @@ class TestTelemetryOverhead:
         # A serial heuristic grid keeps the timed path in the
         # instrumented hot loops (interval engine, tabu search) rather
         # than GON training; it is sized so one campaign takes well
-        # over 0.3 s, above the timer's noise floor.  A shared machine
-        # can still stall one run, so an over-cap ratio is re-measured
-        # before the test fails: a real regression fails every attempt.
+        # over 0.3 s, above the timer's noise floor.  A shared
+        # machine's speed swings still push about 1 in 10 measurements
+        # over the cap, so an over-cap ratio is measured afresh, up to
+        # 3 times.  This is looser than one measurement: an overhead
+        # near the cap passes if any measurement reads under it.
         from dataclasses import replace
 
         from repro.experiments import CampaignConfig, run_campaign
