@@ -32,13 +32,13 @@ canonical ``scorer_backend``), plus each scenario's full
 :meth:`ScenarioSpec.to_dict` and :data:`RECORD_SEMANTICS_VERSION`,
 and **deliberately not** the execution-topology fields (``workers``,
 ``mode``, ``transport``, ``service_addr``, timeouts, retry budget,
-credentials, the store settings themselves), because the cross-mode bit-identity contract
-guarantees those cannot change a record.  Two configs with equal
-hashes therefore produce byte-identical records -- which is what lets
-a :mod:`repro.storage` store substitute a stored record for a re-run
-(*resume*), and why any change to the identity fields (or to this
-hashing scheme itself) starts a fresh campaign instead of resuming:
-the old records no longer describe the new grid.
+credentials, the store settings themselves), because the cross-mode
+bit-identity contract guarantees those cannot change a record.  Two
+configs with equal hashes therefore produce byte-identical records --
+which is what lets a :mod:`repro.storage` store substitute a stored
+record for a re-run (*resume*), and why any change to the identity
+fields (or to this hashing scheme itself) starts a fresh campaign
+instead of resuming: the old records no longer describe the new grid.
 
 
 Execution modes
