@@ -52,7 +52,7 @@ retry budget (``--retry-budget``), liveness rides on heartbeats
 ``REPRO_FLEET_TOKEN`` environment variable) gates handshakes with a
 pre-shared token.  ``serve --status-port N`` additionally exposes the
 ``POST /inject`` chaos control plane (kill_worker / delay_client /
-drop_next_reply / requeue_cell) next to ``GET /status``.
+requeue_cell) next to ``GET /status``.
 
 ``python -m repro export-gon model.npz`` trains a scenario's GON
 offline and dumps a standalone, verified inference pack for external
@@ -434,9 +434,8 @@ def _cmd_serve(args) -> int:
     from .experiments.fleet import serve_fleet_service
     from .serving import TransportError
 
-    auth_token = _resolve_auth_token(args)
     if args.ci:
-        config = fleet_ci_campaign_config(workers=args.min_workers)
+        config = fleet_ci_campaign_config()
     else:
         if not args.scenarios:
             print("serve requires --scenarios (or --ci)", file=sys.stderr)
@@ -450,11 +449,9 @@ def _cmd_serve(args) -> int:
                     m for m in (args.models or "carol").split(",") if m.strip()
                 ),
                 n_seeds=args.seeds,
-                workers=args.min_workers,
                 seed=args.seed,
                 n_intervals=args.intervals or None,
                 mode="fleet",
-                scorer_backend=args.scorer_backend,
             )
         except ValueError as error:
             print(error, file=sys.stderr)
@@ -465,15 +462,14 @@ def _cmd_serve(args) -> int:
             workers=args.min_workers,
             heartbeat_timeout=args.heartbeat_timeout,
             cell_retry_budget=args.retry_budget,
-            auth_token=auth_token,
+            auth_token=_resolve_auth_token(args),
             store=args.store,
             store_path=args.store_path,
+            scorer_backend=args.scorer_backend,
         )
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    if args.scorer_backend != "fast":
-        config = replace(config, scorer_backend=args.scorer_backend)
 
     try:
         tasks = plan_tasks(config)
@@ -503,12 +499,10 @@ def _cmd_serve(args) -> int:
             assets,
             host=args.host,
             port=args.port,
-            n_clients=args.min_workers,
             idle_timeout=args.max_idle,
             on_ready=ready,
             status_port=args.status_port if args.status_port >= 0 else None,
             telemetry_sink=telemetry_sink,
-            auth_token=auth_token,
         )
     except (TransportError, RuntimeError) as error:
         print(f"scoring service failed: {error}", file=sys.stderr)
@@ -775,11 +769,10 @@ def _shared_parents():
 
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--scorer-backend", type=str, default="fast",
-                         choices=["fast", "fast32", "exact"],
+                         choices=["fast", "fast32"],
                          help="GON kernel arithmetic for CAROL-family "
-                              "models: 'fast' (float64, default; 'exact' "
-                              "is an alias) or 'fast32' (float32 "
-                              "decision scoring)")
+                              "models: 'fast' (float64, default) or "
+                              "'fast32' (float32 decision scoring)")
     backend.add_argument("--auth-token", type=str, default=None,
                          help="pre-shared fleet auth token (default: "
                               "the REPRO_FLEET_TOKEN environment variable)")

@@ -447,14 +447,14 @@ class CAROL(ResilienceModel):
     def scorer_diagnostics(self) -> dict:
         """The execution backend's counters plus this model's own.
 
-        Flat dict of integer counters (``local_fallbacks``,
-        ``overlay_installs`` when fleet-mounted, the cache counters,
-        ``n_fine_tunes``) plus the ``decision_digest`` hex string,
-        surfaced into campaign records so fleet runs can assert, e.g.,
-        that overlays kept every diverged ascent on the service
-        (``local_fallbacks == 0``) and so record dumps from different
-        scorer backends can be checked for decision parity
-        (``benchmarks/compare_records.py --decisions``).
+        Flat dict of integer counters (``overlay_installs`` when
+        fleet-mounted, the cache counters, ``n_fine_tunes``) plus the
+        ``decision_digest`` hex string, surfaced into campaign records
+        so fleet runs can assert, e.g., that every fine-tune shipped
+        its overlay (``overlay_installs == n_fine_tunes``) and so
+        record dumps from different scorer backends can be checked for
+        decision parity (``benchmarks/compare_records.py
+        --decisions``).
         """
         counters = dict(getattr(self.scorer, "diagnostics", None) or {})
         counters.update(self.diagnostics.counters())

@@ -19,12 +19,9 @@ cache keys its validity on this counter: scores stay reusable across
 scheduling intervals precisely as long as the generation stands still
 (the model only changes when the POT gate opens -- §III-B).
 
-Scorers also expose a ``diagnostics`` mapping of integer counters.
-The ``local_fallbacks`` key is the degradation telemetry campaigns
-assert on: it counts ascents a scorer had to run outside its
-consolidated stream (always 0 for :class:`LocalScorer`, whose stream
-*is* local; 0 for ``FleetScorer`` precisely when overlays keep every
-diverged ascent on the service).
+A scorer may also expose a ``diagnostics`` mapping of integer
+counters and a ``telemetry`` registry; CAROL folds both into its
+records when present (``FleetScorer`` counts its overlay installs).
 
 Inference backends
 ------------------
@@ -33,7 +30,7 @@ Every ascent runs through the one production path,
 :class:`~repro.core.fastscore.FastGONKernel` exported from the
 scorer's model.  The backend only picks the kernel's arithmetic:
 
-``"fast"`` (default; ``"exact"`` is accepted as an alias)
+``"fast"`` (default)
     float64 kernels, bitwise-equal to the autodiff ascent.  The test
     suite keeps that autodiff ascent as its oracle
     (``tests/gon_oracle.py``) and gates bit-identical records and
@@ -59,11 +56,10 @@ fine-tuned scorer never serves stale parameters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..telemetry import MetricsRegistry
 from .features import GONInput
 from .gon import GONDiscriminator
 from .fastscore import FastGONKernel
@@ -81,17 +77,13 @@ __all__ = [
 #: Inference backends a scorer accepts (see the module docstring for
 #: the per-tier parity contract).
 BACKENDS = ("fast", "fast32")
-#: Accepted spellings that name a backend in :data:`BACKENDS`.
-_ALIASES = {"exact": "fast"}
 
 
 def validate_backend(backend: str) -> str:
-    """The canonical backend name, or ``ValueError`` listing the options."""
-    backend = _ALIASES.get(backend, backend)
+    """``backend`` itself, or ``ValueError`` listing the options."""
     if backend not in BACKENDS:
         raise ValueError(
-            f"unknown scorer backend {backend!r}; expected one of "
-            f"{BACKENDS} (or the alias 'exact')"
+            f"unknown scorer backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
 
@@ -108,11 +100,6 @@ class SurrogateScorer(Protocol):
 
     #: Bumped once per :meth:`fine_tune`; persistent caches key on it.
     generation: int
-
-    #: Integer telemetry counters; every scorer carries at least
-    #: ``local_fallbacks`` (ascents degraded out of the scorer's
-    #: consolidated stream -- see the module docstring).
-    diagnostics: Dict[str, int]
 
     def ascent(
         self,
@@ -157,13 +144,6 @@ class LocalScorer:
         self._kernel_generation = -1
         self._reader = None
         self._reader_generation = -1
-        # Per-instance registry backing the legacy ``diagnostics``
-        # mapping (always enabled: these are record diagnostics, not
-        # wall-clock telemetry).  In-process scoring is the
-        # consolidated stream here: nothing to fall back from, so the
-        # counter stays 0 by construction.
-        self.telemetry = MetricsRegistry()
-        self._fallbacks = self.telemetry.counter("scorer.local_fallbacks")
 
     def kernel(self) -> FastGONKernel:
         """The cached kernel, re-exported after fine-tuning."""
@@ -187,11 +167,6 @@ class LocalScorer:
                 self._reader = FastGONKernel.from_model(self.model)
             self._reader_generation = self.generation
         return self._reader
-
-    @property
-    def diagnostics(self) -> Dict[str, int]:
-        """Legacy integer-counter view of :attr:`telemetry`."""
-        return {"local_fallbacks": self._fallbacks.value}
 
     def ascent(
         self,

@@ -28,7 +28,7 @@ half, :func:`campaign_config_hash`, is the SHA-256 of
 :class:`CampaignConfig` fields that can change record *content*
 (:data:`GRID_IDENTITY_FIELDS` -- grid axes, root seed, interval and
 offline-training sizes, ``shared_assets``, ``carol_overrides``, the
-canonical ``scorer_backend``), plus each scenario's full
+``scorer_backend``), plus each scenario's full
 :meth:`ScenarioSpec.to_dict` and :data:`RECORD_SEMANTICS_VERSION`,
 and **deliberately not** the execution-topology fields (``workers``,
 ``mode``, ``transport``, ``service_addr``, timeouts, retry budget,
@@ -195,8 +195,7 @@ class CampaignConfig:
     #: GON kernel arithmetic for CAROL-family cells (every ascent runs
     #: on the graph-free :mod:`repro.core.fastscore` kernel):
     #: ``"fast"`` (default, float64, bitwise-equal to the autodiff
-    #: oracle; ``"exact"`` is accepted and stored as ``"fast"``) or
-    #: ``"fast32"`` (float32 decision scoring).  In fleet mode the
+    #: oracle) or ``"fast32"`` (float32 decision scoring).  In fleet mode the
     #: scoring service adopts the same backend.
     scorer_backend: str = "fast"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
@@ -270,9 +269,7 @@ class CampaignConfig:
         # the address check below: core.scoring pulls the nn stack).
         from ..core.scoring import validate_backend
 
-        object.__setattr__(
-            self, "scorer_backend", validate_backend(self.scorer_backend)
-        )
+        validate_backend(self.scorer_backend)
         if self.transport != "tcp":
             raise ValueError(
                 f"unknown fleet transport {self.transport!r}; TCP "
@@ -351,10 +348,9 @@ RECORD_SEMANTICS_VERSION = 2
 def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
     """The JSON-safe grid-identity payload (the hashing surface).
 
-    Model names and the scorer backend are canonicalized first, so
-    ``--models carol``/``--models CAROL`` and ``exact``/``fast`` hash
-    (and therefore resume) identically; ``fast32`` changes records and
-    hashes apart.  Scenarios enter by *content* -- their
+    Model names are canonicalized first, so ``--models carol``/``--models
+    CAROL`` hash (and therefore resume) identically; ``fast32`` changes
+    records and hashes apart from ``fast``.  Scenarios enter by *content* -- their
     :meth:`ScenarioSpec.to_dict` -- so editing a catalog entry refuses
     to resume under its old name, and :data:`RECORD_SEMANTICS_VERSION`
     does the same for record-changing code.
@@ -438,7 +434,7 @@ class RunRecord:
     #: The integer seed actually used for the run.
     seed: int
     metrics: Dict[str, float]
-    #: Execution telemetry (scorer fallback/overlay counters, cache
+    #: Execution telemetry (scorer overlay counters, cache
     #: and fine-tune counts).  Deliberately excluded from :meth:`row`:
     #: it describes *how* the cell executed, not the deterministic
     #: outcome, so the cross-mode bit-identity contract ignores it
@@ -725,7 +721,7 @@ class CampaignResult:
         What ``python -m repro campaign --record-json`` writes and CI
         uploads as an artifact; records carry both the deterministic
         metrics (the bit-identity surface) and the execution
-        diagnostics (fallback/overlay/cache counters).
+        diagnostics (overlay/cache counters).
         """
         return {
             "config": {

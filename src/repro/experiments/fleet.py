@@ -220,7 +220,7 @@ def _execute_fleet_run(
             config.alpha,
             config.beta,
             cell_carol_config(task, config),
-            scorer=FleetScorer(client, gon, backend=task.scorer_backend),
+            scorer=FleetScorer(client, gon),
         )
 
     return run_cell(task, build)
@@ -419,6 +419,49 @@ def _pack_campaign_assets(
     return packs, index, models
 
 
+def _host_service(
+    config,
+    tasks: Sequence[RunTask],
+    shared_assets: Dict[str, TrainedAssets],
+    completed: Sequence[int] = (),
+    host: str = "127.0.0.1",
+    port: int = 0,
+) -> Tuple[TcpTransport, GONScoringService]:
+    """Bind a fleet's transport and build its scoring service.
+
+    The one construction path of both the self-hosted fleet and
+    ``python -m repro serve``: a lease queue over ``tasks`` (with
+    ``completed`` cells born done), the packed assets published on a
+    started :class:`TcpTransport`, and a service on the transport's
+    queues that tears down the socket of any worker it declares lost.
+    The coordinator is ``service.coordinator``.
+    """
+    coordinator = CellCoordinator(
+        [task.run_index for task in tasks],
+        retry_budget=config.cell_retry_budget,
+        completed=completed,
+    )
+    asset_packs, asset_index, models = _pack_campaign_assets(shared_assets)
+    transport = TcpTransport(
+        host=host,
+        port=port,
+        asset_packs=asset_packs,
+        asset_index=asset_index,
+        auth_token=config.auth_token,
+    )
+    transport.start()
+    service = GONScoringService(
+        models,
+        transport.request_queue,
+        transport.reply_queues,
+        coordinator,
+        scorer_backend=config.scorer_backend,
+        heartbeat_timeout=config.heartbeat_timeout,
+    )
+    service.on_worker_lost = transport.close_client
+    return transport, service
+
+
 def _start_chaos(
     chaos: Optional[Callable[[FleetChaosHandle], None]],
     handle: FleetChaosHandle,
@@ -573,7 +616,6 @@ def run_fleet_campaign(
     config,
     tasks: Sequence[RunTask],
     shared_assets: Dict[str, TrainedAssets],
-    stats_sink: Optional[List[ServiceStats]] = None,
     telemetry_sink: Optional[List[dict]] = None,
     chaos: Optional[Callable[[FleetChaosHandle], None]] = None,
     record_sink: Optional[Callable[[RunRecord], None]] = None,
@@ -591,9 +633,6 @@ def run_fleet_campaign(
 
     ``shared_assets`` maps scenario name -> offline assets (from
     :func:`~repro.experiments.campaign.prepare_campaign_assets`).
-    ``stats_sink``, when given, receives the scorer's
-    :class:`ServiceStats` for telemetry/benchmarks (empty when the
-    service is remote -- its stats live in the serving process).
     ``telemetry_sink``, when given, receives one merged registry
     snapshot covering the parent (service included when self-hosted)
     and every surviving worker's final delta (a killed worker's
@@ -613,10 +652,7 @@ def run_fleet_campaign(
     base = _telemetry.snapshot()
     ctx = multiprocessing.get_context()
     n_workers = max(1, min(config.workers, len(tasks)))
-    retry_budget = config.cell_retry_budget
-    heartbeat_timeout = config.heartbeat_timeout
-    interval = _heartbeat_interval(heartbeat_timeout)
-    auth_token = config.auth_token
+    interval = _heartbeat_interval(config.heartbeat_timeout)
 
     transport: Optional[TcpTransport] = None
     coordinator: Optional[CellCoordinator] = None
@@ -626,18 +662,8 @@ def run_fleet_campaign(
         if config.service_addr:
             address = config.service_addr
         else:
-            coordinator = CellCoordinator(
-                [task.run_index for task in tasks], retry_budget=retry_budget
-            )
-            asset_packs, asset_index, models = _pack_campaign_assets(shared_assets)
-            transport = TcpTransport(
-                n_workers,
-                asset_packs=asset_packs,
-                asset_index=asset_index,
-                auth_token=auth_token,
-                elastic=True,
-            )
-            transport.start()
+            transport, service = _host_service(config, tasks, shared_assets)
+            coordinator = service.coordinator
             address = transport.address
 
         results_queue = ctx.Queue()
@@ -648,7 +674,7 @@ def run_fleet_campaign(
                 target=_worker_main,
                 args=(
                     next(worker_ids), tasks, address, results_queue,
-                    interval, auth_token,
+                    interval, config.auth_token,
                 ),
                 daemon=True,
             )
@@ -658,17 +684,6 @@ def run_fleet_campaign(
 
         for _ in range(n_workers):
             spawn_worker()
-
-        if transport is not None:
-            service = GONScoringService(
-                models,
-                transport.request_queue,
-                transport.reply_queues,
-                scorer_backend=config.scorer_backend,
-                coordinator=coordinator,
-                heartbeat_timeout=heartbeat_timeout,
-            )
-            service.on_worker_lost = transport.close_client
 
         _start_chaos(
             chaos,
@@ -702,14 +717,12 @@ def run_fleet_campaign(
                     f"{coordinator.status()['pending']} still queued"
                 )
 
-            stats = serve_transport(service, transport, abort=abort)
-            if stats_sink is not None:
-                stats_sink.append(stats)
+            serve_transport(service, transport, abort=abort)
 
         records, poisoned, worker_snapshots = collector.result()
-        if coordinator is not None:
+        if service is not None:
             poisoned |= set(coordinator.poisoned)
-        _warn_poisoned(poisoned, retry_budget)
+        _warn_poisoned(poisoned, config.cell_retry_budget)
         if telemetry_sink is not None:
             # The parent delta carries the service-side registry
             # (service.*, gon.*, fleet.*); each worker delta carries
@@ -736,18 +749,17 @@ def _status_provider(
     service: GONScoringService,
     transport: TcpTransport,
     n_clients: int,
-    coordinator: Optional[CellCoordinator] = None,
-    chaos_control: Optional[ChaosControl] = None,
+    chaos_control: ChaosControl,
 ) -> Callable[[], dict]:
     """Build the ``/status`` JSON assembler for a hosted service.
 
     Pure observation: merges the service-process registry with the
     latest STATS frame from every worker, derives the cell progress
     view from the merged ``campaign.cells_*`` counters, reports
-    connection/sign-off/loss state, and (elastic services) surfaces
-    the coordinator's lease/requeue/poison accounting plus the chaos
-    injection log under ``"fleet"``.  Safe to call from the status
-    server's threads mid-``serve()``.
+    connection/sign-off/loss state, and surfaces the coordinator's
+    lease/requeue/poison accounting plus the chaos injection log under
+    ``"fleet"``.  Safe to call from the status server's threads
+    mid-``serve()``.
     """
 
     def provider() -> dict:
@@ -771,19 +783,15 @@ def _status_provider(
             "service": asdict(service.stats),
             "telemetry": merged,
         }
-        if coordinator is not None:
-            fleet = coordinator.status()
-            fleet["workers_lost"] = len(service.lost)
-            fleet["heartbeat_ages"] = {
-                str(client_id): round(age, 3)
-                for client_id, age in sorted(service.heartbeat_ages().items())
-            }
-            fleet["replies_dropped"] = service.replies_dropped
-            fleet["auth_rejections"] = getattr(transport, "auth_rejections", 0)
-            fleet["injections"] = (
-                chaos_control.log() if chaos_control is not None else []
-            )
-            status["fleet"] = fleet
+        fleet = service.coordinator.status()
+        fleet["workers_lost"] = len(service.lost)
+        fleet["heartbeat_ages"] = {
+            str(client_id): round(age, 3)
+            for client_id, age in sorted(service.heartbeat_ages().items())
+        }
+        fleet["auth_rejections"] = transport.auth_rejections
+        fleet["injections"] = chaos_control.log()
+        status["fleet"] = fleet
         return status
 
     return provider
@@ -794,24 +802,22 @@ def serve_fleet_service(
     shared_assets: Dict[str, TrainedAssets],
     host: str = "127.0.0.1",
     port: int = 0,
-    n_clients: int = 2,
     idle_timeout: float = 0.0,
     on_ready: Optional[Callable[[str, int], None]] = None,
     status_port: Optional[int] = None,
     status_host: str = "127.0.0.1",
     telemetry_sink: Optional[List[dict]] = None,
-    auth_token: str = "",
 ) -> ServiceStats:
     """Host one elastic scoring service for remote campaign workers.
 
     The backbone of ``python -m repro serve``: plans ``config``'s grid
-    into a lease queue, publishes ``shared_assets`` on an elastic
+    into a lease queue, publishes ``shared_assets`` on a
     :class:`TcpTransport`, calls ``on_ready`` with the bound
     ``(host, port)``, then scores until the grid is drained and every
     connected worker has signed off or been declared lost.
-    ``n_clients`` is the *expected* fleet size for the status view --
-    workers may come and go freely (``--min-workers``), and the
-    campaign survives any churn the retry budget absorbs.
+    ``config.workers`` is the *expected* fleet size for the status
+    view -- workers may come and go freely (``--min-workers``), and
+    the campaign survives any churn the retry budget absorbs.
     ``idle_timeout > 0`` (``--max-idle``) aborts loudly when no
     non-heartbeat frame has arrived for that many seconds (covers
     fleets that never connect as well as fleets that ping but stopped
@@ -822,10 +828,10 @@ def serve_fleet_service(
     serving ``/status`` + ``/metrics`` from the live merged telemetry
     and the ``POST /inject`` chaos control plane
     (:class:`~repro.serving.ChaosControl`); ``None`` (the default)
-    serves no HTTP.  ``auth_token`` (or ``config.auth_token``) gates
-    handshakes: a ``Hello`` with the wrong token is rejected before
-    ``Welcome``.  ``telemetry_sink``, when given, receives the final
-    merged snapshot after the scoring loop winds down.
+    serves no HTTP.  ``config.auth_token`` gates handshakes: a
+    ``Hello`` with the wrong token is rejected before ``Welcome``.
+    ``telemetry_sink``, when given, receives the final merged snapshot
+    after the scoring loop winds down.
 
     With ``config.store == "sqlite"`` the service resumes: cells whose
     records the store already holds are born completed in the lease
@@ -837,9 +843,8 @@ def serve_fleet_service(
     from ..serving.transports import TransportError
 
     tasks = plan_tasks(config)
-    retry_budget = int(getattr(config, "cell_retry_budget", 3))
     completed: List[int] = []
-    if getattr(config, "store", "memory") == "sqlite":
+    if config.store == "sqlite":
         from ..storage import open_store
 
         config_hash = campaign_config_hash(config)
@@ -859,39 +864,16 @@ def serve_fleet_service(
                 "completed; they will not be leased",
                 file=sys.stderr,
             )
-    coordinator = CellCoordinator(
-        [task.run_index for task in tasks],
-        retry_budget=retry_budget,
-        completed=completed,
+    transport, service = _host_service(
+        config, tasks, shared_assets, completed=completed, host=host, port=port
     )
-    auth_token = auth_token or str(getattr(config, "auth_token", "") or "")
-    asset_packs, asset_index, models = _pack_campaign_assets(shared_assets)
-    transport = TcpTransport(
-        n_clients,
-        host=host,
-        port=port,
-        asset_packs=asset_packs,
-        asset_index=asset_index,
-        auth_token=auth_token,
-        elastic=True,
-    )
-    transport.start()
     status_server: Optional[StatusServer] = None
     try:
-        service = GONScoringService(
-            models,
-            transport.request_queue,
-            transport.reply_queues,
-            scorer_backend=getattr(config, "scorer_backend", "fast"),
-            coordinator=coordinator,
-            heartbeat_timeout=float(getattr(config, "heartbeat_timeout", 30.0)),
-        )
-        service.on_worker_lost = transport.close_client
-        chaos_control = ChaosControl(service, coordinator, transport)
+        chaos_control = ChaosControl(service, transport)
         if status_port is not None:
             status_server = StatusServer(
                 _status_provider(
-                    service, transport, n_clients, coordinator, chaos_control
+                    service, transport, config.workers, chaos_control
                 ),
                 host=status_host,
                 port=status_port,
@@ -912,13 +894,13 @@ def serve_fleet_service(
                 if idle > idle_timeout:
                     raise TransportError(
                         f"scoring service idle for {idle:.0f}s "
-                        f"({transport.n_connected} of {n_clients} workers "
-                        "connected); shutting down"
+                        f"({transport.n_connected} of {config.workers} "
+                        "workers connected); shutting down"
                     )
                 return False
 
         stats = serve_transport(service, transport, abort=abort)
-        _warn_poisoned(set(coordinator.poisoned), retry_budget)
+        _warn_poisoned(set(service.coordinator.poisoned), config.cell_retry_budget)
         if telemetry_sink is not None:
             telemetry_sink.append(service.merged_telemetry())
         return stats

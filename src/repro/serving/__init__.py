@@ -38,8 +38,7 @@ The overlay protocol
 --------------------
 CAROL fine-tunes its GON whenever the POT confidence gate opens, and a
 fine-tuned replica no longer matches the fleet's published weights.
-Instead of ejecting such runs to slow worker-local scoring, the
-:class:`FleetScorer` ships its packed post-fine-tune state
+The :class:`FleetScorer` then ships its packed post-fine-tune state
 (``nn/serialization.pack_state``) to the service as an
 :class:`OverlayUpdate`; the service installs it as a *copy-on-write
 per-client weight overlay* and keeps answering that client's ascents
@@ -62,16 +61,16 @@ safe and exact:
    contract `tests/test_fleet.py::TestOverlayLifecycle` asserts.
 
 Overlays are evicted when their owning client signs off
-(:class:`ClientDone`).  ``FleetScorer(..., overlays=False)`` restores
-the pre-overlay behaviour (local scoring after divergence); that path
-counts every degraded ascent in ``diagnostics["local_fallbacks"]``
-instead of silently leaving the stream.
+(:class:`ClientDone`).  Every fine-tune ships one overlay, so a fleet
+record's ``diagnostics["overlay_installs"]`` equals its
+``n_fine_tunes``.
 
 The transport and the wire format
 --------------------------------
 The service is transport-agnostic in code: it drains one FIFO with the
 stdlib ``get(timeout)`` surface and replies through per-client ``put``
-endpoints (in-process ``queue.Queue`` objects in unit tests).
+endpoints (in-process ``queue.Queue`` objects in unit tests, which
+drive the same lease protocol).
 Campaigns reach it through :mod:`repro.serving.transports`:
 :class:`TcpTransport` on the service side and :class:`TcpWorkerChannel`
 on the worker side, so one service can host workers from many machines
@@ -87,10 +86,9 @@ length-prefixed binary framing::
              | body(pack_state buffer: raw array bytes)
 
 and it carries the service's protocol dataclasses
-(:class:`AscentRequest`, :class:`ConfidenceRequest`,
-:class:`OverlayUpdate`, :class:`ClientDone`, the replies) plus a
-handshake (HELLO/WELCOME assigns client ids in accept order) and an
-asset channel (workers fetch each scenario's packed weights and trace
+(:class:`AscentRequest`, :class:`OverlayUpdate`, the lease frames,
+:class:`ClientDone`, the replies) plus a handshake (HELLO/WELCOME
+assigns client ids in accept order) and an asset channel (workers fetch each scenario's packed weights and trace
 stacks once, cached per process -- see
 :func:`~repro.serving.shared.fetch_array_pack`).
 
@@ -105,15 +103,20 @@ Transport guarantees, in the same spirit as the overlay invariants:
    bytes (no text round-trip), so a TCP fleet campaign on localhost
    produces records bit-identical to serial execution, overlays
    included (asserted by ``tests/test_fleet.py::TestTcpFleetCampaign``).
-3. **Loud failure, no hangs** -- malformed or truncated frames,
-   clients disconnecting before :class:`ClientDone`, unknown asset
-   packs and stale-generation requests all raise
-   :class:`~repro.serving.transports.TransportError` out of
-   ``serve()``; :func:`~repro.serving.transports.serve_transport`
-   broadcasts the failure to every connected client before re-raising,
-   so blocked workers raise instead of waiting forever.  Frame sizes
-   are bounded, so a corrupt length prefix cannot trigger unbounded
-   allocation.
+3. **No hangs, and one client's fault stays its own** -- a client
+   that sends a malformed or truncated frame, spoofs another id, asks
+   for an unknown asset pack or disconnects before
+   :class:`ClientDone` is dropped and reported as a
+   :class:`WorkerLost` (its leases are re-queued); a failed handshake
+   is closed and counted (``fleet.handshake_rejections``).  A fault of
+   the scorer loop itself, such as a stale-generation request, raises
+   out of ``serve()``, and
+   :func:`~repro.serving.transports.serve_transport` broadcasts it to
+   every connected client before re-raising, so blocked workers raise
+   instead of waiting forever.  Frame sizes are bounded, so a corrupt
+   length prefix cannot trigger unbounded allocation.  Codes are
+   pinned per message, and wire protocol 3 retired the confidence
+   frames (codes 9 and 13).
 
 The elastic fleet protocol
 --------------------------
@@ -151,8 +154,8 @@ makes the elasticity below safe:
    results from zombie workers (a revoked lease finishing anyway) are
    deduplicated first-wins (``fleet.duplicate_completions`` service
    side, ``fleet.duplicate_records`` at collection).
-3. **Elastic membership** -- an elastic :class:`TcpTransport` keeps
-   accepting after the expected count (HELLO/WELCOME assigns ids in
+3. **Elastic membership** -- :class:`TcpTransport` keeps accepting
+   for its whole lifetime (HELLO/WELCOME assigns ids in
    accept order), so late workers join a running campaign and start
    leasing immediately; the campaign ends when the queue is drained
    and every registered worker has signed off or been declared lost.
@@ -163,13 +166,9 @@ makes the elasticity below safe:
    dumps.
 5. **Chaos control plane** -- ``POST /inject`` on the status server
    (:class:`ChaosControl`) perturbs a live fleet (``kill_worker``,
-   ``delay_client``, ``drop_next_reply``, ``requeue_cell``) through
-   exactly the code paths organic faults take; injections land in the
-   ``fleet.*`` counters and the ``/status`` ``fleet`` section.
-
-Without a coordinator the service keeps fixed-roster semantics (loud
-``TransportError`` on any disconnect before ClientDone): roster-mode
-``TcpTransport`` and in-process queue tests rely on them.
+   ``delay_client``, ``requeue_cell``) through exactly the code paths
+   organic faults take; injections land in the ``fleet.*`` counters
+   and the ``/status`` ``fleet`` section.
 
 Telemetry: STATS frames and the status endpoint
 -----------------------------------------------
@@ -212,14 +211,15 @@ The service runs the one production ascent,
 :func:`repro.core.surrogate.generate_metrics_batch`, on a
 :class:`repro.core.fastscore.FastGONKernel` per resident replica.
 ``scorer_backend=`` only picks the kernel arithmetic, with the same
-contract as :mod:`repro.core.scoring`: ``"fast"`` (float64; ``"exact"``
-is an alias) is bitwise-equal to the autodiff oracle the test suite
+contract as :mod:`repro.core.scoring`: ``"fast"`` (float64) is
+bitwise-equal to the autodiff oracle the test suite
 keeps, and ``"fast32"`` trades float32 arithmetic for the rtol-1e-5
 tier.  Each ascent request gets its own call over its own stack --
 identical batch shapes to in-process scoring, so fleet records stay
-bit-identical to serial ones.  Confidence requests run one forward of
-a float64 kernel under every backend.  Kernels are cached per
-``(model, generation, owner, dtype)`` and invalidated exactly where
+bit-identical to serial ones.  Confidence reads stay on the worker:
+:class:`FleetScorer` runs them on a float64 kernel of its own replica
+under every backend.  Kernels are cached per ``(model, generation,
+owner)`` and invalidated exactly where
 overlays are installed or evicted, so a fine-tuned client never
 scores against stale weights.
 """
@@ -230,7 +230,6 @@ from .service import (
     AscentRequest,
     CellDone,
     ClientDone,
-    ConfidenceRequest,
     FleetScorer,
     GONScoringService,
     LeaseGrant,
@@ -258,7 +257,6 @@ __all__ = [
     "CellDone",
     "ChaosControl",
     "ClientDone",
-    "ConfidenceRequest",
     "FleetScorer",
     "GONScoringService",
     "LeaseGrant",

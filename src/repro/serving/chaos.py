@@ -1,6 +1,6 @@
 """The chaos-inject control plane behind ``POST /inject``.
 
-The PR-6 status endpoint made a running fleet *observable*; this module
+The status endpoint makes a running fleet *observable*; this module
 makes it *perturbable*, following the chaos-engine pattern of timed
 perturbations posted to a live observe endpoint.  Operators (and the
 CI chaos smoke) can exercise exactly the failure paths the elastic
@@ -12,10 +12,9 @@ fleet is built to absorb:
   ``client_id`` the currently lease-holding worker is targeted (the
   interesting victim -- killing an idle worker proves nothing).
 * ``delay_client`` -- add ``seconds`` of latency to every reply sent
-  to a client (``seconds: 0`` clears it).
-* ``drop_next_reply`` -- silently swallow the client's next reply
-  (with a client-side ``read_timeout`` this exercises the full
-  timeout -> death -> re-queue path).
+  to a client (``seconds: 0`` clears it).  An explicit ``client_id``
+  is accepted before that client connects, so a delay can be in place
+  from a worker's first reply on.
 * ``requeue_cell`` -- revoke a leased cell without blaming the worker,
   making the old lease-holder a zombie whose late result must be
   deduplicated.
@@ -39,15 +38,15 @@ _INJECTIONS = _telemetry.counter("fleet.injections")
 #: Keep the last N injections in the /status view.
 _LOG_LIMIT = 100
 
-ACTIONS = ("kill_worker", "delay_client", "drop_next_reply", "requeue_cell")
+ACTIONS = ("kill_worker", "delay_client", "requeue_cell")
 
 
 class ChaosControl:
     """Dispatch ``/inject`` actions against a running fleet."""
 
-    def __init__(self, service, coordinator, transport=None) -> None:
+    def __init__(self, service, transport) -> None:
         self.service = service
-        self.coordinator = coordinator
+        self.coordinator = service.coordinator
         self.transport = transport
         self._lock = threading.Lock()
         self.injections: List[dict] = []
@@ -76,7 +75,7 @@ class ChaosControl:
     def _target_client(self, params: dict) -> int:
         if "client_id" in params:
             return int(params["client_id"])
-        leased = self.coordinator.leased_workers() if self.coordinator else []
+        leased = self.coordinator.leased_workers()
         if not leased:
             raise ValueError(
                 "no client_id given and no worker currently holds a lease"
@@ -85,8 +84,6 @@ class ChaosControl:
 
     def _kill_worker(self, params: dict) -> dict:
         client_id = self._target_client(params)
-        if self.transport is None:
-            raise ValueError("kill_worker needs a TCP transport")
         if client_id not in self.transport._sockets:
             raise ValueError(f"client {client_id} has no open connection")
         self.transport.close_client(client_id)
@@ -98,21 +95,14 @@ class ChaosControl:
         self.service.inject_delay(client_id, seconds)
         return {"client_id": client_id, "seconds": seconds}
 
-    def _drop_next_reply(self, params: dict) -> dict:
-        client_id = self._target_client(params)
-        self.service.inject_drop_next_reply(client_id)
-        return {"client_id": client_id}
-
     def _requeue_cell(self, params: dict) -> dict:
         if "cell_id" in params:
             cell_id = int(params["cell_id"])
         else:
-            leases = sorted(self.coordinator.lease_view()) if self.coordinator else []
+            leases = sorted(self.coordinator.lease_view())
             if not leases:
                 raise ValueError("no cell_id given and no cell is leased")
             cell_id = leases[0]
-        if self.coordinator is None:
-            raise ValueError("requeue_cell needs a coordinator")
         if not self.coordinator.requeue_cell(cell_id):
             raise ValueError(f"cell {cell_id} is not currently leased")
         return {"cell_id": cell_id}

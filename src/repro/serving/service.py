@@ -14,7 +14,7 @@ Many lightweight simulation workers feed one scorer::
 Each request carries a whole candidate stack (a tabu neighbourhood's
 cache misses).  The scorer blocks only while its queue is empty: once a
 message is in hand it takes whatever else is already queued, without
-waiting for more (bounded by ``max_batch_elements`` so latency stays
+waiting for more (bounded by ``_MAX_BATCH_ELEMENTS`` so latency stays
 bounded), and answers every request with a batched GON evaluation on
 its resident model replica -- the scoring weights live once, in the
 service, instead of once per worker.  Requests that arrive while a
@@ -23,8 +23,8 @@ batch is being scored form the next batch.
 Ascents run through the same production path as in-process scoring:
 :func:`repro.core.surrogate.generate_metrics_batch` on a
 :class:`~repro.core.fastscore.FastGONKernel` cached per resident
-replica; confidence requests run one forward on a float64 kernel
-under every backend.
+replica.  Confidence reads never cross the wire: :class:`FleetScorer`
+runs them on its own replica.
 
 Replies are keyed by ``(client, request)``; within a request, results
 are positional in the submitted stack.  Each request's stack runs as
@@ -69,7 +69,7 @@ from .. import telemetry as _telemetry
 from ..core.features import GONInput
 from ..core.gon import GONDiscriminator
 from ..core.fastscore import FastGONKernel
-from ..core.scoring import LocalScorer, sample_confidence, validate_backend
+from ..core.scoring import sample_confidence, validate_backend
 from ..core.surrogate import SurrogateResult, generate_metrics_batch
 from ..core.training import TrainingConfig, fine_tune
 from ..nn.serialization import pack_state, unpack_state
@@ -77,7 +77,6 @@ from ..telemetry import SIZE_EDGES, MetricsRegistry, merge_snapshots
 
 __all__ = [
     "AscentRequest",
-    "ConfidenceRequest",
     "OverlayUpdate",
     "ClientDone",
     "StatsUpdate",
@@ -111,8 +110,14 @@ _BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
 # lease-queue counters ``fleet.leases`` / ``fleet.cells_requeued`` /
 # ``fleet.cells_poisoned`` / ``fleet.duplicate_completions``).
 _WORKERS_LOST = _telemetry.counter("fleet.workers_lost")
-_REPLIES_DROPPED = _telemetry.counter("fleet.replies_dropped")
 _HEARTBEAT_AGE = _telemetry.gauge("fleet.heartbeat_age_max_seconds")
+
+#: Seconds the scorer loop blocks on an empty queue before it runs its
+#: liveness and abort checks.
+_POLL_SECONDS = 0.5
+#: Stop taking already-queued messages once this many stacked elements
+#: are pending (keeps worst-case latency and peak memory bounded).
+_MAX_BATCH_ELEMENTS = 512
 
 
 @dataclass(frozen=True)
@@ -129,23 +134,6 @@ class AscentRequest:
     max_steps: int
     #: The client replica's fine-tune generation; > 0 scores on that
     #: client's installed weight overlay instead of the base model.
-    generation: int = 0
-
-    @property
-    def n_elements(self) -> int:
-        return int(self.metrics.shape[0])
-
-
-@dataclass(frozen=True)
-class ConfidenceRequest:
-    """Plain ``D(M, S, G)`` forward over a sample stack (no ascent)."""
-
-    client_id: int
-    request_id: int
-    model_key: str
-    metrics: np.ndarray
-    schedules: np.ndarray
-    adjacencies: np.ndarray
     generation: int = 0
 
     @property
@@ -171,7 +159,7 @@ class OverlayUpdate:
     buffer: np.ndarray
     manifest: Tuple[Tuple[str, Tuple[int, ...], str, int], ...]
 
-    #: Overlay installs never count toward ``max_batch_elements``.
+    #: Overlay installs never count toward ``_MAX_BATCH_ELEMENTS``.
     n_elements: int = 0
 
 
@@ -192,7 +180,7 @@ class StatsUpdate:
     snapshot per client (snapshots are cumulative) and merges them with
     its own registry into the fleet-wide view behind ``/status`` --
     see :meth:`GONScoringService.merged_telemetry`.  Fire-and-forget,
-    never counts toward ``max_batch_elements``, and carries no arrays.
+    never counts toward ``_MAX_BATCH_ELEMENTS``, and carries no arrays.
     """
 
     client_id: int
@@ -288,12 +276,6 @@ class AscentReply:
     converged: np.ndarray    # [B] bool
 
 
-@dataclass(frozen=True)
-class ConfidenceReply:
-    request_id: int
-    confidences: np.ndarray
-
-
 @dataclass
 class ServiceStats:
     """Scorer-side counters (read after :meth:`serve` returns).
@@ -327,16 +309,18 @@ class GONScoringService:
         Any queue objects with the stdlib ``get(timeout)/get_nowait/put``
         surface (a :class:`~repro.serving.TcpTransport`'s endpoints
         across processes, ``queue.Queue`` in-process for tests).
-    max_batch_elements:
-        Stop taking already-queued messages once this many stacked
-        elements are pending (keeps worst-case latency and peak memory
-        bounded).
+    coordinator:
+        The :class:`~repro.serving.coordinator.CellCoordinator` holding
+        the campaign's lease queue; the service serves until it is
+        drained.
     scorer_backend:
-        Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``
-        (``"exact"`` is accepted as an alias of ``"fast"``).  Kernels
-        are cached per resident replica and re-exported when an
-        overlay installs; confidence requests always run on a float64
-        kernel.
+        Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``.
+        Kernels are cached per resident replica and re-exported when
+        an overlay installs.
+    heartbeat_timeout:
+        Seconds without any frame from a client before it is declared
+        dead and its leases are revoked; 0 disables the timeout (EOF
+        notices still apply).
     """
 
     def __init__(
@@ -344,19 +328,18 @@ class GONScoringService:
         models: Dict[str, GONDiscriminator],
         request_queue,
         reply_queues: Dict[int, object],
-        max_batch_elements: int = 512,
-        poll_seconds: float = 0.5,
+        coordinator,
         scorer_backend: str = "fast",
-        coordinator=None,
         heartbeat_timeout: float = 30.0,
     ) -> None:
         self.models = models
         self.request_queue = request_queue
         self.reply_queues = reply_queues
-        self.max_batch_elements = max_batch_elements
-        self.poll_seconds = poll_seconds
-        self.scorer_backend = validate_backend(scorer_backend)
-        #: ``(model_key, generation, owner, dtype) -> FastGONKernel``;
+        self.coordinator = coordinator
+        validate_backend(scorer_backend)
+        #: The ascent kernels' arithmetic.
+        self._dtype = "float32" if scorer_backend == "fast32" else "float64"
+        #: ``(model_key, generation, owner) -> FastGONKernel``;
         #: invalidated when an overlay (re)installs.
         self._kernels: Dict[tuple, object] = {}
         self.stats = ServiceStats()
@@ -370,31 +353,20 @@ class GONScoringService:
         self._stats_lock = threading.Lock()
         #: Clients that have signed off so far (live progress view).
         self.signed_off: set = set()
-        #: Elastic mode: the :class:`~repro.serving.coordinator.
-        #: CellCoordinator` holding the campaign's lease queue.  When
-        #: None (the default) the service runs the legacy roster loop:
-        #: serve until every pre-registered reply queue signs off, and
-        #: any reply failure is loud and fatal.
-        self.coordinator = coordinator
-        #: Elastic mode: seconds without any frame from a client before
-        #: it is declared dead and its leases are revoked; 0 disables
-        #: the timeout (EOF notices still apply).
         self.heartbeat_timeout = float(heartbeat_timeout)
         #: Clients declared dead (heartbeat timeout, EOF notice, or
         #: reply-delivery failure).  Their leases were revoked and
         #: their later messages are dropped.
         self.lost: set = set()
-        #: ``client_id -> monotonic`` of the last frame seen (elastic).
+        #: ``client_id -> monotonic`` of the last frame seen.
         self._last_seen: Dict[int, float] = {}
         #: Optional hook called with a client id when the service marks
         #: it lost -- fleets wire this to ``TcpTransport.close_client``
         #: so a wedged-but-connected socket is actively torn down.
         self.on_worker_lost: Optional[Callable[[int], None]] = None
         #: Chaos injection state (``POST /inject``): per-client reply
-        #: delay in seconds, and one-shot reply drops.
+        #: delay in seconds.
         self.reply_delays: Dict[int, float] = {}
-        self._drop_next_reply: set = set()
-        self.replies_dropped = 0
 
     # ------------------------------------------------------------------
     def merged_telemetry(self) -> dict:
@@ -412,25 +384,20 @@ class GONScoringService:
     def serve(self, abort: Optional[Callable[[], bool]] = None) -> ServiceStats:
         """Score until the campaign is over.
 
-        Legacy roster mode (``coordinator is None``): exit once every
-        pre-registered reply queue has signed off; any worker death is
-        loud and fatal.  Elastic mode (a
-        :class:`~repro.serving.coordinator.CellCoordinator` is
-        attached): exit once the cell queue is drained *and* every
-        client ever seen has either signed off or been declared lost --
-        membership is open, deaths revoke leases instead of aborting.
+        Exit once the cell queue is drained *and* every client ever
+        seen has either signed off or been declared lost -- membership
+        is open, deaths revoke leases instead of aborting.
 
         ``abort`` is polled while the queue is idle; returning True
-        raises (used to detect dead workers -- legacy -- or a fully
-        dead fleet -- elastic -- instead of hanging).
+        raises (used to detect a fully dead fleet instead of hanging).
 
         The loop blocks only while the queue is empty.  Once a message
         is in hand it takes whatever else is already queued, up to
-        ``max_batch_elements``, and dispatches at once.
+        ``_MAX_BATCH_ELEMENTS``, and dispatches at once.
         """
         while not self._serve_complete():
             try:
-                message = self.request_queue.get(timeout=self.poll_seconds)
+                message = self.request_queue.get(timeout=_POLL_SECONDS)
             except queue_module.Empty:
                 self._check_liveness()
                 if abort is not None and abort():
@@ -441,7 +408,7 @@ class GONScoringService:
                 continue
             pending = [message]
             with _DRAIN_SPAN.time():
-                while self._pending_elements(pending) < self.max_batch_elements:
+                while self._pending_elements(pending) < _MAX_BATCH_ELEMENTS:
                     try:
                         pending.append(self.request_queue.get_nowait())
                     except queue_module.Empty:
@@ -451,23 +418,17 @@ class GONScoringService:
         return self.stats
 
     def _serve_complete(self) -> bool:
-        if self.coordinator is None:
-            return len(self.signed_off) >= len(self.reply_queues)
-        unresolved = (
-            set(self._last_seen) - self.signed_off - self.lost
-        )
+        unresolved = set(self._last_seen) - self.signed_off - self.lost
         return self.coordinator.finished and not unresolved
 
     # ------------------------------------------------------------------
-    # Elastic liveness
+    # Liveness
     # ------------------------------------------------------------------
     def _note_alive(self, client_id: int) -> None:
         self._last_seen[client_id] = time.monotonic()
 
     def _check_liveness(self) -> None:
         """Declare clients dead after ``heartbeat_timeout`` of silence."""
-        if self.coordinator is None:
-            return
         now = time.monotonic()
         max_age = 0.0
         for client_id, last in list(self._last_seen.items()):
@@ -501,14 +462,13 @@ class GONScoringService:
         self.lost.add(client_id)
         _WORKERS_LOST.inc()
         self._evict_overlays(client_id)
-        if self.coordinator is not None:
-            requeued, poisoned = self.coordinator.release_worker(client_id)
-            detail = f"worker {client_id} lost ({reason or 'unknown'})"
-            if requeued:
-                detail += f"; re-queued cells {requeued}"
-            if poisoned:
-                detail += f"; quarantined poisoned cells {poisoned}"
-            print(f"[repro.serving] {detail}", file=sys.stderr)
+        requeued, poisoned = self.coordinator.release_worker(client_id)
+        detail = f"worker {client_id} lost ({reason or 'unknown'})"
+        if requeued:
+            detail += f"; re-queued cells {requeued}"
+        if poisoned:
+            detail += f"; quarantined poisoned cells {poisoned}"
+        print(f"[repro.serving] {detail}", file=sys.stderr)
         if self.on_worker_lost is not None:
             try:
                 self.on_worker_lost(client_id)
@@ -524,10 +484,6 @@ class GONScoringService:
             self.reply_delays.pop(int(client_id), None)
         else:
             self.reply_delays[int(client_id)] = float(seconds)
-
-    def inject_drop_next_reply(self, client_id: int) -> None:
-        """Silently drop the next reply addressed to ``client_id``."""
-        self._drop_next_reply.add(int(client_id))
 
     @staticmethod
     def _pending_elements(pending: Sequence) -> int:
@@ -574,7 +530,7 @@ class GONScoringService:
 
     def _resolve_model(self, request) -> GONDiscriminator:
         """The replica a request scores on: base weights or overlay."""
-        generation = getattr(request, "generation", 0)
+        generation = request.generation
         if generation == 0:
             return self.models[request.model_key]
         entry = self._overlays.get((request.client_id, request.model_key))
@@ -589,23 +545,15 @@ class GONScoringService:
         _OVERLAY_ELEMENTS.add(request.n_elements)
         return entry[1]
 
-    def _kernel_for(
-        self, request, model: GONDiscriminator, dtype: Optional[str] = None
-    ) -> FastGONKernel:
-        """The cached kernel for a request's resolved replica.
-
-        ``dtype`` defaults to the backend's ascent arithmetic;
-        confidence requests ask for ``"float64"`` under every backend.
-        """
-        if dtype is None:
-            dtype = "float32" if self.scorer_backend == "fast32" else "float64"
+    def _kernel_for(self, request, model: GONDiscriminator) -> FastGONKernel:
+        """The cached kernel for a request's resolved replica."""
         # Generation 0 is the published weight set every client shares
         # (owner -1); past it each client scores on its own overlay.
         owner = request.client_id if request.generation else -1
-        key = (request.model_key, request.generation, owner, dtype)
+        key = (request.model_key, request.generation, owner)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = FastGONKernel.from_model(model, dtype=dtype)
+            kernel = FastGONKernel.from_model(model, dtype=self._dtype)
             self._kernels[key] = kernel
         return kernel
 
@@ -634,21 +582,17 @@ class GONScoringService:
             if isinstance(message, ClientDone):
                 signed_off.add(message.client_id)
                 self._evict_overlays(message.client_id)
-                if self.coordinator is not None:
-                    # Signing off while still holding a lease means the
-                    # worker errored mid-cell and cleaned up on the way
-                    # out -- treat the lease like a death so the cell
-                    # is re-queued instead of deadlocking the drain.
-                    self.coordinator.release_worker(message.client_id)
+                # Signing off while still holding a lease means the
+                # worker errored mid-cell and cleaned up on the way out
+                # -- treat the lease like a death so the cell is
+                # re-queued instead of deadlocking the drain.
+                self.coordinator.release_worker(message.client_id)
                 continue
             if isinstance(message, LeaseRequest):
                 self._grant_lease(message)
                 continue
             if isinstance(message, CellDone):
-                if self.coordinator is not None:
-                    self.coordinator.complete(
-                        message.cell_id, message.client_id
-                    )
+                self.coordinator.complete(message.cell_id, message.client_id)
                 continue
             if isinstance(message, Ping):
                 continue
@@ -668,18 +612,10 @@ class GONScoringService:
 
         with _DISPATCH_SPAN.time():
             for request in requests:
-                if isinstance(request, AscentRequest):
-                    self._run_ascent(request)
-                else:
-                    self._run_confidence(request)
+                self._run_ascent(request)
         return signed_off
 
     def _grant_lease(self, request: LeaseRequest) -> None:
-        if self.coordinator is None:
-            raise RuntimeError(
-                f"client {request.client_id} requested a cell lease but "
-                "this service has no coordinator (roster mode)"
-            )
         cell_id, attempt, drained = self.coordinator.lease(request.client_id)
         if drained:
             grant = LeaseGrant(
@@ -698,42 +634,27 @@ class GONScoringService:
             )
         self._send_reply(request.client_id, grant)
 
-    def _reply(self, request, reply) -> None:
-        self._send_reply(request.client_id, reply)
-
     def _send_reply(self, client_id: int, reply) -> None:
-        """Deliver one reply, applying chaos injections.
+        """Deliver one reply, applying any injected delay.
 
-        In roster mode delivery failures propagate (loud failure, the
-        legacy contract).  In elastic mode a failed send means the
-        client is gone: it is marked lost (revoking its leases) and the
-        service keeps running for the rest of the fleet.
+        A failed send means the client is gone: it is marked lost
+        (revoking its leases) and the service keeps running for the
+        rest of the fleet.
         """
-        if client_id in self._drop_next_reply:
-            self._drop_next_reply.discard(client_id)
-            self.replies_dropped += 1
-            _REPLIES_DROPPED.inc()
-            return
         delay = self.reply_delays.get(client_id, 0.0)
         if delay > 0:
             time.sleep(delay)
         try:
             self.reply_queues[client_id].put(reply)
         except Exception as error:
-            if self.coordinator is None:
-                raise
             self._mark_lost(client_id, f"reply delivery failed: {error}")
-
-    def _count_call(self, request) -> GONDiscriminator:
-        """Account one scoring call; returns the replica it runs on."""
-        self.stats.n_batches += 1
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(request.n_elements)
-        return self._resolve_model(request)
 
     def _run_ascent(self, request: AscentRequest) -> None:
         """One kernel ascent over one request's stack."""
-        model = self._count_call(request)
+        self.stats.n_batches += 1
+        _BATCHES.inc()
+        _BATCH_ELEMENTS.observe(request.n_elements)
+        model = self._resolve_model(request)
         results = generate_metrics_batch(
             self._kernel_for(request, model),
             request.schedules,
@@ -742,15 +663,9 @@ class GONScoringService:
             gamma=request.gamma,
             max_steps=request.max_steps,
         )
-        self._reply(request, _ascent_reply(request.request_id, results))
-
-    def _run_confidence(self, request: ConfidenceRequest) -> None:
-        """One float64 kernel forward over one request's stack."""
-        model = self._count_call(request)
-        scores = self._kernel_for(request, model, "float64").score_stack(
-            request.metrics, request.schedules, request.adjacencies
+        self._send_reply(
+            request.client_id, _ascent_reply(request.request_id, results)
         )
-        self._reply(request, ConfidenceReply(request.request_id, scores.copy()))
 
 
 def _ascent_reply(
@@ -841,25 +756,6 @@ class ScoringClient:
             for i in range(reply.metrics.shape[0])
         ]
 
-    def confidences(
-        self,
-        metrics: np.ndarray,
-        schedules: np.ndarray,
-        adjacencies: np.ndarray,
-        generation: int = 0,
-    ) -> np.ndarray:
-        self._next_request += 1
-        reply = self._round_trip(ConfidenceRequest(
-            client_id=self.client_id,
-            request_id=self._next_request,
-            model_key=self.model_key,
-            metrics=np.asarray(metrics, dtype=float),
-            schedules=np.asarray(schedules, dtype=float),
-            adjacencies=np.asarray(adjacencies, dtype=float),
-            generation=generation,
-        ))
-        return reply.confidences
-
     def close(self) -> None:
         """Sign off; the service evicts this client's overlays and
         exits once every client has."""
@@ -876,51 +772,32 @@ class FleetScorer:
       this client's installed overlay, so diverged replicas stay in
       the consolidated batched stream;
     * **confidence** -- computed locally on the replica (one float64
-      kernel forward; cheaper than a queue round-trip and
-      bitwise-identical to in-process execution);
+      kernel forward, re-exported whenever :attr:`generation` moves;
+      cheaper than a queue round-trip and bitwise-identical to
+      in-process execution);
     * **fine_tune** -- copy-on-write divergence: the read-only shared
       parameters are materialised into private writable arrays, the
       fine-tune runs locally, and the new state ships to the service
-      as a weight overlay (``overlays=True``, the default).
-
-    With ``overlays=False`` (the pre-overlay behaviour) a diverged
-    replica falls back to worker-local scoring instead; every such
-    ascent increments ``diagnostics["local_fallbacks"]``, the counter
-    campaigns assert to be zero once overlays are on.
-
-    ``backend`` mirrors :class:`repro.core.scoring.LocalScorer`: it
-    selects the kernel arithmetic for the *worker-local fallback* path
-    (the service's own backend is chosen service-side at construction).
+      as a weight overlay.
     """
 
-    def __init__(
-        self,
-        client: ScoringClient,
-        model: GONDiscriminator,
-        overlays: bool = True,
-        backend: str = "fast",
-    ) -> None:
+    def __init__(self, client: ScoringClient, model: GONDiscriminator) -> None:
         self.client = client
         self.model = model
-        self.overlays = overlays
-        self.backend = validate_backend(backend)
-        self._local: Optional[object] = None
         self.generation = 0
+        self._reader: Optional[FastGONKernel] = None
+        self._reader_generation = -1
         #: Per-instance registry backing :attr:`diagnostics` (always
         #: enabled -- these are deterministic record diagnostics, not
         #: wall-clock telemetry), surfaced into campaign records by
         #: ``experiments.campaign.run_cell``.
         self.telemetry = MetricsRegistry()
-        self._fallbacks = self.telemetry.counter("scorer.local_fallbacks")
         self._installs = self.telemetry.counter("scorer.overlay_installs")
 
     @property
     def diagnostics(self) -> Dict[str, int]:
         """Legacy integer-counter view of :attr:`telemetry`."""
-        return {
-            "local_fallbacks": self._fallbacks.value,
-            "overlay_installs": self._installs.value,
-        }
+        return {"overlay_installs": self._installs.value}
 
     def ascent(
         self,
@@ -930,33 +807,16 @@ class FleetScorer:
         gamma: float,
         max_steps: int,
     ) -> List[SurrogateResult]:
-        if self.generation == 0 or self.overlays:
-            return self.client.ascent(
-                metrics, schedules, adjacencies, gamma, max_steps,
-                generation=self.generation,
-            )
-        # Pre-overlay degradation path: a diverged replica can only
-        # score on its private weights.  Counted, never silent.
-        self._fallbacks.inc()
-        return self._local_scorer().ascent(
-            metrics, schedules, adjacencies, gamma, max_steps
+        return self.client.ascent(
+            metrics, schedules, adjacencies, gamma, max_steps,
+            generation=self.generation,
         )
-
-    def _local_scorer(self):
-        """Lazy in-process scorer: confidence reads, fallback ascents.
-
-        Shares :attr:`model` and tracks :attr:`generation`, so its
-        kernel re-exports after every fine-tune.
-        """
-        if self._local is None:
-            self._local = LocalScorer(self.model, backend=self.backend)
-        self._local.generation = self.generation
-        return self._local
 
     def confidence(self, sample: GONInput) -> float:
-        return sample_confidence(
-            self._local_scorer().confidence_kernel(), sample
-        )
+        if self._reader is None or self._reader_generation != self.generation:
+            self._reader = FastGONKernel.from_model(self.model)
+            self._reader_generation = self.generation
+        return sample_confidence(self._reader, sample)
 
     def fine_tune(
         self,
@@ -977,12 +837,9 @@ class FleetScorer:
             rng=rng,
         )
         self.generation += 1
-        if self.overlays:
-            # Ship the diverged state before any further scoring call:
-            # FIFO queue order guarantees the service installs it ahead
-            # of this client's next generation-N request.
-            self.client.install_overlay(
-                self.model.state_dict(), self.generation
-            )
-            self._installs.inc()
+        # Ship the diverged state before any further scoring call: FIFO
+        # queue order guarantees the service installs it ahead of this
+        # client's next generation-N request.
+        self.client.install_overlay(self.model.state_dict(), self.generation)
+        self._installs.inc()
         return loss

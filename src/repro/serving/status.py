@@ -20,7 +20,7 @@ A stdlib :mod:`http.server` bound next to the scoring socket
     (:func:`repro.telemetry.render_metrics_text`).
 
 ``POST /inject``
-    The chaos control plane (elastic fleets only): a JSON body like
+    The chaos control plane: a JSON body like
     ``{"action": "kill_worker"}`` or ``{"action": "requeue_cell",
     "cell_id": 3}`` is dispatched to the configured ``inject_handler``
     (normally :meth:`repro.serving.chaos.ChaosControl.inject`).

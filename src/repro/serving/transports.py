@@ -13,12 +13,16 @@ install-before-score guarantee survives the network hop; cross-client
 interleaving is harmless because generation > 0 overlays are private
 per client.
 
-Failure semantics are deliberately loud.  A malformed or truncated
-frame, a client vanishing before :class:`ClientDone`, or a reply to a
-dead socket all surface as :class:`TransportError` out of
-``service.serve`` -- never a hang.  :func:`serve_transport` broadcasts
-the failure to every connected client before re-raising, so remote
-workers blocked on a reply fail loudly too.
+Failure semantics keep one client's fault from sinking the fleet,
+and never hang.  A client that sends a malformed or truncated frame,
+spoofs another client id, asks for an unknown asset pack or vanishes
+before :class:`ClientDone` is *dropped*: its socket is closed and a
+:class:`~repro.serving.service.WorkerLost` notice revokes its leases.
+A connection that fails the handshake is closed and counted in
+``fleet.handshake_rejections``.  Whatever kills the scorer loop itself
+(a stale-generation request, say) is broadcast to every connected
+client by :func:`serve_transport` before re-raising, so remote workers
+blocked on a reply fail loudly too.
 
 The transport doubles as the asset channel: publish
 ``pack_state``-packed buffers via ``asset_packs`` and workers fetch
@@ -86,13 +90,13 @@ class _Fault:
 
 
 class _FaultableQueue:
-    """A FIFO whose readers can be failed loudly from another thread.
+    """A FIFO whose consumer can be failed loudly from another thread.
 
-    Reader threads enqueue decoded messages with :meth:`put`; on a
-    protocol error they enqueue the exception with :meth:`fail`, and
-    the next service-side :meth:`get` or :meth:`get_nowait` raises it
-    -- turning any client misbehaviour into a loud ``serve()`` failure
-    instead of a hang.
+    Reader threads enqueue decoded messages with :meth:`put`.  When the
+    accept loop itself dies it enqueues the exception with :meth:`fail`,
+    and the next service-side :meth:`get` or :meth:`get_nowait` raises
+    it -- a loud ``serve()`` failure instead of a fleet that can never
+    gain a worker again.
     """
 
     def __init__(self) -> None:
@@ -138,20 +142,13 @@ class TcpTransport:
     from ``pack_state``; ``asset_index`` is the scenario metadata
     served to :class:`wire.AssetIndexRequest`.
 
-    Membership comes in two flavours:
-
-    * **roster** (``elastic=False``, the legacy default): accept
-      exactly ``n_clients`` connections, then stop listening; any
-      client death or protocol violation is fatal to the service.
-    * **elastic** (``elastic=True``): keep accepting for the lifetime
-      of the transport -- late workers join a running campaign and get
-      the next id in accept order; ``n_clients`` is only the initially
-      expected head-count (status display).  A client that disconnects
-      before signing off, spoofs another id, or sends a malformed
-      frame is *dropped* -- its socket is closed and a
-      :class:`~repro.serving.service.WorkerLost` notice is enqueued so
-      the service can revoke its leases -- instead of killing the
-      whole fleet.
+    Membership is elastic: the transport keeps accepting for its whole
+    lifetime, so late workers join a running campaign and get the next
+    id in accept order.  A client that disconnects before signing off,
+    spoofs another id, or sends a malformed frame is *dropped* -- its
+    socket is closed and a :class:`~repro.serving.service.WorkerLost`
+    notice is enqueued so the service can revoke its leases -- instead
+    of killing the whole fleet.
 
     ``auth_token`` is the pre-shared fleet secret: a HELLO carrying a
     different token is answered with a :class:`wire.ServiceError` and
@@ -162,16 +159,12 @@ class TcpTransport:
 
     def __init__(
         self,
-        n_clients: int,
         host: str = "127.0.0.1",
         port: int = 0,
         asset_packs: Optional[Dict[str, Tuple[np.ndarray, list]]] = None,
         asset_index: Optional[Dict[str, Dict[str, int]]] = None,
         auth_token: str = "",
-        elastic: bool = False,
     ) -> None:
-        self.n_clients = n_clients
-        self.elastic = bool(elastic)
         self._auth_token = str(auth_token)
         self._asset_packs = dict(asset_packs or {})
         self._asset_index = {
@@ -180,9 +173,7 @@ class TcpTransport:
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self.request_queue = _FaultableQueue()
-        self.reply_queues: Dict[int, _TcpReplyWriter] = {
-            i: _TcpReplyWriter(self, i) for i in range(n_clients)
-        }
+        self.reply_queues: Dict[int, _TcpReplyWriter] = {}
         self._sockets: Dict[int, socket.socket] = {}
         self._send_locks: Dict[int, threading.Lock] = {}
         self._threads: list = []
@@ -219,8 +210,6 @@ class TcpTransport:
         client_id = 0
         try:
             while not self._closed.is_set():
-                if not self.elastic and client_id >= self.n_clients:
-                    return
                 try:
                     conn, _addr = self._listener.accept()
                 except OSError:
@@ -230,18 +219,14 @@ class TcpTransport:
                 try:
                     accepted = self._handshake(conn, client_id)
                 except Exception:
-                    if self.elastic:
-                        # One garbage connection must not take down a
-                        # long-running fleet; reject it and keep
-                        # accepting.  Roster mode keeps the legacy
-                        # loud-failure contract below.
-                        _HANDSHAKE_REJECTIONS.inc()
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
-                        continue
-                    raise
+                    # One garbage connection must not take down a
+                    # long-running fleet; reject it and keep accepting.
+                    _HANDSHAKE_REJECTIONS.inc()
+                    try:
+                        conn.close()
+                    except OSError:
+                        pass
+                    continue
                 if accepted:
                     client_id += 1
         except Exception as error:
@@ -257,8 +242,8 @@ class TcpTransport:
 
         Returns True when the connection became client ``client_id``;
         False when it was rejected (bad auth token) without consuming
-        the id.  Malformed handshakes raise (the accept loop decides
-        whether that is fatal).
+        the id.  Malformed handshakes raise (the accept loop rejects
+        the connection).
         """
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         hello = wire.recv_message(conn)
@@ -361,18 +346,14 @@ class TcpTransport:
             )
 
     def _reader_failed(self, client_id: int, error: TransportError) -> None:
-        """A client's reader died: fatal (roster) or a lost worker.
+        """A client's reader died: drop the client as a lost worker.
 
-        Roster mode keeps the legacy contract -- the fault propagates
-        out of ``serve()``.  Elastic mode converts any single-client
-        failure (EOF before sign-off, spoofed id, malformed frame)
-        into a :class:`WorkerLost` notice: the service revokes the
-        dead client's leases and the campaign keeps running.
+        Any single-client failure (EOF before sign-off, spoofed id,
+        malformed frame) becomes a :class:`WorkerLost` notice: the
+        service revokes the dead client's leases and the campaign
+        keeps running.
         """
         if self._closed.is_set():
-            return
-        if not self.elastic:
-            self.request_queue.fail(error)
             return
         self.close_client(client_id)
         self.request_queue.put(WorkerLost(client_id, reason=str(error)))
@@ -397,8 +378,8 @@ class TcpTransport:
 
         Used by the chaos control plane (``kill_worker``) and by the
         service when it declares a client dead: the reader thread wakes
-        with an EOF/OSError and, in elastic mode, enqueues the
-        :class:`WorkerLost` notice.
+        with an EOF/OSError and enqueues the :class:`WorkerLost`
+        notice.
         """
         conn = self._sockets.pop(client_id, None)
         if conn is None:
@@ -449,13 +430,11 @@ class TcpWorkerChannel:
     timeout is derived from the remaining connect budget (never a
     hidden hard-coded constant).
 
-    ``read_timeout`` bounds every post-handshake blocking read: 0 (the
-    default) waits forever, the historical behaviour; a positive value
-    turns a reply that never arrives (dead service, dropped frame)
-    into a loud :class:`TransportError` after that many seconds --
-    the client-side half of heartbeat-based liveness.  Sends are
-    serialized with an internal lock so a heartbeat thread can share
-    the socket with the scoring loop.
+    Post-handshake reads block until a frame arrives or the socket
+    fails: over TCP a reply either arrives or the connection breaks,
+    and the service side declares silent clients dead on its
+    heartbeat timeout.  Sends are serialized with an internal lock so
+    a heartbeat thread can share the socket with the scoring loop.
     """
 
     def __init__(
@@ -463,11 +442,9 @@ class TcpWorkerChannel:
         address: str,
         connect_timeout: float = 30.0,
         retry_interval: float = 0.2,
-        read_timeout: float = 0.0,
         auth_token: str = "",
     ) -> None:
         self.address = address
-        self.read_timeout = float(read_timeout)
         self._send_lock = threading.Lock()
         host, port = parse_address(address)
         deadline = time.monotonic() + connect_timeout
@@ -486,37 +463,32 @@ class TcpWorkerChannel:
                     ) from None
                 time.sleep(retry_interval)
         # Keep the timeout through the handshake: a connection sitting
-        # unaccepted in the listen backlog (e.g. more workers than a
-        # roster-mode service expects) must fail loudly here rather
-        # than block on the Welcome forever.
+        # unaccepted in the listen backlog (an accept loop stuck on
+        # another connection) must fail loudly here rather than block
+        # on the Welcome forever.
         self._sock.settimeout(connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             wire.send_message(self._sock, Hello(token=auth_token))
             welcome = self._recv()
-        except wire.WireError as error:
-            raise TransportError(f"handshake with {address} failed: {error}") from None
-        except TransportError as error:
+        except TimeoutError:
             raise TransportError(
-                f"handshake with {address} failed (is the service "
-                f"expecting this many workers?): {error}"
+                f"handshake with {address} failed: no Welcome within "
+                f"{connect_timeout:.0f}s"
             ) from None
+        except (wire.WireError, TransportError) as error:
+            raise TransportError(f"handshake with {address} failed: {error}") from None
         if not isinstance(welcome, Welcome):
             raise TransportError(
                 f"service at {address} answered Hello with "
                 f"{type(welcome).__name__}"
             )
         self.client_id: int = welcome.client_id
-        self._sock.settimeout(self.read_timeout if self.read_timeout > 0 else None)
+        self._sock.settimeout(None)
 
     def _recv(self):
         try:
             message = wire.recv_message(self._sock)
-        except socket.timeout:
-            raise TransportError(
-                f"no frame from the scoring service at {self.address} "
-                f"within the {self.read_timeout:.1f}s read timeout"
-            ) from None
         except wire.ConnectionClosed:
             raise TransportError(
                 f"scoring service at {self.address} closed the connection "

@@ -2,8 +2,8 @@
 
 The socket transport (:mod:`repro.serving.transports`) ships the
 service's protocol dataclasses -- :class:`AscentRequest`,
-:class:`ConfidenceRequest`, :class:`OverlayUpdate`, :class:`ClientDone`
-and their replies -- over a wire format with no pickle anywhere:
+:class:`OverlayUpdate`, the lease frames, :class:`ClientDone` and the
+replies -- over a wire format with no pickle anywhere:
 
 ``frame := MAGIC(4) | type(1) | header_len(u32) | body_len(u32)
            | header(JSON) | body(packed arrays)``
@@ -41,8 +41,6 @@ from .service import (
     AscentRequest,
     CellDone,
     ClientDone,
-    ConfidenceReply,
-    ConfidenceRequest,
     LeaseGrant,
     LeaseRequest,
     OverlayUpdate,
@@ -70,10 +68,11 @@ __all__ = [
 
 MAGIC = b"CRL1"
 #: Version 2 added the elastic-fleet frames (LEASE/CELL_DONE/PING) and
-#: the pre-shared auth token field in HELLO.  The handshake rejects
-#: mismatched versions loudly, so mixed deployments fail fast instead
-#: of mis-decoding.
-PROTOCOL_VERSION = 2
+#: the pre-shared auth token field in HELLO; version 3 retired the
+#: confidence request/reply frames.  The handshake rejects mismatched
+#: versions loudly, so mixed deployments fail fast instead of
+#: mis-decoding.
+PROTOCOL_VERSION = 3
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -161,40 +160,40 @@ class ServiceError:
 # ----------------------------------------------------------------------
 # Codec registry
 # ----------------------------------------------------------------------
-#: Message class -> ndarray field names (shipped in the packed body).
-_ARRAY_FIELDS = {
-    Hello: (),
-    Welcome: (),
-    AssetIndexRequest: (),
-    AssetIndex: (),
-    AssetRequest: (),
-    AssetReply: ("buffer",),
-    ServiceError: (),
-    AscentRequest: ("metrics", "schedules", "adjacencies"),
-    ConfidenceRequest: ("metrics", "schedules", "adjacencies"),
-    OverlayUpdate: ("buffer",),
-    ClientDone: (),
-    AscentReply: ("metrics", "confidences", "n_steps", "converged"),
-    ConfidenceReply: ("confidences",),
+#: Message class -> (type code, ndarray field names shipped in the
+#: packed body).  Codes are pinned: a message keeps its code for as
+#: long as it exists, and a retired code is never reused (9 and 13
+#: were the confidence request and reply, retired in protocol 3).
+#: The service-internal WorkerLost notice deliberately has no code: it
+#: is enqueued locally by the transport and must never arrive from a
+#: client.
+_MESSAGES = {
+    Hello: (1, ()),
+    Welcome: (2, ()),
+    AssetIndexRequest: (3, ()),
+    AssetIndex: (4, ()),
+    AssetRequest: (5, ()),
+    AssetReply: (6, ("buffer",)),
+    ServiceError: (7, ()),
+    AscentRequest: (8, ("metrics", "schedules", "adjacencies")),
+    OverlayUpdate: (10, ("buffer",)),
+    ClientDone: (11, ()),
+    AscentReply: (12, ("metrics", "confidences", "n_steps", "converged")),
     # STATS frame: the telemetry snapshot dict rides in the JSON
     # header (it is JSON-safe by construction), no packed body.
-    # Message type codes come from insertion order, so new messages
-    # must never reorder the existing entries.
-    StatsUpdate: (),
+    StatsUpdate: (14, ()),
     # Elastic-fleet frames (protocol 2): the lease queue and the
-    # heartbeat.  Scalar-only payloads, appended after every protocol-1
-    # frame.  (The service-internal WorkerLost notice deliberately has
-    # no wire code: it is enqueued locally by the transport and
-    # must never arrive from a client.)
-    LeaseRequest: (),
-    LeaseGrant: (),
-    CellDone: (),
-    Ping: (),
+    # heartbeat, scalar-only payloads.
+    LeaseRequest: (15, ()),
+    LeaseGrant: (16, ()),
+    CellDone: (17, ()),
+    Ping: (18, ()),
 }
+_ARRAY_FIELDS = {cls: arrays for cls, (_code, arrays) in _MESSAGES.items()}
 
 #: Replies are consumed by clients that may mutate result arrays;
 #: decode these to writable private arrays instead of read-only views.
-_COPY_ON_DECODE = (AscentReply, ConfidenceReply)
+_COPY_ON_DECODE = (AscentReply,)
 
 #: Fields holding a ``pack_state`` manifest: JSON turns the nested
 #: tuples into lists, so decoding restores the tuple shape.
@@ -204,7 +203,7 @@ _MANIFEST_FIELDS = {OverlayUpdate: ("manifest",), AssetReply: ("manifest",)}
 #: restores the frozen-dataclass tuple shape).
 _INT_TUPLE_FIELDS = {LeaseGrant: ("poisoned",)}
 
-_CODE_BY_CLASS = {cls: code for code, cls in enumerate(_ARRAY_FIELDS, start=1)}
+_CODE_BY_CLASS = {cls: code for cls, (code, _arrays) in _MESSAGES.items()}
 _CLASS_BY_CODE = {code: cls for cls, code in _CODE_BY_CLASS.items()}
 
 
@@ -331,9 +330,8 @@ def _read_exact(sock, n: int, at_boundary: bool) -> bytes:
         try:
             chunk = sock.recv(min(remaining, 1 << 20))
         except TimeoutError:
-            # A socket read timeout is a liveness signal, not a frame
-            # corruption: let it propagate so the caller can name the
-            # configured read timeout in its error.
+            # A socket timeout is a liveness signal, not a corrupt
+            # frame: the caller names the deadline it set.
             raise
         except OSError as error:
             raise WireError(f"socket read failed: {error}") from None

@@ -57,8 +57,9 @@ from repro.nn.serialization import (
     verify_inference_pack,
 )
 from repro.scenarios import all_scenarios
-from repro.serving import GONScoringService, ScoringClient
+from repro.serving import FleetScorer, GONScoringService, ScoringClient
 
+from fleet_harness import CELL, one_cell_grid, sign_off
 from gon_oracle import generate_metrics_batch as oracle_batch
 from gon_oracle import oracle_ascents
 
@@ -398,16 +399,19 @@ class TestLocalScorerBackends:
         for backend in BACKENDS:
             assert validate_backend(backend) == backend
         assert BACKENDS == ("fast", "fast32")
-        assert validate_backend("exact") == "fast"
-        with pytest.raises(ValueError):
-            validate_backend("onnx")
+        # One spelling per backend: the retired "exact" alias is unknown.
+        for unknown in ("exact", "onnx"):
+            with pytest.raises(ValueError, match="unknown scorer backend"):
+                validate_backend(unknown)
 
     def test_constructor_rejects_unknown_backend(self, trained_gon):
         with pytest.raises(ValueError):
             LocalScorer(trained_gon, backend="slow")
 
     def test_fast_backend_matches_exact(self, trained_gon, session_samples):
-        assert LocalScorer(trained_gon, backend="exact").backend == "fast"
+        # "exact" names the oracle ascent, not a backend.
+        with pytest.raises(ValueError):
+            LocalScorer(trained_gon, backend="exact")
         fast = LocalScorer(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 5)
         _assert_results_bitwise(
@@ -481,7 +485,8 @@ class TestServiceFastBackend:
         request_queue = queue.Queue()
         replies = {i: queue.Queue() for i in range(n_clients)}
         service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies, **kwargs
+            {"scenario": trained_gon}, request_queue, replies,
+            one_cell_grid(), **kwargs
         )
         thread = threading.Thread(target=service.serve, daemon=True)
         thread.start()
@@ -503,23 +508,26 @@ class TestServiceFastBackend:
             gamma=1e-2, max_steps=4,
         )
         _assert_results_bitwise(remote, oracle)
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
 
     def test_fast32_service_confidences_stay_float64(
         self, trained_gon, session_samples
     ):
+        # A fast32 fleet still reads the POT gate's confidence on a
+        # float64 kernel: FleetScorer scores it on its own replica.
         service, thread, (client,) = self._serve(
             trained_gon, scorer_backend="fast32"
         )
-        metrics, schedules, adjacencies = _stacks(session_samples, 5)
-        remote = client.confidences(metrics, schedules, adjacencies)
-        local = trained_gon.forward_batch(metrics, schedules, adjacencies)
-        assert np.array_equal(remote, local.data)
-        client.close()
+        scorer = FleetScorer(client, trained_gon)
+        for sample in session_samples[:5]:
+            assert scorer.confidence(sample) == trained_gon.score(sample)
+        assert scorer._reader.dtype == np.float64
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
+        assert service.stats.n_requests == 0
 
     def test_concurrent_requests_stay_bitwise_without_merging(
         self, trained_gon, session_samples
@@ -554,7 +562,7 @@ class TestServiceFastBackend:
             )
             _assert_results_bitwise(results[index], oracle)
         for client in clients:
-            client.close()
+            sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert service.stats.n_elements == 8
 
@@ -565,12 +573,12 @@ class TestServiceFastBackend:
         # guaranteed to land in one drained batch: each still runs as
         # its own kernel call, with its own gamma and step count, and
         # both replies equal the per-request oracle bit for bit.
-        from repro.serving import AscentRequest, ClientDone
+        from repro.serving import AscentRequest
 
         request_queue = queue.Queue()
         replies = {0: queue.Queue(), 1: queue.Queue()}
         service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies
+            {"scenario": trained_gon}, request_queue, replies, one_cell_grid()
         )
         metrics, schedules, adjacencies = _stacks(session_samples, 3)
         asks = ((0, (1e-2, 4)), (1, (4e-3, 6)))
@@ -580,8 +588,8 @@ class TestServiceFastBackend:
                 metrics=metrics, schedules=schedules,
                 adjacencies=adjacencies, gamma=gamma, max_steps=steps,
             ))
-        request_queue.put(ClientDone(client_id=0))
-        request_queue.put(ClientDone(client_id=1))
+        sign_off(request_queue, 0)
+        sign_off(request_queue, 1)
         service.serve()
         assert service.stats.n_batches == 2
         for client_id, (gamma, steps) in asks:
@@ -605,7 +613,7 @@ class TestServiceFastBackend:
         # the first is answered.  Holding a message, serve() may take
         # what is already queued but must never block or wait on a
         # timeout for batch-mates.
-        from repro.serving import AscentRequest, ClientDone
+        from repro.serving import AscentRequest, CellDone, ClientDone
 
         metrics, schedules, adjacencies = _stacks(session_samples, 2)
 
@@ -616,11 +624,14 @@ class TestServiceFastBackend:
                 adjacencies=adjacencies, gamma=1e-2, max_steps=2,
             )
 
-        requests = _RecordingRequestQueue(
-            [[request(1)], [request(2), ClientDone(client_id=0)]]
-        )
+        requests = _RecordingRequestQueue([
+            [request(1)],
+            [request(2), CellDone(client_id=0, cell_id=CELL),
+             ClientDone(client_id=0)],
+        ])
         service = GONScoringService(
-            {"scenario": trained_gon}, requests, {0: requests.reply_queue}
+            {"scenario": trained_gon}, requests, {0: requests.reply_queue},
+            one_cell_grid(),
         )
         service.serve()
         assert [reply.request_id for reply in requests.replies] == [1, 2]
@@ -634,11 +645,14 @@ class TestServiceFastBackend:
         self, trained_gon, session_samples
     ):
         from repro.experiments.fleet import _status_provider
+        from repro.serving import ChaosControl
 
         service, thread, (client,) = self._serve(trained_gon)
+        transport = SimpleNamespace(
+            n_connected=1, peak_connected=1, auth_rejections=0
+        )
         provider = _status_provider(
-            service, SimpleNamespace(n_connected=1, peak_connected=1),
-            n_clients=1,
+            service, transport, 1, ChaosControl(service, transport)
         )
         metrics, schedules, adjacencies = _stacks(session_samples, 1)
 
@@ -651,7 +665,7 @@ class TestServiceFastBackend:
         # 2 then 8 batches: every counter stays one digit wide.
         assert section_length(2) == section_length(6)
         assert service.stats.n_batches == 8
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
 

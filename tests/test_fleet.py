@@ -36,6 +36,7 @@ from repro.serving import (
 from repro.simulator import EdgeFederation
 from repro.simulator.detection import FailureReport
 
+from fleet_harness import one_cell_grid, sign_off
 from gon_oracle import generate_metrics_batch
 
 
@@ -97,7 +98,8 @@ def service_setup(trained_gon):
 
     def start():
         service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, {0: reply_queue}
+            {"scenario": trained_gon}, request_queue, {0: reply_queue},
+            one_cell_grid(),
         )
         thread = threading.Thread(target=service.serve, daemon=True)
         thread.start()
@@ -132,29 +134,17 @@ class TestScoringService:
             assert r.confidence == l.confidence
             assert r.n_steps == l.n_steps
             assert r.converged == l.converged
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
-
-    def test_confidence_requests(self, service_setup, trained_gon,
-                                 session_samples):
-        _service, thread, client = service_setup()
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        remote = client.confidences(metrics, schedules, adjacencies)
-        local = trained_gon.forward_batch(
-            metrics, schedules, adjacencies
-        ).data
-        assert np.array_equal(remote, local)
-        client.close()
-        thread.join(timeout=10)
 
     def test_service_stats_track_elements(self, service_setup,
                                           session_samples):
         service, thread, client = service_setup()
         metrics, schedules, adjacencies = _stacks(session_samples[:3])
         client.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
-        client.confidences(metrics, schedules, adjacencies)
-        client.close()
+        client.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=3)
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert service.stats.n_requests == 2
         assert service.stats.n_elements == 6
@@ -174,9 +164,9 @@ def _shared_replica(trained_gon):
 class TestFleetScorer:
     def test_copy_on_write_divergence(self, service_setup, trained_gon,
                                       session_samples):
-        _service, thread, client = service_setup()
+        service, thread, client = service_setup()
         replica = _shared_replica(trained_gon)
-        scorer = FleetScorer(client, replica, overlays=False)
+        scorer = FleetScorer(client, replica)
         assert scorer.generation == 0
         assert not replica.parameters()[0].data.flags.writeable
 
@@ -198,16 +188,18 @@ class TestFleetScorer:
                 next(iter(trained_gon.state_dict()))
             ],
         )
-        # Post-divergence ascents run locally (no service round-trip)
-        # in the pre-overlay mode -- and are counted, never silent.
+        # Confidence reads re-export from the diverged replica.
+        assert scorer.confidence(sample) == replica.score(sample)
+        assert scorer.confidence(sample) != trained_gon.score(sample)
+        # Post-divergence ascents stay on the service, on the overlay.
         metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        local = scorer.ascent(metrics, schedules, adjacencies,
-                              gamma=1e-2, max_steps=2)
-        assert len(local) == 2
-        assert scorer.diagnostics["local_fallbacks"] == 1
-        assert scorer.diagnostics["overlay_installs"] == 0
-        client.close()
+        remote = scorer.ascent(metrics, schedules, adjacencies,
+                               gamma=1e-2, max_steps=2)
+        assert len(remote) == 2
+        assert scorer.diagnostics == {"overlay_installs": 1}
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
+        assert service.stats.overlay_elements == 2
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +234,7 @@ class TestOverlayLifecycle:
             assert np.array_equal(r.metrics, ref.metrics)
             assert r.confidence == ref.confidence
             assert r.n_steps == ref.n_steps
-        # The diverged replica stayed in the consolidated stream.
-        assert scorer.diagnostics["local_fallbacks"] == 0
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert service.stats.overlay_installs == 1
         assert service.stats.overlay_elements == 5
@@ -276,10 +266,10 @@ class TestOverlayLifecycle:
         )
         for r, ref in zip(remote, local):
             assert np.array_equal(r.metrics, ref.metrics)
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert service.stats.overlay_installs == 2
-        assert scorer.diagnostics["local_fallbacks"] == 0
+        assert scorer.diagnostics["overlay_installs"] == 2
 
     def test_overlay_evicted_on_disconnect(
         self, service_setup, trained_gon, session_samples
@@ -295,40 +285,11 @@ class TestOverlayLifecycle:
         # One scored request so the install is definitely applied.
         metrics, schedules, adjacencies = _stacks(session_samples[:2])
         scorer.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
-        client.close()
+        sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert service._overlays == {}
         assert service.stats.overlay_evictions == 1
-
-    def test_remote_confidences_on_overlay(
-        self, service_setup, trained_gon, session_samples
-    ):
-        """The overlay protocol covers confidence forwards too: a
-        diverged client can score D(M, S, G) stacks on the service."""
-        _service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        scorer.fine_tune(
-            session_samples[:4],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        remote = client.confidences(
-            metrics, schedules, adjacencies, generation=scorer.generation
-        )
-        local = scorer.model.forward_batch(
-            metrics, schedules, adjacencies
-        ).data
-        assert np.array_equal(remote, local)
-        # And at generation 0 the same call still hits the base model.
-        base = client.confidences(metrics, schedules, adjacencies)
-        assert np.array_equal(
-            base, trained_gon.forward_batch(metrics, schedules, adjacencies).data
-        )
-        client.close()
-        thread.join(timeout=10)
 
     def test_generations_never_share_a_bucket(
         self, trained_gon, session_samples
@@ -338,7 +299,7 @@ class TestOverlayLifecycle:
         # every diverged client scores on its own overlay.
         service = GONScoringService(
             {"scenario": trained_gon}, queue.Queue(),
-            {0: queue.Queue(), 1: queue.Queue()},
+            {0: queue.Queue(), 1: queue.Queue()}, one_cell_grid(),
         )
         metrics, schedules, adjacencies = _stacks(session_samples[:2])
         buffer, manifest = pack_state(trained_gon.state_dict())
@@ -379,7 +340,8 @@ class TestOverlayLifecycle:
         self, trained_gon, session_samples
     ):
         service = GONScoringService(
-            {"scenario": trained_gon}, queue.Queue(), {0: queue.Queue()}
+            {"scenario": trained_gon}, queue.Queue(), {0: queue.Queue()},
+            one_cell_grid(),
         )
         metrics, schedules, adjacencies = _stacks(session_samples[:1])
         orphan = AscentRequest(
@@ -616,24 +578,22 @@ class TestFleetCampaign:
         sink = []
         records = run_fleet_campaign(
             tiny_fleet_grid, plan_tasks(tiny_fleet_grid),
-            tiny_fleet_assets, stats_sink=sink,
+            tiny_fleet_assets, telemetry_sink=sink,
         )
         # 2 models (CAROL, CAROL-Proactive) x 2 seeds.
         assert len(records) == 4
         assert {r.model for r in records} == {"CAROL", "CAROL-Proactive"}
-        assert sink[0].n_requests > 0
-        assert sink[0].n_elements > 0
-        # No run degraded to worker-local scoring.
-        assert all(
-            r.diagnostics.get("local_fallbacks", 0) == 0 for r in records
-        )
+        # The self-hosted service's counters ride the parent's delta.
+        counters = sink[0]["counters"]
+        assert counters["service.requests"] > 0
+        assert counters["service.elements"] > 0
 
     def test_proactive_fleet_with_fine_tunes_bit_identical(
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
         """The acceptance contract: a fleet ProactiveCAROL campaign
         whose POT gate opens stays bit-identical to serial execution,
-        with overlays keeping every diverged ascent on the service."""
+        with an overlay shipped for every fine-tune."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -656,17 +616,18 @@ class TestFleetCampaign:
         assert serial.rows() == fleet.rows()
 
         (record,) = fleet.records
-        # The gate opened, the overlay shipped, nothing degraded.
+        # The gate opened and every fine-tune shipped its overlay.
         assert record.diagnostics["n_fine_tunes"] >= 1
-        assert record.diagnostics["overlay_installs"] >= 1
-        assert record.diagnostics["local_fallbacks"] == 0
+        assert (
+            record.diagnostics["overlay_installs"]
+            == record.diagnostics["n_fine_tunes"]
+        )
         # The serial twin fine-tuned identically (same decision path).
         (serial_record,) = serial.records
         assert (
             serial_record.diagnostics["n_fine_tunes"]
             == record.diagnostics["n_fine_tunes"]
         )
-        assert serial_record.diagnostics["local_fallbacks"] == 0
 
     def test_transport_and_service_addr_validated(self):
         from repro.experiments import CampaignConfig
@@ -783,7 +744,7 @@ class TestTcpFleetCampaign:
         """The acceptance contract for the socket transport: a
         two-worker ProactiveCAROL campaign over TCP on localhost, POT
         gate opening and overlays shipping across the wire, stays
-        bit-identical to serial execution with zero local fallbacks."""
+        bit-identical to serial execution."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -801,17 +762,16 @@ class TestTcpFleetCampaign:
         )
         fleet = run_campaign(grid, prepared_assets=tiny_fleet_assets)
         assert serial.rows() == fleet.rows()
-        # Fine-tuning fired somewhere in the grid, its overlay crossed
-        # the socket, and no ascent degraded to worker-local scoring.
-        assert sum(
-            r.diagnostics["n_fine_tunes"] for r in fleet.records
-        ) >= 1
+        # Fine-tuning fired somewhere in the grid, and every fine-tune
+        # shipped its overlay across the socket.
+        for r in fleet.records:
+            assert (
+                r.diagnostics["overlay_installs"]
+                == r.diagnostics["n_fine_tunes"]
+            )
         assert sum(
             r.diagnostics["overlay_installs"] for r in fleet.records
         ) >= 1
-        assert all(
-            r.diagnostics["local_fallbacks"] == 0 for r in fleet.records
-        )
 
     def test_remote_service_campaign_matches_serial(
         self, tiny_fleet_grid, tiny_fleet_assets
@@ -839,7 +799,6 @@ class TestTcpFleetCampaign:
                 outcome["stats"] = serve_fleet_service(
                     tiny_fleet_grid,
                     tiny_fleet_assets,
-                    n_clients=2,
                     idle_timeout=60.0,
                     on_ready=on_ready,
                 )

@@ -153,12 +153,11 @@ class TestConfigHash:
         assert grid["record_semantics"] == RECORD_SEMANTICS_VERSION
         assert grid["scenario_specs"] == [get_scenario("fault-free").to_dict()]
 
-    def test_exact_backend_alias_hashes_like_fast(self):
-        exact = tiny_config(scorer_backend="exact")
-        assert exact.scorer_backend == "fast"
-        assert campaign_config_hash(exact) == campaign_config_hash(
-            tiny_config(scorer_backend="fast")
-        )
+    def test_retired_exact_backend_is_rejected(self):
+        # One spelling per backend: "fast" was always the hashed name,
+        # so dropping the "exact" alias moves no config hash.
+        with pytest.raises(ValueError, match="unknown scorer backend"):
+            tiny_config(scorer_backend="exact")
 
     def test_model_aliases_canonicalize_before_hashing(self):
         lower = tiny_config(models=("carol",))

@@ -400,9 +400,12 @@ class TestStatsWire:
         assert _CODE_BY_CLASS[Ping] == max(_CODE_BY_CLASS.values())
 
     def test_service_keeps_latest_snapshot_per_client(self):
-        from repro.serving import GONScoringService, StatsUpdate
+        from repro.serving import CellCoordinator, GONScoringService, StatsUpdate
 
-        service = GONScoringService({}, request_queue=None, reply_queues={})
+        service = GONScoringService(
+            {}, request_queue=None, reply_queues={},
+            coordinator=CellCoordinator([]),
+        )
         first = MetricsRegistry()
         first.counter("test.latest_wins").add(2)
         second = MetricsRegistry()

@@ -7,24 +7,29 @@ over the network hop:
   refuses malformed or truncated frames loudly;
 * a scoring service behind :class:`TcpTransport` answers ascents
   bitwise-identical to in-process execution, overlays included;
-* every failure mode -- garbage frames, truncated frames, a client
-  disconnecting mid-ascent, stale-generation requests, unknown asset
-  packs -- surfaces as a loud ``TransportError`` on both sides of the
-  socket, never as a hang;
+* a misbehaving client -- garbage frames, truncated frames, spoofed
+  ids, unknown asset packs, a disconnect mid-ascent, a handshake
+  without Hello -- is dropped (a ``WorkerLost``, or a counted
+  handshake rejection) while a second client connected at the same
+  time still gets its ascent; a stale-generation request kills the
+  service loudly on both sides of the socket; nothing hangs;
 * the peak number of connected workers outlives their sockets.
 """
 
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import TrainingConfig
 from repro.nn.serialization import pack_state
 from repro.serving import (
     AscentRequest,
+    ChaosControl,
     FleetScorer,
     GONScoringService,
     ScoringClient,
@@ -38,6 +43,7 @@ from repro.serving import (
 from repro.serving import wire
 from repro.serving.service import AscentReply, ClientDone, OverlayUpdate
 
+from fleet_harness import one_cell_grid, sign_off
 from gon_oracle import generate_metrics_batch
 
 
@@ -145,8 +151,11 @@ class TestWireCodec:
             right.close()
 
     def test_unknown_type_code_is_loud(self):
-        with pytest.raises(wire.WireError, match="unknown wire message"):
-            wire.decode_payload(99, b"{}", b"")
+        # 9 and 13 were the confidence request and reply, retired in
+        # protocol 3: retired codes stay unknown forever.
+        for code in (9, 13, 99):
+            with pytest.raises(wire.WireError, match="unknown wire message"):
+                wire.decode_payload(code, b"{}", b"")
 
     def test_garbage_header_is_loud(self):
         with pytest.raises(wire.WireError, match="malformed"):
@@ -237,9 +246,9 @@ def tcp_service(trained_gon):
     """Start a TCP-fronted scoring service; yields a factory."""
     transports = []
 
-    def start(n_clients=1, asset_packs=None, asset_index=None):
+    def start(asset_packs=None, asset_index=None):
         transport = TcpTransport(
-            n_clients, asset_packs=asset_packs, asset_index=asset_index
+            asset_packs=asset_packs, asset_index=asset_index
         )
         transports.append(transport)
         transport.start()
@@ -247,7 +256,9 @@ def tcp_service(trained_gon):
             {"scenario": trained_gon},
             transport.request_queue,
             transport.reply_queues,
+            one_cell_grid(),
         )
+        service.on_worker_lost = transport.close_client
         outcome = {}
 
         def run():
@@ -284,7 +295,7 @@ class TestTcpScoringService:
             assert r.confidence == ref.confidence
             assert r.n_steps == ref.n_steps
             assert r.converged == ref.converged
-        client.close()
+        sign_off(channel, channel.client_id)
         channel.close()
         thread.join(timeout=15)
         assert not thread.is_alive()
@@ -321,8 +332,7 @@ class TestTcpScoringService:
         for r, ref in zip(remote, local):
             assert np.array_equal(r.metrics, ref.metrics)
             assert r.confidence == ref.confidence
-        assert scorer.diagnostics["local_fallbacks"] == 0
-        client.close()
+        sign_off(channel, channel.client_id)
         channel.close()
         thread.join(timeout=15)
         assert not thread.is_alive()
@@ -346,63 +356,105 @@ class TestTcpScoringService:
         # Second fetch is served from the per-process cache.
         again = fetch_array_pack(channel, "scenario/weights")
         assert again is fetched
-        channel.put(ClientDone(channel.client_id))
+        sign_off(channel, channel.client_id)
         channel.close()
         thread.join(timeout=15)
         assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
-# Failure modes: loud protocol errors, never hangs
+# Failure modes: one client's fault drops that client, never a hang
 # ----------------------------------------------------------------------
+def _rejections() -> int:
+    counters = telemetry.snapshot()["counters"]
+    return counters.get("fleet.handshake_rejections", 0)
+
+
+def _wait_for(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def _peer_still_scores(channel, thread, outcome, trained_gon, samples):
+    """A client connected alongside the culprit still gets its ascent,
+    and the service then winds down cleanly."""
+    client = ScoringClient(channel.client_id, "scenario", channel, channel)
+    metrics, schedules, adjacencies = _stacks(samples[:2])
+    remote = client.ascent(metrics, schedules, adjacencies,
+                           gamma=1e-2, max_steps=3)
+    local = generate_metrics_batch(
+        trained_gon, schedules, adjacencies, init_metrics=metrics,
+        gamma=1e-2, max_steps=3,
+    )
+    for r, ref in zip(remote, local):
+        assert np.array_equal(r.metrics, ref.metrics)
+    sign_off(channel, channel.client_id)
+    channel.close()
+    thread.join(timeout=15)
+    assert not thread.is_alive()
+    assert "error" not in outcome
+
+
 class TestTransportFailureModes:
-    def test_malformed_frame_kills_service_and_client_loudly(
-        self, tcp_service, session_samples
+    def _culprit_dropped(self, service, transport, culprit):
+        """The culprit is declared lost and its socket torn down."""
+        _wait_for(lambda: culprit.client_id in service.lost)
+        assert culprit.client_id not in transport._sockets
+
+    def test_malformed_frame_drops_the_client(
+        self, tcp_service, trained_gon, session_samples
     ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
-        channel._sock.sendall(b"this is not a CRL1 frame at all........")
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
-        assert "protocol error" in str(outcome["error"])
-        # The client is notified (ServiceError broadcast), not hung.
+        transport, service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        culprit = TcpWorkerChannel(transport.address)
+        culprit._sock.sendall(b"this is not a CRL1 frame at all........")
+        self._culprit_dropped(service, transport, culprit)
+        # The culprit hears the close instead of hanging.
         with pytest.raises(TransportError):
-            channel.get()
-        channel.close()
+            culprit.get()
+        culprit.close()
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
     def test_truncated_frame_is_a_loud_protocol_error(
-        self, tcp_service, session_samples
+        self, tcp_service, trained_gon, session_samples
     ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
+        transport, service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        culprit = TcpWorkerChannel(transport.address)
         metrics, schedules, adjacencies = _stacks(session_samples[:2])
         frame = wire.encode_message(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
+            client_id=culprit.client_id, request_id=1, model_key="scenario",
             metrics=metrics, schedules=schedules, adjacencies=adjacencies,
             gamma=1e-2, max_steps=2,
         ))
-        channel._sock.sendall(frame[: len(frame) - 40])
-        channel.close()  # EOF mid-frame
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
+        culprit._sock.sendall(frame[: len(frame) - 40])
+        culprit.close()  # EOF mid-frame
+        self._culprit_dropped(service, transport, culprit)
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
     def test_disconnect_mid_ascent_fails_fast(
-        self, tcp_service, session_samples
+        self, tcp_service, trained_gon, session_samples
     ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
+        transport, service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        culprit = TcpWorkerChannel(transport.address)
         metrics, schedules, adjacencies = _stacks(session_samples[:3])
-        channel.put(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
+        culprit.put(AscentRequest(
+            client_id=culprit.client_id, request_id=1, model_key="scenario",
             metrics=metrics, schedules=schedules, adjacencies=adjacencies,
             gamma=1e-2, max_steps=5,
         ))
-        channel.close()  # vanish without ClientDone, reply undeliverable
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
+        culprit.close()  # vanish without ClientDone, reply undeliverable
+        self._culprit_dropped(service, transport, culprit)
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
     def test_stale_generation_over_tcp_is_loud_on_both_sides(
         self, tcp_service, session_samples
@@ -425,39 +477,52 @@ class TestTransportFailureModes:
         channel.close()
 
     def test_client_id_spoofing_is_rejected(
-        self, tcp_service, session_samples
+        self, tcp_service, trained_gon, session_samples
     ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
+        transport, service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        culprit = TcpWorkerChannel(transport.address)
         metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        channel.put(AscentRequest(
-            client_id=channel.client_id + 7, request_id=1,
+        culprit.put(AscentRequest(
+            client_id=culprit.client_id + 7, request_id=1,
             model_key="scenario", metrics=metrics, schedules=schedules,
             adjacencies=adjacencies, gamma=1e-2, max_steps=2,
         ))
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert "claiming client id" in str(outcome["error"])
-        channel.close()
+        self._culprit_dropped(service, transport, culprit)
+        # Nothing the culprit claimed was scored.
+        assert service.stats.n_requests == 0
+        culprit.close()
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
-    def test_unknown_asset_pack_is_loud(self, tcp_service):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
+    def test_unknown_asset_pack_is_loud(
+        self, tcp_service, trained_gon, session_samples
+    ):
+        transport, service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        culprit = TcpWorkerChannel(transport.address)
         with pytest.raises(TransportError):
-            channel.fetch_pack("no-such-scenario/weights")
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert "unknown asset pack" in str(outcome["error"])
-        channel.close()
+            culprit.fetch_pack("no-such-scenario/weights")
+        self._culprit_dropped(service, transport, culprit)
+        culprit.close()
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
-    def test_handshake_without_hello_is_loud(self, tcp_service):
+    def test_handshake_without_hello_is_loud(
+        self, tcp_service, trained_gon, session_samples
+    ):
         transport, _service, thread, outcome = tcp_service()
+        peer = TcpWorkerChannel(transport.address)
+        before = _rejections()
         raw = socket.create_connection((transport.host, transport.port))
         raw.sendall(struct.pack("!I", 0xDEADBEEF) * 8)
         raw.close()
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert "handshake" in str(outcome["error"])
+        _wait_for(lambda: _rejections() == before + 1)
+        _peer_still_scores(
+            peer, thread, outcome, trained_gon, session_samples
+        )
 
     def test_connect_to_dead_address_times_out_loudly(self):
         # Grab a port and close it again: nothing listens there.
@@ -475,7 +540,7 @@ class TestTransportFailureModes:
         # writes.
         from repro.experiments.fleet import _status_provider
 
-        transport = TcpTransport(2, elastic=True)
+        transport = TcpTransport()
         transport.start()
         try:
             channels = [TcpWorkerChannel(transport.address) for _ in range(2)]
@@ -483,8 +548,11 @@ class TestTransportFailureModes:
                 {"scenario": trained_gon},
                 transport.request_queue,
                 transport.reply_queues,
+                one_cell_grid(),
             )
-            status = _status_provider(service, transport, 2)
+            status = _status_provider(
+                service, transport, 2, ChaosControl(service, transport)
+            )
             assert status()["workers"]["peak_connected"] == 2
             for channel in channels:
                 transport.close_client(channel.client_id)
