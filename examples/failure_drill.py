@@ -34,11 +34,14 @@ def render(topology: Topology, title: str) -> None:
     print()
 
 
-def balance_objective(topology: Topology) -> float:
+def balance_objective(candidates, keys) -> list:
     """Synthetic objective: prefer evenly-sized LEIs, mildly prefer
     fewer brokers (management cost)."""
-    sizes = list(topology.lei_sizes().values())
-    return float(np.var(sizes)) + 0.1 * len(topology.brokers)
+    return [
+        float(np.var(list(topology.lei_sizes().values())))
+        + 0.1 * len(topology.brokers)
+        for topology in candidates
+    ]
 
 
 def main() -> None:

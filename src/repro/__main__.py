@@ -630,8 +630,7 @@ def _cmd_telemetry(args) -> int:
     snapshot = payload.get("telemetry") if isinstance(payload, dict) else None
     if not snapshot:
         print(
-            f"{args.records} carries no telemetry section (older dump, "
-            "or the campaign ran with REPRO_TELEMETRY=0)",
+            f"{args.records} carries no telemetry section (an older dump)",
             file=sys.stderr,
         )
         return 1

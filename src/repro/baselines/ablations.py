@@ -260,13 +260,16 @@ class WithGAN(ResilienceModel):
         last = view.last_metrics
         schedule = np.asarray(last.schedule_encoding, dtype=float)
 
-        def omega(candidate: Topology) -> float:
-            # Single generator forward -- no input-space optimisation,
-            # hence the lower decision time of the ablation (§V-D).
-            predicted = self.surrogate.predict_metrics(
-                schedule, candidate.adjacency()
-            )
-            return self.objective(predicted)
+        def omega(candidates: List[Topology], keys) -> List[float]:
+            # Single generator forward per candidate -- no input-space
+            # optimisation, hence the lower decision time of the
+            # ablation (§V-D).
+            return [
+                self.objective(
+                    self.surrogate.predict_metrics(schedule, candidate.adjacency())
+                )
+                for candidate in candidates
+            ]
 
         def sampled_neighbours(topology: Topology) -> List[Topology]:
             options = neighbours(topology)
@@ -298,7 +301,7 @@ class WithGAN(ResilienceModel):
         confidence = self.surrogate.confidence(sample)
         threshold = self.pot.update(confidence)
         if confidence < threshold and len(self.buffer) >= self.config.min_buffer:
-            for stored in self.buffer[-self.config.min_buffer:]:
+            for stored in list(self.buffer)[-self.config.min_buffer:]:
                 self.surrogate.train_step(stored)
             self.buffer.clear()
 
@@ -386,9 +389,13 @@ class WithTraditionalSurrogate(ResilienceModel):
         metrics = np.asarray(last.host_metrics, dtype=float)
         schedule = np.asarray(last.schedule_encoding, dtype=float)
 
-        def omega(candidate: Topology) -> float:
-            sample = GONInput(metrics, schedule, candidate.adjacency())
-            return self.surrogate.predict(sample)
+        def omega(candidates: List[Topology], keys) -> List[float]:
+            return [
+                self.surrogate.predict(
+                    GONInput(metrics, schedule, candidate.adjacency())
+                )
+                for candidate in candidates
+            ]
 
         def sampled_neighbours(topology: Topology) -> List[Topology]:
             options = neighbours(topology)

@@ -32,7 +32,7 @@ from .pot import PeakOverThreshold
 from .proactive import ProactiveCAROL
 from .scoring import LocalScorer, SurrogateScorer
 from .surrogate import SurrogateResult, generate_metrics_batch
-from .tabu import TabuResult, as_batched, batched_objective, tabu_search
+from .tabu import TabuResult, tabu_search
 from .training import (
     TrainingConfig,
     TrainingHistory,
@@ -57,8 +57,6 @@ __all__ = [
     "generate_metrics_batch",
     "TabuResult",
     "tabu_search",
-    "batched_objective",
-    "as_batched",
     "TrainingConfig",
     "TrainingHistory",
     "train_gon",

@@ -35,7 +35,7 @@ from .nodeshift import neighbours, random_node_shift, reassignment_neighbours
 from .objectives import QoSObjective
 from .pot import PeakOverThreshold
 from .scoring import LocalScorer, SurrogateScorer
-from .tabu import batched_objective, tabu_search
+from .tabu import tabu_search
 from .training import TrainingConfig
 
 __all__ = ["CAROLConfig", "CAROL"]
@@ -142,12 +142,6 @@ class CAROLDiagnostics:
     @property
     def n_fine_tunes(self) -> int:
         return sum(self.fine_tuned)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over all lookups since construction (0.0 when idle)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     def counters(self) -> dict:
         """The integer telemetry as a plain dict (campaign records).
@@ -332,7 +326,6 @@ class CAROL(ResilienceModel):
         ctx = self._context_hash(metrics, schedule)
         misses_before = self.diagnostics.cache_misses
 
-        @batched_objective
         def omega(
             candidates: Sequence[Topology], keys=None
         ) -> List[float]:

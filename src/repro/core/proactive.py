@@ -40,7 +40,7 @@ from .carol import CAROL, CAROLConfig
 from .gon import GONDiscriminator
 from .nodeshift import neighbours
 from .scoring import SurrogateScorer
-from .tabu import batched_objective, tabu_search
+from .tabu import tabu_search
 
 __all__ = ["ProactiveCAROL"]
 
@@ -103,7 +103,6 @@ class ProactiveCAROL(CAROL):
         # endangered brokers, scored by the same surrogate objective
         # plus a risk penalty.
 
-        @batched_objective
         def omega(candidates: List[Topology], keys=None) -> List[float]:
             # Whole slate through the shared persistent cache (one
             # vectorized eq.-1 ascent for the misses -- entries are

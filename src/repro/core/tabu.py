@@ -5,18 +5,16 @@ empirical convergence on this problem, with a fixed-size tabu list
 (size 100 after the grid search of §V-E, Fig. 6c).  The search
 minimises the surrogate objective ``Omega(G; D, S_t, O)``.
 
-The objective interface is *batched*: each iteration hands the whole
-deduplicated, non-tabu neighbourhood to the objective in one call
-(``objective(candidates: list[Topology]) -> list[float]``), so a GON
-surrogate can score all candidates in a single vectorized eq.-1 ascent
-(see :func:`repro.core.surrogate.generate_metrics_batch`).  Plain per-
-candidate callables (``Topology -> float``) are detected and adapted
-automatically, preserving the classic interface.
+The objective is *batched*: each iteration hands the whole
+deduplicated, non-tabu neighbourhood to the objective in one call,
+``objective(candidates, keys) -> list[float]``, so a GON surrogate can
+score all candidates in a single vectorized eq.-1 ascent (see
+:func:`repro.core.surrogate.generate_metrics_batch`).  ``keys`` are the
+candidates' ``canonical_key()`` tuples, which the search derives anyway.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -24,7 +22,7 @@ from typing import Callable, List, Optional, Sequence
 from .. import telemetry as _telemetry
 from ..simulator.topology import Topology
 
-__all__ = ["TabuResult", "tabu_search", "batched_objective", "as_batched"]
+__all__ = ["TabuResult", "tabu_search"]
 
 _SEARCH_SPAN = _telemetry.span("tabu.search")
 _SEARCHES = _telemetry.counter("tabu.searches")
@@ -45,61 +43,10 @@ class TabuResult:
     best_key: Optional[tuple] = None
 
 
-def batched_objective(fn: Callable[[Sequence[Topology]], List[float]]):
-    """Mark ``fn`` as consuming candidate *lists* (the native interface).
-
-    Use as a decorator on objectives that score ``list[Topology] ->
-    list[float]`` in one pass; unmarked callables are treated as scalar
-    ``Topology -> float`` objectives and wrapped per candidate.
-
-    A batched objective may additionally accept a ``keys`` keyword --
-    the candidates' pre-computed ``canonical_key()`` tuples, in order.
-    :func:`tabu_search` already derives these for its tabu/duplicate
-    bookkeeping, so key-aware objectives (e.g. CAROL's cached surrogate
-    scorer) never hash a topology twice.
-    """
-    fn.is_batched = True
-    return fn
-
-
-def _accepts_keys(fn) -> bool:
-    """Whether a batched objective takes the ``keys=`` keyword."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins, odd callables
-        return False
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    ):
-        return True
-    keys = parameters.get("keys")
-    return keys is not None and keys.kind in (
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        inspect.Parameter.KEYWORD_ONLY,
-    )
-
-
-def as_batched(objective) -> Callable[..., List[float]]:
-    """Return a batch-callable ``(candidates, keys=None)`` view.
-
-    Batched objectives (marked via :func:`batched_objective` or any
-    callable with a truthy ``is_batched`` attribute) pass through --
-    wrapped to swallow ``keys`` unless their signature accepts it;
-    scalar objectives are adapted with a per-candidate loop.
-    """
-    if getattr(objective, "is_batched", False):
-        if _accepts_keys(objective):
-            return objective
-        return lambda candidates, keys=None: objective(candidates)
-    return lambda candidates, keys=None: [
-        float(objective(c)) for c in candidates
-    ]
-
-
 @_SEARCH_SPAN
 def tabu_search(
     initial: Topology,
-    objective,
+    objective: Callable[[List[Topology], List[tuple]], Sequence[float]],
     neighbourhood: Callable[[Topology], List[Topology]],
     tabu_size: int = 100,
     max_iterations: int = 20,
@@ -116,17 +63,15 @@ def tabu_search(
 
     Each candidate's ``canonical_key()`` is computed once per iteration
     and reused for the tabu check, duplicate dropping, the tabu-list
-    insertion *and* the objective call: key-aware batched objectives
-    receive the surviving keys via ``keys=`` so cache lookups never
-    re-derive them.  Duplicate-key candidates are removed from the
-    neighbourhood before scoring.
+    insertion *and* the objective call, so key-aware objectives (CAROL's
+    cached surrogate scorer) never re-derive them.  Duplicate-key
+    candidates are removed from the neighbourhood before scoring.
 
     Parameters
     ----------
     objective:
-        Either a batched ``list[Topology] -> list[float]`` callable
-        (marked with :func:`batched_objective`) or a scalar
-        ``Topology -> float`` callable.
+        ``objective(candidates, keys) -> list[float]``: one score per
+        candidate, given the candidates' canonical keys in order.
     tabu_size:
         Maximum entries in the FIFO tabu list ``L`` (paper: 100).
     """
@@ -135,7 +80,6 @@ def tabu_search(
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 
-    score_batch = as_batched(objective)
     initial_key = initial.canonical_key()
     tabu: "OrderedDict[tuple, None]" = OrderedDict()
     tabu[initial_key] = None
@@ -143,7 +87,7 @@ def tabu_search(
     current = initial
     best = initial
     best_key = initial_key
-    best_score = float(score_batch([initial], keys=[initial_key])[0])
+    best_score = float(objective([initial], [initial_key])[0])
     current_score = best_score
     evaluations = 1
     stale = 0
@@ -163,7 +107,7 @@ def tabu_search(
         if not candidates:
             break
 
-        scores = [float(s) for s in score_batch(candidates, keys=keys)]
+        scores = [float(s) for s in objective(candidates, keys)]
         evaluations += len(candidates)
         move = min(range(len(candidates)), key=scores.__getitem__)
         current_score, current = scores[move], candidates[move]

@@ -595,10 +595,9 @@ def run_cell(task: RunTask, model_factory) -> RunRecord:
     # into the process-wide view so campaign snapshots see them.  Pure
     # observation: the record below is already assembled from the
     # deterministic summary, so telemetry cannot feed back into it.
-    if _telemetry.is_enabled():
-        snapshot_source = getattr(model, "telemetry_snapshot", None)
-        if callable(snapshot_source):
-            _telemetry.get_registry().merge_snapshot(snapshot_source())
+    snapshot_source = getattr(model, "telemetry_snapshot", None)
+    if callable(snapshot_source):
+        _telemetry.get_registry().merge_snapshot(snapshot_source())
     _CELLS_COMPLETED.inc()
     return RunRecord(
         run_index=task.run_index,

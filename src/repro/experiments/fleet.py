@@ -30,8 +30,8 @@ re-queue and duplicate suppression safe:
   its leases revoked and re-queued for the survivors;
 * a cell that keeps killing workers exhausts its bounded retry budget
   and is quarantined as *poisoned* -- reported, not retried forever;
-* late workers may join a running campaign (handshake assigns ids in
-  accept order) and immediately start pulling queued cells;
+* late workers may join a running campaign (client ids go in
+  handshake order) and immediately start pulling queued cells;
 * duplicate records from zombie workers (a cell revoked and re-run
   elsewhere) are deduplicated first-wins on collection.
 

@@ -18,22 +18,3 @@ class Sigmoid(Module):
 
     def forward(self, x) -> Tensor:
         return as_tensor(x).sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent layer (used inside the GAT update, eq. 4)."""
-
-    def forward(self, x) -> Tensor:
-        return as_tensor(x).tanh()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x) -> Tensor:
-        x = as_tensor(x)
-        return x.relu() - (-x).relu() * self.negative_slope

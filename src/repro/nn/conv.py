@@ -2,7 +2,7 @@
 
 StepGAN (Feng et al., 2021) converts input time series into matrices
 and applies convolutions to capture temporal trends; this module gives
-it an autodiff-compatible Conv1d plus max pooling.
+it an autodiff-compatible Conv1d.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, as_tensor
 
-__all__ = ["Conv1d", "max_pool1d"]
+__all__ = ["Conv1d"]
 
 
 class Conv1d(Module):
@@ -75,24 +75,3 @@ class Conv1d(Module):
         patch_matrix = stack(windows, axis=0)
         out = patch_matrix @ self.weight + self.bias  # [out_length, out_channels]
         return out.transpose()  # [out_channels, out_length]
-
-
-def max_pool1d(x, window: int) -> Tensor:
-    """Non-overlapping max pooling along the last axis.
-
-    Trailing elements that do not fill a window are dropped, matching
-    the usual floor-division output size.
-    """
-    x = as_tensor(x)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    length = x.shape[-1]
-    out_length = length // window
-    if out_length == 0:
-        raise ValueError(f"input length {length} shorter than pool window {window}")
-    from .tensor import stack
-
-    pooled = [
-        x[..., i * window:(i + 1) * window].max(axis=-1) for i in range(out_length)
-    ]
-    return stack(pooled, axis=-1)

@@ -16,11 +16,8 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
-    "log_softmax",
     "mse_loss",
-    "l1_loss",
     "binary_cross_entropy",
-    "bce_with_logits",
     "kl_gaussian",
     "concatenate",
     "stack",
@@ -53,26 +50,12 @@ def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
-    """``log(softmax(x))`` computed stably."""
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def mse_loss(prediction: ArrayLike, target: ArrayLike) -> Tensor:
     """Mean squared error."""
     prediction = as_tensor(prediction)
     target = as_tensor(target)
     diff = prediction - target.detach()
     return (diff * diff).mean()
-
-
-def l1_loss(prediction: ArrayLike, target: ArrayLike) -> Tensor:
-    """Mean absolute error."""
-    prediction = as_tensor(prediction)
-    target = as_tensor(target)
-    return (prediction - target.detach()).abs().mean()
 
 
 def binary_cross_entropy(prediction: ArrayLike, target: ArrayLike) -> Tensor:
@@ -86,15 +69,6 @@ def binary_cross_entropy(prediction: ArrayLike, target: ArrayLike) -> Tensor:
     target = as_tensor(target).detach()
     term = target * prediction.log() + (1.0 - target) * (1.0 - prediction).log()
     return -term.mean()
-
-
-def bce_with_logits(logits: ArrayLike, target: ArrayLike) -> Tensor:
-    """BCE straight from logits (more stable than sigmoid + BCE)."""
-    logits = as_tensor(logits)
-    target = as_tensor(target).detach()
-    # max(x, 0) - x*t + log(1 + exp(-|x|))
-    positive = logits.relu()
-    return (positive - logits * target + ((-logits.abs()).exp() + 1.0).log()).mean()
 
 
 def kl_gaussian(mu: ArrayLike, log_var: ArrayLike) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "orthogonal"]
+__all__ = ["xavier_uniform", "kaiming_uniform", "zeros", "orthogonal"]
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
@@ -21,13 +21,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     fan_in, fan_out = _fans(shape)
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:

@@ -26,9 +26,6 @@ class Parameter(Tensor):
 class Module:
     """Base class for all neural network components."""
 
-    def __init__(self) -> None:
-        self.training = True
-
     # ------------------------------------------------------------------
     # Forward dispatch
     # ------------------------------------------------------------------
@@ -60,34 +57,9 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for key in sorted(vars(self)):
-            value = getattr(self, key)
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    # ------------------------------------------------------------------
-    # Training-state management
-    # ------------------------------------------------------------------
     def zero_grad(self) -> None:
         for parameter in self.parameters():
             parameter.zero_grad()
-
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
 
     # ------------------------------------------------------------------
     # Serialization

@@ -14,7 +14,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -106,17 +106,3 @@ class Adam(Optimizer):
             if self.weight_decay:
                 update = update + self.weight_decay * parameter.data
             parameter.data = parameter.data - self.lr * update
-
-
-def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm (useful for logging training health).
-    """
-    parameters = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in parameters)))
-    if total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for parameter in parameters:
-            parameter.grad = parameter.grad * scale
-    return total

@@ -43,7 +43,6 @@ __all__ = [
     "save_state",
     "load_state",
     "save_module",
-    "load_module",
     "freeze_state",
     "pack_state",
     "unpack_state",
@@ -76,12 +75,6 @@ def load_state(path: str) -> Dict[str, np.ndarray]:
 def save_module(module: Module, path: str) -> None:
     """Persist a module's parameters."""
     save_state(module.state_dict(), path)
-
-
-def load_module(module: Module, path: str) -> Module:
-    """Load parameters into ``module`` in place and return it."""
-    module.load_state_dict(load_state(path))
-    return module
 
 
 def freeze_state(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

@@ -88,7 +88,7 @@ length-prefixed binary framing::
 and it carries the service's protocol dataclasses
 (:class:`AscentRequest`, :class:`OverlayUpdate`, the lease frames,
 :class:`ClientDone`, the replies) plus a handshake (HELLO/WELCOME
-assigns client ids in accept order) and an asset channel (workers fetch each scenario's packed weights and trace
+assigns client ids in handshake order) and an asset channel (workers fetch each scenario's packed weights and trace
 stacks once, cached per process -- see
 :func:`~repro.serving.shared.fetch_array_pack`).
 
@@ -156,7 +156,7 @@ makes the elasticity below safe:
    side, ``fleet.duplicate_records`` at collection).
 3. **Elastic membership** -- :class:`TcpTransport` keeps accepting
    for its whole lifetime (HELLO/WELCOME assigns ids in
-   accept order), so late workers join a running campaign and start
+   handshake order), so late workers join a running campaign and start
    leasing immediately; the campaign ends when the queue is drained
    and every registered worker has signed off or been declared lost.
 4. **Authentication** -- ``serve --auth-token`` (or
@@ -197,13 +197,11 @@ Three pieces tie the distributed picture together:
   view, and the full merged telemetry.  ``GET /metrics`` renders the
   same snapshot in the Prometheus text exposition format
   (``# HELP``/``# TYPE`` metadata, ``le``-labelled histogram buckets)
-  for stock scrape jobs; ``GET /metrics?format=flat`` keeps the legacy
-  ``name value`` lines.
+  for stock scrape jobs.
 
-Telemetry is strictly observational: snapshots never feed back into
-scoring, wall-clock only ever appears in telemetry (never in record
-rows), and disabling it (``REPRO_TELEMETRY=0``) changes no record --
-the bit-identity contract is asserted with telemetry on and off.
+Telemetry is strictly observational and always on: snapshots never
+feed back into scoring, and wall-clock only ever appears in telemetry
+(never in record rows).
 
 Scorer backends on the service
 ------------------------------

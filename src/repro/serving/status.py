@@ -15,9 +15,7 @@ A stdlib :mod:`http.server` bound next to the scoring socket
     The merged snapshot in Prometheus text exposition format
     (:func:`repro.telemetry.render_prometheus_text`): ``# HELP`` /
     ``# TYPE`` metadata and ``le``-labelled histogram buckets, so a
-    stock Prometheus scrape job ingests it directly.  The legacy flat
-    ``name value`` lines remain available as ``/metrics?format=flat``
-    (:func:`repro.telemetry.render_metrics_text`).
+    stock Prometheus scrape job ingests it directly.
 
 ``POST /inject``
     The chaos control plane: a JSON body like
@@ -43,9 +41,9 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
-from ..telemetry import render_metrics_text, render_prometheus_text
+from ..telemetry import render_prometheus_text
 
 __all__ = ["StatusServer"]
 
@@ -54,9 +52,7 @@ class _StatusHandler(BaseHTTPRequestHandler):
     server: "_StatusHTTPServer"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parts = urlsplit(self.path)
-        path = parts.path.rstrip("/") or "/status"
-        query = parse_qs(parts.query)
+        path = urlsplit(self.path).path.rstrip("/") or "/status"
         try:
             if path == "/status":
                 payload = json.dumps(
@@ -64,18 +60,8 @@ class _StatusHandler(BaseHTTPRequestHandler):
                 ).encode("utf-8")
                 content_type = "application/json"
             elif path == "/metrics":
-                status = self.server.provider()
-                snap = status.get("telemetry", {})
-                fmt = query.get("format", ["prometheus"])[0]
-                if fmt == "flat":
-                    payload = render_metrics_text(snap).encode("utf-8")
-                elif fmt == "prometheus":
-                    payload = render_prometheus_text(snap).encode("utf-8")
-                else:
-                    self.send_error(
-                        400, "unknown ?format (try prometheus or flat)"
-                    )
-                    return
+                snap = self.server.provider().get("telemetry", {})
+                payload = render_prometheus_text(snap).encode("utf-8")
                 content_type = "text/plain; charset=utf-8"
             else:
                 self.send_error(404, "unknown route (try /status or /metrics)")

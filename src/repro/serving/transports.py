@@ -18,7 +18,10 @@ and never hang.  A client that sends a malformed or truncated frame,
 spoofs another client id, asks for an unknown asset pack or vanishes
 before :class:`ClientDone` is *dropped*: its socket is closed and a
 :class:`~repro.serving.service.WorkerLost` notice revokes its leases.
-A connection that fails the handshake is closed and counted in
+Each handshake runs on its own thread under a
+:data:`HANDSHAKE_TIMEOUT_SECONDS` deadline, so a connection that never
+sends its :class:`Hello` delays no other worker; a connection that fails
+the handshake or misses the deadline is closed and counted in
 ``fleet.handshake_rejections``.  Whatever kills the scorer loop itself
 (a stale-generation request, say) is broadcast to every connected
 client by :func:`serve_transport` before re-raising, so remote workers
@@ -69,6 +72,9 @@ class TransportError(RuntimeError):
 _AUTH_REJECTIONS = _telemetry.counter("fleet.auth_rejections")
 _HANDSHAKE_REJECTIONS = _telemetry.counter("fleet.handshake_rejections")
 _WORKERS_PEAK = _telemetry.gauge("fleet.workers_peak")
+
+#: Seconds a new connection has to send its :class:`Hello`.
+HANDSHAKE_TIMEOUT_SECONDS = 10.0
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -136,15 +142,16 @@ class TcpTransport:
     """Service side of the socket transport.
 
     Listens on ``host:port`` (port 0 picks an ephemeral port; read it
-    back from :attr:`address`), assigns client ids in accept order via
-    the HELLO/WELCOME handshake, and runs one reader thread per client.
+    back from :attr:`address`), assigns client ids in handshake order
+    via the HELLO/WELCOME handshake, and runs one reader thread per
+    client.
     ``asset_packs`` maps pack name to a ``(buffer, manifest)`` pair
     from ``pack_state``; ``asset_index`` is the scenario metadata
     served to :class:`wire.AssetIndexRequest`.
 
     Membership is elastic: the transport keeps accepting for its whole
     lifetime, so late workers join a running campaign and get the next
-    id in accept order.  A client that disconnects before signing off,
+    id in handshake order.  A client that disconnects before signing off,
     spoofs another id, or sends a malformed frame is *dropped* -- its
     socket is closed and a :class:`~repro.serving.service.WorkerLost`
     notice is enqueued so the service can revoke its leases -- instead
@@ -176,7 +183,10 @@ class TcpTransport:
         self.reply_queues: Dict[int, _TcpReplyWriter] = {}
         self._sockets: Dict[int, socket.socket] = {}
         self._send_locks: Dict[int, threading.Lock] = {}
-        self._threads: list = []
+        #: Guards client-id assignment and membership across the
+        #: concurrent handshake threads.
+        self._members_lock = threading.Lock()
+        self._next_client_id = 0
         self._closed = threading.Event()
         self.auth_rejections = 0
         #: Most clients ever connected at once (``/status`` and the
@@ -200,14 +210,11 @@ class TcpTransport:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        thread = threading.Thread(
+        threading.Thread(
             target=self._accept_loop, name="fleet-tcp-accept", daemon=True
-        )
-        self._threads.append(thread)
-        thread.start()
+        ).start()
 
     def _accept_loop(self) -> None:
-        client_id = 0
         try:
             while not self._closed.is_set():
                 try:
@@ -216,41 +223,48 @@ class TcpTransport:
                     if self._closed.is_set():
                         return
                     raise
-                try:
-                    accepted = self._handshake(conn, client_id)
-                except Exception:
-                    # One garbage connection must not take down a
-                    # long-running fleet; reject it and keep accepting.
-                    _HANDSHAKE_REJECTIONS.inc()
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    continue
-                if accepted:
-                    client_id += 1
+                threading.Thread(
+                    target=self._handshake_or_reject,
+                    args=(conn,),
+                    name="fleet-tcp-handshake",
+                    daemon=True,
+                ).start()
         except Exception as error:
             # Any escape here would strand serve() polling an empty
             # queue forever; fault it instead -- loudness over hangs.
             if not self._closed.is_set():
                 self.request_queue.fail(
-                    TransportError(f"fleet transport handshake failed: {error}")
+                    TransportError(f"fleet transport accept loop failed: {error}")
                 )
 
-    def _handshake(self, conn: socket.socket, client_id: int) -> bool:
+    def _handshake_or_reject(self, conn: socket.socket) -> None:
+        try:
+            self._handshake(conn)
+        except Exception:
+            # One garbage or silent connection must not take down a
+            # long-running fleet; reject it and keep serving.
+            _HANDSHAKE_REJECTIONS.inc()
+            try:
+                conn.close()
+            except OSError:
+                pass
+
+    def _handshake(self, conn: socket.socket) -> None:
         """Run HELLO/WELCOME on one accepted connection.
 
-        Returns True when the connection became client ``client_id``;
-        False when it was rejected (bad auth token) without consuming
-        the id.  Malformed handshakes raise (the accept loop rejects
-        the connection).
+        A valid :class:`Hello` within :data:`HANDSHAKE_TIMEOUT_SECONDS`
+        makes the connection the next client id.  A bad auth token is
+        answered with a :class:`wire.ServiceError` and closed without
+        consuming an id.  Malformed or late handshakes raise (the
+        caller rejects the connection).
         """
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(HANDSHAKE_TIMEOUT_SECONDS)
         hello = wire.recv_message(conn)
+        conn.settimeout(None)
         if not isinstance(hello, Hello):
             raise TransportError(
-                f"connection {client_id} opened with "
-                f"{type(hello).__name__} instead of Hello"
+                f"connection opened with {type(hello).__name__} instead of Hello"
             )
         if hello.protocol != wire.PROTOCOL_VERSION:
             raise TransportError(
@@ -261,7 +275,8 @@ class TcpTransport:
             # Loud rejection BEFORE Welcome: the client gets a
             # ServiceError naming the problem and the connection
             # closes without a client id.  Never fatal to the fleet.
-            self.auth_rejections += 1
+            with self._members_lock:
+                self.auth_rejections += 1
             _AUTH_REJECTIONS.inc()
             try:
                 wire.send_message(conn, ServiceError(
@@ -275,24 +290,24 @@ class TcpTransport:
                     conn.close()
                 except OSError:
                     pass
-            return False
-        self._send_locks[client_id] = threading.Lock()
-        self._sockets[client_id] = conn
-        if len(self._sockets) > self.peak_connected:
-            self.peak_connected = len(self._sockets)
-            _WORKERS_PEAK.set(self.peak_connected)
-        self.reply_queues.setdefault(client_id, _TcpReplyWriter(self, client_id))
+            return
+        with self._members_lock:
+            client_id = self._next_client_id
+            self._next_client_id += 1
+            self._send_locks[client_id] = threading.Lock()
+            self._sockets[client_id] = conn
+            if len(self._sockets) > self.peak_connected:
+                self.peak_connected = len(self._sockets)
+                _WORKERS_PEAK.set(self.peak_connected)
+            self.reply_queues[client_id] = _TcpReplyWriter(self, client_id)
         self.last_activity = time.monotonic()
         wire.send_message(conn, Welcome(client_id=client_id))
-        reader = threading.Thread(
+        threading.Thread(
             target=self._reader_loop,
             args=(client_id, conn),
             name=f"fleet-tcp-reader-{client_id}",
             daemon=True,
-        )
-        self._threads.append(reader)
-        reader.start()
-        return True
+        ).start()
 
     def _reader_loop(self, client_id: int, conn: socket.socket) -> None:
         try:
@@ -407,12 +422,13 @@ class TcpTransport:
             self._listener.close()
         except OSError:  # pragma: no cover - double close
             pass
-        for conn in self._sockets.values():
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - double close
-                pass
-        self._sockets.clear()
+        with self._members_lock:
+            for conn in self._sockets.values():
+                try:
+                    conn.close()
+                except OSError:  # pragma: no cover - double close
+                    pass
+            self._sockets.clear()
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .faults import (
     PartitionFaultModel,
     PoissonAttackModel,
     build_fault_models,
-    default_fault_models,
     register_fault_model,
     validate_fault_model_names,
 )
@@ -38,7 +37,6 @@ from .metrics import (
 from .network import NetworkModel
 from .power import (
     InterpolatedPowerModel,
-    LinearPowerModel,
     NUC_POWER,
     PI4B_POWER,
     PowerModel,
@@ -47,10 +45,6 @@ from .power import (
 from .recovery import ensure_brokered, reattach_recovered, strip_failed
 from .scheduler import (
     GOBIScheduler,
-    LeastUtilScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
     SchedulingDecision,
 )
 from .task import Task, TaskSpec
@@ -82,7 +76,6 @@ __all__ = [
     "register_fault_model",
     "validate_fault_model_names",
     "build_fault_models",
-    "default_fault_models",
     "AttackEvent",
     "Gateway",
     "GatewayFleet",
@@ -100,7 +93,6 @@ __all__ = [
     "encode_schedule",
     "NetworkModel",
     "PowerModel",
-    "LinearPowerModel",
     "InterpolatedPowerModel",
     "PI4B_POWER",
     "NUC_POWER",
@@ -108,12 +100,8 @@ __all__ = [
     "ensure_brokered",
     "reattach_recovered",
     "strip_failed",
-    "Scheduler",
     "SchedulingDecision",
     "GOBIScheduler",
-    "LeastUtilScheduler",
-    "RoundRobinScheduler",
-    "RandomScheduler",
     "Task",
     "TaskSpec",
     "Topology",

@@ -15,7 +15,7 @@ protocol ``begin_interval`` -> (resilience model chooses a topology) ->
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .metrics import (
 )
 from .network import NetworkModel
 from .recovery import ensure_brokered
-from .scheduler import GOBIScheduler, Scheduler, SchedulingDecision
+from .scheduler import GOBIScheduler, SchedulingDecision
 from .task import Task
 from .topology import Topology, initial_topology
 
@@ -40,8 +40,7 @@ __all__ = ["SystemView", "EdgeFederation"]
 
 # Interval-loop telemetry (process registry): wall-clock spans and
 # task-flow counters.  Observation only -- nothing here feeds back
-# into simulation state, so records stay bit-identical with telemetry
-# on, off, or absent.
+# into simulation state, so records never depend on it.
 _INTERVAL_SPAN = _telemetry.span("sim.interval")
 _INTERVALS = _telemetry.counter("sim.intervals")
 _TASKS_ARRIVED = _telemetry.counter("sim.tasks_arrived")
@@ -98,26 +97,17 @@ class EdgeFederation:
     def __init__(
         self,
         config: ExperimentConfig,
-        scheduler: Optional[Scheduler] = None,
-        workload=None,
         topology: Optional[Topology] = None,
-        seed: Union[int, np.random.SeedSequence, None] = None,
     ) -> None:
         from .workloads import make_generator
 
         self.config = config
         fed = config.federation
-        seed = config.seed if seed is None else seed
         # Independent streams so component behaviour is stable when
         # other components change (standard variance-reduction practice).
         # SeedSequence.spawn gives provably independent children, unlike
         # offsetting a shared seed.
-        root = (
-            seed
-            if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)
-        )
-        streams = root.spawn(5)
+        streams = np.random.SeedSequence(config.seed).spawn(5)
         self._rng_network = np.random.default_rng(streams[0])
         self._rng_workload = np.random.default_rng(streams[1])
         self._rng_faults = np.random.default_rng(streams[2])
@@ -136,7 +126,7 @@ class EdgeFederation:
         self.gateways = GatewayFleet(
             n_gateways=2 * fed.n_leis, network=self.network, rng=self._rng_gateways
         )
-        self.workload = workload or make_generator(
+        self.workload = make_generator(
             config.workload.suite,
             self._rng_workload,
             arrival_rate=config.workload.arrival_rate,
@@ -145,7 +135,7 @@ class EdgeFederation:
         )
         self.faults = FaultInjector(config.faults, self._rng_faults)
         self.detection = DetectionProtocol(self._rng_detection)
-        self.scheduler = scheduler or GOBIScheduler()
+        self.scheduler = GOBIScheduler()
 
         self.active_tasks: List[Task] = []
         self.completed_tasks: List[Task] = []

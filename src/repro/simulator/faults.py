@@ -54,7 +54,6 @@ __all__ = [
     "PartitionFaultModel",
     "ArrivalSurgeModel",
     "build_fault_models",
-    "default_fault_models",
     "FaultInjector",
 ]
 
@@ -151,10 +150,8 @@ class FaultModel:
 
 
 #: Named fault-model registry: ``name`` -> model class.  Insertion
-#: order is sampling order in auto mode, and it deliberately mirrors
-#: the historical ``default_fault_models`` construction order
-#: (poisson, correlated, cascade, partition, surge) so existing runs
-#: keep their random streams bit-identical.
+#: order is sampling order in auto mode: poisson, correlated, cascade,
+#: partition, surge.  Reordering it changes every run's random stream.
 FAULT_MODELS: Dict[str, type] = {}
 
 
@@ -540,13 +537,6 @@ def build_fault_models(
 
         models.append(ChaosSchedule.from_rows(chaos_rows).compile())
     return models
-
-
-def default_fault_models(
-    config: FaultConfig, broker_bias: float = 0.6
-) -> List[FaultModel]:
-    """Back-compat alias for :func:`build_fault_models`."""
-    return build_fault_models(config, broker_bias)
 
 
 class FaultInjector:

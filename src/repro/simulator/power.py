@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "PowerModel",
-    "LinearPowerModel",
     "InterpolatedPowerModel",
     "PI4B_POWER",
     "NUC_POWER",
@@ -34,20 +33,6 @@ class PowerModel:
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
         return self.watts(cpu_utilisation) * seconds
-
-
-class LinearPowerModel(PowerModel):
-    """``watts = idle + (peak - idle) * util`` clamped to [idle, peak]."""
-
-    def __init__(self, idle_watts: float, peak_watts: float) -> None:
-        if idle_watts < 0 or peak_watts < idle_watts:
-            raise ValueError("need 0 <= idle_watts <= peak_watts")
-        self.idle_watts = idle_watts
-        self.peak_watts = peak_watts
-
-    def watts(self, cpu_utilisation: float) -> float:
-        utilisation = min(max(cpu_utilisation, 0.0), 1.0)
-        return self.idle_watts + (self.peak_watts - self.idle_watts) * utilisation
 
 
 class InterpolatedPowerModel(PowerModel):

@@ -1,4 +1,4 @@
-"""Underlying task schedulers.
+"""The underlying task scheduler.
 
 The paper assumes "an underlying scheduler in the system independent
 from the proposed fault-tolerance solution" (§III-A) and builds on the
@@ -8,8 +8,7 @@ but never makes it.
 
 :class:`GOBIScheduler` approximates GOBI's behaviour: place each task
 where the marginal predicted objective (energy + contention) increase
-is smallest, then rebalance overloaded workers.  Simpler policies are
-provided for ablations and tests.
+is smallest, then rebalance overloaded workers.
 """
 
 from __future__ import annotations
@@ -17,20 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from .host import Host
 from .task import Task
 from .topology import Topology
 
-__all__ = [
-    "SchedulingDecision",
-    "Scheduler",
-    "GOBIScheduler",
-    "LeastUtilScheduler",
-    "RoundRobinScheduler",
-    "RandomScheduler",
-]
+__all__ = ["SchedulingDecision", "GOBIScheduler"]
 
 
 @dataclass
@@ -52,34 +42,7 @@ class SchedulingDecision:
         return [t for t, h in self.placements.items() if h == host_id]
 
 
-class Scheduler:
-    """Scheduler interface: place new tasks, optionally migrate active."""
-
-    name = "base"
-
-    def schedule(
-        self,
-        new_tasks_by_broker: Mapping[int, Sequence[Task]],
-        active_tasks: Sequence[Task],
-        topology: Topology,
-        hosts: Sequence[Host],
-    ) -> SchedulingDecision:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _live_workers_of(
-        broker: int, topology: Topology, host_by_id: Mapping[int, Host]
-    ) -> List[int]:
-        """Placement candidates in a LEI: live workers, else the broker."""
-        workers = [w for w in topology.lei(broker) if host_by_id[w].alive]
-        if workers:
-            return workers
-        # A broker may act as a worker when its LEI has none (§I).
-        return [broker]
-
-
-class GOBIScheduler(Scheduler):
+class GOBIScheduler:
     """Greedy surrogate-objective placement in the spirit of GOBI/COSCO.
 
     For each new task, candidate hosts in the receiving LEI are scored
@@ -152,6 +115,17 @@ class GOBIScheduler(Scheduler):
         return decision
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _live_workers_of(
+        broker: int, topology: Topology, host_by_id: Mapping[int, Host]
+    ) -> List[int]:
+        """Placement candidates in a LEI: live workers, else the broker."""
+        workers = [w for w in topology.lei(broker) if host_by_id[w].alive]
+        if workers:
+            return workers
+        # A broker may act as a worker when its LEI has none (§I).
+        return [broker]
+
     def _best_host(
         self,
         task: Task,
@@ -225,127 +199,3 @@ class GOBIScheduler(Scheduler):
                 cpu_load[target] += smallest.spec.cpu_share
                 ram_load[worker] -= smallest.spec.ram_gb
                 ram_load[target] += smallest.spec.ram_gb
-
-
-class LeastUtilScheduler(Scheduler):
-    """Place every task on the least CPU-loaded live worker of its LEI."""
-
-    name = "least_util"
-
-    def schedule(self, new_tasks_by_broker, active_tasks, topology, hosts):
-        host_by_id = {host.host_id: host for host in hosts}
-        decision = SchedulingDecision()
-        cpu_load = {h.host_id: 0.0 for h in hosts}
-
-        for task in active_tasks:
-            if task.finished:
-                continue
-            if (
-                task.host is not None
-                and host_by_id[task.host].alive
-                and task.host in topology.attached
-            ):
-                decision.placements[task.task_id] = task.host
-                cpu_load[task.host] += task.spec.cpu_share
-
-        live_brokers = [b for b in sorted(topology.brokers) if host_by_id[b].alive]
-        for task in active_tasks:
-            if task.finished or task.task_id in decision.placements:
-                continue
-            broker = task.entry_broker if task.entry_broker in live_brokers else live_brokers[0]
-            candidates = self._live_workers_of(broker, topology, host_by_id)
-            target = min(candidates, key=lambda w: cpu_load[w])
-            previous = task.host if task.host is not None else target
-            decision.placements[task.task_id] = target
-            decision.migrations.append((task.task_id, previous, target))
-            cpu_load[target] += task.spec.cpu_share
-
-        for broker in sorted(new_tasks_by_broker):
-            for task in new_tasks_by_broker[broker]:
-                live = broker if broker in live_brokers else live_brokers[0]
-                candidates = self._live_workers_of(live, topology, host_by_id)
-                target = min(candidates, key=lambda w: cpu_load[w])
-                decision.placements[task.task_id] = target
-                cpu_load[target] += task.spec.cpu_share
-        return decision
-
-
-class RoundRobinScheduler(Scheduler):
-    """Cycle new tasks across each LEI's live workers."""
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def schedule(self, new_tasks_by_broker, active_tasks, topology, hosts):
-        host_by_id = {host.host_id: host for host in hosts}
-        decision = SchedulingDecision()
-        live_brokers = [b for b in sorted(topology.brokers) if host_by_id[b].alive]
-
-        for task in active_tasks:
-            if task.finished:
-                continue
-            if (
-                task.host is not None
-                and host_by_id[task.host].alive
-                and task.host in topology.attached
-            ):
-                decision.placements[task.task_id] = task.host
-            else:
-                broker = task.entry_broker if task.entry_broker in live_brokers else live_brokers[0]
-                candidates = self._live_workers_of(broker, topology, host_by_id)
-                target = candidates[self._cursor % len(candidates)]
-                self._cursor += 1
-                previous = task.host if task.host is not None else target
-                decision.placements[task.task_id] = target
-                decision.migrations.append((task.task_id, previous, target))
-
-        for broker in sorted(new_tasks_by_broker):
-            for task in new_tasks_by_broker[broker]:
-                live = broker if broker in live_brokers else live_brokers[0]
-                candidates = self._live_workers_of(live, topology, host_by_id)
-                target = candidates[self._cursor % len(candidates)]
-                self._cursor += 1
-                decision.placements[task.task_id] = target
-        return decision
-
-
-class RandomScheduler(Scheduler):
-    """Uniform random placement (baseline of last resort for tests)."""
-
-    name = "random"
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def schedule(self, new_tasks_by_broker, active_tasks, topology, hosts):
-        host_by_id = {host.host_id: host for host in hosts}
-        decision = SchedulingDecision()
-        live_brokers = [b for b in sorted(topology.brokers) if host_by_id[b].alive]
-
-        def place(task: Task, broker: int) -> int:
-            candidates = self._live_workers_of(broker, topology, host_by_id)
-            return int(self.rng.choice(candidates))
-
-        for task in active_tasks:
-            if task.finished:
-                continue
-            if (
-                task.host is not None
-                and host_by_id[task.host].alive
-                and task.host in topology.attached
-            ):
-                decision.placements[task.task_id] = task.host
-            else:
-                broker = task.entry_broker if task.entry_broker in live_brokers else live_brokers[0]
-                target = place(task, broker)
-                previous = task.host if task.host is not None else target
-                decision.placements[task.task_id] = target
-                decision.migrations.append((task.task_id, previous, target))
-
-        for broker in sorted(new_tasks_by_broker):
-            for task in new_tasks_by_broker[broker]:
-                live = broker if broker in live_brokers else live_brokers[0]
-                decision.placements[task.task_id] = place(task, live)
-        return decision

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["Topology", "initial_topology"]
@@ -187,22 +186,6 @@ class Topology:
         for worker, broker in self.assignment.items():
             adjacency[worker, broker] = adjacency[broker, worker] = 1.0
         return adjacency
-
-    def to_networkx(self) -> nx.Graph:
-        """Export as an undirected networkx graph with role attributes."""
-        graph = nx.Graph()
-        for host in range(self.n_hosts):
-            if host in self.brokers:
-                role = "broker"
-            elif host in self.assignment:
-                role = "worker"
-            else:
-                role = "unattached"
-            graph.add_node(host, role=role)
-        adjacency = self.adjacency()
-        rows, cols = np.nonzero(np.triu(adjacency))
-        graph.add_edges_from(zip(rows.tolist(), cols.tolist()))
-        return graph
 
     # ------------------------------------------------------------------
     # Identity

@@ -31,9 +31,9 @@ commutative -- folds them into the fleet-wide view served by the
 
 Wall-clock values live **only** in telemetry.  Records and their
 ``metrics`` rows never read from a registry, so serial/process/fleet
-bit-identity is structurally unaffected; disabling telemetry
-(``REPRO_TELEMETRY=0`` or :func:`set_enabled`) changes timings, never
-results.
+bit-identity is structurally unaffected.  Telemetry is always on:
+there is no switch, and its cost per simulated interval is bounded
+by a test.
 
 Module-level helpers (:func:`counter`, :func:`span`, ...) proxy the
 process registry so instrumented modules can create handles at import
@@ -41,8 +41,6 @@ time with no reference to this package's internals.
 """
 
 from __future__ import annotations
-
-import os
 
 from .registry import (
     DURATION_EDGES_S,
@@ -52,10 +50,9 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     Span,
-    flatten_snapshot,
     merge_snapshots,
 )
-from .render import render_metrics_text, render_prometheus_text, render_summary
+from .render import render_prometheus_text, render_summary
 
 __all__ = [
     "Counter",
@@ -64,15 +61,11 @@ __all__ = [
     "Span",
     "MetricsRegistry",
     "merge_snapshots",
-    "flatten_snapshot",
-    "render_metrics_text",
     "render_prometheus_text",
     "render_summary",
     "DURATION_EDGES_S",
     "SIZE_EDGES",
     "get_registry",
-    "set_enabled",
-    "is_enabled",
     "counter",
     "gauge",
     "histogram",
@@ -82,26 +75,13 @@ __all__ = [
     "reset",
 ]
 
-#: The process-wide registry.  ``REPRO_TELEMETRY=0`` starts it
-#: disabled (the zero-overhead path); :func:`set_enabled` flips it at
-#: runtime.  Forked campaign workers inherit the parent's setting.
-_REGISTRY = MetricsRegistry(
-    enabled=os.environ.get("REPRO_TELEMETRY", "1") not in ("0", "false", "off")
-)
+#: The process-wide registry.
+_REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide registry."""
     return _REGISTRY
-
-
-def set_enabled(enabled: bool) -> None:
-    """Enable/disable every metric bound to the process registry."""
-    _REGISTRY.enabled = bool(enabled)
-
-
-def is_enabled() -> bool:
-    return _REGISTRY.enabled
 
 
 def counter(name: str) -> Counter:

@@ -9,9 +9,9 @@ Design constraints (see :mod:`repro.telemetry` for the full model):
   commutative, so per-worker snapshots can be folded into one fleet
   view in any order (counters sum, gauges keep the max, histograms
   add bucket-wise, spans combine count/total/min/max).
-* **Cheap when disabled** -- every mutator checks one attribute and
-  returns; the disabled :meth:`Span.time` path hands back a shared
-  no-op context manager, allocating nothing.
+* **Always on, and cheap** -- every mutator is a plain attribute
+  update with no switch to check (``tests/test_telemetry.py`` bounds
+  the instrumentation's share of a simulated interval).
 * **No wall-clock in records** -- timings live only here; nothing in
   a snapshot ever feeds back into simulation state, so bit-identity
   of campaign records is structurally untouched.
@@ -32,7 +32,6 @@ __all__ = [
     "Span",
     "MetricsRegistry",
     "merge_snapshots",
-    "flatten_snapshot",
     "DURATION_EDGES_S",
     "SIZE_EDGES",
 ]
@@ -58,35 +57,30 @@ SIZE_EDGES: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 class Counter:
     """Monotonically increasing integer metric."""
 
-    __slots__ = ("name", "value", "_registry")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-        self._registry = registry
 
     def inc(self, n: int = 1) -> None:
-        if self._registry.enabled:
-            self.value += n
+        self.value += n
 
     def add(self, n: int) -> None:
-        if self._registry.enabled:
-            self.value += n
+        self.value += n
 
 
 class Gauge:
     """Last-write-wins float metric (merged by max across workers)."""
 
-    __slots__ = ("name", "value", "_registry")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-        self._registry = registry
 
     def set(self, value: float) -> None:
-        if self._registry.enabled:
-            self.value = float(value)
+        self.value = float(value)
 
 
 class Histogram:
@@ -97,11 +91,9 @@ class Histogram:
     workers' histograms of the same name always merge bucket-wise.
     """
 
-    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max", "_registry")
+    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max")
 
-    def __init__(
-        self, name: str, edges: Sequence[float], registry: "MetricsRegistry"
-    ) -> None:
+    def __init__(self, name: str, edges: Sequence[float]) -> None:
         if not edges or list(edges) != sorted(edges):
             raise ValueError(f"histogram {name!r} needs ascending bucket edges")
         self.name = name
@@ -111,11 +103,8 @@ class Histogram:
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._registry = registry
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         value = float(value)
         lo, hi = 0, len(self.edges)
         while lo < hi:  # bisect_right over the edges
@@ -129,21 +118,6 @@ class Histogram:
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-
-
-class _NullTimer:
-    """Shared no-op context manager for the disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
 
 
 class _SpanTimer:
@@ -165,52 +139,34 @@ class _SpanTimer:
 class Span:
     """Named timing aggregate (count / total / min / max seconds).
 
-    Usable three ways::
+    Usable two ways::
 
         with registry.span("sim.interval").time(): ...   # explicit timer
-        with registry.span("sim.interval"): ...          # CM shorthand
         @registry.span("sim.interval")                   # decorator
         def hot(): ...
 
     Timers are independent objects, so spans nest and re-enter safely
-    (recursion included); the CM shorthand keeps a stack of start
-    times for the same reason.
+    (recursion included).
     """
 
-    __slots__ = ("name", "count", "total_s", "min_s", "max_s", "_registry", "_starts")
+    __slots__ = ("name", "count", "total_s", "min_s", "max_s")
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total_s = 0.0
         self.min_s: Optional[float] = None
         self.max_s: Optional[float] = None
-        self._registry = registry
-        self._starts: List[float] = []
 
     def _record(self, elapsed: float) -> None:
-        if not self._registry.enabled:
-            return
         self.count += 1
         self.total_s += elapsed
         self.min_s = elapsed if self.min_s is None else min(self.min_s, elapsed)
         self.max_s = elapsed if self.max_s is None else max(self.max_s, elapsed)
 
-    def time(self):
-        """A context manager timing one window (no-op when disabled)."""
-        if not self._registry.enabled:
-            return _NULL_TIMER
+    def time(self) -> _SpanTimer:
+        """A context manager timing one window."""
         return _SpanTimer(self)
-
-    # Context-manager shorthand: ``with span: ...``
-    def __enter__(self) -> "Span":
-        if self._registry.enabled:
-            self._starts.append(time.perf_counter())
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._starts:
-            self._record(time.perf_counter() - self._starts.pop())
 
     # Decorator support: ``@span`` wraps fn in a timer per call.
     def __call__(self, fn):
@@ -218,8 +174,6 @@ class Span:
 
         @functools.wraps(fn)
         def wrapped(*args, **kwargs):
-            if not self._registry.enabled:
-                return fn(*args, **kwargs)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -234,11 +188,10 @@ class MetricsRegistry:
 
     Metric handles are created lazily and cached, so hot paths can
     either keep a module-level handle or call ``registry.counter(n)``
-    per event (one dict hit).  ``enabled`` gates every mutator.
+    per event (one dict hit).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -248,13 +201,13 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:
-            metric = self._counters[name] = Counter(name, self)
+            metric = self._counters[name] = Counter(name)
         return metric
 
     def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
         if metric is None:
-            metric = self._gauges[name] = Gauge(name, self)
+            metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(
@@ -262,7 +215,7 @@ class MetricsRegistry:
     ) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
-            metric = self._histograms[name] = Histogram(name, edges, self)
+            metric = self._histograms[name] = Histogram(name, edges)
         elif tuple(float(e) for e in edges) != metric.edges:
             raise ValueError(
                 f"histogram {name!r} already registered with different edges"
@@ -272,7 +225,7 @@ class MetricsRegistry:
     def span(self, name: str) -> Span:
         metric = self._spans.get(name)
         if metric is None:
-            metric = self._spans[name] = Span(name, self)
+            metric = self._spans[name] = Span(name)
         return metric
 
     # -- snapshot / merge ------------------------------------------------
@@ -396,7 +349,6 @@ class MetricsRegistry:
             s.total_s = 0.0
             s.min_s = None
             s.max_s = None
-            s._starts.clear()
 
 
 def _opt_min(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -429,29 +381,3 @@ def merge_snapshots(*snapshots: Iterable[dict]) -> dict:
         if snap:
             merged.merge_snapshot(snap)
     return merged.snapshot()
-
-
-def flatten_snapshot(snap: dict) -> List[Tuple[str, float]]:
-    """``(name, value)`` pairs for a flat ``name value`` text export.
-
-    Histograms flatten to ``<name>_count`` / ``<name>_sum`` plus one
-    ``<name>_bucket{le=...}`` line per edge (cumulative, Prometheus
-    style); spans flatten to ``_count`` / ``_total_seconds``.
-    """
-    lines: List[Tuple[str, float]] = []
-    for name, value in snap.get("counters", {}).items():
-        lines.append((name, value))
-    for name, value in snap.get("gauges", {}).items():
-        lines.append((name, value))
-    for name, h in snap.get("histograms", {}).items():
-        cumulative = 0
-        for edge, count in zip(h["edges"], h["counts"]):
-            cumulative += count
-            lines.append((f'{name}_bucket{{le="{edge:g}"}}', cumulative))
-        lines.append((f'{name}_bucket{{le="+Inf"}}', h["count"]))
-        lines.append((f"{name}_count", h["count"]))
-        lines.append((f"{name}_sum", h["sum"]))
-    for name, s in snap.get("spans", {}).items():
-        lines.append((f"{name}_count", s["count"]))
-        lines.append((f"{name}_total_seconds", s["total_s"]))
-    return lines

@@ -1,14 +1,11 @@
 """Text renderings of telemetry snapshots.
 
-Three audiences:
+Two audiences:
 
 * :func:`render_prometheus_text` -- Prometheus exposition format
   (``# HELP`` / ``# TYPE`` metadata, ``le``-labelled histogram
-  buckets), the default body of the status endpoint's ``/metrics``
-  route so stock scrapers ingest it without a relabelling shim.
-* :func:`render_metrics_text` -- the legacy flat ``name value``
-  exposition (one metric per line, deterministic order), still served
-  under ``/metrics?format=flat``.
+  buckets), the body of the status endpoint's ``/metrics`` route so
+  stock scrapers ingest it without a relabelling shim.
 * :func:`render_summary` -- a human-oriented table for the ``repro
   telemetry`` CLI subcommand and :mod:`examples.failure_drill`.
 """
@@ -18,16 +15,7 @@ from __future__ import annotations
 import re
 from typing import List
 
-from .registry import flatten_snapshot
-
-__all__ = ["render_metrics_text", "render_prometheus_text", "render_summary"]
-
-
-def render_metrics_text(snap: dict) -> str:
-    """Flat ``name value`` lines (trailing newline included)."""
-    lines = [f"{name} {_fmt(value)}" for name, value in flatten_snapshot(snap)]
-    return "\n".join(lines) + "\n" if lines else ""
-
+__all__ = ["render_prometheus_text", "render_summary"]
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 

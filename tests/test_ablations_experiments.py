@@ -94,6 +94,22 @@ class TestGANAblation:
         _drive(model, small_config, n=6)
         assert model.memory_bytes() > 0
 
+    def test_with_gan_fine_tunes_once_the_gate_opens(self, rng, small_config):
+        surrogate = GANSurrogate(
+            small_config.federation.n_hosts, rng, hidden=32
+        )
+        config = replace(tiny_carol_config(), pot_calibration=5)
+        model = WithGAN(surrogate, 0.5, 0.5, config)
+        # Five confident intervals calibrate the POT gate; every later
+        # one reads zero confidence, which falls below the threshold.
+        confidences = iter([0.9, 0.8, 0.85, 0.95, 0.9] + [0.0] * 10)
+        surrogate.confidence = lambda sample: next(confidences)
+        steps = []
+        train_step = surrogate.train_step
+        surrogate.train_step = lambda sample: steps.append(train_step(sample))
+        _drive(model, small_config, n=8)
+        assert len(steps) >= config.min_buffer
+
 
 class TestTraditionalSurrogateAblation:
     def test_fit_reduces_error(self, rng, session_samples, session_trace):

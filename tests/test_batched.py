@@ -20,7 +20,6 @@ from repro.core import (
     tabu_search,
 )
 from repro.core.nodeshift import neighbours, random_node_shift
-from repro.core.tabu import as_batched, batched_objective
 from repro.nn import GraphEncoder
 
 from gon_oracle import (
@@ -219,32 +218,13 @@ class TestPredictQosBatchParity:
 
 
 class TestTabuBatchedObjective:
-    def test_batched_and_scalar_agree(self):
-        from repro.simulator import initial_topology
-
-        topo = initial_topology(10, 2)
-
-        def scalar(t):
-            return abs(len(t.brokers) - 3)
-
-        @batched_objective
-        def batched(candidates):
-            return [abs(len(t.brokers) - 3) for t in candidates]
-
-        a = tabu_search(topo, scalar, neighbours, max_iterations=6)
-        b = tabu_search(topo, batched, neighbours, max_iterations=6)
-        assert a.best.canonical_key() == b.best.canonical_key()
-        assert a.best_score == b.best_score
-        assert a.n_evaluations == b.n_evaluations
-
     def test_batched_objective_called_once_per_iteration(self):
         from repro.simulator import initial_topology
 
         topo = initial_topology(8, 2)
         calls = []
 
-        @batched_objective
-        def objective(candidates):
+        def objective(candidates, keys):
             calls.append(len(candidates))
             return [1.0] * len(candidates)
 
@@ -260,8 +240,7 @@ class TestTabuBatchedObjective:
         topo = initial_topology(8, 2)
         scored = []
 
-        @batched_objective
-        def objective(candidates):
+        def objective(candidates, keys):
             scored.extend(c.canonical_key() for c in candidates)
             return [float(len(t.unattached)) for t in candidates]
 
@@ -271,13 +250,6 @@ class TestTabuBatchedObjective:
 
         tabu_search(topo, objective, noisy_neighbourhood, max_iterations=3)
         assert len(scored) == len(set(scored))
-
-    def test_as_batched_wraps_scalar(self):
-        from repro.simulator import initial_topology
-
-        topo = initial_topology(6, 2)
-        wrapped = as_batched(lambda t: float(len(t.brokers)))
-        assert wrapped([topo, topo]) == [2.0, 2.0]
 
 
 class TestRepairDecisionParity:
@@ -304,7 +276,7 @@ class TestRepairDecisionParity:
 
     def _reference_repair(self, carol, view, report, proposal):
         """The pre-refactor sequential repair loop, re-implemented with
-        per-candidate predict_qos and a scalar-objective tabu search."""
+        per-candidate predict_qos, one candidate at a time."""
         last = view.last_metrics
         cache = {}
 
@@ -339,7 +311,7 @@ class TestRepairDecisionParity:
             start = random_node_shift(current, rng)
             result = tabu_search(
                 start,
-                objective=omega,
+                objective=lambda candidates, keys: [omega(c) for c in candidates],
                 neighbourhood=sampled_neighbours,
                 tabu_size=carol.config.tabu_size,
                 max_iterations=carol.config.tabu_iterations,

@@ -174,11 +174,14 @@ class TestNeighbourhood:
         assert random_node_shift(topo, rng) == topo
 
 
+def per_candidate(score):
+    """A tabu objective applying ``score`` to each candidate."""
+    return lambda candidates, keys: [score(t) for t in candidates]
+
+
 class TestTabuSearch:
     def _objective_by_broker_count(self, target):
-        def objective(topo):
-            return abs(len(topo.brokers) - target)
-        return objective
+        return per_candidate(lambda topo: abs(len(topo.brokers) - target))
 
     def test_finds_target_broker_count(self):
         topo = initial_topology(12, 2)
@@ -195,7 +198,7 @@ class TestTabuSearch:
         topo = initial_topology(8, 2)
         objective = self._objective_by_broker_count(2)
         result = tabu_search(topo, objective, neighbours, max_iterations=5)
-        assert result.best_score <= objective(topo)
+        assert result.best_score <= objective([topo], None)[0]
 
     def test_evaluation_count_reported(self):
         topo = initial_topology(8, 2)
@@ -210,9 +213,9 @@ class TestTabuSearch:
         topo = initial_topology(8, 2)
         visited = []
 
-        def objective(t):
-            visited.append(t.canonical_key())
-            return 1.0  # flat landscape: only tabu stops cycling
+        def objective(candidates, keys):
+            visited.extend(t.canonical_key() for t in candidates)
+            return [1.0] * len(candidates)  # flat: only tabu stops cycling
 
         tabu_search(topo, objective, neighbours,
                     tabu_size=1000, max_iterations=5, patience=100)
@@ -222,7 +225,7 @@ class TestTabuSearch:
     def test_patience_stops_early(self):
         topo = initial_topology(8, 2)
         result = tabu_search(
-            topo, lambda t: 1.0, neighbours,
+            topo, per_candidate(lambda t: 1.0), neighbours,
             max_iterations=50, patience=2,
         )
         assert result.n_iterations <= 3
@@ -230,13 +233,13 @@ class TestTabuSearch:
     def test_parameter_validation(self):
         topo = initial_topology(4, 1)
         with pytest.raises(ValueError):
-            tabu_search(topo, lambda t: 0.0, neighbours, tabu_size=0)
+            tabu_search(topo, per_candidate(lambda t: 0.0), neighbours, tabu_size=0)
         with pytest.raises(ValueError):
-            tabu_search(topo, lambda t: 0.0, neighbours, max_iterations=0)
+            tabu_search(topo, per_candidate(lambda t: 0.0), neighbours, max_iterations=0)
 
     def test_empty_neighbourhood_graceful(self):
         topo = Topology(2, brokers=[0], assignment={1: 0})
-        result = tabu_search(topo, lambda t: 5.0, neighbours)
+        result = tabu_search(topo, per_candidate(lambda t: 5.0), neighbours)
         assert result.best == topo
         assert result.best_score == 5.0
 

@@ -499,13 +499,12 @@ class TestPersistentCache:
         assert scorer.generation == 1
 
     def test_tabu_passes_keys_to_batched_objective(self, small_topology):
-        from repro.core.tabu import batched_objective, tabu_search
+        from repro.core.tabu import tabu_search
         from repro.core.nodeshift import neighbours
 
         seen_keys = []
 
-        @batched_objective
-        def objective(candidates, keys=None):
+        def objective(candidates, keys):
             seen_keys.append(keys)
             return [float(len(c.brokers)) for c in candidates]
 

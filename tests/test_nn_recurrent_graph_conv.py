@@ -12,7 +12,6 @@ from repro.nn import (
     LSTMCell,
     Tensor,
     adjacency_with_self_loops,
-    max_pool1d,
     mse_loss,
 )
 
@@ -168,12 +167,3 @@ class TestConv1d:
         x = Tensor(np.ones((2, 6)), requires_grad=True)
         conv(x).sum().backward()
         assert x.grad is not None
-
-    def test_max_pool_values(self):
-        x = Tensor(np.array([[1.0, 5.0, 2.0, 8.0, 3.0]]))
-        out = max_pool1d(x, 2)
-        np.testing.assert_array_equal(out.data, [[5.0, 8.0]])
-
-    def test_max_pool_rejects_tiny_input(self):
-        with pytest.raises(ValueError):
-            max_pool1d(Tensor(np.ones((1, 2))), 4)

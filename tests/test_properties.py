@@ -90,11 +90,14 @@ class TestTabuProperties:
     @given(topologies(), st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_tabu_result_never_worse_than_start(self, topo, target):
-        def objective(t):
+        def score(t):
             return abs(len(t.brokers) - target) + 0.01 * len(t.unattached)
 
-        result = tabu_search(topo, objective, neighbours, max_iterations=4)
-        assert result.best_score <= objective(topo)
+        result = tabu_search(
+            topo, lambda candidates, keys: [score(t) for t in candidates],
+            neighbours, max_iterations=4,
+        )
+        assert result.best_score <= score(topo)
 
 
 class TestUnbroadcastProperties:

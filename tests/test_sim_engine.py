@@ -5,11 +5,7 @@ import pytest
 
 from repro.simulator import (
     EdgeFederation,
-    GOBIScheduler,
-    LeastUtilScheduler,
     M_FEATURES,
-    RandomScheduler,
-    RoundRobinScheduler,
     S_FEATURES,
     Trace,
     collect_trace,
@@ -179,15 +175,8 @@ class TestNodeShiftOverhead:
 
 
 class TestSchedulers:
-    @pytest.mark.parametrize("scheduler_factory", [
-        lambda rng: GOBIScheduler(),
-        lambda rng: LeastUtilScheduler(),
-        lambda rng: RoundRobinScheduler(),
-        lambda rng: RandomScheduler(rng),
-    ])
-    def test_placements_on_live_attached_hosts(self, small_config, scheduler_factory):
-        rng = np.random.default_rng(0)
-        federation = EdgeFederation(small_config, scheduler=scheduler_factory(rng))
+    def test_placements_on_live_attached_hosts(self, small_config):
+        federation = EdgeFederation(small_config)
         for _ in range(15):
             federation.begin_interval()
             federation.set_topology(federation.propose_topology())
@@ -199,7 +188,7 @@ class TestSchedulers:
                 assert host_id in attached
 
     def test_gobi_balances_load(self, small_config):
-        federation = EdgeFederation(small_config, scheduler=GOBIScheduler())
+        federation = EdgeFederation(small_config)
         run = [
             r.host_metrics[:, 0]
             for r in (

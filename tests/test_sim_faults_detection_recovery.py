@@ -24,7 +24,7 @@ from repro.simulator.faults import (
     CorrelatedGroupAttackModel,
     PartitionFaultModel,
     PoissonAttackModel,
-    default_fault_models,
+    build_fault_models,
 )
 
 
@@ -121,7 +121,7 @@ class TestFaultInjection:
 
 class TestFaultModelPlugins:
     def test_default_models_for_stock_config(self):
-        models = default_fault_models(FaultConfig(rate=0.5))
+        models = build_fault_models(FaultConfig(rate=0.5))
         assert [type(m) for m in models] == [PoissonAttackModel]
 
     def test_default_models_for_full_campaign(self):
@@ -130,7 +130,7 @@ class TestFaultModelPlugins:
             cascade_probability=0.3, partition_rate=0.1,
             partition_fraction=0.5, surge_rate=0.1, surge_multiplier=2.0,
         )
-        models = default_fault_models(config)
+        models = build_fault_models(config)
         assert [type(m) for m in models] == [
             PoissonAttackModel,
             CorrelatedGroupAttackModel,
@@ -140,7 +140,7 @@ class TestFaultModelPlugins:
         ]
 
     def test_fault_free_config_has_no_models(self):
-        assert default_fault_models(FaultConfig(rate=0.0)) == []
+        assert build_fault_models(FaultConfig(rate=0.0)) == []
 
     def test_events_tagged_with_model(self, topo, hosts):
         injector = FaultInjector(FaultConfig(rate=2.0), np.random.default_rng(0))

@@ -7,7 +7,6 @@ from repro.simulator import (
     Host,
     HostSpec,
     InterpolatedPowerModel,
-    LinearPowerModel,
     PI4B_POWER,
     RESOURCES,
     make_pi_cluster,
@@ -16,21 +15,6 @@ from repro.simulator.host import PI4B_4GB, PI4B_8GB
 
 
 class TestPowerModels:
-    def test_linear_endpoints(self):
-        model = LinearPowerModel(2.0, 6.0)
-        assert model.watts(0.0) == 2.0
-        assert model.watts(1.0) == 6.0
-        assert model.watts(0.5) == 4.0
-
-    def test_linear_clamps(self):
-        model = LinearPowerModel(2.0, 6.0)
-        assert model.watts(-1.0) == 2.0
-        assert model.watts(2.0) == 6.0
-
-    def test_linear_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            LinearPowerModel(5.0, 2.0)
-
     def test_interpolated_monotone(self):
         utils = np.linspace(0, 1.5, 30)
         watts = [PI4B_POWER.watts(u) for u in utils]
@@ -51,7 +35,7 @@ class TestPowerModels:
             InterpolatedPowerModel([0.0, 1.0], [1.0, -2.0])
 
     def test_energy_joules(self):
-        model = LinearPowerModel(2.0, 6.0)
+        model = InterpolatedPowerModel([0.0, 1.0], [2.0, 6.0])
         assert model.energy_joules(1.0, 10.0) == 60.0
         with pytest.raises(ValueError):
             model.energy_joules(0.5, -1.0)

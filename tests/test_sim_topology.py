@@ -1,6 +1,5 @@
 """Topology data structure: validation, transforms, graph exports."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -148,16 +147,23 @@ class TestGraph:
         adjacency = topo.detach(7).adjacency()
         assert adjacency[7].sum() == 0.0
 
-    def test_networkx_roles(self, topo):
-        graph = topo.detach(7).to_networkx()
-        assert graph.nodes[0]["role"] == "broker"
-        assert graph.nodes[2]["role"] == "worker"
-        assert graph.nodes[7]["role"] == "unattached"
-        assert graph.number_of_nodes() == 8
+    def test_roles(self, topo):
+        detached = topo.detach(7)
+        assert 0 in detached.brokers
+        assert 2 in detached.assignment and 2 not in detached.brokers
+        assert 7 not in detached.brokers and 7 not in detached.assignment
+        assert detached.adjacency().shape == (8, 8)
 
-    def test_networkx_connected_when_full(self, topo):
-        graph = topo.to_networkx()
-        assert nx.is_connected(graph)
+    def test_connected_when_full(self, topo):
+        adjacency = topo.adjacency()
+        reached, frontier = {0}, [0]
+        while frontier:
+            node = frontier.pop()
+            for neighbour in np.flatnonzero(adjacency[node]).tolist():
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        assert reached == set(range(topo.n_hosts))
 
 
 class TestIdentity:

@@ -3,38 +3,38 @@
 Covers the telemetry contracts end to end:
 
 * registry semantics -- counters/gauges/histograms/spans, deterministic
-  sorted-key snapshots, associative+commutative merges, delta arithmetic,
-  the zero-allocation disabled path;
+  sorted-key snapshots, associative+commutative merges, delta arithmetic;
 * the STATS wire frame (``StatsUpdate``) round-tripping a snapshot over
   the binary TCP framing;
 * the read-only HTTP status endpoint (``/status`` + ``/metrics``);
 * campaign plumbing -- merged telemetry attached to payloads in serial,
-  process and fleet modes, and the core guarantee that enabling or
-  disabling telemetry never changes a record;
-* instrumentation cost: an enabled registry slows a serial campaign
-  by at most 10%;
+  process and fleet modes;
+* instrumentation cost: metric updates take at most 10% of a simulated
+  interval;
 * ``benchmarks/compare_records.py`` ignoring telemetry/diagnostics when
   asserting bit-identity.
 """
 
+import collections
 import json
 import socket
 import time
+import timeit
 import urllib.request
 
 import pytest
 
-from repro import telemetry
 from repro.telemetry import (
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
     SIZE_EDGES,
-    flatten_snapshot,
+    Span,
     merge_snapshots,
-    render_metrics_text,
     render_prometheus_text,
     render_summary,
 )
-from repro.telemetry.registry import _NULL_TIMER
 
 
 def make_registry(scale: int = 1) -> MetricsRegistry:
@@ -123,12 +123,10 @@ class TestRegistry:
 
 
 class TestSpans:
-    def test_three_usage_forms(self):
+    def test_two_usage_forms(self):
         registry = MetricsRegistry()
         span = registry.span("s")
         with span.time():
-            pass
-        with span:
             pass
 
         @span
@@ -136,19 +134,22 @@ class TestSpans:
             return 42
 
         assert work() == 42
-        assert span.count == 3
+        assert span.count == 2
         assert span.min_s is not None and span.min_s >= 0.0
 
     def test_spans_nest_and_recurse(self):
         registry = MetricsRegistry()
         span = registry.span("s")
-        with span:
-            with span:
-                with span.time():
-                    pass
-        assert span.count == 3
+
+        @span
+        def recurse(depth):
+            return recurse(depth - 1) if depth else 0
+
+        with span.time():
+            with span.time():
+                recurse(2)
+        assert span.count == 5
         assert span.total_s >= 0.0
-        assert span._starts == []  # every window closed
 
     def test_decorator_records_on_exception(self):
         registry = MetricsRegistry()
@@ -161,47 +162,6 @@ class TestSpans:
         with pytest.raises(RuntimeError):
             boom()
         assert span.count == 1
-
-
-class TestDisabledPath:
-    def test_mutators_are_noops(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("c").inc()
-        registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
-        with registry.span("s").time():
-            pass
-        with registry.span("s"):
-            pass
-        snap = registry.snapshot()
-        assert snap["counters"] == {"c": 0}
-        assert snap["gauges"] == {"g": 0.0}
-        assert snap["histograms"]["h"]["count"] == 0
-        assert snap["spans"]["s"]["count"] == 0
-
-    def test_disabled_timer_is_shared_singleton(self):
-        # The disabled hot path must not allocate: every .time() call
-        # returns the same no-op context manager object.
-        registry = MetricsRegistry(enabled=False)
-        span = registry.span("s")
-        assert span.time() is _NULL_TIMER
-        assert span.time() is span.time()
-
-    def test_process_registry_toggle(self):
-        assert telemetry.is_enabled()
-        before = telemetry.snapshot()
-        try:
-            telemetry.set_enabled(False)
-            telemetry.counter("test.toggle").inc()
-            assert (
-                telemetry.snapshot()["counters"].get("test.toggle", 0) == 0
-            )
-        finally:
-            telemetry.set_enabled(True)
-        after = telemetry.snapshot()
-        assert before["counters"] == {
-            k: v for k, v in after["counters"].items() if k != "test.toggle"
-        }
 
 
 # ----------------------------------------------------------------------
@@ -279,33 +239,13 @@ class TestMerge:
 # Rendering
 # ----------------------------------------------------------------------
 class TestRendering:
-    def test_flatten_snapshot_prometheus_shape(self):
-        snap = make_registry().snapshot()
-        lines = dict(flatten_snapshot(snap))
-        assert lines["events"] == 3
-        assert lines["depth"] == 2.0
-        assert lines["sizes_count"] == 3
-        assert lines['sizes_bucket{le="+Inf"}'] == 3
-        assert lines["work_count"] == 2
-        assert lines["work_total_seconds"] == pytest.approx(0.75)
-
-    def test_metrics_text_lines(self):
-        text = render_metrics_text(make_registry().snapshot())
-        assert text.endswith("\n")
-        parsed = dict(
-            line.rsplit(" ", 1) for line in text.strip().splitlines()
-        )
-        assert parsed["events"] == "3"
-        assert float(parsed["work_total_seconds"]) == pytest.approx(0.75)
-
     def test_render_summary_sections(self):
         out = render_summary(make_registry().snapshot(), title="-- t --")
         assert "-- t --" in out
         assert "events" in out and "work" in out and "sizes" in out
 
     def test_render_empty_snapshot(self):
-        assert render_metrics_text({}) == "\n" or render_metrics_text({}) == ""
-        assert isinstance(render_summary({}, title="x"), str)
+        assert render_summary({}, title="x") == "== x =="
 
 
 class TestPrometheusRendering:
@@ -443,20 +383,11 @@ class TestStatusServer:
             assert decoded["workers"]["connected"] == 2
             assert decoded["telemetry"]["counters"]["events"] == 3
 
-            # /metrics defaults to Prometheus exposition...
+            # /metrics answers Prometheus exposition.
             status, body = self._get(server, "/metrics")
             assert status == 200
             assert "# TYPE events_total counter" in body
             assert "events_total 3" in body
-
-            # ...with the legacy flat dialect behind ?format=flat.
-            status, body = self._get(server, "/metrics?format=flat")
-            assert status == 200
-            assert "events 3" in body
-
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(server, "/metrics?format=xml")
-            assert excinfo.value.code == 400
         finally:
             server.close()
 
@@ -584,72 +515,55 @@ class TestCampaignTelemetry:
         assert counters["service.requests"] > 0
         assert fleet.telemetry["spans"]["service.drain"]["count"] >= 1
 
-    def test_records_identical_with_telemetry_disabled(self, campaign_assets):
-        from repro.experiments import run_campaign
-
-        enabled = run_campaign(
-            _campaign_config(mode="fleet", workers=2), campaign_assets
-        )
-        try:
-            telemetry.set_enabled(False)
-            disabled = run_campaign(
-                _campaign_config(mode="fleet", workers=2), campaign_assets
-            )
-        finally:
-            telemetry.set_enabled(True)
-        # The core guarantee: turning telemetry off changes nothing in
-        # the record surface -- and the fleet path still works.
-        assert [r.metrics for r in disabled.records] == [
-            r.metrics for r in enabled.records
-        ]
-        assert [r.diagnostics for r in disabled.records] == [
-            r.diagnostics for r in enabled.records
-        ]
-        assert all(
-            v == 0 for v in disabled.telemetry["counters"].values()
-        )
-
 
 # ----------------------------------------------------------------------
 # Instrumentation cost
 # ----------------------------------------------------------------------
-#: Ceiling on the enabled/disabled wall-clock ratio of a campaign.
-MAX_OVERHEAD_RATIO = 1.10
+#: Ceiling on the instrumentation's share of a simulated interval.
+MAX_OVERHEAD_SHARE = 0.10
+
+#: Every metric mutator, and the call that times one of its updates.
+#: A span's cost is a whole timed window (timer, clock reads and the
+#: record), taken as the dearer of its two usage forms.
+_MUTATORS = ((Counter, "inc"), (Counter, "add"), (Gauge, "set"),
+             (Histogram, "observe"), (Span, "_record"))
 
 
-def _telemetry_overhead_ratio(config) -> float:
-    """Enabled/disabled wall-clock of one campaign, min of 5 each.
+def _per_call_seconds() -> dict:
+    """Seconds per call of each mutator (min of repeats, so no noise)."""
+    registry = MetricsRegistry()
+    counter = registry.counter("c")
+    gauge = registry.gauge("g")
+    histogram = registry.histogram("h", SIZE_EDGES)
+    span = registry.span("s")
 
-    The two states are interleaved, alternating which runs first, so
-    drift in machine speed hits both alike; the min is the least noisy
-    estimate of each.
-    """
-    from repro.experiments import run_campaign
+    @span
+    def timed():
+        pass
 
-    times = {True: [], False: []}
-    try:
-        for index in range(5):
-            order = (True, False) if index % 2 == 0 else (False, True)
-            for enabled in order:
-                telemetry.set_enabled(enabled)
-                started = time.perf_counter()
-                run_campaign(config)
-                times[enabled].append(time.perf_counter() - started)
-    finally:
-        telemetry.set_enabled(True)
-    return min(times[True]) / min(times[False])
+    def window():
+        with span.time():
+            pass
+
+    def cost(fn):
+        return min(timeit.repeat(fn, number=2000, repeat=5)) / 2000
+
+    return {
+        "Counter.inc": cost(counter.inc),
+        "Counter.add": cost(lambda: counter.add(3)),
+        "Gauge.set": cost(lambda: gauge.set(1.5)),
+        "Histogram.observe": cost(lambda: histogram.observe(700)),
+        "Span._record": max(cost(window), cost(timed)),
+    }
 
 
 class TestTelemetryOverhead:
-    def test_enabled_registry_costs_at_most_ten_percent(self):
-        # A serial heuristic grid keeps the timed path in the
-        # instrumented hot loops (interval engine, tabu search) rather
-        # than GON training; it is sized so one campaign takes well
-        # over 0.3 s, above the timer's noise floor.  A shared
-        # machine's speed swings still push about 1 in 10 measurements
-        # over the cap, so an over-cap ratio is measured afresh, up to
-        # 3 times.  This is looser than one measurement: an overhead
-        # near the cap passes if any measurement reads under it.
+    def test_enabled_registry_costs_at_most_ten_percent(self, monkeypatch):
+        # Count every metric update of a serial heuristic grid (its
+        # time goes to the instrumented interval engine, not to GON
+        # training), price each kind at its per-call cost and compare
+        # with the grid's own seconds per interval.  Counts are exact
+        # and costs are minima, so the share needs no retry.
         from dataclasses import replace
 
         from repro.experiments import CampaignConfig, run_campaign
@@ -663,12 +577,36 @@ class TestTelemetryOverhead:
             workers=1,
         )
         run_campaign(replace(config, n_intervals=10))  # warm-up: imports
-        ratios = []
-        for _attempt in range(3):
-            ratios.append(_telemetry_overhead_ratio(config))
-            if ratios[-1] <= MAX_OVERHEAD_RATIO:
-                break
-        assert ratios[-1] <= MAX_OVERHEAD_RATIO, ratios
+        started = time.perf_counter()
+        result = run_campaign(config)
+        elapsed = time.perf_counter() - started
+        intervals = result.telemetry["counters"]["sim.intervals"]
+        assert intervals == 600
+
+        calls = collections.Counter()
+        for cls, name in _MUTATORS:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original,
+                        _kind=f"{cls.__name__}.{name}"):
+                calls[_kind] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        run_campaign(config)
+        monkeypatch.undo()
+
+        costs = _per_call_seconds()
+        overhead = sum(n * costs[kind] for kind, n in calls.items())
+        share = overhead / elapsed
+        report = (
+            f"{sum(calls.values()) / intervals:.2f} updates per interval, "
+            f"{overhead / intervals * 1e6:.3f} us of "
+            f"{elapsed / intervals * 1e3:.3f} ms per interval "
+            f"({share:.3%}); calls {dict(calls)}"
+        )
+        assert calls["Span._record"] >= intervals, report
+        assert share <= MAX_OVERHEAD_SHARE, report
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,16 @@ over the network hop:
   ids, unknown asset packs, a disconnect mid-ascent, a handshake
   without Hello -- is dropped (a ``WorkerLost``, or a counted
   handshake rejection) while a second client connected at the same
-  time still gets its ascent; a stale-generation request kills the
-  service loudly on both sides of the socket; nothing hangs;
+  time still gets its ascent; a connection that never sends Hello
+  blocks no later worker and is dropped at the handshake deadline; a
+  stale-generation request kills the service loudly on both sides of
+  the socket; nothing hangs;
 * the peak number of connected workers outlives their sockets.
 """
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -40,7 +43,7 @@ from repro.serving import (
     parse_address,
     serve_transport,
 )
-from repro.serving import wire
+from repro.serving import transports, wire
 from repro.serving.service import AscentReply, ClientDone, OverlayUpdate
 
 from fleet_harness import one_cell_grid, sign_off
@@ -523,6 +526,69 @@ class TestTransportFailureModes:
         _peer_still_scores(
             peer, thread, outcome, trained_gon, session_samples
         )
+
+    def test_silent_connection_does_not_block_later_workers(self):
+        transport = TcpTransport()
+        transport.start()
+        before = _rejections()
+        silent = socket.create_connection((transport.host, transport.port))
+        try:
+            channel = TcpWorkerChannel(transport.address, connect_timeout=2)
+            assert channel.client_id == 0
+            channel.close()
+        finally:
+            silent.close()
+            transport.close()
+        # The silent socket's EOF ends its handshake as a rejection.
+        _wait_for(lambda: _rejections() == before + 1)
+
+    def test_silent_connection_dropped_at_handshake_deadline(self, monkeypatch):
+        monkeypatch.setattr(transports, "HANDSHAKE_TIMEOUT_SECONDS", 0.2)
+        transport = TcpTransport()
+        transport.start()
+        before = _rejections()
+        silent = socket.create_connection((transport.host, transport.port))
+        try:
+            _wait_for(lambda: _rejections() == before + 1)
+            silent.settimeout(5)
+            assert silent.recv(1) == b""  # the service closed it
+            assert transport.n_connected == 0
+        finally:
+            silent.close()
+            transport.close()
+
+    def test_concurrent_handshakes_get_distinct_ids(self):
+        # More connecting workers than cores, with frequent thread
+        # switches: a lost update in id assignment or membership
+        # would hand two workers one id or undercount the peak.
+        transport = TcpTransport()
+        transport.start()
+        n_workers = 8
+        ids, channels = [], []
+        lock = threading.Lock()
+
+        def join():
+            channel = TcpWorkerChannel(transport.address, connect_timeout=10)
+            with lock:
+                ids.append(channel.client_id)
+                channels.append(channel)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=join) for _ in range(n_workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            for channel in channels:
+                channel.close()
+            transport.close()
+        assert sorted(ids) == list(range(n_workers))
+        assert transport.peak_connected == n_workers
 
     def test_connect_to_dead_address_times_out_loudly(self):
         # Grab a port and close it again: nothing listens there.
