@@ -220,6 +220,31 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
+#: The grid flags a ``--ci`` preset fixes, with their parser defaults.
+_CI_FIXED_GRID = {
+    "scenarios": "", "models": "carol", "seeds": 1, "seed": 0, "intervals": 0,
+}
+
+
+def _rejects_ci_grid_flags(args, command: str) -> bool:
+    """True, after saying why on stderr, when ``--ci`` came with grid flags.
+
+    The preset fixes its own grid, so a grid flag given with ``--ci``
+    is an error rather than silently ignored.
+    """
+    given = [
+        f"--{name}" for name, default in _CI_FIXED_GRID.items()
+        if getattr(args, name) != default
+    ]
+    if given:
+        print(
+            f"{command} --ci runs a fixed preset grid and does not take "
+            f"{', '.join(given)}; drop --ci to run a custom grid",
+            file=sys.stderr,
+        )
+    return bool(given)
+
+
 def _cmd_campaign(args) -> int:
     from .experiments import (
         CampaignConfig,
@@ -229,6 +254,8 @@ def _cmd_campaign(args) -> int:
     )
 
     if args.ci:
+        if _rejects_ci_grid_flags(args, "campaign"):
+            return 2
         if args.fleet:
             config = fleet_ci_campaign_config(workers=args.workers)
         else:
@@ -435,6 +462,8 @@ def _cmd_serve(args) -> int:
     from .serving import TransportError
 
     if args.ci:
+        if _rejects_ci_grid_flags(args, "serve"):
+            return 2
         config = fleet_ci_campaign_config()
     else:
         if not args.scenarios:

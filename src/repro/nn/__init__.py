@@ -32,7 +32,7 @@ from .linear import FeedForward, Linear
 from .lstm import LSTM, LSTMCell
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer
-from .serialization import load_state, save_module, save_state
+from .serialization import save_module, save_state
 from .tensor import Tensor, as_tensor, concatenate, stack, where
 from .utils import EarlyStopping, minibatches, train_test_split
 
@@ -66,7 +66,6 @@ __all__ = [
     "binary_cross_entropy",
     "kl_gaussian",
     "save_state",
-    "load_state",
     "save_module",
     "minibatches",
     "train_test_split",

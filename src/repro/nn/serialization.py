@@ -1,8 +1,8 @@
 """Persist model state dicts as ``.npz`` archives, and export them.
 
-The offline-trained GON is saved once after Algorithm-1 training and
-reloaded by CAROL and the experiment harness; baselines use the same
-mechanism for their surrogates.
+:func:`save_module` writes a trained module's parameters to an
+``.npz`` archive (``np.load`` reads it back), e.g. the offline GON
+after Algorithm-1 training.
 
 Two read-only export paths back the fleet-scale serving layer
 (:mod:`repro.serving`):
@@ -41,7 +41,6 @@ from .module import Module
 
 __all__ = [
     "save_state",
-    "load_state",
     "save_module",
     "freeze_state",
     "pack_state",
@@ -64,12 +63,6 @@ def save_state(state: Dict[str, np.ndarray], path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     np.savez(path, **state)
-
-
-def load_state(path: str) -> Dict[str, np.ndarray]:
-    """Read a state dict previously written by :func:`save_state`."""
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
 
 
 def save_module(module: Module, path: str) -> None:

@@ -56,6 +56,8 @@ evicted when their client signs off (:class:`ClientDone`).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import queue as queue_module
 import sys
 import threading
@@ -367,6 +369,11 @@ class GONScoringService:
         #: Chaos injection state (``POST /inject``): per-client reply
         #: delay in seconds.
         self.reply_delays: Dict[int, float] = {}
+        #: Delayed replies waiting for their due time: a heap of
+        #: ``(due monotonic, sequence, client_id, reply)`` that the
+        #: serve loop drains, so one delayed client holds up no other.
+        self._delayed: List[tuple] = []
+        self._delayed_seq = itertools.count()
 
     # ------------------------------------------------------------------
     def merged_telemetry(self) -> dict:
@@ -391,13 +398,15 @@ class GONScoringService:
         ``abort`` is polled while the queue is idle; returning True
         raises (used to detect a fully dead fleet instead of hanging).
 
-        The loop blocks only while the queue is empty.  Once a message
-        is in hand it takes whatever else is already queued, up to
+        The loop blocks only while the queue is empty, and no longer
+        than the next delayed reply's due time.  Once a message is in
+        hand it takes whatever else is already queued, up to
         ``_MAX_BATCH_ELEMENTS``, and dispatches at once.
         """
         while not self._serve_complete():
+            timeout = self._deliver_due_replies()
             try:
-                message = self.request_queue.get(timeout=_POLL_SECONDS)
+                message = self.request_queue.get(timeout=timeout)
             except queue_module.Empty:
                 self._check_liveness()
                 if abort is not None and abort():
@@ -635,15 +644,42 @@ class GONScoringService:
         self._send_reply(request.client_id, grant)
 
     def _send_reply(self, client_id: int, reply) -> None:
-        """Deliver one reply, applying any injected delay.
+        """Deliver one reply, or park it if the client is delayed.
+
+        A delayed reply waits in the due-time heap that :meth:`serve`
+        drains; the scorer keeps serving every other client meanwhile.
+        """
+        delay = self.reply_delays.get(client_id, 0.0)
+        if delay > 0:
+            heapq.heappush(self._delayed, (
+                time.monotonic() + delay, next(self._delayed_seq),
+                client_id, reply,
+            ))
+            return
+        self._deliver(client_id, reply)
+
+    def _deliver_due_replies(self) -> float:
+        """Send every delayed reply now due; return the next wait.
+
+        The wait is ``_POLL_SECONDS``, or less when a parked reply
+        falls due sooner.
+        """
+        while self._delayed:
+            due, _, client_id, reply = self._delayed[0]
+            wait = due - time.monotonic()
+            if wait > 0:
+                return min(_POLL_SECONDS, wait)
+            heapq.heappop(self._delayed)
+            self._deliver(client_id, reply)
+        return _POLL_SECONDS
+
+    def _deliver(self, client_id: int, reply) -> None:
+        """Put one reply on its client's channel.
 
         A failed send means the client is gone: it is marked lost
         (revoking its leases) and the service keeps running for the
         rest of the fleet.
         """
-        delay = self.reply_delays.get(client_id, 0.0)
-        if delay > 0:
-            time.sleep(delay)
         try:
             self.reply_queues[client_id].put(reply)
         except Exception as error:

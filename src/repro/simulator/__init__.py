@@ -39,7 +39,6 @@ from .power import (
     InterpolatedPowerModel,
     NUC_POWER,
     PI4B_POWER,
-    PowerModel,
     XEON_POWER,
 )
 from .recovery import ensure_brokered, reattach_recovered, strip_failed
@@ -92,7 +91,6 @@ __all__ = [
     "encode_host_metrics",
     "encode_schedule",
     "NetworkModel",
-    "PowerModel",
     "InterpolatedPowerModel",
     "PI4B_POWER",
     "NUC_POWER",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .power import NUC_POWER, PI4B_POWER, XEON_POWER, PowerModel
+from .power import NUC_POWER, PI4B_POWER, XEON_POWER, InterpolatedPowerModel
 
 __all__ = [
     "HostSpec",
@@ -44,7 +44,7 @@ class HostSpec:
     disk_mbps: float
     #: Network bandwidth in Mbit/s.
     net_mbps: float
-    power_model: PowerModel = PI4B_POWER
+    power_model: InterpolatedPowerModel = PI4B_POWER
 
     def __post_init__(self) -> None:
         for attr in ("cpu_mips", "ram_gb", "disk_mbps", "net_mbps"):

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "PowerModel",
     "InterpolatedPowerModel",
     "PI4B_POWER",
     "NUC_POWER",
@@ -22,21 +21,10 @@ __all__ = [
 ]
 
 
-class PowerModel:
-    """Map CPU utilisation in [0, 1+] to instantaneous watts."""
-
-    def watts(self, cpu_utilisation: float) -> float:
-        raise NotImplementedError
-
-    def energy_joules(self, cpu_utilisation: float, seconds: float) -> float:
-        """Energy over a window at constant utilisation."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        return self.watts(cpu_utilisation) * seconds
-
-
-class InterpolatedPowerModel(PowerModel):
+class InterpolatedPowerModel:
     """Piecewise-linear power curve through measured (util, watts) points.
+
+    Maps CPU utilisation in [0, 1+] to instantaneous watts.
 
     Utilisation beyond the last anchor saturates at the final wattage,
     modelling thermal throttling under over-utilisation attacks.

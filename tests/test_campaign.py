@@ -208,6 +208,34 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "campaign summary" in out
 
+    def test_campaign_ci_rejects_grid_flags(self, capsys):
+        code = cli_main([
+            "campaign", "--ci", "--scenarios", "paper-default",
+            "--models", "dyverse", "--seeds", "2", "--seed", "3",
+            "--intervals", "12",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in ("--scenarios", "--models", "--seeds", "--seed",
+                     "--intervals"):
+            assert flag in err
+        assert cli_main(["campaign", "--ci", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--scenarios" not in err
+
+    def test_serve_ci_rejects_grid_flags(self, capsys, monkeypatch):
+        import repro.experiments as experiments
+        import repro.experiments.fleet as fleet
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("serve --ci ran despite a grid flag")
+
+        monkeypatch.setattr(experiments, "prepare_campaign_assets", must_not_run)
+        monkeypatch.setattr(fleet, "serve_fleet_service", must_not_run)
+        assert cli_main(["serve", "--ci", "--seeds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "serve --ci" in err and "--seeds" in err
+
     def test_campaign_requires_scenarios(self, capsys):
         assert cli_main(["campaign"]) == 2
 

@@ -48,6 +48,7 @@ from repro.experiments.fleet import (
     run_fleet_campaign,
 )
 from repro.serving import (
+    AscentRequest,
     CellCoordinator,
     CellDone,
     ChaosControl,
@@ -253,6 +254,48 @@ class TestElasticServiceLoop:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert coordinator.completed == {5: 0}
+
+
+class TestInjectedReplyDelay:
+    def test_delayed_client_holds_up_no_other_client(
+        self, trained_gon, session_samples
+    ):
+        # Client 0 is delayed 1 s; client 1 asks 50 ms later and must
+        # be answered at once, while client 0 still waits its full
+        # delay.  The scorer loop polls at its default period.
+        requests = queue.Queue()
+        replies = {0: queue.Queue(), 1: queue.Queue()}
+        service = GONScoringService(
+            {"scenario": trained_gon}, requests, replies, CellCoordinator([0])
+        )
+        service.inject_delay(0, 1.0)
+        thread = threading.Thread(target=service.serve, daemon=True)
+        thread.start()
+        samples = session_samples[:2]
+
+        def ascent(client_id):
+            return AscentRequest(
+                client_id=client_id, request_id=1, model_key="scenario",
+                metrics=np.stack([s.metrics for s in samples]),
+                schedules=np.stack([s.schedule for s in samples]),
+                adjacencies=np.stack([s.adjacency for s in samples]),
+                gamma=1e-2, max_steps=2,
+            )
+
+        sent_0 = time.monotonic()
+        requests.put(ascent(0))
+        time.sleep(0.05)
+        sent_1 = time.monotonic()
+        requests.put(ascent(1))
+        replies[1].get(timeout=5.0)
+        assert time.monotonic() - sent_1 < 0.5
+        replies[0].get(timeout=5.0)
+        assert time.monotonic() - sent_0 >= 1.0
+        requests.put(CellDone(client_id=0, cell_id=0))
+        requests.put(ClientDone(client_id=0))
+        requests.put(ClientDone(client_id=1))
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------

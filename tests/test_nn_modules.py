@@ -13,7 +13,6 @@ from repro.nn import (
     Sequential,
     Sigmoid,
     Tensor,
-    load_state,
     mse_loss,
     save_state,
 )
@@ -182,6 +181,6 @@ class TestSerialization:
         layer = Linear(4, 4, rng)
         path = str(tmp_path / "model.npz")
         save_state(layer.state_dict(), path)
-        loaded = load_state(path)
-        np.testing.assert_array_equal(loaded["weight"], layer.weight.data)
-        np.testing.assert_array_equal(loaded["bias"], layer.bias.data)
+        with np.load(path) as loaded:
+            np.testing.assert_array_equal(loaded["weight"], layer.weight.data)
+            np.testing.assert_array_equal(loaded["bias"], layer.bias.data)

@@ -34,12 +34,6 @@ class TestPowerModels:
         with pytest.raises(ValueError):
             InterpolatedPowerModel([0.0, 1.0], [1.0, -2.0])
 
-    def test_energy_joules(self):
-        model = InterpolatedPowerModel([0.0, 1.0], [2.0, 6.0])
-        assert model.energy_joules(1.0, 10.0) == 60.0
-        with pytest.raises(ValueError):
-            model.energy_joules(0.5, -1.0)
-
 
 class TestHostSpec:
     def test_pi_variants(self):
