@@ -4,7 +4,7 @@ Runs CAROL, all seven baselines and the four ablations on identical
 federation/workload/fault seeds and prints the six panels (absolute
 values plus performance relative to CAROL, like the paper's dual axes).
 
-Shape expectations tracked against the paper (see EXPERIMENTS.md):
+Shape expectations tracked against the paper:
 CAROL leads the QoS metrics, its confidence-gated fine-tuning beats the
 Always-Fine-Tune ablation and the per-interval tuners on overhead, and
 the GAN ablation pays the memory premium.

@@ -5,7 +5,7 @@ Benches run a reduced-but-faithful configuration (8 hosts / 2 LEIs,
 print the full rows/series of the corresponding paper artifact.  The
 paper-scale settings (16 hosts / 4 LEIs, 100 intervals, 1000-interval
 trace, 128-wide GON) are a config change away -- see
-``repro.config.paper_scale`` and DESIGN.md §5.
+``repro.config.paper_scale``.
 """
 
 from __future__ import annotations

@@ -34,9 +34,10 @@ def render(topology: Topology, title: str) -> None:
     print()
 
 
-def balance_objective(candidates, keys) -> list:
+def balance_objective(candidates, keys, segments) -> list:
     """Synthetic objective: prefer evenly-sized LEIs, mildly prefer
-    fewer brokers (management cost)."""
+    fewer brokers (management cost).  Each candidate scores alone, so
+    every group of ``segments`` does too."""
     return [
         float(np.var(list(topology.lei_sizes().values())))
         + 0.1 * len(topology.brokers)

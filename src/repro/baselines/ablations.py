@@ -260,10 +260,11 @@ class WithGAN(ResilienceModel):
         last = view.last_metrics
         schedule = np.asarray(last.schedule_encoding, dtype=float)
 
-        def omega(candidates: List[Topology], keys) -> List[float]:
+        def omega(candidates: List[Topology], keys, segments) -> List[float]:
             # Single generator forward per candidate -- no input-space
             # optimisation, hence the lower decision time of the
-            # ablation (§V-D).
+            # ablation (§V-D).  Each candidate scores alone, so every
+            # group of ``segments`` does too.
             return [
                 self.objective(
                     self.surrogate.predict_metrics(schedule, candidate.adjacency())
@@ -389,7 +390,8 @@ class WithTraditionalSurrogate(ResilienceModel):
         metrics = np.asarray(last.host_metrics, dtype=float)
         schedule = np.asarray(last.schedule_encoding, dtype=float)
 
-        def omega(candidates: List[Topology], keys) -> List[float]:
+        def omega(candidates: List[Topology], keys, segments) -> List[float]:
+            # Each candidate scores alone, so every group does too.
             return [
                 self.surrogate.predict(
                     GONInput(metrics, schedule, candidate.adjacency())

@@ -241,6 +241,7 @@ class CAROL(ResilienceModel):
         schedule: np.ndarray,
         ctx: Optional[bytes] = None,
         keys: Optional[Sequence[tuple]] = None,
+        segments: Sequence[int] = (),
     ) -> List[Tuple[float, np.ndarray]]:
         """``(objective value, predicted M*)`` per candidate topology.
 
@@ -250,6 +251,13 @@ class CAROL(ResilienceModel):
         from the persistent cache.  ``keys`` are optional pre-computed
         canonical keys (tabu search already derives them), ``ctx`` the
         optional pre-computed :meth:`_context_hash`.
+
+        ``segments`` split the candidates into groups (sizes in order;
+        empty is one group) that score, hit and fill the cache exactly
+        as consecutive calls of their own would: each group's misses
+        form one segment of the shared ascent, and each group's misses
+        enter the cache (as placeholders until the ascent returns) and
+        evict the oldest entries before the next group is looked up.
         """
         if self._cache_generation != self.scorer.generation:
             self._invalidate_score_cache()
@@ -261,48 +269,72 @@ class CAROL(ResilienceModel):
         diag_reg = self.diagnostics.telemetry
         hits = diag_reg.counter("carol.cache.hits")
         misses = diag_reg.counter("carol.cache.misses")
+        evictions = diag_reg.counter("carol.cache.evictions")
+        cache = self._score_cache
+        capacity = self.config.score_cache_capacity  # 0 = caching disabled
         out: List[Optional[Tuple[float, np.ndarray]]] = [None] * len(keys)
-        # Cache-missing keys in first-seen order -> their output slots.
-        pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for i, key in enumerate(keys):
-            full_key = (key, ctx)
-            entry = self._score_cache.get(full_key)
-            if entry is not None:
+        # One ascent element per miss, in first-seen order: its full
+        # key and the output slots it serves.  While the ascent is
+        # pending, its cache entry is the element's index.
+        element_keys: List[tuple] = []
+        element_slots: List[List[int]] = []
+        sizes: List[int] = []
+        start = 0
+        for size in tuple(segments) or (len(keys),):
+            pending: dict = {}
+            for i in range(start, start + size):
+                full_key = (keys[i], ctx)
+                entry = cache.get(full_key, pending.get(full_key))
+                if entry is None:
+                    misses.inc()
+                    index = pending[full_key] = len(element_keys)
+                    element_keys.append(full_key)
+                    element_slots.append([i])
+                    if capacity > 0:
+                        cache[full_key] = index
+                    continue
                 hits.inc()
-                out[i] = entry
-            elif full_key in pending:
-                # Duplicate within this call: one ascent serves both.
-                hits.inc()
-                pending[full_key].append(i)
-            else:
-                misses.inc()
-                pending[full_key] = [i]
-
-        if pending:
-            batch = len(pending)
-            first_slots = [slots[0] for slots in pending.values()]
-            # Read-only broadcast views: the ascent copies the warm
-            # start once and never writes the schedule stack.
-            results = self.scorer.ascent(
-                np.broadcast_to(metrics, (batch, *metrics.shape)),
-                np.broadcast_to(schedule, (batch, *schedule.shape)),
-                np.stack([candidates[i].adjacency() for i in first_slots]),
-                gamma=self.config.gamma,
-                max_steps=self.config.surrogate_steps,
-            )
-            capacity = self.config.score_cache_capacity
-            for (full_key, slots), result in zip(pending.items(), results):
-                entry = (float(self.objective(result.metrics)), result.metrics)
-                if capacity > 0:  # capacity 0 = caching disabled
-                    self._score_cache[full_key] = entry
-                    self._cache_bytes += result.metrics.nbytes
-                for slot in slots:
-                    out[slot] = entry
-            evictions = diag_reg.counter("carol.cache.evictions")
-            while len(self._score_cache) > capacity:
-                _key, (_score, evicted) = self._score_cache.popitem(last=False)
-                self._cache_bytes -= evicted.nbytes
+                if isinstance(entry, int):
+                    # Pending in this call: one ascent serves both.
+                    element_slots[entry].append(i)
+                else:
+                    out[i] = entry
+            sizes.append(len(pending))
+            start += size
+            while len(cache) > capacity:
+                _key, evicted = cache.popitem(last=False)
+                if not isinstance(evicted, int):
+                    self._cache_bytes -= evicted[1].nbytes
                 evictions.inc()
+
+        if element_keys:
+            slots = [indices[0] for indices in element_slots]
+            batch = len(slots)
+            try:
+                # Read-only broadcast views: the ascent copies the warm
+                # start once and never writes the schedule stack.
+                results = self.scorer.ascent(
+                    np.broadcast_to(metrics, (batch, *metrics.shape)),
+                    np.broadcast_to(schedule, (batch, *schedule.shape)),
+                    np.stack([candidates[i].adjacency() for i in slots]),
+                    gamma=self.config.gamma,
+                    max_steps=self.config.surrogate_steps,
+                    segments=tuple(size for size in sizes if size),
+                )
+            except BaseException:
+                for index, full_key in enumerate(element_keys):
+                    if cache.get(full_key) == index:
+                        del cache[full_key]
+                raise
+            for index, (full_key, indices, result) in enumerate(
+                zip(element_keys, element_slots, results)
+            ):
+                entry = (float(self.objective(result.metrics)), result.metrics)
+                if cache.get(full_key) == index:  # not evicted since
+                    cache[full_key] = entry
+                    self._cache_bytes += result.metrics.nbytes
+                for slot in indices:
+                    out[slot] = entry
         return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -327,7 +359,7 @@ class CAROL(ResilienceModel):
         misses_before = self.diagnostics.cache_misses
 
         def omega(
-            candidates: Sequence[Topology], keys=None
+            candidates: Sequence[Topology], keys=None, segments=()
         ) -> List[float]:
             """Objective scores of a graph batch (the paper's Omega).
 
@@ -336,12 +368,14 @@ class CAROL(ResilienceModel):
             persistent ``(canonical_key, metrics-hash)`` cache carries
             scores across tabu iterations, repair rounds *and*
             scheduling intervals between fine-tunes.  Tabu search hands
-            its pre-computed canonical keys through ``keys``.
+            its pre-computed canonical keys through ``keys`` and its
+            start-plus-first-neighbourhood groups through ``segments``.
             """
             return [
                 score
                 for score, _predicted in self.surrogate_scores(
-                    candidates, metrics, schedule, ctx=ctx, keys=keys
+                    candidates, metrics, schedule, ctx=ctx, keys=keys,
+                    segments=segments,
                 )
             ]
 

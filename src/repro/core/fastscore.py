@@ -16,6 +16,17 @@ step is straight-line ufunc/matmul work with no allocation.  A kernel
 keeps one plan, for its latest shape: an ascent runs all its steps at
 one shape, so the plan is built at most once per call.
 
+A stack may be cut into *segments* (consecutive runs of elements):
+every 2-D gemm -- the ``[M, S]`` encoder layers, the GAT ``W`` and
+``A`` products, the two head layers and their backward mirrors --
+runs once per segment on row slices of the plan, and everything else
+(the per-element 3-D attention matmuls, every ufunc and reduction)
+runs once over the whole stack.  A gemm's rows may depend on how many
+rows it multiplies at once (BLAS edge kernels), while numpy's
+elementwise loops do not depend on an element's position, so each
+segment's results are bitwise-equal to a separate call on that
+segment alone.  One segment is the default.
+
 Fidelity contract:
 
 * every kernel mirrors the autodiff op order and gemm shapes -- the
@@ -72,7 +83,9 @@ class _Plan:
     """
 
     def __init__(self, k: int, n: int, hidden: int, n_layers: int,
-                 n_m: int, n_s: int, dtype: np.dtype) -> None:
+                 n_m: int, n_s: int, dtype: np.dtype,
+                 biases: Tuple[List[np.ndarray], np.ndarray, np.ndarray,
+                               np.ndarray]) -> None:
         h = hidden
         flat = k * n
         f_in = n_m + n_s
@@ -81,8 +94,16 @@ class _Plan:
             return np.empty(shape, dtype=kind)
 
         self.shape = (k, n)
-        self.inv_n = dtype.type(1.0) / n
+        self.inv_n = np.asarray(dtype.type(1.0) / n)
         self.tag: object = None  # schedule tag of the S half (forward)
+        # Bias rows broadcast to the stack once: adding a same-shape
+        # array gives the same sums as the broadcast add, with a
+        # plain loop.
+        ms_biases, gat_b, head_b0, head_b1 = biases
+        self.ms_bias = [np.repeat(b[None], flat, axis=0) for b in ms_biases]
+        self.gat_bias = np.repeat(gat_b[None], flat, axis=0)
+        self.head_bias0 = np.repeat(head_b0[None], k, axis=0)
+        self.head_bias1 = np.repeat(head_b1[None], k, axis=0)
 
         # Forward.
         self.joint = empty(k, n, f_in)
@@ -144,10 +165,65 @@ class _Plan:
         dz = [empty(flat, h) for _ in range(n_layers)]
         dx = [djoint] + [empty(flat, h) for _ in range(1, n_layers)]
         self.ms_back = [
-            (self.ms_mask[i].reshape(k, n, h), dz[i],
-             dz[i].reshape(k, n, h), dx[i], dx[i].reshape(k, n, -1))
+            (self.ms_mask[i].reshape(k, n, h), dz[i].reshape(k, n, h),
+             dx[i].reshape(k, n, -1))
             for i in reversed(range(n_layers))
         ]
+
+        # Every 2-D gemm as (operand rows, result rows, rows per
+        # element): the encoder layers, the single gemms in the order
+        # :class:`_Cut` names them, and the encoder backward.
+        ms_in = [self.x0] + self.ms_z[:-1]
+        self._gemms = (
+            [(ms_in[i], self.ms_z[i], n) for i in range(n_layers)],
+            [(self.u, self.msg, n), (self.msg, self.q, n),
+             (self.h0, self.z1, 1), (self.z1, self.z2, 1),
+             (self.dz2, self.dr1, 1), (self.dz1, self.dh0, 1),
+             (self.dtmp, self.dpre, n), (self.dmsg, self.du, n)],
+            [(dz[i], dx[i], n) for i in reversed(range(n_layers))],
+        )
+        #: The cut of the latest :meth:`FastGONKernel.forward`, and
+        #: its segment sizes.
+        self.cut: Optional["_Cut"] = None
+        self.segments: Tuple[int, ...] = ()
+
+    def cut_for(self, segments: Tuple[int, ...]) -> "_Cut":
+        """The gemm row slices of ``segments`` (sizes summing to k).
+
+        Kept like the plan itself: one cut, for the latest sizes.
+        """
+        if self.cut is None or self.segments != segments:
+            bounds = []
+            start = 0
+            for size in segments:
+                bounds.append((start, start + size))
+                start += size
+            self.cut = _Cut(*(
+                [tuple((a[lo * rows:hi * rows], c[lo * rows:hi * rows])
+                       for lo, hi in bounds)
+                 for a, c, rows in gemms]
+                for gemms in self._gemms
+            ))
+            self.segments = segments
+        return self.cut
+
+
+class _Cut:
+    """Per-segment ``(operand, result)`` row slices of every 2-D gemm.
+
+    Each attribute is a tuple with one pair per segment; with one
+    segment the pair is the whole operand and result.
+    """
+
+    __slots__ = ("ms", "gat_w", "gat_a", "head0", "head1", "d_head1",
+                 "d_head0", "d_gat_a", "d_gat_w", "d_ms")
+
+    def __init__(self, ms: List[tuple], single: List[tuple],
+                 d_ms: List[tuple]) -> None:
+        self.ms = ms
+        (self.gat_w, self.gat_a, self.head0, self.head1, self.d_head1,
+         self.d_head0, self.d_gat_a, self.d_gat_w) = single
+        self.d_ms = d_ms
 
 
 class FastGONKernel:
@@ -230,6 +306,19 @@ class FastGONKernel:
         self._gat_a_t = self._gat_a.T
         self._gat_w_t = self._gat_w.T
         self._ms_back = [weight.T for weight, _ in reversed(self._ms)]
+        # Scalar operands as 0-d arrays of the kernel dtype: the values
+        # NEP 50 would cast Python scalars to, without the per-call
+        # conversion.
+        def const(value: float) -> np.ndarray:
+            return np.asarray(value, dtype=self.dtype)
+
+        self._zero = const(0.0)
+        self._one = const(1.0)
+        self._tiny = const(1e-12)
+        self._lo = const(-60.0)
+        self._hi = const(60.0)
+        self._eps = const(_EPS)
+        self._eps_hi = const(1.0 - _EPS)
         # The compiled plan of the latest ``(stack, hosts)`` shape; see
         # :class:`_Plan`.
         self._last_plan: Optional[_Plan] = None
@@ -252,6 +341,8 @@ class FastGONKernel:
             plan = self._last_plan = _Plan(
                 k, n, self.hidden, self.n_layers, self.n_m_features,
                 self.n_s_features, self.dtype,
+                ([bias for _, bias in self._ms], self._gat_b,
+                 self._head_b0, self._head_b1),
             )
         return plan
 
@@ -274,6 +365,7 @@ class FastGONKernel:
         masks: np.ndarray,
         push: np.ndarray,
         tag: object = None,
+        segments: Tuple[int, ...] = (),
     ) -> Tuple[np.ndarray, "_Plan"]:
         """Fused forward over a ``[k, n, F]`` stack.
 
@@ -283,148 +375,167 @@ class FastGONKernel:
         Mirrors ``GONDiscriminator.forward_batch`` op for op.  ``tag``
         names the schedule stack: an ascent passes one tag per call so
         the constant S half of the joint input is written once per
-        call instead of once per step.
+        call instead of once per step.  ``segments`` are the sizes of
+        the stack's segments (module docstring), empty for one.
         """
         k, n, _ = metrics.shape
         p = self._plan(k, n)
+        cut = p.cut_for(segments or (k,))
+        matmul, add, multiply = np.matmul, np.add, np.multiply
+        zero, one = self._zero, self._one
 
         # --- eq. 3: per-host feed-forward over [M, S], mean-pooled.
         p.joint_m[...] = metrics
         if tag is None or p.tag is not tag:
             p.joint_s[...] = schedules
             p.tag = tag
-        x = p.x0
-        for (weight, bias), z, mask in zip(self._ms, p.ms_z, p.ms_mask):
-            np.matmul(x, weight, out=z)
-            z += bias
-            np.greater(z, 0.0, out=mask)
-            z *= mask  # ReLU, every layer incl. the final one
-            x = z
+        for (weight, _), pairs, z, bias, mask in zip(
+            self._ms, cut.ms, p.ms_z, p.ms_bias, p.ms_mask
+        ):
+            for rows, out in pairs:
+                matmul(rows, weight, out)
+            add(z, bias, z)
+            np.greater(z, zero, mask)
+            multiply(z, mask, z)  # ReLU, every layer incl. the final one
         # .mean(axis=1) == sum * (1/n), straight into h0's E_MS half.
-        np.add.reduce(p.ms_out3, axis=1, out=p.h0_ms)
-        p.h0_ms *= p.inv_n
+        add.reduce(p.ms_out3, 1, None, p.h0_ms)
+        multiply(p.h0_ms, p.inv_n, p.h0_ms)
 
         # --- eq. 4: one-layer GAT over u_i = M[:, :, :4], read in place
         # from the joint input.
         msg = p.msg
-        np.matmul(p.u, self._gat_w, out=msg)
-        msg += self._gat_b
-        np.tanh(msg, out=msg)  # messages_flat
-        np.matmul(msg, self._gat_a, out=p.q)
+        for rows, out in cut.gat_w:
+            matmul(rows, self._gat_w, out)
+        add(msg, p.gat_bias, msg)
+        np.tanh(msg, msg)  # messages_flat
+        for rows, out in cut.gat_a:
+            matmul(rows, self._gat_a, out)
         att = p.att
-        np.matmul(p.q3, p.msg3_t, out=att)
+        matmul(p.q3, p.msg3_t, att)
         # Fused masked softmax (same arithmetic as nn.gat._masked_softmax).
-        att += push
+        add(att, push, att)
         row = p.row
-        np.maximum.reduce(att, axis=-1, keepdims=True, out=row)
-        att -= row
-        np.exp(att, out=att)
-        att *= masks
-        np.add.reduce(att, axis=-1, keepdims=True, out=row)
-        row += 1e-12
-        att /= row
+        np.maximum.reduce(att, -1, None, row, True)
+        np.subtract(att, row, att)
+        np.exp(att, att)
+        multiply(att, masks, att)
+        add.reduce(att, -1, None, row, True)
+        add(row, self._tiny, row)
+        np.divide(att, row, att)
         agg = p.agg
-        np.matmul(att, p.msg3, out=agg)
+        matmul(att, p.msg3, agg)
         # sigma(agg).  The autodiff model clips the sigmoid input to
         # [-60, 60] first, but agg is an attention-weighted average of
         # tanh outputs: |agg| <= sum_j w_j |m_j| < 1 (weights are
         # non-negative and sum to at most 1), so the clip is an exact
         # identity here and is skipped.
-        np.negative(agg, out=agg)
-        np.exp(agg, out=agg)
-        agg += 1.0
-        np.reciprocal(agg, out=agg)  # g
-        np.add.reduce(agg, axis=1, out=p.h0_g)
-        p.h0_g *= p.inv_n
+        np.negative(agg, agg)
+        np.exp(agg, agg)
+        add(agg, one, agg)
+        np.reciprocal(agg, agg)  # g
+        add.reduce(agg, 1, None, p.h0_g)
+        multiply(p.h0_g, p.inv_n, p.h0_g)
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
         z1 = p.z1
-        np.matmul(p.h0, self._head_w0, out=z1)
-        z1 += self._head_b0
-        np.greater(z1, 0.0, out=p.mask1)
-        z1 *= p.mask1  # r1
+        for rows, out in cut.head0:
+            matmul(rows, self._head_w0, out)
+        add(z1, p.head_bias0, z1)
+        np.greater(z1, zero, p.mask1)
+        multiply(z1, p.mask1, z1)  # r1
         z2 = p.z2
-        np.matmul(z1, self._head_w1, out=z2)
-        z2 += self._head_b1
+        for rows, out in cut.head1:
+            matmul(rows, self._head_w1, out)
+        add(z2, p.head_bias1, z2)
         # 1 / (1 + exp(-clip(z2, -60, 60))), in place.  The bounds are
         # non-zero, so minimum(maximum()) equals np.clip bit for bit.
-        np.maximum(z2, -60.0, out=z2)
-        np.minimum(z2, 60.0, out=z2)
-        np.negative(z2, out=z2)
-        np.exp(z2, out=z2)
-        z2 += 1.0
-        np.divide(1.0, z2, out=z2)
+        # (maximum and minimum deprecate a positional ``out``.)
+        np.maximum(z2, self._lo, out=z2)
+        np.minimum(z2, self._hi, out=z2)
+        np.negative(z2, z2)
+        np.exp(z2, z2)
+        add(z2, one, z2)
+        np.divide(one, z2, z2)
         return p.scores, p
 
     # ------------------------------------------------------------------
     def input_gradient(self, p: "_Plan") -> np.ndarray:
         """``d sum(log clip(D)) / dM`` for the last :meth:`forward`.
 
-        ``p`` is the plan :meth:`forward` returned.  The result is a
-        view of the plan's ``[k, n, F]`` joint-input gradient, valid
-        until the next :meth:`input_gradient` at the same shape.
+        ``p`` is the plan :meth:`forward` returned; the gemms run on
+        that forward's segments.  The result is a view of the plan's
+        ``[k, n, F]`` joint-input gradient, valid until the next
+        :meth:`input_gradient` at the same shape.
         """
         scores = p.scores
+        cut = p.cut
+        matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
+        one = self._one
 
         # d log clip(D) / dD: the clip's inclusive pass-through mask
         # over the clipped score.  Non-zero bounds again.
         clipped = p.clipped
-        np.maximum(scores, _EPS, out=clipped)
-        np.minimum(clipped, 1.0 - _EPS, out=clipped)
+        np.maximum(scores, self._eps, out=clipped)
+        np.minimum(clipped, self._eps_hi, out=clipped)
         inside = p.inside
-        np.greater_equal(scores, _EPS, out=inside)
-        np.less_equal(scores, 1.0 - _EPS, out=p.inside_hi)
-        inside &= p.inside_hi
+        np.greater_equal(scores, self._eps, inside)
+        np.less_equal(scores, self._eps_hi, p.inside_hi)
+        np.bitwise_and(inside, p.inside_hi, inside)
         d_scores = p.dz2_flat
-        np.divide(inside, clipped, out=d_scores)
-        d_scores *= scores
-        np.subtract(1.0, scores, out=clipped)
-        d_scores *= clipped  # (d * D) * (1 - D): dz2
-        np.matmul(p.dz2, self._head_w1_t, out=p.dr1)
-        np.multiply(p.dr1, p.mask1, out=p.dz1)
-        np.matmul(p.dz1, self._head_w0_t, out=p.dh0)
-        p.dh0 *= p.inv_n
+        np.divide(inside, clipped, d_scores)
+        multiply(d_scores, scores, d_scores)
+        subtract(one, scores, clipped)
+        multiply(d_scores, clipped, d_scores)  # (d * D) * (1 - D): dz2
+        for rows, out in cut.d_head1:
+            matmul(rows, self._head_w1_t, out)
+        multiply(p.dr1, p.mask1, p.dz1)
+        for rows, out in cut.d_head0:
+            matmul(rows, self._head_w0_t, out)
+        multiply(p.dh0, p.inv_n, p.dh0)
 
         # --- GAT branch.
         att = p.att
         dagg = p.dagg
         tmp3 = p.dtmp3
         # Autodiff order is (grad * out) * (1 - out); keep it bit-exact.
-        np.multiply(p.agg, p.de_g3, out=dagg)
-        np.subtract(1.0, p.agg, out=tmp3)
-        dagg *= tmp3
+        multiply(p.agg, p.de_g3, dagg)
+        subtract(one, p.agg, tmp3)
+        multiply(dagg, tmp3, dagg)
         datt = p.datt
-        np.matmul(dagg, p.msg3_t, out=datt)
+        matmul(dagg, p.msg3_t, datt)
         dmsg3 = p.dmsg3
-        np.matmul(p.att_t, dagg, out=dmsg3)
+        matmul(p.att_t, dagg, dmsg3)
         dsc = p.dsc
-        np.multiply(datt, att, out=dsc)
-        np.add.reduce(dsc, axis=-1, keepdims=True, out=p.row)
-        np.subtract(datt, p.row, out=dsc)
-        dsc *= att
-        np.matmul(p.dsc_t, p.q3, out=tmp3)
-        dmsg3 += tmp3
-        np.matmul(dsc, p.msg3, out=tmp3)  # d queries
+        multiply(datt, att, dsc)
+        np.add.reduce(dsc, -1, None, p.row, True)
+        subtract(datt, p.row, dsc)
+        multiply(dsc, att, dsc)
+        matmul(p.dsc_t, p.q3, tmp3)
+        np.add(dmsg3, tmp3, dmsg3)
+        matmul(dsc, p.msg3, tmp3)  # d queries
         dpre = p.dpre
-        np.matmul(p.dtmp, self._gat_a_t, out=dpre)
+        for rows, out in cut.d_gat_a:
+            matmul(rows, self._gat_a_t, out)
         dmsg = p.dmsg
-        dmsg += dpre
-        np.square(p.msg, out=dpre)
-        np.subtract(1.0, dpre, out=dpre)
-        dmsg *= dpre  # now d(pre-tanh)
-        np.matmul(dmsg, self._gat_w_t, out=p.du)
+        np.add(dmsg, dpre, dmsg)
+        np.square(p.msg, dpre)
+        subtract(one, dpre, dpre)
+        multiply(dmsg, dpre, dmsg)  # now d(pre-tanh)
+        for rows, out in cut.d_gat_w:
+            matmul(rows, self._gat_w_t, out)
 
         # --- [M, S] encoder branch, top layer first; the top layer's
         # upstream is d E_MS broadcast over the host axis.
         upstream = p.de_ms3
-        for weight_t, (mask3, dz, dz3, out, out3) in zip(
-            self._ms_back, p.ms_back
+        for weight_t, (mask3, dz3, out3), pairs in zip(
+            self._ms_back, p.ms_back, cut.d_ms
         ):
-            np.multiply(upstream, mask3, out=dz3)
-            np.matmul(dz, weight_t, out=out)
+            multiply(upstream, mask3, dz3)
+            for rows, out in pairs:
+                matmul(rows, weight_t, out)
             upstream = out3
         # dM: the M half of d joint, plus the GAT input's gradient.
-        np.add(p.grad_u, p.du3, out=p.grad_u)
+        np.add(p.grad_u, p.du3, p.grad_u)
         return p.grad
 
     # ------------------------------------------------------------------

@@ -103,13 +103,16 @@ class ProactiveCAROL(CAROL):
         # endangered brokers, scored by the same surrogate objective
         # plus a risk penalty.
 
-        def omega(candidates: List[Topology], keys=None) -> List[float]:
+        def omega(
+            candidates: List[Topology], keys=None, segments=()
+        ) -> List[float]:
             # Whole slate through the shared persistent cache (one
             # vectorized eq.-1 ascent for the misses -- entries are
             # shared with the reactive repair and the risk prediction),
             # then the per-candidate risk penalty on each cached M*.
             scored = self.surrogate_scores(
-                candidates, metrics, schedule, ctx=ctx, keys=keys
+                candidates, metrics, schedule, ctx=ctx, keys=keys,
+                segments=segments,
             )
             return [
                 value + self._risk_penalty(candidate, predicted)

@@ -108,8 +108,14 @@ class SurrogateScorer(Protocol):
         adjacencies: np.ndarray,
         gamma: float,
         max_steps: int,
+        segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
-        """Batched eq.-1 ascent over ``[B, n, F]`` warm-started stacks."""
+        """Batched eq.-1 ascent over ``[B, n, F]`` warm-started stacks.
+
+        ``segments`` cut the stack as
+        :func:`~repro.core.surrogate.generate_metrics_batch` does: each
+        segment scores bitwise as a call of its own.
+        """
         ...
 
     def confidence(self, sample: GONInput) -> float:
@@ -175,6 +181,7 @@ class LocalScorer:
         adjacencies: np.ndarray,
         gamma: float,
         max_steps: int,
+        segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
         return generate_metrics_batch(
             self.kernel(),
@@ -183,6 +190,7 @@ class LocalScorer:
             init_metrics=metrics,
             gamma=gamma,
             max_steps=max_steps,
+            segments=segments,
         )
 
     def confidence(self, sample: GONInput) -> float:

@@ -32,13 +32,19 @@ in-place ufuncs on preallocated ``[k, n, F]`` state, and the kernel
 runs every step on the plan compiled for the stack's shape.  ``gamma``
 may differ per element; the step count is one per call.  Results come
 back in input order.
+
+A call may cut its stack into segments: each segment's results are
+bitwise-equal to a separate call on it alone (see
+:mod:`repro.core.fastscore`), so independent stacks of one decision
+-- a tabu start and its first neighbourhood -- share one call.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +56,50 @@ __all__ = ["SurrogateResult", "generate_metrics_batch"]
 # kernel); counted per vectorized call, not per element.
 _ASCENT_SPAN = _telemetry.span("gon.ascent")
 _ASCENT_CALLS = _telemetry.counter("gon.ascent.calls")
+#: Segments per call (see :func:`generate_metrics_batch`): segments
+#: minus calls is the number of calls that merging saved.
+_ASCENT_SEGMENTS = _telemetry.counter("gon.ascent.segments")
 _ASCENT_ELEMENTS = _telemetry.counter("gon.ascent.elements")
 _ASCENT_STEPS = _telemetry.counter("gon.ascent.steps")
 _ASCENT_BATCH = _telemetry.histogram("gon.ascent.batch_size", _telemetry.SIZE_EDGES)
+
+_BETA1, _BETA2 = 0.9, 0.999
+
+try:
+    _clip = np._core.umath.clip  # the ufunc behind np.clip's wrappers
+except AttributeError:  # numpy < 2
+    _clip = np.core.umath.clip
+
+
+@functools.lru_cache(maxsize=None)
+def _adam_constants(dtype: np.dtype, max_steps: int) -> tuple:
+    """Adam's scalar operands as 0-d ``dtype`` arrays.
+
+    Each is computed in Python floats first and then cast, which is
+    what NEP 50 does to the Python scalars of ``m = b1*m + (1-b1)*g``
+    and friends; per-step bias corrections are one array per step.
+    """
+    def const(value: float) -> np.ndarray:
+        return np.asarray(value, dtype=dtype)
+
+    return (
+        const(_BETA1), const(1 - _BETA1), const(_BETA2), const(1 - _BETA2),
+        [const(1 - _BETA1 ** (step + 1)) for step in range(max_steps)],
+        [const(1 - _BETA2 ** (step + 1)) for step in range(max_steps)],
+        const(1e-8), const(0.0), const(3.0),
+    )
+
+
+def _segment_sizes(segments: Sequence[int], batch: int) -> Tuple[int, ...]:
+    """``segments`` as positive ints summing to ``batch``, else raise."""
+    sizes = tuple(operator.index(size) for size in segments)
+    if not sizes:
+        return (batch,)
+    if min(sizes) < 1 or sum(sizes) != batch:
+        raise ValueError(
+            f"segments {sizes} must be positive and sum to the batch {batch}"
+        )
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -75,6 +122,7 @@ def generate_metrics_batch(
     rng: Optional[np.random.Generator] = None,
     gamma=1e-3,
     max_steps: int = 40,
+    segments: Sequence[int] = (),
 ) -> List[SurrogateResult]:
     """Eq.-1 Adam ascent over a candidate stack on a GON kernel.
 
@@ -92,11 +140,14 @@ def generate_metrics_batch(
         in one call.
     gamma:
         Ascent step size (the learning rate swept in Fig. 6a; positive
-        and finite), a scalar or a per-element vector -- which is what
-        lets the scoring service merge requests with different step
-        sizes into one call.
+        and finite), a scalar or a per-element vector, so stacks with
+        different step sizes can share one call as segments.
     max_steps:
         The number of Adam steps every element takes.
+    segments:
+        Sizes of consecutive runs of the stack (summing to ``B``);
+        each run's results are bitwise what a separate call on it
+        would return.  Empty (the default) is one segment.
 
     The final confidence is read from the loop's own last forward pass,
     so no extra forward runs after the loop.
@@ -120,6 +171,7 @@ def generate_metrics_batch(
     max_steps = operator.index(max_steps)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    segments = _segment_sizes(segments, batch)
 
     if init_metrics is None:
         if rng is None:
@@ -142,36 +194,40 @@ def generate_metrics_batch(
     second_moment = np.zeros_like(current)
     scratch = np.empty_like(current)
     update = np.empty_like(current)
-    beta1, beta2 = 0.9, 0.999
+    (beta1, one_m_beta1, beta2, one_m_beta2, corrections1, corrections2,
+     eps, lo, hi) = _adam_constants(dtype, max_steps)
+    multiply, add, divide = np.multiply, np.add, np.divide
 
     # One schedule tag per call: the kernel writes the constant S half
     # of its joint input once per call instead of every step.
     tag = object()
     with _ASCENT_SPAN.time():
-        scores, saved = kernel.forward(current, sched, masks, push, tag=tag)
+        scores, saved = kernel.forward(
+            current, sched, masks, push, tag, segments
+        )
         for step in range(max_steps):
             gradient = kernel.input_gradient(saved)
             # Adam, in place: the same IEEE operations in the same
             # order as ``m = b1*m + (1-b1)*g`` and friends.
-            first_moment *= beta1
-            np.multiply(gradient, 1 - beta1, out=scratch)
-            first_moment += scratch
-            second_moment *= beta2
-            np.square(gradient, out=scratch)
-            scratch *= 1 - beta2
-            second_moment += scratch
-            np.divide(first_moment, 1 - beta1 ** (step + 1), out=update)
-            np.divide(second_moment, 1 - beta2 ** (step + 1), out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += 1e-8
-            update *= step_sizes
-            update /= scratch
-            current += update
-            np.clip(current, 0.0, 3.0, out=current)
+            multiply(first_moment, beta1, first_moment)
+            multiply(gradient, one_m_beta1, scratch)
+            add(first_moment, scratch, first_moment)
+            multiply(second_moment, beta2, second_moment)
+            np.square(gradient, scratch)
+            multiply(scratch, one_m_beta2, scratch)
+            add(second_moment, scratch, second_moment)
+            divide(first_moment, corrections1[step], update)
+            divide(second_moment, corrections2[step], scratch)
+            np.sqrt(scratch, scratch)
+            add(scratch, eps, scratch)
+            multiply(update, step_sizes, update)
+            divide(update, scratch, update)
+            add(current, update, current)
+            _clip(current, lo, hi, current)
             # The next ascent point's forward; after the last step it
             # scores M*.
             scores, saved = kernel.forward(
-                current, sched, masks, push, tag=tag
+                current, sched, masks, push, tag, segments
             )
         # ``scores`` is a kernel buffer: read it before the next call.
         confidences = scores.tolist()
@@ -186,6 +242,7 @@ def generate_metrics_batch(
         )
     ]
     _ASCENT_CALLS.inc()
+    _ASCENT_SEGMENTS.add(len(segments))
     _ASCENT_ELEMENTS.add(batch)
     _ASCENT_STEPS.add(batch * max_steps)
     _ASCENT_BATCH.observe(batch)

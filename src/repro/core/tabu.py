@@ -7,17 +7,21 @@ minimises the surrogate objective ``Omega(G; D, S_t, O)``.
 
 The objective is *batched*: each iteration hands the whole
 deduplicated, non-tabu neighbourhood to the objective in one call,
-``objective(candidates, keys) -> list[float]``, so a GON surrogate can
-score all candidates in a single vectorized eq.-1 ascent (see
-:func:`repro.core.surrogate.generate_metrics_batch`).  ``keys`` are the
-candidates' ``canonical_key()`` tuples, which the search derives anyway.
+``objective(candidates, keys, segments) -> list[float]``, so a GON
+surrogate can score all candidates in a single vectorized eq.-1 ascent
+(see :func:`repro.core.surrogate.generate_metrics_batch`).  ``keys``
+are the candidates' ``canonical_key()`` tuples, which the search
+derives anyway.  ``segments`` are the sizes of the groups the
+candidates fall into: the start and the first neighbourhood go out in
+one call as two groups, and an objective must score each group exactly
+as a call of its own would.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import telemetry as _telemetry
 from ..simulator.topology import Topology
@@ -46,7 +50,9 @@ class TabuResult:
 @_SEARCH_SPAN
 def tabu_search(
     initial: Topology,
-    objective: Callable[[List[Topology], List[tuple]], Sequence[float]],
+    objective: Callable[
+        [List[Topology], List[tuple], Tuple[int, ...]], Sequence[float]
+    ],
     neighbourhood: Callable[[Topology], List[Topology]],
     tabu_size: int = 100,
     max_iterations: int = 20,
@@ -67,11 +73,17 @@ def tabu_search(
     cached surrogate scorer) never re-derive them.  Duplicate-key
     candidates are removed from the neighbourhood before scoring.
 
+    The start is scored in the first iteration's call, as a group of
+    its own ahead of the neighbourhood (``segments == (1, m)``).  Its
+    key is tabu, so it never appears among the neighbours.
+
     Parameters
     ----------
     objective:
-        ``objective(candidates, keys) -> list[float]``: one score per
-        candidate, given the candidates' canonical keys in order.
+        ``objective(candidates, keys, segments) -> list[float]``: one
+        score per candidate, given the candidates' canonical keys in
+        order and the sizes of the groups they form; every group must
+        score as it would in a call of its own.
     tabu_size:
         Maximum entries in the FIFO tabu list ``L`` (paper: 100).
     """
@@ -84,30 +96,50 @@ def tabu_search(
     tabu: "OrderedDict[tuple, None]" = OrderedDict()
     tabu[initial_key] = None
 
-    current = initial
-    best = initial
-    best_key = initial_key
-    best_score = float(objective([initial], [initial_key])[0])
-    current_score = best_score
-    evaluations = 1
-    stale = 0
-    iterations = 0
-
-    for iterations in range(1, max_iterations + 1):
+    def fresh(topology: Topology) -> Tuple[List[Topology], List[tuple]]:
+        """The non-tabu, deduplicated neighbours and their keys."""
         candidates: List[Topology] = []
         keys: List[tuple] = []
         seen: set = set()
-        for neighbour in neighbourhood(current):
+        for neighbour in neighbourhood(topology):
             key = neighbour.canonical_key()
             if key in tabu or key in seen:
                 continue
             seen.add(key)
             candidates.append(neighbour)
             keys.append(key)
+        return candidates, keys
+
+    # The start and the first neighbourhood, scored in one call.
+    candidates, keys = fresh(initial)
+    scores = [
+        float(s)
+        for s in objective(
+            [initial, *candidates],
+            [initial_key, *keys],
+            (1, len(candidates)) if candidates else (1,),
+        )
+    ]
+    current = initial
+    best = initial
+    best_key = initial_key
+    best_score = scores.pop(0)
+    current_score = best_score
+    evaluations = 1
+    stale = 0
+    iterations = 0
+
+    for iterations in range(1, max_iterations + 1):
+        if iterations > 1:
+            candidates, keys = fresh(current)
+            if candidates:
+                scores = [
+                    float(s)
+                    for s in objective(candidates, keys, (len(candidates),))
+                ]
         if not candidates:
             break
 
-        scores = [float(s) for s in objective(candidates, keys)]
         evaluations += len(candidates)
         move = min(range(len(candidates)), key=scores.__getitem__)
         current_score, current = scores[move], candidates[move]

@@ -1,8 +1,9 @@
 """``repro.experiments`` -- one module per paper table/figure.
 
-See DESIGN.md §4 for the experiment index.  Each module exposes a
-``run_*`` entry point returning structured results and a ``format_*``
-helper printing the same rows/series the paper's artifact shows.
+The README's CLI reference lists the artifact commands.  Each module
+exposes a ``run_*`` entry point returning structured results and a
+``format_*`` helper printing the same rows/series the paper's artifact
+shows.
 """
 
 from .calibration import (

@@ -110,8 +110,7 @@ def headline_deltas(results: Dict[str, ExperimentResult]) -> Dict[str, float]:
     reduction compares against the cheapest *AI* baseline -- the
     paper's reference there is FRAS, the AI method with the lowest
     overhead; heuristics' score updates are near-free in this
-    reproduction (see EXPERIMENTS.md) so including them would make the
-    ratio meaningless.
+    reproduction, so including them would make the ratio meaningless.
     """
     summaries = {name: r.summary() for name, r in results.items()}
     carol = summaries["CAROL"]

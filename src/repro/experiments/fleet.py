@@ -43,8 +43,9 @@ externally hosted service (``python -m repro serve``) instead.
 
 Record-level bit-identity with serial execution holds because (a) the
 scored stacks are exactly the stacks an in-process scorer would run
-(one kernel call per request -- see :mod:`repro.serving.service` for
-why concatenating requests could not be bitwise), (b) workers keep
+(one kernel call per request, cut into the request's segments -- see
+:mod:`repro.serving.service` for why an unsegmented concatenation
+could not be bitwise), (b) workers keep
 every RNG stream local, (c) a run whose POT gate opens fine-tunes a
 private copy-on-write weight copy exactly as its serial twin would,
 then ships the diverged state back as a per-client overlay

@@ -27,7 +27,7 @@ from ..simulator.metrics import RunMetrics
 __all__ = ["run_experiment", "ExperimentResult", "EDGE_SLOWDOWN"]
 
 #: Wall-time multiplier mapping workstation-Python seconds to Pi-class
-#: broker seconds (see DESIGN.md, substitution table).
+#: broker seconds.
 EDGE_SLOWDOWN = 25.0
 
 

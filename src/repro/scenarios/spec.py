@@ -142,11 +142,6 @@ class ScenarioSpec:
     def n_hosts(self) -> int:
         return sum(int(count) for _, count in self.fleet)
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        """True when the fleet mixes more than one host class."""
-        return len({class_name for class_name, _ in self.fleet}) > 1
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

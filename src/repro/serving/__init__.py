@@ -115,8 +115,8 @@ Transport guarantees, in the same spirit as the overlay invariants:
    every connected client before re-raising, so blocked workers raise
    instead of waiting forever.  Frame sizes are bounded, so a corrupt
    length prefix cannot trigger unbounded allocation.  Codes are
-   pinned per message, and wire protocol 3 retired the confidence
-   frames (codes 9 and 13).
+   pinned per message; wire protocol 3 retired the confidence frames
+   (codes 9 and 13) and protocol 4 added ``AscentRequest.segments``.
 
 The elastic fleet protocol
 --------------------------

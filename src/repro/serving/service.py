@@ -28,11 +28,13 @@ runs them on its own replica.
 
 Replies are keyed by ``(client, request)``; within a request, results
 are positional in the submitted stack.  Each request's stack runs as
-its own kernel call, so stack shapes are *identical* to what an
-in-process scorer would run, which keeps fleet campaign records
-bit-identical to serial execution (BLAS gemm results vary in the last
-ulp with the leading dimension, so concatenating requests could not
-be bitwise).
+its own kernel call, cut into the segments the request carries, so
+every segment is scored exactly as an in-process scorer would score
+it, which keeps fleet campaign records bit-identical to serial
+execution.  Merging stacks is exact only through segments: a gemm's
+rows can change in the last ulp with the number of rows it multiplies
+(BLAS edge kernels), so an unsegmented concatenation of requests would
+not be bitwise.  Requests from different clients are not merged.
 
 Per-client weight overlays
 --------------------------
@@ -137,6 +139,10 @@ class AscentRequest:
     #: The client replica's fine-tune generation; > 0 scores on that
     #: client's installed weight overlay instead of the base model.
     generation: int = 0
+    #: Sizes of the stack's segments, each scored as a call of its own
+    #: (see :func:`~repro.core.surrogate.generate_metrics_batch`);
+    #: empty is one segment.
+    segments: Tuple[int, ...] = ()
 
     @property
     def n_elements(self) -> int:
@@ -698,6 +704,7 @@ class GONScoringService:
             init_metrics=request.metrics,
             gamma=request.gamma,
             max_steps=request.max_steps,
+            segments=request.segments,
         )
         self._send_reply(
             request.client_id, _ascent_reply(request.request_id, results)
@@ -769,6 +776,7 @@ class ScoringClient:
         gamma: float,
         max_steps: int,
         generation: int = 0,
+        segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
         self._next_request += 1
         reply = self._round_trip(AscentRequest(
@@ -781,6 +789,7 @@ class ScoringClient:
             gamma=gamma,
             max_steps=max_steps,
             generation=generation,
+            segments=tuple(int(size) for size in segments),
         ))
         return [
             SurrogateResult(
@@ -842,10 +851,11 @@ class FleetScorer:
         adjacencies: np.ndarray,
         gamma: float,
         max_steps: int,
+        segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
         return self.client.ascent(
             metrics, schedules, adjacencies, gamma, max_steps,
-            generation=self.generation,
+            generation=self.generation, segments=segments,
         )
 
     def confidence(self, sample: GONInput) -> float:

@@ -69,10 +69,11 @@ __all__ = [
 MAGIC = b"CRL1"
 #: Version 2 added the elastic-fleet frames (LEASE/CELL_DONE/PING) and
 #: the pre-shared auth token field in HELLO; version 3 retired the
-#: confidence request/reply frames.  The handshake rejects mismatched
+#: confidence request/reply frames; version 4 added
+#: ``AscentRequest.segments``.  The handshake rejects mismatched
 #: versions loudly, so mixed deployments fail fast instead of
 #: mis-decoding.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -201,7 +202,7 @@ _MANIFEST_FIELDS = {OverlayUpdate: ("manifest",), AssetReply: ("manifest",)}
 
 #: Scalar-tuple fields (JSON round-trips them as lists; decoding
 #: restores the frozen-dataclass tuple shape).
-_INT_TUPLE_FIELDS = {LeaseGrant: ("poisoned",)}
+_INT_TUPLE_FIELDS = {LeaseGrant: ("poisoned",), AscentRequest: ("segments",)}
 
 _CODE_BY_CLASS = {cls: code for cls, (code, _arrays) in _MESSAGES.items()}
 _CLASS_BY_CODE = {code: cls for cls, code in _CODE_BY_CLASS.items()}

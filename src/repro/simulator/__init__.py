@@ -1,6 +1,6 @@
 """``repro.simulator`` -- COSCO-style co-simulator of an edge federation.
 
-Substitutes the paper's 16-node Raspberry-Pi testbed (see DESIGN.md):
+Substitutes the paper's 16-node Raspberry-Pi testbed:
 heterogeneous Pi-4B host models with measured power curves, a broker-
 worker topology over LEIs, distance-derived network latencies, mobile
 gateways, DeFog/AIoTBench workload generators, the four-attack fault

@@ -35,14 +35,6 @@ class FailureReport:
     #: (byzantine-but-responsive); treated as failed.
     audit_failures: Tuple[int, ...] = ()
 
-    @property
-    def any_broker_failed(self) -> bool:
-        return bool(self.failed_brokers)
-
-    @property
-    def all_failed(self) -> Tuple[int, ...]:
-        return tuple(sorted(set(self.failed_brokers) | set(self.failed_workers)))
-
 
 class DetectionProtocol:
     """Quorum ping + audit detection.

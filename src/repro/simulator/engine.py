@@ -79,10 +79,6 @@ class SystemView:
     beta: float
     interval_seconds: float
 
-    @property
-    def live_host_ids(self) -> frozenset:
-        return frozenset(h.host_id for h in self.hosts if h.alive)
-
     def utilisation_matrix(self) -> np.ndarray:
         """Per-host [cpu, ram, disk, net] utilisation."""
         matrix = np.zeros((len(self.hosts), len(RESOURCES)))

@@ -35,9 +35,6 @@ class SchedulingDecision:
     placements: Dict[int, int] = field(default_factory=dict)
     migrations: List[Tuple[int, int, int]] = field(default_factory=list)
 
-    def host_of(self, task_id: int) -> int:
-        return self.placements[task_id]
-
     def tasks_on(self, host_id: int) -> List[int]:
         return [t for t, h in self.placements.items() if h == host_id]
 

@@ -90,14 +90,6 @@ class Topology:
             raise KeyError(f"host {broker} is not a broker")
         return tuple(sorted(w for w, b in self.assignment.items() if b == broker))
 
-    def broker_of(self, host: int) -> int:
-        """Broker managing ``host`` (a broker manages itself)."""
-        if host in self.brokers:
-            return host
-        if host in self.assignment:
-            return self.assignment[host]
-        raise KeyError(f"host {host} is unattached")
-
     def lei_sizes(self) -> Dict[int, int]:
         """Worker count per broker."""
         sizes = {broker: 0 for broker in self.brokers}

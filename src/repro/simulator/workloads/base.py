@@ -93,10 +93,6 @@ class WorkloadGenerator:
                 2.5,
             )
 
-    def regime_snapshot(self) -> np.ndarray:
-        """Current demand multipliers (read-only copy, used by tests)."""
-        return self._regime.copy()
-
     def tasks_for_interval(
         self, n_leis: int, rate_multiplier: float = 1.0
     ) -> List[TaskSpec]:

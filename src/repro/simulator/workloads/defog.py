@@ -7,7 +7,7 @@ long runs) and **Aeneas** (audio-text alignment, CPU + disk).  The
 envelopes below are synthetic but calibrated to the relative demands
 reported in the DeFog paper for Pi-class devices; CAROL only observes
 the induced utilisation traces, so matching relative shape is what
-matters (see DESIGN.md substitution table).
+matters.
 """
 
 from __future__ import annotations

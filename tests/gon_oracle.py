@@ -291,17 +291,38 @@ def kernel_ascent(
     rng=None,
     gamma=1e-3,
     max_steps: int = 40,
+    segments=(),
 ) -> List[SurrogateResult]:
-    """Drop-in for the production ascent, run on the autodiff oracle."""
-    return generate_metrics_batch(
-        model_from_kernel(kernel),
-        schedules,
-        adjacencies,
-        init_metrics=init_metrics,
-        rng=rng,
-        gamma=_uniform(gamma, "gamma"),
-        max_steps=max_steps,
-    )
+    """Drop-in for the production ascent, run on the autodiff oracle.
+
+    Each segment runs as an autodiff ascent of its own: that is what a
+    segment means, so a production call that merges stacks is held to
+    the separate calls it replaces.
+    """
+    schedules = np.asarray(schedules, dtype=float)
+    batch = schedules.shape[0]
+    if batch == 0:
+        return []
+    if init_metrics is None and rng is not None:
+        # The production draw: one call for the whole stack.
+        init_metrics = rng.uniform(
+            0.0, 1.0, size=(batch, schedules.shape[1], kernel.n_m_features)
+        )
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (batch,))
+    results: List[SurrogateResult] = []
+    start = 0
+    for size in tuple(segments) or (batch,):
+        rows = slice(start, start + size)
+        start += size
+        results += generate_metrics_batch(
+            model_from_kernel(kernel),
+            schedules[rows],
+            np.asarray(adjacencies)[rows],
+            init_metrics=None if init_metrics is None else init_metrics[rows],
+            gamma=_uniform(gammas[rows], "gamma"),
+            max_steps=max_steps,
+        )
+    return results
 
 
 def kernel_scores(kernel, metrics, schedules, adjacencies) -> np.ndarray:

@@ -224,15 +224,15 @@ class TestTabuBatchedObjective:
         topo = initial_topology(8, 2)
         calls = []
 
-        def objective(candidates, keys):
+        def objective(candidates, keys, segments):
             calls.append(len(candidates))
             return [1.0] * len(candidates)
 
         result = tabu_search(
             topo, objective, neighbours, max_iterations=3, patience=10
         )
-        # One call for the initial scoring plus one per iteration.
-        assert len(calls) == result.n_iterations + 1
+        # One call per iteration: the start rides in the first one.
+        assert len(calls) == result.n_iterations
 
     def test_duplicate_candidates_scored_once(self):
         from repro.simulator import initial_topology
@@ -240,7 +240,7 @@ class TestTabuBatchedObjective:
         topo = initial_topology(8, 2)
         scored = []
 
-        def objective(candidates, keys):
+        def objective(candidates, keys, segments):
             scored.extend(c.canonical_key() for c in candidates)
             return [float(len(t.unattached)) for t in candidates]
 
@@ -311,7 +311,9 @@ class TestRepairDecisionParity:
             start = random_node_shift(current, rng)
             result = tabu_search(
                 start,
-                objective=lambda candidates, keys: [omega(c) for c in candidates],
+                objective=lambda candidates, keys, segments: [
+                    omega(c) for c in candidates
+                ],
                 neighbourhood=sampled_neighbours,
                 tabu_size=carol.config.tabu_size,
                 max_iterations=carol.config.tabu_iterations,
@@ -386,3 +388,70 @@ class TestRepairDecisionParity:
         reference = min([proposal, *options], key=omega)
         chosen = carol.repair(federation.view, healthy, proposal)
         assert chosen.canonical_key() == reference.canonical_key()
+
+
+class TestSegmentedSurrogateScores:
+    """One segmented ``surrogate_scores`` call leaves the score cache,
+    its counters and every score exactly as consecutive calls would."""
+
+    def _twins(self, gon, capacity):
+        config = CAROLConfig(surrogate_steps=3, score_cache_capacity=capacity)
+        return CAROL(gon, 0.5, 0.5, config), CAROL(gon, 0.5, 0.5, config)
+
+    @staticmethod
+    def _state(carol):
+        counters = carol.diagnostics.counters()
+        del counters["decision_digest"]
+        return list(carol._score_cache), counters, carol._cache_bytes
+
+    @pytest.mark.parametrize("capacity", [0, 4, 4096])
+    def test_segments_equal_consecutive_calls(self, gon, rng, capacity):
+        from repro.simulator import initial_topology
+
+        topologies = neighbours(initial_topology(8, 2))[:7]
+        assert len({t.canonical_key() for t in topologies}) == 7
+        t0, t1, t2, t3, t4, t5, t6 = topologies
+        metrics = rng.uniform(0, 1, size=(8, N_M_FEATURES))
+        schedule = rng.uniform(0, 1, size=(8, N_S_FEATURES))
+        merged, split = self._twins(gon, capacity)
+        for carol in (merged, split):
+            carol.surrogate_scores([t0, t1, t2], metrics, schedule)
+        # At capacity 4, the first group's two misses evict t0, which
+        # the second group then misses; t3 repeats across the groups
+        # and t5 within the second one.
+        groups = ([t3, t4], [t0, t5, t3, t6, t5])
+        got = merged.surrogate_scores(
+            [*groups[0], *groups[1]], metrics, schedule,
+            segments=(len(groups[0]), len(groups[1])),
+        )
+        want = [
+            entry
+            for group in groups
+            for entry in split.surrogate_scores(group, metrics, schedule)
+        ]
+        assert [score for score, _ in got] == [score for score, _ in want]
+        for (_, got_m), (_, want_m) in zip(got, want):
+            assert np.array_equal(got_m, want_m)
+        assert self._state(merged) == self._state(split)
+        assert not any(isinstance(entry, int)
+                       for entry in merged._score_cache.values())
+
+    def test_failed_ascent_leaves_no_placeholder(self, gon, rng):
+        from repro.simulator import initial_topology
+
+        topologies = neighbours(initial_topology(8, 2))[:3]
+        carol, _ = self._twins(gon, 16)
+        metrics = rng.uniform(0, 1, size=(8, N_M_FEATURES))
+        schedule = rng.uniform(0, 1, size=(8, N_S_FEATURES))
+        carol.surrogate_scores(topologies[:1], metrics, schedule)
+        before = dict(carol._score_cache)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("scorer down")
+
+        carol.scorer.ascent = broken
+        with pytest.raises(RuntimeError, match="scorer down"):
+            carol.surrogate_scores(
+                topologies, metrics, schedule, segments=(1, 2)
+            )
+        assert dict(carol._score_cache) == before

@@ -176,7 +176,7 @@ class TestNeighbourhood:
 
 def per_candidate(score):
     """A tabu objective applying ``score`` to each candidate."""
-    return lambda candidates, keys: [score(t) for t in candidates]
+    return lambda candidates, keys, segments: [score(t) for t in candidates]
 
 
 class TestTabuSearch:
@@ -198,7 +198,7 @@ class TestTabuSearch:
         topo = initial_topology(8, 2)
         objective = self._objective_by_broker_count(2)
         result = tabu_search(topo, objective, neighbours, max_iterations=5)
-        assert result.best_score <= objective([topo], None)[0]
+        assert result.best_score <= objective([topo], None, (1,))[0]
 
     def test_evaluation_count_reported(self):
         topo = initial_topology(8, 2)
@@ -213,7 +213,7 @@ class TestTabuSearch:
         topo = initial_topology(8, 2)
         visited = []
 
-        def objective(candidates, keys):
+        def objective(candidates, keys, segments):
             visited.extend(t.canonical_key() for t in candidates)
             return [1.0] * len(candidates)  # flat: only tabu stops cycling
 

@@ -526,10 +526,14 @@ class TestCampaignChaos:
                         cell, {}
                     ).get("worker") == worker:
                         coordinator.requeue_cell(cell)
+                        # The re-run may lease and finish the cell
+                        # between two polls: a completion counts too
+                        # (``worker`` is blocked, so it is another's).
                         _wait_for(
                             lambda: coordinator.lease_view().get(
                                 cell, {}
-                            ).get("worker") not in (None, worker),
+                            ).get("worker") not in (None, worker)
+                            or cell in coordinator.completed,
                             message="another worker to re-lease the cell",
                         )
                         state["requeued"] = cell

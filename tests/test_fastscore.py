@@ -10,6 +10,9 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * the kernel ascent reproduces the oracle *bit for bit* in float64
   and within rtol=1e-5 in float32; a kernel keeps one compiled plan,
   reuses it across same-shape calls and frees it with itself;
+* segment exactness: a call cut into segments returns, for every
+  element, bitwise what the call on its segment alone returns
+  (random partitions, float64 and float32);
 * ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
   of ``fast``), float64 confidence reads under every backend, and
   post-fine-tune kernel re-export;
@@ -264,10 +267,8 @@ class TestFastKernelParity:
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
     ):
-        # One ascent with per-element gamma matches the separate
-        # per-request calls element for element.  NOT bitwise --
-        # concatenation changes the BLAS leading dimension (~1 ulp) --
-        # so the comparison is allclose.
+        # One ascent with per-element gamma, cut into one segment per
+        # request, matches the separate per-request calls bit for bit.
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
         first = generate_metrics_batch(
@@ -281,18 +282,9 @@ class TestFastKernelParity:
         fused = generate_metrics_batch(
             kernel, schedules, adjacencies, init_metrics=metrics,
             gamma=np.array([1e-2] * 3 + [2e-3] * 3), max_steps=5,
+            segments=(3, 3),
         )
-        split = first + second
-        np.testing.assert_allclose(
-            [r.confidence for r in fused],
-            [r.confidence for r in split],
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            np.stack([r.metrics for r in fused]),
-            np.stack([r.metrics for r in split]),
-            atol=1e-9,
-        )
+        _assert_results_bitwise(fused, first + second)
 
     def test_ascent_rejects_bad_parameters(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon)
@@ -389,6 +381,89 @@ class TestFastKernelParity:
             assert plan() is None
         finally:
             gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Segment exactness: a merged call equals the separate calls it replaces
+# ----------------------------------------------------------------------
+def _random_partition(rng, k):
+    """Sizes of a random cut of ``k`` elements into consecutive runs."""
+    n_cuts = int(rng.integers(0, min(k, 6)))
+    cuts = np.sort(rng.choice(np.arange(1, k), size=n_cuts, replace=False))
+    bounds = [0, *cuts.tolist(), k]
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+class TestSegmentContract:
+    """Every element of a segmented call is bitwise what the call on
+    its segment alone returns.
+
+    This rests on the BLAS gemm only through the per-segment gemm
+    calls, and on numpy's elementwise loops and reductions not
+    depending on an element's position in the stack.  It is the guard
+    on each runner's BLAS and numpy: an unsegmented merge is not exact
+    (a gemm's rows can change in the last ulp with the number of rows
+    it multiplies at once).
+    """
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("n", [5, 8, 10, 13, 16])
+    @pytest.mark.parametrize("steps", [0, 1, 8])
+    def test_segments_bitwise_equal_solo_calls(self, dtype, n, steps):
+        rng = np.random.default_rng([n, steps, len(dtype)])
+        gon = GONDiscriminator(rng, hidden=24, n_layers=2)
+        kernel = FastGONKernel.from_model(gon, dtype=dtype)
+        for _ in range(3):
+            k = int(rng.integers(2, 33))
+            metrics = rng.uniform(0, 1, size=(k, n, gon.n_m_features))
+            schedules = rng.uniform(0, 1, size=(k, n, gon.n_s_features))
+            adjacencies = np.triu(rng.random((k, n, n)) > 0.5, 1).astype(float)
+            adjacencies = adjacencies + adjacencies.swapaxes(-1, -2)
+            gamma = rng.uniform(1e-3, 2e-2, size=k)
+            segments = _random_partition(rng, k)
+            merged = generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
+                gamma=gamma, max_steps=steps, segments=segments,
+            )
+            solo = []
+            start = 0
+            for size in segments:
+                rows = slice(start, start + size)
+                start += size
+                solo += generate_metrics_batch(
+                    kernel, schedules[rows], adjacencies[rows],
+                    init_metrics=metrics[rows], gamma=gamma[rows],
+                    max_steps=steps,
+                )
+            _assert_results_bitwise(merged, solo)
+
+    def test_segments_counted_per_call(self, trained_gon, session_samples):
+        from repro import telemetry
+
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 5)
+        counters = telemetry.counter("gon.ascent.calls"), telemetry.counter(
+            "gon.ascent.segments"
+        )
+        before = [counter.value for counter in counters]
+        for segments in ((), (1, 4), (2, 2, 1)):
+            generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=1, segments=segments,
+            )
+        assert [c.value - b for c, b in zip(counters, before)] == [3, 6]
+
+    @pytest.mark.parametrize("segments", [(0, 5), (2, 2), (6,), (2, -1, 4)])
+    def test_segments_must_cover_the_stack(
+        self, trained_gon, session_samples, segments
+    ):
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 5)
+        with pytest.raises(ValueError, match="segments"):
+            generate_metrics_batch(
+                kernel, schedules, adjacencies, init_metrics=metrics,
+                gamma=1e-2, max_steps=1, segments=segments,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +582,26 @@ class TestServiceFastBackend:
             trained_gon, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=4,
         )
+        _assert_results_bitwise(remote, oracle)
+        sign_off(client.request_queue, client.client_id)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_segmented_request_replies_per_segment(
+        self, trained_gon, session_samples
+    ):
+        service, thread, (client,) = self._serve(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 5)
+        remote = client.ascent(metrics, schedules, adjacencies,
+                               gamma=1e-2, max_steps=4, segments=(1, 4))
+        oracle = [
+            result
+            for rows in (slice(0, 1), slice(1, 5))
+            for result in oracle_batch(
+                trained_gon, schedules[rows], adjacencies[rows],
+                init_metrics=metrics[rows], gamma=1e-2, max_steps=4,
+            )
+        ]
         _assert_results_bitwise(remote, oracle)
         sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)

@@ -504,7 +504,7 @@ class TestPersistentCache:
 
         seen_keys = []
 
-        def objective(candidates, keys):
+        def objective(candidates, keys, segments):
             seen_keys.append(keys)
             return [float(len(c.brokers)) for c in candidates]
 

@@ -94,7 +94,8 @@ class TestTabuProperties:
             return abs(len(t.brokers) - target) + 0.01 * len(t.unattached)
 
         result = tabu_search(
-            topo, lambda candidates, keys: [score(t) for t in candidates],
+            topo,
+            lambda candidates, keys, segments: [score(t) for t in candidates],
             neighbours, max_iterations=4,
         )
         assert result.best_score <= score(topo)

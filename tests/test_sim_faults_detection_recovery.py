@@ -330,14 +330,13 @@ class TestDetection:
         hosts[0].crash(120.0)
         report = protocol.detect(1, topo, hosts)
         assert report.failed_brokers == (0,)
-        assert report.any_broker_failed
 
     def test_detects_dead_worker(self, topo, hosts, rng):
         protocol = DetectionProtocol(rng, audit_failure_probability=0.0)
         hosts[5].crash(120.0)
         report = protocol.detect(1, topo, hosts)
         assert 5 in report.failed_workers
-        assert not report.any_broker_failed
+        assert report.failed_brokers == ()
 
     def test_detection_delay(self, topo, hosts, rng):
         protocol = DetectionProtocol(rng)
@@ -356,7 +355,8 @@ class TestDetection:
     def test_healthy_system_clean_report(self, topo, hosts, rng):
         protocol = DetectionProtocol(rng, audit_failure_probability=0.0)
         report = protocol.detect(1, topo, hosts)
-        assert report.all_failed == ()
+        assert report.failed_brokers == ()
+        assert report.failed_workers == ()
 
 
 class TestRecovery:

@@ -145,7 +145,7 @@ class TestWorkloadGenerator:
         )
         for _ in range(200):
             generator.advance_regime()
-            regime = generator.regime_snapshot()
+            regime = generator._regime
             assert np.all(regime >= 0.4) and np.all(regime <= 2.5)
 
     def test_tasks_positive_demands(self, rng):
@@ -160,10 +160,10 @@ class TestWorkloadGenerator:
             DEFOG_PROFILES, arrival_rate=1.0, rng=base,
             drift_scale=0.2, jump_probability=0.2,
         )
-        start = generator.regime_snapshot()
+        start = generator._regime.copy()
         for _ in range(50):
             generator.advance_regime()
-        assert not np.allclose(start, generator.regime_snapshot())
+        assert not np.allclose(start, generator._regime)
 
     def test_factory(self, rng):
         assert make_generator("defog", rng).profiles[0].name == "yolo"

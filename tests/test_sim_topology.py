@@ -53,13 +53,6 @@ class TestViews:
         with pytest.raises(KeyError):
             topo.lei(5)
 
-    def test_broker_of(self, topo):
-        assert topo.broker_of(0) == 0
-        worker = topo.workers[0]
-        assert topo.broker_of(worker) == topo.assignment[worker]
-        with pytest.raises(KeyError):
-            topo.detach(7).broker_of(7)
-
 
 class TestTransforms:
     def test_detach_worker(self, topo):

@@ -86,9 +86,11 @@ class TestWireCodec:
             gamma=1e-2,
             max_steps=25,
             generation=2,
+            segments=(1, 3),
         )
         decoded = _decode_frame(wire.encode_message(request))
         assert isinstance(decoded, AscentRequest)
+        assert decoded.segments == (1, 3)  # a tuple again, as sent
         assert decoded.client_id == 3
         assert decoded.request_id == 17
         assert decoded.model_key == "paper-default"
@@ -526,6 +528,24 @@ class TestTransportFailureModes:
         _peer_still_scores(
             peer, thread, outcome, trained_gon, session_samples
         )
+
+    def test_protocol_3_hello_is_refused(self):
+        # Protocol 4 added AscentRequest.segments: a protocol-3 worker
+        # would send stacks the service scores as one segment.
+        assert wire.PROTOCOL_VERSION == 4
+        transport = TcpTransport()
+        transport.start()
+        before = _rejections()
+        old = socket.create_connection((transport.host, transport.port))
+        try:
+            old.sendall(wire.encode_message(wire.Hello(protocol=3)))
+            _wait_for(lambda: _rejections() == before + 1)
+            old.settimeout(5)
+            assert old.recv(1) == b""  # closed without a Welcome
+            assert transport.n_connected == 0
+        finally:
+            old.close()
+            transport.close()
 
     def test_silent_connection_does_not_block_later_workers(self):
         transport = TcpTransport()
