@@ -129,7 +129,7 @@ def record_rows(
         if decisions:
             # Lifted out of the execution-only diagnostics on demand:
             # the digest is deterministic for a given decision stream,
-            # so it *is* comparable across execution modes and backends.
+            # so it *is* comparable across execution modes and checkouts.
             diagnostics = record.get("diagnostics") or {}
             row["decision_digest"] = diagnostics.get("decision_digest")
         rows.append(row)
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
         "--decisions",
         action="store_true",
         help="additionally require matching per-record decision digests "
-        "(scorer-backend decision-parity gate)",
+        "(decision parity: against the autodiff oracle, fleet vs serial)",
     )
     parser.add_argument(
         "--campaign",

@@ -270,8 +270,6 @@ def _cmd_campaign(args) -> int:
             # config validation loudly instead of silently running a
             # local process campaign while a remote service waits.
             overrides["service_addr"] = args.connect
-        if args.scorer_backend != "fast":
-            overrides["scorer_backend"] = args.scorer_backend
         if args.store != "memory" or args.store_path:
             overrides["store"] = args.store
             overrides["store_path"] = args.store_path
@@ -306,7 +304,6 @@ def _cmd_campaign(args) -> int:
                 # run a local process campaign.
                 service_addr=args.connect,
                 shared_assets=args.shared_assets or args.fleet,
-                scorer_backend=args.scorer_backend,
                 auth_token=_resolve_auth_token(args),
                 store=args.store,
                 store_path=args.store_path,
@@ -361,7 +358,6 @@ def _cmd_fuzz(args) -> int:
         mode=mode,
         workers=args.workers,
         service_addr=args.connect,
-        scorer_backend=args.scorer_backend,
         auth_token=_resolve_auth_token(args),
         store=args.store,
         store_path=args.store_path,
@@ -494,7 +490,6 @@ def _cmd_serve(args) -> int:
             auth_token=_resolve_auth_token(args),
             store=args.store,
             store_path=args.store_path,
-            scorer_backend=args.scorer_backend,
         )
     except ValueError as error:
         print(error, file=sys.stderr)
@@ -595,13 +590,10 @@ def _cmd_export_gon(args) -> int:
         "gon_layers": assets.gon_layers,
         "trace_intervals": args.trace_intervals,
         "gon_epochs": args.gon_epochs,
-        "dtype": args.dtype,
+        "dtype": "float64",
     }
-    pack = export_inference(model, meta=meta, dtype=args.dtype)
-    if args.dtype == "float64":
-        # The float32 cast is deliberately lossy; only float64 packs
-        # can promise the bit-exact round-trip verify checks.
-        verify_inference_pack(pack, model)
+    pack = export_inference(model, meta=meta)
+    verify_inference_pack(pack, model)
     header = dict(meta, arrays=sorted(pack.arrays))
     np.savez(
         args.output,
@@ -622,7 +614,7 @@ def _cmd_export_gon(args) -> int:
     n_params = sum(int(a.size) for a in pack.arrays.values())
     print(
         f"wrote {args.output}: {len(pack.arrays)} arrays / {n_params} "
-        f"parameters ({args.dtype}), scenario {args.scenario!r} "
+        f"parameters (float64), scenario {args.scenario!r} "
         f"seed {args.seed}"
     )
     return 0
@@ -796,11 +788,6 @@ def _shared_parents():
                        help="use this command's small CI-scale preset")
 
     backend = argparse.ArgumentParser(add_help=False)
-    backend.add_argument("--scorer-backend", type=str, default="fast",
-                         choices=["fast", "fast32"],
-                         help="GON kernel arithmetic for CAROL-family "
-                              "models: 'fast' (float64, default) or "
-                              "'fast32' (float32 decision scoring)")
     backend.add_argument("--auth-token", type=str, default=None,
                          help="pre-shared fleet auth token (default: "
                               "the REPRO_FLEET_TOKEN environment variable)")
@@ -947,11 +934,6 @@ def main(argv=None) -> int:
                             help="scenario whose trace trains the GON")
     export_gon.add_argument("--seed", type=int, default=0,
                             help="campaign root seed (drives training)")
-    export_gon.add_argument("--dtype", type=str, default="float64",
-                            choices=["float64", "float32"],
-                            help="exported parameter dtype (float64 is "
-                                 "verified bit-exact against the live "
-                                 "model)")
     export_gon.add_argument("--trace-intervals", type=int, default=40,
                             help="offline DeFog trace length")
     export_gon.add_argument("--gon-hidden", type=int, default=24,

@@ -97,7 +97,6 @@ class FuzzConfig:
     mode: str = "process"
     workers: int = 1
     service_addr: str = ""
-    scorer_backend: str = "fast"
     auth_token: str = ""
     store: str = "memory"
     store_path: str = ""
@@ -331,7 +330,6 @@ def evaluation_campaign_config(
         mode=config.mode,
         service_addr=config.service_addr,
         shared_assets=(config.mode == "fleet"),
-        scorer_backend=config.scorer_backend,
         auth_token=config.auth_token,
         store=config.store,
         store_path=config.store_path,

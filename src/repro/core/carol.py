@@ -101,7 +101,8 @@ class CAROLDiagnostics:
     #: Per-instance registry backing the integer counters.
     telemetry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: Rolling hash over every repair choice and POT gate outcome --
-    #: the decision-parity surface scorer backends are gated on.
+    #: the decision-parity surface the oracle and fleet runs are gated
+    #: on.
     _decision_hash: object = field(
         default_factory=lambda: hashlib.blake2b(digest_size=8), repr=False
     )
@@ -479,7 +480,7 @@ class CAROL(ResilienceModel):
         ``decision_digest`` hex string, surfaced into campaign records
         so fleet runs can assert, e.g., that every fine-tune shipped
         its overlay (``overlay_installs == n_fine_tunes``) and so
-        record dumps from different scorer backends can be checked for
+        record dumps from different execution modes can be checked for
         decision parity (``benchmarks/compare_records.py
         --decisions``).
         """

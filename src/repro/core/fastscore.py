@@ -27,16 +27,13 @@ elementwise loops do not depend on an element's position, so each
 segment's results are bitwise-equal to a separate call on that
 segment alone.  One segment is the default.
 
-Fidelity contract:
-
-* every kernel mirrors the autodiff op order and gemm shapes -- the
-  same flat ``[B*n, F]`` BLAS calls, the same masked-softmax
-  arithmetic (non-edges pushed by -1e9, detached row-max shift, 1e-12
-  denominator) and the same inclusive clip masks -- so a float64
-  kernel is bitwise-equal to the autodiff model it was exported from
-  (the test suite's autodiff oracle gates this on the whole catalog);
-* a float32 export (the ``fast32`` scorer backend) reuses the same
-  kernels on downcast weights for decision scoring, never training.
+Fidelity contract: every kernel mirrors the autodiff op order and
+gemm shapes -- the same flat ``[B*n, F]`` BLAS calls, the same
+masked-softmax arithmetic (non-edges pushed by -1e9, detached row-max
+shift, 1e-12 denominator) and the same inclusive clip masks -- in
+float64, so a kernel is bitwise-equal to the autodiff model it was
+exported from (the test suite's autodiff oracle gates this on the
+whole catalog).
 """
 
 from __future__ import annotations
@@ -83,18 +80,18 @@ class _Plan:
     """
 
     def __init__(self, k: int, n: int, hidden: int, n_layers: int,
-                 n_m: int, n_s: int, dtype: np.dtype,
+                 n_m: int, n_s: int,
                  biases: Tuple[List[np.ndarray], np.ndarray, np.ndarray,
                                np.ndarray]) -> None:
         h = hidden
         flat = k * n
         f_in = n_m + n_s
 
-        def empty(*shape, kind=dtype):
+        def empty(*shape, kind=float):
             return np.empty(shape, dtype=kind)
 
         self.shape = (k, n)
-        self.inv_n = np.asarray(dtype.type(1.0) / n)
+        self.inv_n = np.asarray(1.0 / n)
         self.tag: object = None  # schedule tag of the S half (forward)
         # Bias rows broadcast to the stack once: adding a same-shape
         # array gives the same sums as the broadcast add, with a
@@ -112,7 +109,7 @@ class _Plan:
         self.x0 = self.joint.reshape(flat, f_in)
         self.u = self.x0[:, :N_NODE_FEATURES]
         self.ms_z = [empty(flat, h) for _ in range(n_layers)]
-        # ReLU masks hold 0.0/1.0 in the compute dtype: multiplying by
+        # ReLU masks hold 0.0/1.0 as floats: multiplying by
         # them equals a bool mask's cast bit for bit, and skips numpy's
         # mixed-dtype loop.
         self.ms_mask = [empty(flat, h) for _ in range(n_layers)]
@@ -249,7 +246,6 @@ class FastGONKernel:
         except KeyError as exc:  # pragma: no cover - defensive
             raise ValueError(f"inference pack meta missing {exc}") from exc
         self.pack = pack
-        self.dtype = np.dtype(pack.dtype)
         self.hidden = hidden
         self.n_layers = n_layers
         self.n_m_features = n_m
@@ -278,7 +274,7 @@ class FastGONKernel:
                     f"inference pack shape mismatch for {name!r}: "
                     f"{tuple(array.shape)} != {shape}"
                 )
-            return np.ascontiguousarray(array, dtype=self.dtype)
+            return np.ascontiguousarray(array, dtype=float)
 
         dims = [n_m + n_s] + [hidden] * n_layers
         self._ms: List[Tuple[np.ndarray, np.ndarray]] = [
@@ -306,30 +302,24 @@ class FastGONKernel:
         self._gat_a_t = self._gat_a.T
         self._gat_w_t = self._gat_w.T
         self._ms_back = [weight.T for weight, _ in reversed(self._ms)]
-        # Scalar operands as 0-d arrays of the kernel dtype: the values
-        # NEP 50 would cast Python scalars to, without the per-call
-        # conversion.
-        def const(value: float) -> np.ndarray:
-            return np.asarray(value, dtype=self.dtype)
-
-        self._zero = const(0.0)
-        self._one = const(1.0)
-        self._tiny = const(1e-12)
-        self._lo = const(-60.0)
-        self._hi = const(60.0)
-        self._eps = const(_EPS)
-        self._eps_hi = const(1.0 - _EPS)
+        # Scalar operands as 0-d arrays: the values NEP 50 would cast
+        # Python scalars to, without the per-call conversion.
+        self._zero = np.asarray(0.0)
+        self._one = np.asarray(1.0)
+        self._tiny = np.asarray(1e-12)
+        self._lo = np.asarray(-60.0)
+        self._hi = np.asarray(60.0)
+        self._eps = np.asarray(_EPS)
+        self._eps_hi = np.asarray(1.0 - _EPS)
         # The compiled plan of the latest ``(stack, hosts)`` shape; see
         # :class:`_Plan`.
         self._last_plan: Optional[_Plan] = None
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_model(
-        cls, model: GONDiscriminator, dtype: str = "float64"
-    ) -> "FastGONKernel":
+    def from_model(cls, model: GONDiscriminator) -> "FastGONKernel":
         """Export ``model`` (with verification) and build a kernel."""
-        pack = export_inference(model, meta=gon_inference_meta(model), dtype=dtype)
+        pack = export_inference(model, meta=gon_inference_meta(model))
         verify_inference_pack(pack, model)
         return cls(pack)
 
@@ -340,7 +330,7 @@ class FastGONKernel:
         if plan is None or plan.shape != (k, n):
             plan = self._last_plan = _Plan(
                 k, n, self.hidden, self.n_layers, self.n_m_features,
-                self.n_s_features, self.dtype,
+                self.n_s_features,
                 ([bias for _, bias in self._ms], self._gat_b,
                  self._head_b0, self._head_b1),
             )
@@ -351,11 +341,8 @@ class FastGONKernel:
         self, adjacencies: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Self-looped attention masks and their -1e9 non-edge push."""
-        masks = adjacency_with_self_loops(np.asarray(adjacencies)).astype(
-            self.dtype, copy=False
-        )
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype, copy=False)
-        return masks, push
+        masks = adjacency_with_self_loops(np.asarray(adjacencies))
+        return masks, np.where(masks > 0, 0.0, -1e9)
 
     # ------------------------------------------------------------------
     def forward(
@@ -545,12 +532,12 @@ class FastGONKernel:
         schedules: np.ndarray,
         adjacencies: np.ndarray,
     ) -> np.ndarray:
-        """Forward-only confidences of a ``[B, n, F]`` stack (float64)."""
-        metrics = np.asarray(metrics, dtype=self.dtype)
+        """Forward-only confidences of a ``[B, n, F]`` stack."""
+        metrics = np.asarray(metrics, dtype=float)
         if metrics.shape[0] == 0:
             return np.zeros(0)
-        schedules = np.asarray(schedules, dtype=self.dtype)
         scores, _ = self.forward(
-            metrics, schedules, *self.graph_inputs(adjacencies)
+            metrics, np.asarray(schedules, dtype=float),
+            *self.graph_inputs(adjacencies)
         )
-        return scores.astype(np.float64, copy=True)
+        return scores.copy()

@@ -23,35 +23,14 @@ A scorer may also expose a ``diagnostics`` mapping of integer
 counters and a ``telemetry`` registry; CAROL folds both into its
 records when present (``FleetScorer`` counts its overlay installs).
 
-Inference backends
-------------------
-Every ascent runs through the one production path,
+Every ascent runs the one production path,
 :func:`repro.core.surrogate.generate_metrics_batch`, on a
 :class:`~repro.core.fastscore.FastGONKernel` exported from the
-scorer's model.  The backend only picks the kernel's arithmetic:
-
-``"fast"`` (default)
-    float64 kernels, bitwise-equal to the autodiff ascent.  The test
-    suite keeps that autodiff ascent as its oracle
-    (``tests/gon_oracle.py``) and gates bit-identical records and
-    decision digests against it on the whole scenario catalog.
-``"fast32"``
-    float32 kernels for decision scoring only (training always runs
-    float64).  Gate: scores within ``rtol=1e-5`` of float64 on every
-    catalog scenario, plus a strong-majority decision-agreement canary.
-    Agreement is *expected but not universal*: wherever a surrogate
-    scores two candidates within float32 noise of each other the
-    tie-break can flip (observed on one of the nine catalog scenarios
-    even at full training scale).  A kernel regression flips decisions
-    systematically; the canary catches that, the rtol tier pins
-    per-score correctness.
-
-Confidence reads (``confidence()``, the POT gate input) run one
-forward on a float64 kernel under either backend, so the gate never
-depends on the backend's arithmetic; the float64 forward is
-bitwise-equal to the model's own (the catalog sweep gates this too).
-Kernels re-export their weights after every ``generation`` bump, so a
-fine-tuned scorer never serves stale parameters.
+scorer's model, and confidence reads (the POT gate input) run one
+forward of it; both are bitwise-equal to the autodiff oracle
+(``tests/gon_oracle.py``).  Kernels re-export their weights after
+every ``generation`` bump, so a fine-tuned scorer never serves stale
+parameters.
 """
 
 from __future__ import annotations
@@ -69,24 +48,8 @@ from .training import TrainingConfig, fine_tune
 __all__ = [
     "SurrogateScorer",
     "LocalScorer",
-    "BACKENDS",
-    "validate_backend",
     "sample_confidence",
 ]
-
-#: Inference backends a scorer accepts (see the module docstring for
-#: the per-tier parity contract).
-BACKENDS = ("fast", "fast32")
-
-
-def validate_backend(backend: str) -> str:
-    """``backend`` itself, or ``ValueError`` listing the options."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown scorer backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
 
 def sample_confidence(kernel: FastGONKernel, sample: GONInput) -> float:
     """``D(M, S, G)`` of one sample: a single kernel forward."""
@@ -136,15 +99,13 @@ class SurrogateScorer(Protocol):
 class LocalScorer:
     """In-process scorer over an owned :class:`GONDiscriminator`.
 
-    ``backend`` picks the kernel arithmetic (``"fast"`` | ``"fast32"``,
-    module docstring has the parity tiers).  The kernel is built lazily
-    on first ascent and rebuilt whenever :meth:`fine_tune` bumps
-    :attr:`generation`; so is the float64 kernel confidence reads use.
+    The kernel is built lazily on first ascent and rebuilt whenever
+    :meth:`fine_tune` bumps :attr:`generation`; so is the kernel
+    confidence reads use.
     """
 
-    def __init__(self, model: GONDiscriminator, backend: str = "fast") -> None:
+    def __init__(self, model: GONDiscriminator) -> None:
         self.model = model
-        self.backend = validate_backend(backend)
         self.generation = 0
         self._kernel = None
         self._kernel_generation = -1
@@ -154,23 +115,18 @@ class LocalScorer:
     def kernel(self) -> FastGONKernel:
         """The cached kernel, re-exported after fine-tuning."""
         if self._kernel is None or self._kernel_generation != self.generation:
-            dtype = "float32" if self.backend == "fast32" else "float64"
-            self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
+            self._kernel = FastGONKernel.from_model(self.model)
             self._kernel_generation = self.generation
         return self._kernel
 
     def confidence_kernel(self) -> FastGONKernel:
-        """The cached float64 kernel of confidence reads.
+        """The cached kernel of confidence reads.
 
-        Its own instance, so single-sample reads never replace the
-        ascent kernel's plan; under ``"fast"`` it shares that
-        kernel's export.
+        Its own instance over the ascent kernel's export, so
+        single-sample reads never replace the ascent kernel's plan.
         """
         if self._reader is None or self._reader_generation != self.generation:
-            if self.backend == "fast":
-                self._reader = FastGONKernel(self.kernel().pack)
-            else:
-                self._reader = FastGONKernel.from_model(self.model)
+            self._reader = FastGONKernel(self.kernel().pack)
             self._reader_generation = self.generation
         return self._reader
 

@@ -19,8 +19,8 @@ the fleet scoring service and Algorithm-1 training all call it.  It
 runs Adam in the input space over a whole ``[B, n_hosts, F]``
 candidate stack on a :class:`repro.core.fastscore.FastGONKernel` --
 the graph-free forward and closed-form input gradient of an exported
-GON -- so no autodiff graph is built per step.  A float64 kernel
-reproduces the autodiff ascent bit for bit; the test suite keeps that
+GON -- so no autodiff graph is built per step.  The kernel reproduces
+the autodiff ascent bit for bit; the test suite keeps that
 autodiff ascent as its parity oracle (``tests/gon_oracle.py``).
 
 Every ascent has a fixed shape: each element of the stack takes
@@ -72,15 +72,14 @@ except AttributeError:  # numpy < 2
 
 
 @functools.lru_cache(maxsize=None)
-def _adam_constants(dtype: np.dtype, max_steps: int) -> tuple:
-    """Adam's scalar operands as 0-d ``dtype`` arrays.
+def _adam_constants(max_steps: int) -> tuple:
+    """Adam's scalar operands as 0-d arrays.
 
-    Each is computed in Python floats first and then cast, which is
-    what NEP 50 does to the Python scalars of ``m = b1*m + (1-b1)*g``
-    and friends; per-step bias corrections are one array per step.
+    Each is computed in Python floats first, which is what NEP 50 does
+    to the Python scalars of ``m = b1*m + (1-b1)*g`` and friends;
+    per-step bias corrections are one array per step.
     """
-    def const(value: float) -> np.ndarray:
-        return np.asarray(value, dtype=dtype)
+    const = np.asarray
 
     return (
         const(_BETA1), const(1 - _BETA1), const(_BETA2), const(1 - _BETA2),
@@ -162,12 +161,11 @@ def generate_metrics_batch(
     batch = schedules.shape[0]
     if batch == 0:
         return []
-    dtype = kernel.dtype
     gamma = np.asarray(gamma, dtype=float)
     # ``not (gamma > 0)`` also catches NaN, which ``gamma <= 0`` lets by.
     if not np.all(np.isfinite(gamma) & (gamma > 0)):
         raise ValueError("gamma must be positive and finite")
-    step_sizes = np.broadcast_to(gamma, (batch,)).astype(dtype)[:, None, None]
+    step_sizes = np.broadcast_to(gamma, (batch,))[:, None, None]
     max_steps = operator.index(max_steps)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -178,9 +176,9 @@ def generate_metrics_batch(
             raise ValueError("need rng when init_metrics is omitted")
         current = rng.uniform(
             0.0, 1.0, size=(batch, schedules.shape[1], kernel.n_m_features)
-        ).astype(dtype)
+        )
     else:
-        current = np.array(init_metrics, dtype=dtype, copy=True)
+        current = np.array(init_metrics, dtype=float, copy=True)
         if current.shape[0] != batch:
             raise ValueError(
                 f"init_metrics batch {current.shape[0]} != {batch}"
@@ -188,14 +186,13 @@ def generate_metrics_batch(
 
     # Read-only inputs are never copied here (broadcast views pass
     # through): the kernel copies S into its plan once per call.
-    sched = np.asarray(schedules, dtype=dtype)
     masks, push = kernel.graph_inputs(adjacencies)
     first_moment = np.zeros_like(current)
     second_moment = np.zeros_like(current)
     scratch = np.empty_like(current)
     update = np.empty_like(current)
     (beta1, one_m_beta1, beta2, one_m_beta2, corrections1, corrections2,
-     eps, lo, hi) = _adam_constants(dtype, max_steps)
+     eps, lo, hi) = _adam_constants(max_steps)
     multiply, add, divide = np.multiply, np.add, np.divide
 
     # One schedule tag per call: the kernel writes the constant S half
@@ -203,7 +200,7 @@ def generate_metrics_batch(
     tag = object()
     with _ASCENT_SPAN.time():
         scores, saved = kernel.forward(
-            current, sched, masks, push, tag, segments
+            current, schedules, masks, push, tag, segments
         )
         for step in range(max_steps):
             gradient = kernel.input_gradient(saved)
@@ -227,7 +224,7 @@ def generate_metrics_batch(
             # The next ascent point's forward; after the last step it
             # scores M*.
             scores, saved = kernel.forward(
-                current, sched, masks, push, tag, segments
+                current, schedules, masks, push, tag, segments
             )
         # ``scores`` is a kernel buffer: read it before the next call.
         confidences = scores.tolist()
@@ -237,9 +234,7 @@ def generate_metrics_batch(
             metrics=row, confidence=confidence, n_steps=max_steps,
             converged=False,
         )
-        for row, confidence in zip(
-            current.astype(np.float64, copy=False), confidences
-        )
+        for row, confidence in zip(current, confidences)
     ]
     _ASCENT_CALLS.inc()
     _ASCENT_SEGMENTS.add(len(segments))

@@ -34,7 +34,6 @@ from ..core import (
     CAROLConfig,
     GONDiscriminator,
     GONInput,
-    LocalScorer,
     ProactiveCAROL,
     TrainingConfig,
     TrainingHistory,
@@ -161,14 +160,8 @@ def build_model(
     assets: TrainedAssets,
     config: ExperimentConfig,
     carol_config: Optional[CAROLConfig] = None,
-    scorer_backend: str = "fast",
 ) -> ResilienceModel:
-    """Instantiate any §V scheme by name with shared trained assets.
-
-    ``scorer_backend`` selects the GON kernel arithmetic for
-    CAROL-family schemes (``repro.core.scoring.BACKENDS``).  Non-GON
-    surrogates ignore it.
-    """
+    """Instantiate any §V scheme by name with shared trained assets."""
     alpha, beta = config.alpha, config.beta
     carol_config = carol_config or CAROLConfig(seed=config.seed)
 
@@ -179,9 +172,9 @@ def build_model(
         "CAROL-NeverFT": NeverFineTune,
     }
     if name in gon_models:
-        gon = assets.fresh_gon()
-        scorer = LocalScorer(gon, backend=scorer_backend)
-        return gon_models[name](gon, alpha, beta, carol_config, scorer=scorer)
+        return gon_models[name](
+            assets.fresh_gon(), alpha, beta, carol_config
+        )
     if name == "CAROL-WithGAN":
         n_hosts = config.federation.n_hosts
         surrogate = GANSurrogate(

@@ -27,9 +27,9 @@ half, :func:`campaign_config_hash`, is the SHA-256 of
 :func:`campaign_grid_identity`: exactly the
 :class:`CampaignConfig` fields that can change record *content*
 (:data:`GRID_IDENTITY_FIELDS` -- grid axes, root seed, interval and
-offline-training sizes, ``shared_assets``, ``carol_overrides``, the
-``scorer_backend``), plus each scenario's full
-:meth:`ScenarioSpec.to_dict` and :data:`RECORD_SEMANTICS_VERSION`,
+offline-training sizes, ``shared_assets``, ``carol_overrides``), plus
+each scenario's full :meth:`ScenarioSpec.to_dict` and
+:data:`RECORD_SEMANTICS_VERSION`,
 and **deliberately not** the execution-topology fields (``workers``,
 ``mode``, ``transport``, ``service_addr``, timeouts, retry budget,
 credentials, the store settings themselves), because the cross-mode
@@ -192,12 +192,6 @@ class CampaignConfig:
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
     #: gate and exercise fine-tuning (the overlay path in fleet mode).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: GON kernel arithmetic for CAROL-family cells (every ascent runs
-    #: on the graph-free :mod:`repro.core.fastscore` kernel):
-    #: ``"fast"`` (default, float64, bitwise-equal to the autodiff
-    #: oracle) or ``"fast32"`` (float32 decision scoring).  In fleet mode the
-    #: scoring service adopts the same backend.
-    scorer_backend: str = "fast"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
     #: lost and its leased cells re-queued.  0 disables the age check
@@ -265,11 +259,6 @@ class CampaignConfig:
                 "store_path requires store='sqlite' (the memory store "
                 "has nothing to point at)"
             )
-        # One source of truth for backend names (lazy for symmetry with
-        # the address check below: core.scoring pulls the nn stack).
-        from ..core.scoring import validate_backend
-
-        validate_backend(self.scorer_backend)
         if self.transport != "tcp":
             raise ValueError(
                 f"unknown fleet transport {self.transport!r}; TCP "
@@ -333,7 +322,6 @@ GRID_IDENTITY_FIELDS = (
     "gon_epochs",
     "shared_assets",
     "carol_overrides",
-    "scorer_backend",
 )
 
 #: Version of what a record *means* for a fixed grid identity: bump it
@@ -349,11 +337,11 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
     """The JSON-safe grid-identity payload (the hashing surface).
 
     Model names are canonicalized first, so ``--models carol``/``--models
-    CAROL`` hash (and therefore resume) identically; ``fast32`` changes
-    records and hashes apart from ``fast``.  Scenarios enter by *content* -- their
-    :meth:`ScenarioSpec.to_dict` -- so editing a catalog entry refuses
-    to resume under its old name, and :data:`RECORD_SEMANTICS_VERSION`
-    does the same for record-changing code.
+    CAROL`` hash (and therefore resume) identically.  Scenarios enter
+    by *content* -- their :meth:`ScenarioSpec.to_dict` -- so editing a
+    catalog entry refuses to resume under its old name, and
+    :data:`RECORD_SEMANTICS_VERSION` does the same for record-changing
+    code.
     """
     return {
         "scenarios": list(config.scenarios),
@@ -369,7 +357,8 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
         "carol_overrides": [
             [name, value] for name, value in config.carol_overrides
         ],
-        "scorer_backend": config.scorer_backend,
+        # The retired backend choice, kept constant so old config hashes still resume.
+        "scorer_backend": "fast",
         "scenario_specs": [
             get_scenario(name).to_dict() for name in config.scenarios
         ],
@@ -418,9 +407,6 @@ class RunTask:
     #: CAROLConfig field overrides for CAROL-family cells (see
     #: :attr:`CampaignConfig.carol_overrides`).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: Kernel arithmetic for this cell's scorer (see
-    #: :attr:`CampaignConfig.scorer_backend`).
-    scorer_backend: str = "fast"
 
 
 @dataclass(frozen=True)
@@ -636,7 +622,6 @@ def _execute_run(
         return build_model(
             task.model, cell_assets, config,
             carol_config=cell_carol_config(task, config),
-            scorer_backend=task.scorer_backend,
         )
 
     return run_cell(task, build)
@@ -690,7 +675,6 @@ def plan_tasks(config: CampaignConfig) -> List[RunTask]:
             gon_layers=config.gon_layers,
             gon_epochs=config.gon_epochs,
             carol_overrides=config.carol_overrides,
-            scorer_backend=config.scorer_backend,
         )
         for index, (scenario, model, seed_index) in enumerate(cells)
     ]
@@ -734,7 +718,6 @@ class CampaignResult:
                 "transport": self.config.transport,
                 "service_addr": self.config.service_addr,
                 "shared_assets": self.config.shared_assets,
-                "scorer_backend": self.config.scorer_backend,
                 "heartbeat_timeout": self.config.heartbeat_timeout,
                 "cell_retry_budget": self.config.cell_retry_budget,
                 # auth_token is intentionally absent: record dumps are

@@ -128,6 +128,30 @@ _DRAIN_GRACE_SECONDS = 10.0
 _DUPLICATE_RECORDS = _telemetry.counter("fleet.duplicate_records")
 
 
+class _ResultPipe:
+    """The workers' record channel to the campaign parent.
+
+    :meth:`put` returns once the frame is in the pipe (a
+    ``multiprocessing.Queue`` leaves it to a feeder thread, which a
+    killed worker takes down with it).  The lock keeps frames of
+    different workers from interleaving.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, item) -> None:
+        with self._lock:
+            self._writer.send(item)
+
+    def get(self, timeout: float):
+        """The next frame, or ``queue.Empty`` after ``timeout`` seconds."""
+        if not self._reader.poll(timeout):
+            raise queue_module.Empty
+        return self._reader.recv()
+
+
 @dataclass(frozen=True)
 class _WorkerDone:
     """A worker's final frame on the results queue.
@@ -206,7 +230,6 @@ def _execute_fleet_run(
             return build_model(
                 task.model, assets, config,
                 carol_config=cell_carol_config(task, config),
-                scorer_backend=task.scorer_backend,
             )
         if assets is None:
             raise RuntimeError(
@@ -296,6 +319,8 @@ def _run_lease_loop(
         record = _execute_fleet_run(
             task, assets_by_scenario.get(task.scenario), client
         )
+        # The record is in the parent's pipe before CellDone settles
+        # the cell, so no kill between the two can lose it.
         results_queue.put(record)
         channel.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
         # Cumulative-so-far snapshot for the service's live /status
@@ -322,8 +347,8 @@ def _fetch_assets(
         meta = index.get(scenario)
         if meta is None:
             continue
-        weights = fetch_array_pack(channel, f"{scenario}/weights").arrays
-        trace = fetch_array_pack(channel, f"{scenario}/trace").arrays
+        weights = fetch_array_pack(channel, f"{scenario}/weights")
+        trace = fetch_array_pack(channel, f"{scenario}/trace")
         assets_by_scenario[scenario] = TrainedAssets(
             trace=None,
             samples=[
@@ -456,7 +481,6 @@ def _host_service(
         transport.request_queue,
         transport.reply_queues,
         coordinator,
-        scorer_backend=config.scorer_backend,
         heartbeat_timeout=config.heartbeat_timeout,
     )
     service.on_worker_lost = transport.close_client
@@ -510,7 +534,7 @@ class _ElasticCollector:
     Only a worker that died without reporting (SIGKILL, chaos) falls
     back to liveness, not a wall-clock budget: while any worker is
     alive we keep waiting; once every worker has exited, whatever is
-    coming is already in the queue's pipe buffer, so a short drain
+    coming is already in the results pipe, so a short drain
     grace period bounds the wait before failing loudly, and a final
     sweep picks up buffered stragglers.  ``result()`` joins the thread
     and re-raises whatever the drain loop raised (lost-record errors, a
@@ -667,7 +691,7 @@ def run_fleet_campaign(
             coordinator = service.coordinator
             address = transport.address
 
-        results_queue = ctx.Queue()
+        results_queue = _ResultPipe(ctx)
         worker_ids = _count()
 
         def spawn_worker():

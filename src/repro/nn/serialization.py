@@ -18,14 +18,13 @@ A third path backs the graph-free fast inference backend
 (:mod:`repro.core.fastscore`):
 
 * :func:`export_inference` -- snapshot a trained module into an
-  :class:`InferencePack` of frozen, contiguous arrays plus
-  architecture metadata, optionally downcast to ``float32`` for the
-  scoring (never training) path;
+  :class:`InferencePack` of frozen, contiguous float64 arrays plus
+  architecture metadata;
 * :func:`verify_inference_pack` -- the export/verify discipline: the
   pack must name-for-name, shape-for-shape match the module it claims
-  to describe, values must round-trip bit-exactly through
-  :func:`pack_state`/:func:`unpack_state`, and a ``float64`` pack must
-  equal the live parameters exactly.  Backends refuse packs that fail
+  to describe, hold float64 arrays, round-trip bit-exactly through
+  :func:`pack_state`/:func:`unpack_state`, and equal the live
+  parameters exactly.  Backends refuse packs that fail
   verification instead of silently producing wrong scores.
 """
 
@@ -109,10 +108,6 @@ def pack_state(
     return buffer, manifest
 
 
-#: Dtypes the inference export accepts (training always stays float64).
-_INFERENCE_DTYPES = ("float64", "float32")
-
-
 @dataclass(frozen=True)
 class InferencePack:
     """Flat, frozen export of a trained module for graph-free inference.
@@ -127,43 +122,35 @@ class InferencePack:
 
     arrays: Dict[str, np.ndarray]
     meta: Dict[str, object] = field(default_factory=dict)
-    dtype: str = "float64"
 
 
 def export_inference(
-    module: Module,
-    meta: Dict[str, object] | None = None,
-    dtype: str = "float64",
+    module: Module, meta: Dict[str, object] | None = None
 ) -> InferencePack:
     """Snapshot ``module`` into an :class:`InferencePack`.
 
-    Parameters are copied (not viewed), cast to ``dtype`` and frozen,
-    so later fine-tuning of the live module cannot leak into a backend
-    that captured a pack -- backends re-export after every generation
-    bump instead.
+    Parameters are copied (not viewed) as float64 and frozen, so later
+    fine-tuning of the live module cannot leak into a backend that
+    captured a pack -- backends re-export after every generation bump
+    instead.
     """
-    if dtype not in _INFERENCE_DTYPES:
-        raise ValueError(
-            f"unsupported inference dtype {dtype!r}; "
-            f"expected one of {_INFERENCE_DTYPES}"
-        )
-    target = np.dtype(dtype)
     arrays: Dict[str, np.ndarray] = {}
     state = module.state_dict()
     for name in sorted(state):
-        array = np.ascontiguousarray(state[name], dtype=target)
+        array = np.ascontiguousarray(state[name], dtype=np.float64)
         array.flags.writeable = False
         arrays[name] = array
-    return InferencePack(arrays=arrays, meta=dict(meta or {}), dtype=dtype)
+    return InferencePack(arrays=arrays, meta=dict(meta or {}))
 
 
 def verify_inference_pack(pack: InferencePack, module: Module) -> None:
     """Check that ``pack`` faithfully describes ``module`` or raise.
 
     Raises ``KeyError`` on missing/unexpected array names, ``ValueError``
-    on shape or dtype mismatches, and ``AssertionError`` if the arrays
-    fail the bit-exact :func:`pack_state`/:func:`unpack_state`
-    round-trip or (for float64 packs) differ from the live parameters.
+    on shape mismatches or non-float64 arrays, and ``AssertionError``
+    if the arrays fail the bit-exact
+    :func:`pack_state`/:func:`unpack_state` round-trip or differ from
+    the live parameters.
     """
     expected = {name: param.data for name, param in module.named_parameters()}
     missing = sorted(set(expected) - set(pack.arrays))
@@ -173,18 +160,16 @@ def verify_inference_pack(pack: InferencePack, module: Module) -> None:
             f"inference pack mismatch: missing={missing} "
             f"unexpected={unexpected}"
         )
-    if pack.dtype not in _INFERENCE_DTYPES:
-        raise ValueError(f"unsupported inference dtype {pack.dtype!r}")
     for name, array in pack.arrays.items():
         if tuple(array.shape) != tuple(expected[name].shape):
             raise ValueError(
                 f"inference pack shape mismatch for {name!r}: "
                 f"{tuple(array.shape)} != {tuple(expected[name].shape)}"
             )
-        if array.dtype != np.dtype(pack.dtype):
+        if array.dtype != np.float64:
             raise ValueError(
                 f"inference pack dtype mismatch for {name!r}: "
-                f"{array.dtype} != {pack.dtype}"
+                f"{array.dtype} != float64"
             )
     # Bit-exact round-trip through the fleet's pack format: the
     # flat layout must reproduce every array byte for byte.
@@ -192,9 +177,7 @@ def verify_inference_pack(pack: InferencePack, module: Module) -> None:
     rebuilt = unpack_state(buffer, manifest)
     for name, array in pack.arrays.items():
         assert np.array_equal(rebuilt[name], array), name
-    if pack.dtype == "float64":
-        for name, array in pack.arrays.items():
-            assert np.array_equal(array, expected[name]), name
+        assert np.array_equal(array, expected[name]), name
 
 
 def unpack_state(

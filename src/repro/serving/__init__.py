@@ -202,24 +202,6 @@ Three pieces tie the distributed picture together:
 Telemetry is strictly observational and always on: snapshots never
 feed back into scoring, and wall-clock only ever appears in telemetry
 (never in record rows).
-
-Scorer backends on the service
-------------------------------
-The service runs the one production ascent,
-:func:`repro.core.surrogate.generate_metrics_batch`, on a
-:class:`repro.core.fastscore.FastGONKernel` per resident replica.
-``scorer_backend=`` only picks the kernel arithmetic, with the same
-contract as :mod:`repro.core.scoring`: ``"fast"`` (float64) is
-bitwise-equal to the autodiff oracle the test suite
-keeps, and ``"fast32"`` trades float32 arithmetic for the rtol-1e-5
-tier.  Each ascent request gets its own call over its own stack --
-identical batch shapes to in-process scoring, so fleet records stay
-bit-identical to serial ones.  Confidence reads stay on the worker:
-:class:`FleetScorer` runs them on a float64 kernel of its own replica
-under every backend.  Kernels are cached per ``(model, generation,
-owner)`` and invalidated exactly where
-overlays are installed or evicted, so a fine-tuned client never
-scores against stale weights.
 """
 
 from .chaos import ChaosControl
@@ -240,7 +222,7 @@ from .service import (
     WorkerLost,
 )
 from .status import StatusServer
-from .shared import FetchedArrayPack, fetch_array_pack
+from .shared import fetch_array_pack
 from .transports import (
     TcpTransport,
     TcpWorkerChannel,
@@ -266,7 +248,6 @@ __all__ = [
     "StatsUpdate",
     "StatusServer",
     "WorkerLost",
-    "FetchedArrayPack",
     "fetch_array_pack",
     "TcpTransport",
     "TcpWorkerChannel",

@@ -73,7 +73,7 @@ from .. import telemetry as _telemetry
 from ..core.features import GONInput
 from ..core.gon import GONDiscriminator
 from ..core.fastscore import FastGONKernel
-from ..core.scoring import sample_confidence, validate_backend
+from ..core.scoring import sample_confidence
 from ..core.surrogate import SurrogateResult, generate_metrics_batch
 from ..core.training import TrainingConfig, fine_tune
 from ..nn.serialization import pack_state, unpack_state
@@ -321,10 +321,6 @@ class GONScoringService:
         The :class:`~repro.serving.coordinator.CellCoordinator` holding
         the campaign's lease queue; the service serves until it is
         drained.
-    scorer_backend:
-        Kernel arithmetic, one of ``repro.core.scoring.BACKENDS``.
-        Kernels are cached per resident replica and re-exported when
-        an overlay installs.
     heartbeat_timeout:
         Seconds without any frame from a client before it is declared
         dead and its leases are revoked; 0 disables the timeout (EOF
@@ -337,18 +333,15 @@ class GONScoringService:
         request_queue,
         reply_queues: Dict[int, object],
         coordinator,
-        scorer_backend: str = "fast",
         heartbeat_timeout: float = 30.0,
     ) -> None:
         self.models = models
         self.request_queue = request_queue
         self.reply_queues = reply_queues
         self.coordinator = coordinator
-        validate_backend(scorer_backend)
-        #: The ascent kernels' arithmetic.
-        self._dtype = "float32" if scorer_backend == "fast32" else "float64"
-        #: ``(model_key, generation, owner) -> FastGONKernel``;
-        #: invalidated when an overlay (re)installs.
+        #: ``(model_key, generation, owner) -> FastGONKernel``, cached
+        #: per resident replica; invalidated when an overlay
+        #: (re)installs.
         self._kernels: Dict[tuple, object] = {}
         self.stats = ServiceStats()
         #: Copy-on-write per-client replicas installed by
@@ -568,7 +561,7 @@ class GONScoringService:
         key = (request.model_key, request.generation, owner)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = FastGONKernel.from_model(model, dtype=self._dtype)
+            kernel = FastGONKernel.from_model(model)
             self._kernels[key] = kernel
         return kernel
 
@@ -692,20 +685,36 @@ class GONScoringService:
             self._mark_lost(client_id, f"reply delivery failed: {error}")
 
     def _run_ascent(self, request: AscentRequest) -> None:
-        """One kernel ascent over one request's stack."""
+        """One kernel ascent over one request's stack.
+
+        A request that cannot be scored (an unknown model key,
+        segments that do not cover the stack, a bad gamma or
+        misshapen arrays) is its client's fault: the client is marked
+        lost, so its leases are requeued or poisoned, and the service
+        keeps scoring for the rest of the fleet.  An overlay protocol
+        violation still stops the service (see :meth:`_resolve_model`).
+        """
         self.stats.n_batches += 1
         _BATCHES.inc()
         _BATCH_ELEMENTS.observe(request.n_elements)
-        model = self._resolve_model(request)
-        results = generate_metrics_batch(
-            self._kernel_for(request, model),
-            request.schedules,
-            request.adjacencies,
-            init_metrics=request.metrics,
-            gamma=request.gamma,
-            max_steps=request.max_steps,
-            segments=request.segments,
-        )
+        try:
+            model = self._resolve_model(request)
+            results = generate_metrics_batch(
+                self._kernel_for(request, model),
+                request.schedules,
+                request.adjacencies,
+                init_metrics=request.metrics,
+                gamma=request.gamma,
+                max_steps=request.max_steps,
+                segments=request.segments,
+            )
+        except (KeyError, TypeError, ValueError) as error:
+            self._mark_lost(
+                request.client_id,
+                f"malformed ascent request {request.request_id}: "
+                f"{type(error).__name__}: {error}",
+            )
+            return
         self._send_reply(
             request.client_id, _ascent_reply(request.request_id, results)
         )

@@ -23,40 +23,25 @@ import numpy as np
 
 from ..nn.serialization import unpack_state
 
-__all__ = [
-    "FetchedArrayPack",
-    "fetch_array_pack",
-]
-
-
-class FetchedArrayPack:
-    """Worker side of the asset path: a pack pulled over TCP.
-
-    ``arrays`` are read-only zero-copy views over the received buffer;
-    the buffer is ordinary process memory.
-    """
-
-    def __init__(self, buffer: np.ndarray, manifest) -> None:
-        self.arrays: Dict[str, np.ndarray] = unpack_state(buffer, list(manifest))
-
+__all__ = ["fetch_array_pack"]
 
 #: Per-process cache of fetched packs: ``(service address, pack name)``.
-_FETCHED_PACKS: Dict[Tuple[str, str], FetchedArrayPack] = {}
+_FETCHED_PACKS: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
 
 
-def fetch_array_pack(channel, name: str, cache: bool = True) -> FetchedArrayPack:
+def fetch_array_pack(channel, name: str) -> Dict[str, np.ndarray]:
     """Fetch a published pack over a worker channel, once per process.
 
     ``channel`` is a :class:`repro.serving.transports.TcpWorkerChannel`
-    (anything with ``address`` and ``fetch_pack``).  Repeat calls for
-    the same ``(service, pack)`` reuse the cached copy instead of
-    re-downloading -- workers pay the transfer exactly once.
+    (anything with ``address`` and ``fetch_pack``).  Returns the pack's
+    arrays as read-only zero-copy views over the received buffer.
+    Repeat calls for the same ``(service, pack)`` reuse the cached
+    arrays instead of re-downloading -- workers pay the transfer
+    exactly once.
     """
     key = (str(channel.address), name)
-    if cache and key in _FETCHED_PACKS:
-        return _FETCHED_PACKS[key]
-    buffer, manifest = channel.fetch_pack(name)
-    pack = FetchedArrayPack(buffer, manifest)
-    if cache:
-        _FETCHED_PACKS[key] = pack
-    return pack
+    arrays = _FETCHED_PACKS.get(key)
+    if arrays is None:
+        buffer, manifest = channel.fetch_pack(name)
+        arrays = _FETCHED_PACKS[key] = unpack_state(buffer, list(manifest))
+    return arrays

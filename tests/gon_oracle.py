@@ -256,11 +256,9 @@ _MODELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def model_from_kernel(kernel) -> GONDiscriminator:
-    """The autodiff GON holding exactly a float64 kernel's weights."""
+    """The autodiff GON holding exactly a kernel's weights."""
     model = _MODELS.get(kernel)
     if model is None:
-        if kernel.dtype != np.float64:
-            raise ValueError("the oracle only mirrors float64 kernels")
         model = GONDiscriminator(
             np.random.default_rng(0),
             hidden=kernel.hidden,

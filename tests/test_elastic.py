@@ -23,6 +23,7 @@ Exercises the lease-based cell queue end to end:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import queue
 import signal
@@ -435,6 +436,34 @@ class TestCampaignChaos:
         assert len(state["service"].lost) >= 1
         assert state["coordinator"].requeued_total >= 1
         assert state["coordinator"].poisoned == set()
+
+    def test_sigkill_right_after_cell_done_keeps_the_record(
+        self, chaos_grid, chaos_assets, serial_rows, tmp_path, monkeypatch
+    ):
+        # The first worker to settle a cell dies the moment its CellDone
+        # is sent: the coordinator counts the cell done and never
+        # re-leases it, so its record must already be on its way to
+        # the parent.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the kill hook reaches the workers through fork")
+        killed = tmp_path / "killed"
+        send = TcpWorkerChannel.put
+
+        def put_then_die(channel, message):
+            send(channel, message)
+            if isinstance(message, CellDone):
+                try:
+                    os.close(os.open(killed, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(TcpWorkerChannel, "put", put_then_die)
+        records = run_fleet_campaign(
+            chaos_grid, plan_tasks(chaos_grid), chaos_assets
+        )
+        assert killed.exists()
+        assert _rows_by_cell(records) == serial_rows
 
     def test_late_joining_worker_drains_running_queue(
         self, chaos_grid, chaos_assets, serial_rows

@@ -7,26 +7,25 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 
 * ``nn/serialization`` inference export -- pack/unpack round-trip
   equality and loud refusal on architecture or shape mismatches;
-* the kernel ascent reproduces the oracle *bit for bit* in float64
-  and within rtol=1e-5 in float32; a kernel keeps one compiled plan,
-  reuses it across same-shape calls and frees it with itself;
+* the kernel ascent reproduces the oracle *bit for bit* (float64
+  throughout); a kernel keeps one compiled plan, reuses it across
+  same-shape calls and frees it with itself;
 * segment exactness: a call cut into segments returns, for every
   element, bitwise what the call on its segment alone returns
-  (random partitions, float64 and float32);
-* ``core/scoring.LocalScorer`` backend selection (``exact`` is an alias
-  of ``fast``), float64 confidence reads under every backend, and
-  post-fine-tune kernel re-export;
+  (random partitions);
+* ``core/scoring.LocalScorer``: ascents and confidence reads equal to
+  the oracle, and post-fine-tune kernel re-export;
 * the scoring service's kernel path: per-request bitwise replies (one
   kernel call per request, also when requests are queued together),
-  float64 confidences, dispatch on arrival (no blocking read while a
-  message is in hand) and a fixed-size ``/status`` service section;
+  a malformed request dropping only its own client, dispatch on
+  arrival (no blocking read while a message is in hand) and a
+  fixed-size ``/status`` service section;
 * training parity: ``train_gon`` through the kernel and through the
   oracle yields bitwise-equal weights and an equal history;
 * the scenario-catalog sweep: for every registered scenario the
   production campaign must produce records and decision digests
   bit-identical to a campaign whose every ascent (training included)
-  and confidence read ran on the oracle, and ``fast32`` must agree on
-  most decisions;
+  and confidence read ran on the oracle;
 * ``benchmarks/compare_records.py --decisions``.
 """
 
@@ -38,7 +37,6 @@ import queue
 import sys
 import threading
 import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +44,7 @@ import pytest
 
 from repro.core import GONDiscriminator
 from repro.core.fastscore import FastGONKernel, gon_inference_meta
-from repro.core.scoring import BACKENDS, LocalScorer, validate_backend
+from repro.core.scoring import LocalScorer
 from repro.core.surrogate import generate_metrics_batch
 from repro.core.training import TrainingConfig, train_gon
 from repro.experiments import (
@@ -60,7 +58,7 @@ from repro.nn.serialization import (
     verify_inference_pack,
 )
 from repro.scenarios import all_scenarios
-from repro.serving import FleetScorer, GONScoringService, ScoringClient
+from repro.serving import GONScoringService, ScoringClient
 
 from fleet_harness import CELL, one_cell_grid, sign_off
 from gon_oracle import generate_metrics_batch as oracle_batch
@@ -133,9 +131,15 @@ class TestInferenceExport:
                 InferencePack(arrays=arrays, meta=pack.meta), trained_gon
             )
 
-    def test_export_rejects_unknown_dtype(self, trained_gon):
-        with pytest.raises(ValueError):
-            export_inference(trained_gon, dtype="int8")
+    def test_verify_refuses_non_float64_pack(self, trained_gon):
+        pack = export_inference(trained_gon)
+        arrays = dict(pack.arrays)
+        name = "head.blocks.1.bias"
+        arrays[name] = arrays[name].astype(np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            verify_inference_pack(
+                InferencePack(arrays=arrays, meta=pack.meta), trained_gon
+            )
 
     def test_kernel_refuses_foreign_pack(self, trained_gon):
         pack = export_inference(trained_gon, meta={"arch": "mlp"})
@@ -245,24 +249,6 @@ class TestFastKernelParity:
         fast = generate_metrics_batch(kernel, schedules, adjacencies, **kwargs)
         oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
         _assert_results_bitwise(fast, oracle)
-
-    def test_fast32_within_rtol(self, trained_gon, session_samples):
-        kernel = FastGONKernel.from_model(trained_gon, dtype="float32")
-        metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        fast = generate_metrics_batch(
-            kernel, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        oracle = oracle_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        np.testing.assert_allclose(
-            [r.confidence for r in fast],
-            [r.confidence for r in oracle],
-            rtol=1e-5,
-            atol=1e-7,
-        )
 
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
@@ -406,13 +392,13 @@ class TestSegmentContract:
     it multiplies at once).
     """
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("n", [5, 8, 10, 13, 16])
+    # The ids name the kernel's arithmetic, float64.
+    @pytest.mark.parametrize("n", [5, 8, 10, 13, 16], ids="{}-float64".format)
     @pytest.mark.parametrize("steps", [0, 1, 8])
-    def test_segments_bitwise_equal_solo_calls(self, dtype, n, steps):
-        rng = np.random.default_rng([n, steps, len(dtype)])
+    def test_segments_bitwise_equal_solo_calls(self, n, steps):
+        rng = np.random.default_rng([n, steps, 7])
         gon = GONDiscriminator(rng, hidden=24, n_layers=2)
-        kernel = FastGONKernel.from_model(gon, dtype=dtype)
+        kernel = FastGONKernel.from_model(gon)
         for _ in range(3):
             k = int(rng.integers(2, 33))
             metrics = rng.uniform(0, 1, size=(k, n, gon.n_m_features))
@@ -467,26 +453,11 @@ class TestSegmentContract:
 
 
 # ----------------------------------------------------------------------
-# LocalScorer backend selection
+# LocalScorer
 # ----------------------------------------------------------------------
 class TestLocalScorerBackends:
-    def test_validate_backend(self):
-        for backend in BACKENDS:
-            assert validate_backend(backend) == backend
-        assert BACKENDS == ("fast", "fast32")
-        # One spelling per backend: the retired "exact" alias is unknown.
-        for unknown in ("exact", "onnx"):
-            with pytest.raises(ValueError, match="unknown scorer backend"):
-                validate_backend(unknown)
-
-    def test_constructor_rejects_unknown_backend(self, trained_gon):
-        with pytest.raises(ValueError):
-            LocalScorer(trained_gon, backend="slow")
-
     def test_fast_backend_matches_exact(self, trained_gon, session_samples):
-        # "exact" names the oracle ascent, not a backend.
-        with pytest.raises(ValueError):
-            LocalScorer(trained_gon, backend="exact")
+        # "exact" names the autodiff oracle ascent.
         fast = LocalScorer(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 5)
         _assert_results_bitwise(
@@ -497,14 +468,15 @@ class TestLocalScorerBackends:
             ),
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_confidence_reads_float64_kernel(
-        self, trained_gon, session_samples, backend
+        self, trained_gon, session_samples
     ):
-        # The POT gate input never depends on the backend: both read a
-        # float64 kernel, bitwise-equal to the model's own forward.
-        scorer = LocalScorer(trained_gon, backend=backend)
-        assert scorer.confidence_kernel().dtype == np.float64
+        # The POT gate input: a float64 kernel forward, bitwise-equal
+        # to the model's own forward.
+        scorer = LocalScorer(trained_gon)
+        assert {
+            array.dtype for array in scorer.confidence_kernel().pack.arrays.values()
+        } == {np.dtype(np.float64)}
         for sample in session_samples[:12]:
             assert scorer.confidence(sample) == trained_gon.score(sample)
 
@@ -528,7 +500,7 @@ class TestLocalScorerBackends:
         # A private model instance: fine-tuning mutates weights.
         model = GONDiscriminator(np.random.default_rng(0), hidden=16,
                                  n_layers=2)
-        scorer = LocalScorer(model, backend="fast")
+        scorer = LocalScorer(model)
         metrics, schedules, adjacencies = _stacks(session_samples, 4)
         scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3)
         stale_kernel = scorer.kernel()
@@ -607,22 +579,45 @@ class TestServiceFastBackend:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
-    def test_fast32_service_confidences_stay_float64(
-        self, trained_gon, session_samples
+    @pytest.mark.parametrize("flaw", ["segments", "gamma", "model_key"])
+    def test_malformed_request_drops_only_its_client(
+        self, trained_gon, session_samples, flaw
     ):
-        # A fast32 fleet still reads the POT gate's confidence on a
-        # float64 kernel: FleetScorer scores it on its own replica.
-        service, thread, (client,) = self._serve(
-            trained_gon, scorer_backend="fast32"
+        # A request the kernel cannot score is its client's fault: the
+        # service marks that client lost and keeps scoring the others.
+        from repro.serving import AscentRequest
+
+        request_queue = queue.Queue()
+        replies = {0: queue.Queue(), 1: queue.Queue()}
+        service = GONScoringService(
+            {"scenario": trained_gon}, request_queue, replies, one_cell_grid()
         )
-        scorer = FleetScorer(client, trained_gon)
-        for sample in session_samples[:5]:
-            assert scorer.confidence(sample) == trained_gon.score(sample)
-        assert scorer._reader.dtype == np.float64
-        sign_off(client.request_queue, client.client_id)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert service.stats.n_requests == 0
+        metrics, schedules, adjacencies = _stacks(session_samples, 2)
+        good = dict(
+            client_id=0, request_id=1, model_key="scenario",
+            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
+            gamma=1e-2, max_steps=4,
+        )
+        bad = dict(good, client_id=1, **{
+            "segments": dict(segments=(0, 2)),
+            "gamma": dict(gamma=-1.0),
+            "model_key": dict(model_key="no-such-scenario"),
+        }[flaw])
+        request_queue.put(AscentRequest(**bad))
+        request_queue.put(AscentRequest(**good))
+        sign_off(request_queue, 0)
+        service.serve()
+        assert service.lost == {1}
+        assert replies[1].empty()
+        reply = replies[0].get_nowait()
+        oracle = oracle_batch(
+            trained_gon, schedules, adjacencies, init_metrics=metrics,
+            gamma=1e-2, max_steps=4,
+        )
+        assert np.array_equal(
+            reply.metrics, np.stack([r.metrics for r in oracle])
+        )
+        assert reply.confidences.tolist() == [r.confidence for r in oracle]
 
     def test_concurrent_requests_stay_bitwise_without_merging(
         self, trained_gon, session_samples
@@ -806,11 +801,8 @@ class _RecordingRequestQueue:
 # Scenario-catalog parity sweep
 # ----------------------------------------------------------------------
 def _catalog_config(name: str) -> CampaignConfig:
-    # CI-scale offline training (the CampaignConfig defaults): the
-    # fast32 decision-agreement tier is a property of *trained*
-    # surrogates -- undertrained GONs score candidates within float32
-    # noise and tie-breaks legitimately flip (see the fast32 caveat in
-    # repro.core.scoring).  Only the evaluation length is shortened.
+    # CI-scale offline training (the CampaignConfig defaults); only the
+    # evaluation length is shortened.
     return CampaignConfig(
         scenarios=(name,),
         models=("CAROL",),
@@ -824,7 +816,7 @@ def _catalog_config(name: str) -> CampaignConfig:
 
 @pytest.fixture(scope="module")
 def catalog_sweep():
-    """Per-scenario campaign results: production backends and the oracle.
+    """Per-scenario campaign results: production scoring and the oracle.
 
     The ``oracle`` run trains its GON and takes every decision with the
     autodiff ascent (serially, inside :func:`oracle_ascents`); the
@@ -837,15 +829,12 @@ def catalog_sweep():
             oracle = run_campaign(
                 config, prepared_assets=prepare_campaign_assets(config)
             )
-        assets = prepare_campaign_assets(config)
         sweep[spec.name] = {
-            backend: run_campaign(
-                replace(config, scorer_backend=backend),
-                prepared_assets=assets,
-            )
-            for backend in BACKENDS
+            "fast": run_campaign(
+                config, prepared_assets=prepare_campaign_assets(config)
+            ),
+            "oracle": oracle,
         }
-        sweep[spec.name]["oracle"] = oracle
     return sweep
 
 
@@ -864,45 +853,6 @@ class TestCatalogParity:
     def test_fast_decisions_identical_across_catalog(self, catalog_sweep):
         for name, results in catalog_sweep.items():
             assert _digests(results["fast"]) == _digests(results["oracle"]), name
-
-    def test_fast32_decisions_agree_across_most_of_catalog(
-        self, catalog_sweep
-    ):
-        # fast32 decisions can legitimately flip where candidate scores
-        # tie within float32 noise (one known instance on this catalog:
-        # correlated-rack).  A kernel regression flips decisions
-        # *systematically*, so the canary asserts strong-majority
-        # agreement rather than universality -- the rtol tier below is
-        # the per-score correctness gate.
-        divergent = [
-            name for name, results in catalog_sweep.items()
-            if _digests(results["fast32"]) != _digests(results["oracle"])
-        ]
-        assert len(divergent) <= 2, divergent
-
-    def test_fast32_scores_within_rtol_across_catalog(self, catalog_sweep):
-        # Scorer-level tier: confidences of one warm-start ascent over
-        # each scenario's trained surrogate, fast32 vs the oracle.
-        for name in catalog_sweep:
-            config = _catalog_config(name)
-            assets = prepare_campaign_assets(config)[name]
-            gon = assets.fresh_gon()
-            samples = assets.samples[:6]
-            metrics, schedules, adjacencies = _stacks(samples)
-            exact = oracle_batch(
-                gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=1e-2, max_steps=4,
-            )
-            fast32 = LocalScorer(gon, backend="fast32").ascent(
-                metrics, schedules, adjacencies, 1e-2, 4
-            )
-            np.testing.assert_allclose(
-                [r.confidence for r in fast32],
-                [r.confidence for r in exact],
-                rtol=1e-5,
-                atol=1e-7,
-                err_msg=name,
-            )
 
 
 # ----------------------------------------------------------------------

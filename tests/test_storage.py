@@ -137,27 +137,29 @@ class TestConfigHash:
             dict(gon_epochs=7),
             dict(shared_assets=True),
             dict(carol_overrides=(("gamma", 0.5),)),
-            dict(scorer_backend="fast32"),
         ):
             changed = dataclasses.replace(base, **change)
             assert campaign_config_hash(changed) != h, change
 
     def test_identity_covers_every_declared_field(self):
         # Every declared config field, plus the two record-determining
-        # inputs that are not config fields: scenario content and the
-        # record-semantics version.
+        # inputs that are not config fields (scenario content and the
+        # record-semantics version) and the retired backend constant.
         grid = campaign_grid_identity(tiny_config())
         assert set(grid) == set(GRID_IDENTITY_FIELDS) | {
-            "scenario_specs", "record_semantics",
+            "scenario_specs", "record_semantics", "scorer_backend",
         }
+        assert grid["scorer_backend"] == "fast"
         assert grid["record_semantics"] == RECORD_SEMANTICS_VERSION
         assert grid["scenario_specs"] == [get_scenario("fault-free").to_dict()]
 
-    def test_retired_exact_backend_is_rejected(self):
-        # One spelling per backend: "fast" was always the hashed name,
-        # so dropping the "exact" alias moves no config hash.
-        with pytest.raises(ValueError, match="unknown scorer backend"):
-            tiny_config(scorer_backend="exact")
+    def test_default_grid_hash_is_pinned(self):
+        # Stores written before the scorer-backend choice was retired
+        # must still resume: the hash of a default grid never moves.
+        config = CampaignConfig(scenarios=("paper-default",))
+        assert campaign_config_hash(config) == (
+            "c7b0eed5533c644a014f0e78c94eda4b841d33e8b9f6b33316cd00f31f8c148b"
+        )
 
     def test_model_aliases_canonicalize_before_hashing(self):
         lower = tiny_config(models=("carol",))

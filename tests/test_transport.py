@@ -356,8 +356,8 @@ class TestTcpScoringService:
         assert channel.fetch_index() == index
         fetched = fetch_array_pack(channel, "scenario/weights")
         for name, array in arrays.items():
-            assert np.array_equal(fetched.arrays[name], array)
-            assert not fetched.arrays[name].flags.writeable
+            assert np.array_equal(fetched[name], array)
+            assert not fetched[name].flags.writeable
         # Second fetch is served from the per-process cache.
         again = fetch_array_pack(channel, "scenario/weights")
         assert again is fetched
