@@ -58,21 +58,10 @@ requeue_cell) next to ``GET /status``.
 offline and dumps a standalone, verified inference pack for external
 graph-free tooling.
 
-Chaos fuzzing (:mod:`repro.chaos`)::
-
-    python -m repro fuzz --scenario paper-default --model DYVERSE \\
-        --budget 32 --seed 7 --report-json fuzz.json
-    python -m repro fuzz --ci --fleet --workers 2
-    python -m repro fuzz --replay benchmarks/chaos_corpus/<file>.json \\
-        --record-json replay.json
-
-``fuzz`` samples seeded random :class:`~repro.chaos.ChaosSchedule`\\ s
-over a base scenario, evaluates each as a paired-seed single-scenario
-campaign (any execution mode), scores the QoS delta against the
-unperturbed baseline and shrinks cliffs to minimal failing schedules;
-``--replay`` re-runs one schedule from a replay/corpus file so its
-records can be gated bit-identical across modes with
-``benchmarks/compare_records.py``.
+Chaos schedules (:mod:`repro.chaos`) ride in scenarios: ``campaign
+--scenarios chaos-drill`` runs the catalog's scripted schedule (all
+five event kinds), and its serial and ``--fleet`` record dumps must
+pass ``benchmarks/compare_records.py``.
 
 Observability (:mod:`repro.telemetry`): every ``--record-json`` dump
 carries the campaign's merged telemetry snapshot under ``"telemetry"``;
@@ -335,115 +324,6 @@ def _cmd_campaign(args) -> int:
             json.dump(result.to_payload(), sink, indent=2)
         print(f"wrote {len(result.records)} records to {args.record_json}")
     print(result.format_summary())
-    return 0
-
-
-def _cmd_fuzz(args) -> int:
-    import json
-
-    from .chaos.fuzz import (
-        FuzzConfig,
-        evaluation_campaign_config,
-        register_fuzz_scenario,
-        run_fuzz,
-    )
-    from .chaos.report import format_fuzz_report, load_replay_file
-    from .experiments import run_campaign
-    from .scenarios import get_scenario
-    from .serving import TransportError
-    from .storage import StoreError
-
-    mode = "fleet" if args.fleet else "process"
-    plumbing = dict(
-        mode=mode,
-        workers=args.workers,
-        service_addr=args.connect,
-        auth_token=_resolve_auth_token(args),
-        store=args.store,
-        store_path=args.store_path,
-    )
-
-    try:
-        if args.replay:
-            data = load_replay_file(args.replay)
-            config = FuzzConfig(
-                scenario=str(data["scenario"]),
-                model=str(data.get("model", "DYVERSE")),
-                n_seeds=int(data.get("n_seeds", 1)),
-                seed=int(data.get("seed", 0)),
-                n_intervals=(
-                    int(data["n_intervals"])
-                    if data.get("n_intervals") is not None else None
-                ),
-                **plumbing,
-            )
-            schedule = data["schedule"]
-            name = register_fuzz_scenario(
-                get_scenario(config.scenario), schedule
-            )
-            result = run_campaign(evaluation_campaign_config(config, name))
-            if args.record_json:
-                with open(args.record_json, "w") as sink:
-                    json.dump(result.to_payload(), sink, indent=2)
-                print(
-                    f"wrote {len(result.records)} records to "
-                    f"{args.record_json}"
-                )
-            print(
-                f"replayed schedule {schedule.short_id()} "
-                f"({len(schedule)} events) over {config.scenario!r}"
-            )
-            print(result.format_summary())
-            return 0
-
-        if args.ci:
-            # The seeded smoke preset: tiny budget, short horizon,
-            # asset-free model -- a full sample/evaluate/shrink pass
-            # in CI time.
-            config = FuzzConfig(
-                scenario=args.scenario,
-                model="DYVERSE",
-                budget=8,
-                n_seeds=1,
-                seed=args.seed,
-                n_intervals=12,
-                max_events=3,
-                threshold=args.threshold,
-                shrink=not args.no_shrink,
-                **plumbing,
-            )
-        else:
-            config = FuzzConfig(
-                scenario=args.scenario,
-                model=args.model,
-                budget=args.budget,
-                n_seeds=args.seeds,
-                seed=args.seed,
-                n_intervals=args.intervals or None,
-                max_events=args.max_events,
-                threshold=args.threshold,
-                shrink=not args.no_shrink,
-                **plumbing,
-            )
-        result = run_fuzz(config, progress=print)
-    except (OSError, KeyError, ValueError) as error:
-        message = error.args[0] if error.args else str(error)
-        print(message, file=sys.stderr)
-        return 2
-    except StoreError as error:
-        print(f"campaign store refused: {error}", file=sys.stderr)
-        return 2
-    except TransportError as error:
-        print(f"fleet transport failed: {error}", file=sys.stderr)
-        return 1
-    print(format_fuzz_report(result, worst=args.worst))
-    if args.report_json:
-        with open(args.report_json, "w") as sink:
-            json.dump(result.to_payload(), sink, indent=2, sort_keys=True)
-        print(
-            f"wrote fuzz report ({len(result.outcomes)} schedules, "
-            f"{len(result.cliffs)} cliffs) to {args.report_json}"
-        )
     return 0
 
 
@@ -764,11 +644,11 @@ def _add_artifact_options(parser) -> None:
 
 
 def _shared_parents():
-    """The flag sets shared by campaign / serve / fuzz.
+    """The flag sets shared by campaign / serve.
 
     One definition per flag, inherited via ``parents=[...]``, so the
-    three grid-running subcommands cannot drift apart in spelling,
-    defaults or help text.
+    grid-running subcommands cannot drift apart in spelling, defaults
+    or help text.
     """
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--scenarios", type=str, default="",
@@ -800,17 +680,7 @@ def _shared_parents():
     backend.add_argument("--store-path", type=str, default="",
                          help="sqlite store database file (required with "
                               "--store sqlite)")
-
-    execution = argparse.ArgumentParser(add_help=False)
-    execution.add_argument("--workers", type=int, default=1,
-                           help="worker processes (1 = serial)")
-    execution.add_argument("--fleet", action="store_true",
-                           help="fleet mode: shared assets + one batched "
-                                "GON scoring service")
-    execution.add_argument("--connect", type=str, default="",
-                           help="host:port of an external scoring service "
-                                "(python -m repro serve); requires --fleet")
-    return grid, seeds, backend, execution
+    return grid, seeds, backend
 
 
 ARTIFACTS = ("table1", "fig2", "fig4", "fig5", "fig6a", "fig6b", "fig6c")
@@ -839,14 +709,20 @@ def main(argv=None) -> int:
     scenarios.add_argument("name", nargs="?", default="",
                            help="scenario name (for show)")
 
-    grid_parent, seeds_parent, backend_parent, execution_parent = (
-        _shared_parents()
-    )
+    grid_parent, seeds_parent, backend_parent = _shared_parents()
 
     campaign = subparsers.add_parser(
         "campaign", help="run a scenario x model x seed grid",
-        parents=[grid_parent, seeds_parent, backend_parent, execution_parent],
+        parents=[grid_parent, seeds_parent, backend_parent],
     )
+    campaign.add_argument("--workers", type=int, default=1,
+                          help="worker processes (1 = serial)")
+    campaign.add_argument("--fleet", action="store_true",
+                          help="fleet mode: shared assets + one batched "
+                               "GON scoring service")
+    campaign.add_argument("--connect", type=str, default="",
+                          help="host:port of an external scoring service "
+                               "(python -m repro serve); requires --fleet")
     campaign.add_argument("--shared-assets", action="store_true",
                           help="train CAROL-family assets once per "
                                "scenario (campaign-root seeded)")
@@ -889,39 +765,6 @@ def main(argv=None) -> int:
     serve.add_argument("--telemetry-json", type=str, default="",
                        help="write the final merged fleet telemetry "
                             "snapshot to this JSON file")
-
-    fuzz = subparsers.add_parser(
-        "fuzz",
-        help="fuzz a scenario with random seeded chaos schedules and "
-             "shrink any QoS cliffs found",
-        parents=[seeds_parent, backend_parent, execution_parent],
-    )
-    fuzz.add_argument("--scenario", type=str, default="paper-default",
-                      help="base catalog scenario to perturb")
-    fuzz.add_argument("--model", type=str, default="DYVERSE",
-                      help="resilience model under test (default: "
-                           "DYVERSE, a fast trained-asset-free baseline)")
-    fuzz.add_argument("--budget", type=int, default=16,
-                      help="number of random schedules to evaluate")
-    fuzz.add_argument("--max-events", type=int, default=4,
-                      help="maximum events per sampled schedule")
-    fuzz.add_argument("--threshold", type=float, default=0.05,
-                      help="QoS-delta score at which a schedule counts "
-                           "as a cliff (and gets shrunk)")
-    fuzz.add_argument("--no-shrink", action="store_true",
-                      help="report cliffs without shrinking them")
-    fuzz.add_argument("--worst", type=int, default=5,
-                      help="cliffs shown in the report table")
-    fuzz.add_argument("--report-json", type=str, default="",
-                      help="write the full fuzz session (schedules, "
-                           "scores, shrunk forms) to this JSON file")
-    fuzz.add_argument("--replay", type=str, default="",
-                      help="replay one schedule from a corpus/replay "
-                           "JSON file instead of fuzzing")
-    fuzz.add_argument("--record-json", type=str, default="",
-                      help="with --replay: write the replay campaign's "
-                           "per-run records to this JSON file "
-                           "(compare_records.py-compatible)")
 
     export_gon = subparsers.add_parser(
         "export-gon",
@@ -990,8 +833,6 @@ def main(argv=None) -> int:
         return _cmd_scenarios(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args)
     if args.command == "store":

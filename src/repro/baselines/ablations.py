@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,41 @@ __all__ = [
     "WithTraditionalSurrogate",
     "summary_features",
 ]
+
+
+def _tabu_repair(
+    report: FailureReport,
+    proposal: Topology,
+    omega: Callable[..., List[float]],
+    rng: np.random.Generator,
+    config: CAROLConfig,
+) -> Topology:
+    """The surrogate ablations' repair: per failed broker, a tabu
+    search scored by ``omega`` from a random node shift, over
+    neighbourhoods sampled down to ``config.neighbourhood_sample``.
+    ``rng`` draws the shift, then each oversized neighbourhood's sample.
+    """
+    def sampled_neighbours(topology: Topology) -> List[Topology]:
+        options = neighbours(topology)
+        limit = config.neighbourhood_sample
+        if len(options) > limit:
+            chosen = rng.choice(len(options), size=limit, replace=False)
+            options = [options[i] for i in chosen]
+        return options
+
+    current = proposal
+    for _failed in report.failed_brokers:
+        start = random_node_shift(current, rng)
+        result = tabu_search(
+            start,
+            objective=omega,
+            neighbourhood=sampled_neighbours,
+            tabu_size=config.tabu_size,
+            max_iterations=config.tabu_iterations,
+            patience=config.tabu_patience,
+        )
+        current = result.best
+    return current
 
 
 class AlwaysFineTune(CAROL):
@@ -272,27 +307,7 @@ class WithGAN(ResilienceModel):
                 for candidate in candidates
             ]
 
-        def sampled_neighbours(topology: Topology) -> List[Topology]:
-            options = neighbours(topology)
-            limit = self.config.neighbourhood_sample
-            if len(options) > limit:
-                chosen = self.rng.choice(len(options), size=limit, replace=False)
-                options = [options[i] for i in chosen]
-            return options
-
-        current = proposal
-        for _failed in report.failed_brokers:
-            start = random_node_shift(current, self.rng)
-            result = tabu_search(
-                start,
-                objective=omega,
-                neighbourhood=sampled_neighbours,
-                tabu_size=self.config.tabu_size,
-                max_iterations=self.config.tabu_iterations,
-                patience=self.config.tabu_patience,
-            )
-            current = result.best
-        return current
+        return _tabu_repair(report, proposal, omega, self.rng, self.config)
 
     def observe(self, metrics: IntervalMetrics, view: SystemView) -> None:
         sample = from_interval(metrics)
@@ -399,27 +414,7 @@ class WithTraditionalSurrogate(ResilienceModel):
                 for candidate in candidates
             ]
 
-        def sampled_neighbours(topology: Topology) -> List[Topology]:
-            options = neighbours(topology)
-            limit = self.config.neighbourhood_sample
-            if len(options) > limit:
-                chosen = self.rng.choice(len(options), size=limit, replace=False)
-                options = [options[i] for i in chosen]
-            return options
-
-        current = proposal
-        for _failed in report.failed_brokers:
-            start = random_node_shift(current, self.rng)
-            result = tabu_search(
-                start,
-                objective=omega,
-                neighbourhood=sampled_neighbours,
-                tabu_size=self.config.tabu_size,
-                max_iterations=self.config.tabu_iterations,
-                patience=self.config.tabu_patience,
-            )
-            current = result.best
-        return current
+        return _tabu_repair(report, proposal, omega, self.rng, self.config)
 
     def observe(self, metrics: IntervalMetrics, view: SystemView) -> None:
         sample = from_interval(metrics)

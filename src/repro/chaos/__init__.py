@@ -1,21 +1,12 @@
-"""``repro.chaos`` -- declarative chaos schedules and a scenario fuzzer.
+"""``repro.chaos`` -- declarative chaos schedules.
 
-Two layers:
-
-* :mod:`repro.chaos.schedule` -- the chaos-schedule DSL: frozen,
-  serialisable :class:`ChaosEvent` records composed into a
-  :class:`ChaosSchedule` that compiles to a deterministic, RNG-free
-  :class:`ScheduledFaultModel` behind the existing
-  :class:`~repro.simulator.faults.FaultModel` contract.
-* :mod:`repro.chaos.fuzz` / :mod:`~repro.chaos.shrink` /
-  :mod:`~repro.chaos.report` -- the seeded scenario fuzzer: sample
-  random schedules, evaluate them as campaigns, score QoS deltas
-  against the unperturbed baseline and shrink cliffs to 1-minimal
-  failing schedules.
-
-The fuzzer names are exported lazily: ``fuzz`` imports the campaign
-machinery, which imports the scenario catalog, whose specs import this
-package's ``schedule`` module -- eager re-export would close that loop.
+:mod:`repro.chaos.schedule` holds the chaos-schedule DSL: frozen,
+serialisable :class:`ChaosEvent` records composed into a
+:class:`ChaosSchedule` that compiles to a deterministic, RNG-free
+:class:`ScheduledFaultModel` behind the existing
+:class:`~repro.simulator.faults.FaultModel` contract.  Scenarios carry
+a schedule in ``FaultConfig.chaos`` (the ``chaos-drill`` catalog entry
+fires all five event kinds).
 """
 
 from .schedule import (
@@ -31,7 +22,6 @@ from .schedule import (
     ZoneBlackout,
     register_event_kind,
 )
-from .shrink import shrink_schedule
 
 __all__ = [
     "CHAOS_MODEL_NAME",
@@ -45,37 +35,4 @@ __all__ = [
     "ArrivalSurge",
     "ChaosSchedule",
     "ScheduledFaultModel",
-    "shrink_schedule",
-    # lazy (see __getattr__):
-    "FuzzConfig",
-    "FuzzOutcome",
-    "FuzzResult",
-    "run_fuzz",
-    "sample_schedule",
-    "format_fuzz_report",
-    "write_replay_file",
-    "load_replay_file",
 ]
-
-_LAZY = {
-    "FuzzConfig": "fuzz",
-    "FuzzOutcome": "fuzz",
-    "FuzzResult": "fuzz",
-    "run_fuzz": "fuzz",
-    "sample_schedule": "fuzz",
-    "format_fuzz_report": "report",
-    "write_replay_file": "report",
-    "load_replay_file": "report",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

@@ -6,8 +6,8 @@ degradation, node recoveries, federation partitions, arrival surges),
 each with a ``start`` interval and a ``duration`` in intervals.  Like
 :class:`~repro.scenarios.spec.ScenarioSpec`, schedules validate on
 construction and serialise losslessly through ``to_dict`` /
-``from_dict``, so a schedule can live in JSON, ride a fuzzer corpus,
-or be replayed from ``(seed, schedule_json)`` alone.
+``from_dict``, so a schedule can live in JSON and a run is replayed
+from ``(seed, schedule_json)`` alone.
 
 ``compile()`` turns a schedule into a :class:`ScheduledFaultModel`
 sitting behind the existing :class:`~repro.simulator.faults.FaultModel`
@@ -49,7 +49,6 @@ composed effect would be ambiguous.  Different kinds compose freely.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, FrozenSet, List, Sequence, Tuple, Type
@@ -440,9 +439,9 @@ class ChaosSchedule:
     """An ordered, validated composition of :class:`ChaosEvent` records.
 
     Events are canonicalised to a fixed order at construction, so two
-    schedules with the same events serialise to the same bytes -- the
-    property the fuzzer's content-addressed scenario names and corpus
-    deduplication rely on.
+    schedules with the same events serialise to the same bytes and
+    embed as the same ``FaultConfig.chaos`` rows -- hence the same
+    config hash.
     """
 
     events: Tuple[ChaosEvent, ...] = ()
@@ -491,21 +490,6 @@ class ChaosSchedule:
         return cls(tuple(
             ChaosEvent.from_dict(entry) for entry in data.get("events", ())
         ))
-
-    def canonical_json(self) -> str:
-        """Deterministic JSON text (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        """SHA-256 of the canonical JSON: the schedule's identity."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()
-
-    def short_id(self) -> str:
-        """12-hex-char display/naming form of :meth:`content_hash`."""
-        return self.content_hash()[:12]
 
     # -- the FaultConfig embedding --------------------------------------
     def to_rows(self) -> Tuple[Tuple, ...]:

@@ -179,9 +179,10 @@ def generate_metrics_batch(
         )
     else:
         current = np.array(init_metrics, dtype=float, copy=True)
-        if current.shape[0] != batch:
+        if current.shape[:1] != (batch,):
             raise ValueError(
-                f"init_metrics batch {current.shape[0]} != {batch}"
+                f"init_metrics shape {current.shape} does not lead "
+                f"with batch {batch}"
             )
 
     # Read-only inputs are never copied here (broadcast views pass

@@ -738,19 +738,6 @@ class CampaignResult:
             "telemetry": self.telemetry,
         }
 
-    def mean_metrics(self, scenario: str, model: str) -> Dict[str, float]:
-        """Seed-averaged deterministic metrics of one (scenario, model)
-        cell -- the fuzzer's scoring surface.  Raises ``KeyError`` when
-        the cell produced no records."""
-        stats = self.aggregate().get((scenario, canonical_model_name(model)))
-        if stats is None:
-            stats = self.aggregate().get((scenario, model))
-        if stats is None:
-            raise KeyError(
-                f"no records for cell ({scenario!r}, {model!r})"
-            )
-        return {metric: mean for metric, (mean, _std) in stats.items()}
-
     def aggregate(self) -> Dict[Tuple[str, str], Dict[str, Tuple[float, float]]]:
         """Per (scenario, model) cell: metric -> (mean, std) over seeds."""
         grouped: Dict[Tuple[str, str], List[RunRecord]] = {}

@@ -60,7 +60,6 @@ from .registry import (
     get_scenario,
     register,
     scenario_names,
-    unregister,
 )
 from .spec import ScenarioSpec, TOPOLOGY_PRESETS, build_topology
 
@@ -69,7 +68,6 @@ __all__ = [
     "TOPOLOGY_PRESETS",
     "build_topology",
     "register",
-    "unregister",
     "get_scenario",
     "scenario_names",
     "all_scenarios",

@@ -31,7 +31,6 @@ from .spec import ScenarioSpec
 
 __all__ = [
     "register",
-    "unregister",
     "get_scenario",
     "scenario_names",
     "all_scenarios",
@@ -51,16 +50,6 @@ def register(spec: ScenarioSpec, overwrite: bool = False) -> ScenarioSpec:
         )
     SCENARIOS[spec.name] = spec
     return spec
-
-
-def unregister(name: str) -> bool:
-    """Drop ``name`` from the registry if present; True when removed.
-
-    Ephemeral registrants (the chaos fuzzer's content-addressed
-    ``fuzz/...`` scenarios) use this to leave the catalog as they
-    found it; absent names are a no-op, not an error.
-    """
-    return SCENARIOS.pop(name, None) is not None
 
 
 def get_scenario(name: str) -> ScenarioSpec:

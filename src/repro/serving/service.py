@@ -146,7 +146,10 @@ class AscentRequest:
 
     @property
     def n_elements(self) -> int:
-        return int(self.metrics.shape[0])
+        # Read before the request is validated: a stack without a
+        # leading axis counts as empty, and _run_ascent rejects it.
+        shape = np.shape(self.metrics)
+        return int(shape[0]) if shape else 0
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,8 @@ class AttackEvent:
     #: Number of intervals the synthetic load persists.
     duration: int
     #: Which fault model produced the event.  Required: every emitter
-    #: must attribute its events, so telemetry and fuzzer reports never
-    #: misfile a partition or surge under the Poisson baseline.
+    #: must attribute its events, so telemetry never misfiles a
+    #: partition or surge under the Poisson baseline.
     model: str
 
 

@@ -1,4 +1,4 @@
-"""Chaos-schedule DSL, fault-model registry and scenario fuzzer."""
+"""Chaos-schedule DSL, fault-model registry and the chaos-drill scenario."""
 
 import json
 
@@ -14,14 +14,6 @@ from repro.chaos import (
     NodeRecover,
     ScheduledFaultModel,
     ZoneBlackout,
-    shrink_schedule,
-)
-from repro.chaos.fuzz import (
-    FuzzConfig,
-    fuzz_scenario_name,
-    run_fuzz,
-    sample_schedule,
-    schedule_stream,
 )
 from repro.config import FaultConfig
 from repro.scenarios import get_scenario
@@ -122,15 +114,15 @@ class TestChaosSchedule:
     def test_json_roundtrip(self):
         schedule = _drill_schedule()
         rebuilt = ChaosSchedule.from_dict(
-            json.loads(schedule.canonical_json())
+            json.loads(json.dumps(schedule.to_dict()))
         )
-        assert rebuilt.content_hash() == schedule.content_hash()
+        assert rebuilt.to_dict() == schedule.to_dict()
 
     def test_canonical_order_independent_of_input_order(self):
         events = _drill_schedule().events
         reordered = ChaosSchedule(tuple(reversed(events)))
         assert reordered == _drill_schedule()
-        assert reordered.content_hash() == _drill_schedule().content_hash()
+        assert reordered.to_dict() == _drill_schedule().to_dict()
 
     def test_same_kind_scope_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlapping zone_blackout"):
@@ -303,85 +295,6 @@ class TestFaultModelRegistry:
     def test_attack_event_requires_model_attribution(self):
         with pytest.raises(TypeError):
             AttackEvent(1, 0, "cpu_overload", "cpu", 0.5, 1)
-
-
-class TestFuzzer:
-    TINY = dict(scenario="paper-default", model="DYVERSE", budget=2,
-                n_seeds=1, seed=9, n_intervals=6, max_events=3,
-                threshold=0.0)
-
-    def test_schedule_stream_deterministic(self):
-        config = FuzzConfig(**self.TINY)
-        first = schedule_stream(config, 8, 6)
-        second = schedule_stream(config, 8, 6)
-        assert [s.content_hash() for s in first] == [
-            s.content_hash() for s in second
-        ]
-
-    def test_different_seeds_differ(self):
-        a = schedule_stream(FuzzConfig(**self.TINY), 8, 12)
-        b = schedule_stream(
-            FuzzConfig(**dict(self.TINY, seed=10)), 8, 12
-        )
-        assert [s.content_hash() for s in a] != [s.content_hash() for s in b]
-
-    def test_sampled_schedules_validate_for_fleet(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            schedule = sample_schedule(rng, 8, 12, 4)
-            schedule.validate_for(8)
-            assert 1 <= len(schedule) <= 4
-
-    def test_shrink_is_greedy_minimal(self):
-        schedule = _drill_schedule()
-
-        def fails(candidate):
-            return any(
-                isinstance(e, ZoneBlackout) for e in candidate.events
-            )
-
-        shrunk = shrink_schedule(schedule, fails)
-        assert len(shrunk) == 1
-        (event,) = shrunk.events
-        assert isinstance(event, ZoneBlackout)
-        assert event.duration == 1  # halved from 2
-
-    def test_run_fuzz_deterministic_with_shrinking(self):
-        config = FuzzConfig(**self.TINY)
-        first = run_fuzz(config)
-        second = run_fuzz(config)
-        assert json.dumps(first.to_payload(), sort_keys=True) == \
-            json.dumps(second.to_payload(), sort_keys=True)
-        # threshold 0 makes every strictly-degrading schedule a cliff;
-        # paired seeds make a no-op schedule score exactly 0.
-        for outcome in first.outcomes:
-            assert outcome.cliff == (outcome.score >= 0.0)
-            assert outcome.scenario == fuzz_scenario_name(
-                "paper-default", outcome.schedule
-            )
-
-    def test_baseline_self_delta_is_zero(self):
-        config = FuzzConfig(**dict(self.TINY, budget=1))
-        result = run_fuzz(config)
-        # The baseline compared with itself must score exactly zero --
-        # paired seeds, bit-identical records.
-        from repro.chaos.fuzz import cliff_score
-
-        assert cliff_score(
-            result.base_metrics, result.base_metrics, 6 * 300.0
-        ) == 0.0
-
-    def test_fuzz_serial_matches_fleet(self):
-        serial = run_fuzz(FuzzConfig(**dict(self.TINY, shrink=False)))
-        fleet = run_fuzz(FuzzConfig(**dict(
-            self.TINY, shrink=False, mode="fleet", workers=2,
-        )))
-        strip = ("mode", "workers")
-        a, b = serial.to_payload(), fleet.to_payload()
-        for payload in (a, b):
-            for key in strip:
-                payload["config"].pop(key)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 class TestChaosDrillScenario:

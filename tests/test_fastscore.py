@@ -579,7 +579,9 @@ class TestServiceFastBackend:
         thread.join(timeout=10)
         assert not thread.is_alive()
 
-    @pytest.mark.parametrize("flaw", ["segments", "gamma", "model_key"])
+    @pytest.mark.parametrize(
+        "flaw", ["segments", "gamma", "model_key", "metrics"]
+    )
     def test_malformed_request_drops_only_its_client(
         self, trained_gon, session_samples, flaw
     ):
@@ -602,6 +604,8 @@ class TestServiceFastBackend:
             "segments": dict(segments=(0, 2)),
             "gamma": dict(gamma=-1.0),
             "model_key": dict(model_key="no-such-scenario"),
+            # A 0-d stack: no leading axis to count elements on.
+            "metrics": dict(metrics=np.array(0.0)),
         }[flaw])
         request_queue.put(AscentRequest(**bad))
         request_queue.put(AscentRequest(**good))
