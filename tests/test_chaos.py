@@ -297,6 +297,31 @@ class TestFaultModelRegistry:
             AttackEvent(1, 0, "cpu_overload", "cpu", 0.5, 1)
 
 
+class TestFuzzer:
+    """Serial-vs-fleet chaos parity. The class keeps the name it had
+    while the parity check ran through the scenario fuzzer; it now runs
+    plain campaigns over the scripted chaos-drill schedule."""
+
+    def test_fuzz_serial_matches_fleet(self):
+        """chaos-drill for 12 intervals (its blackout, link degrade and
+        partition) in a two-worker fleet replays bit-identical to a
+        serial run of the same grid."""
+        from dataclasses import replace
+
+        from repro.experiments import CampaignConfig, run_campaign
+
+        grid = CampaignConfig(
+            scenarios=("chaos-drill",), models=("dyverse",),
+            n_seeds=2, n_intervals=12, workers=2, mode="fleet",
+        )
+        fleet = run_campaign(grid)
+        serial = run_campaign(replace(grid, mode="process", workers=1))
+        assert len(fleet.records) == 2
+        assert [r.row() for r in fleet.records] == [
+            r.row() for r in serial.records
+        ]
+
+
 class TestChaosDrillScenario:
     def test_catalog_has_chaos_drill(self):
         spec = get_scenario("chaos-drill")
