@@ -33,7 +33,12 @@ masked-softmax arithmetic (non-edges pushed by -1e9, detached row-max
 shift, 1e-12 denominator) and the same inclusive clip masks -- in
 float64, so a kernel is bitwise-equal to the autodiff model it was
 exported from (the test suite's autodiff oracle gates this on the
-whole catalog).
+whole catalog).  Where one ufunc call gives the same bits as several,
+the kernel makes the one: the ``clip`` ufunc for ``minimum(maximum())``,
+the clip mask as ``clip(x) == x`` for ``(x >= lo) & (x <= hi)``
+(equal on the bounds, signed zeros, infinities and NaN), and one
+``1/n`` scale over both halves of the pooled embedding.  The test
+suite holds the first two to their two-op forms.
 """
 
 from __future__ import annotations
@@ -54,6 +59,11 @@ from .gon import GONDiscriminator
 __all__ = ["FastGONKernel", "gon_inference_meta"]
 
 _EPS = 1e-8  # clip epsilon of the ascent's log-likelihood
+
+try:
+    _clip = np._core.umath.clip  # the ufunc behind np.clip's wrappers
+except AttributeError:  # numpy < 2
+    _clip = np.core.umath.clip
 
 
 def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
@@ -134,7 +144,6 @@ class _Plan:
         # Backward.
         self.clipped = empty(k)
         self.inside = empty(k, kind=bool)
-        self.inside_hi = empty(k, kind=bool)
         self.dz2 = empty(k, 1)
         self.dz2_flat = self.dz2.reshape(k)
         self.dr1 = empty(k, h)
@@ -384,9 +393,9 @@ class FastGONKernel:
             add(z, bias, z)
             np.greater(z, zero, mask)
             multiply(z, mask, z)  # ReLU, every layer incl. the final one
-        # .mean(axis=1) == sum * (1/n), straight into h0's E_MS half.
+        # .mean(axis=1) == sum * (1/n): the sum goes straight into
+        # h0's E_MS half, and both halves of h0 are scaled at once.
         add.reduce(p.ms_out3, 1, None, p.h0_ms)
-        multiply(p.h0_ms, p.inv_n, p.h0_ms)
 
         # --- eq. 4: one-layer GAT over u_i = M[:, :, :4], read in place
         # from the joint input.
@@ -421,7 +430,7 @@ class FastGONKernel:
         add(agg, one, agg)
         np.reciprocal(agg, agg)  # g
         add.reduce(agg, 1, None, p.h0_g)
-        multiply(p.h0_g, p.inv_n, p.h0_g)
+        multiply(p.h0, p.inv_n, p.h0)  # [E_MS, E_G]
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
         z1 = p.z1
@@ -434,11 +443,8 @@ class FastGONKernel:
         for rows, out in cut.head1:
             matmul(rows, self._head_w1, out)
         add(z2, p.head_bias1, z2)
-        # 1 / (1 + exp(-clip(z2, -60, 60))), in place.  The bounds are
-        # non-zero, so minimum(maximum()) equals np.clip bit for bit.
-        # (maximum and minimum deprecate a positional ``out``.)
-        np.maximum(z2, self._lo, out=z2)
-        np.minimum(z2, self._hi, out=z2)
+        # 1 / (1 + exp(-clip(z2, -60, 60))), in place.
+        _clip(z2, self._lo, self._hi, z2)
         np.negative(z2, z2)
         np.exp(z2, z2)
         add(z2, one, z2)
@@ -460,14 +466,14 @@ class FastGONKernel:
         one = self._one
 
         # d log clip(D) / dD: the clip's inclusive pass-through mask
-        # over the clipped score.  Non-zero bounds again.
+        # over the clipped score.  ``clip(D) == D`` is exactly
+        # ``eps <= D <= 1 - eps``: an in-range D (bounds included)
+        # clips to itself, any other value to a bound it differs from,
+        # and NaN compares unequal.
         clipped = p.clipped
-        np.maximum(scores, self._eps, out=clipped)
-        np.minimum(clipped, self._eps_hi, out=clipped)
+        _clip(scores, self._eps, self._eps_hi, clipped)
         inside = p.inside
-        np.greater_equal(scores, self._eps, inside)
-        np.less_equal(scores, self._eps_hi, p.inside_hi)
-        np.bitwise_and(inside, p.inside_hi, inside)
+        np.equal(clipped, scores, inside)
         d_scores = p.dz2_flat
         np.divide(inside, clipped, d_scores)
         multiply(d_scores, scores, d_scores)

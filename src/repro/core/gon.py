@@ -11,9 +11,11 @@ A composite network over three inputs, matching §IV-A:
   likelihood in [0, 1] that doubles as the *confidence score*.
 
 Because GONs drop the GAN generator entirely, the discriminator is the
-whole model -- the memory-efficiency argument of the paper.  Layer
-width is fixed at 128 and the layer count is the knob grid-searched in
-§V-E (Fig. 6b).
+whole model -- the memory-efficiency argument of the paper.  The
+layer count is the knob grid-searched in §V-E (Fig. 6b).  Layer width
+is the ``hidden`` parameter: 128 is the paper's width and this
+class's default, and scenario campaigns train at
+``CampaignConfig.gon_hidden`` (24).
 """
 
 from __future__ import annotations

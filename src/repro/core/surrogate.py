@@ -28,10 +28,16 @@ exactly ``max_steps`` Adam steps.  The paper ascends "until
 convergence", but trained GONs do not converge within the step
 budget: log D still climbs at the last step, and no update-norm
 tolerance stops an element early.  Adam runs as a fixed sequence of
-in-place ufuncs on preallocated ``[k, n, F]`` state, and the kernel
-runs every step on the plan compiled for the stack's shape.  ``gamma``
-may differ per element; the step count is one per call.  Results come
-back in input order.
+in-place ufuncs on preallocated state (its two moments share one
+``[2, k, n, F]`` buffer, so each moment-wide operation is one ufunc
+call), and the kernel runs every step on the plan compiled for the
+stack's shape.  ``gamma`` may differ per element; the step count is
+one per call.  Results come back in input order.
+
+An ascent runs only what it reads: one forward and one input gradient
+per step, so ``M*`` is never scored.  Callers that need ``D(M*)`` read
+it with :meth:`repro.core.fastscore.FastGONKernel.score_stack`; no
+decision does (the POT gate scores the observed interval).
 
 A call may cut its stack into segments: each segment's results are
 bitwise-equal to a separate call on it alone (see
@@ -49,6 +55,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry as _telemetry
+from .fastscore import _clip
 
 __all__ = ["SurrogateResult", "generate_metrics_batch"]
 
@@ -65,26 +72,26 @@ _ASCENT_BATCH = _telemetry.histogram("gon.ascent.batch_size", _telemetry.SIZE_ED
 
 _BETA1, _BETA2 = 0.9, 0.999
 
-try:
-    _clip = np._core.umath.clip  # the ufunc behind np.clip's wrappers
-except AttributeError:  # numpy < 2
-    _clip = np.core.umath.clip
-
 
 @functools.lru_cache(maxsize=None)
 def _adam_constants(max_steps: int) -> tuple:
-    """Adam's scalar operands as 0-d arrays.
+    """Adam's scalar operands as arrays.
 
     Each is computed in Python floats first, which is what NEP 50 does
-    to the Python scalars of ``m = b1*m + (1-b1)*g`` and friends;
-    per-step bias corrections are one array per step.
+    to the Python scalars of ``m = b1*m + (1-b1)*g`` and friends.  The
+    operands that act on both moments are ``[2, 1, 1, 1]`` pairs
+    (first moment, second moment) that broadcast over the ``[2, k, n,
+    F]`` moment buffer; bias corrections are one pair per step.
     """
     const = np.asarray
 
+    def pair(first: float, second: float) -> np.ndarray:
+        return const([first, second]).reshape(2, 1, 1, 1)
+
     return (
-        const(_BETA1), const(1 - _BETA1), const(_BETA2), const(1 - _BETA2),
-        [const(1 - _BETA1 ** (step + 1)) for step in range(max_steps)],
-        [const(1 - _BETA2 ** (step + 1)) for step in range(max_steps)],
+        pair(_BETA1, _BETA2), const(1 - _BETA1), const(1 - _BETA2),
+        [pair(1 - _BETA1 ** (step + 1), 1 - _BETA2 ** (step + 1))
+         for step in range(max_steps)],
         const(1e-8), const(0.0), const(3.0),
     )
 
@@ -103,10 +110,13 @@ def _segment_sizes(segments: Sequence[int], batch: int) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SurrogateResult:
-    """Outcome of one eq.-1 optimisation run."""
+    """Outcome of one eq.-1 optimisation run.
+
+    ``M*`` only: its confidence ``D(M*)`` is not computed (see the
+    module docstring).
+    """
 
     metrics: np.ndarray       # M* after the ascent
-    confidence: float         # D(M*, S, G)
     n_steps: int              # ascent steps taken: always ``max_steps``
     #: Always False: every ascent runs its fixed step count (kept for
     #: callers that tally convergence).
@@ -148,8 +158,9 @@ def generate_metrics_batch(
         each run's results are bitwise what a separate call on it
         would return.  Empty (the default) is one segment.
 
-    The final confidence is read from the loop's own last forward pass,
-    so no extra forward runs after the loop.
+    Each step runs one kernel forward and one input gradient: no
+    forward scores ``M*``.  Misshapen inputs are rejected before any
+    kernel work.
     """
     schedules = np.asarray(schedules, dtype=float)
     adjacencies = np.asarray(adjacencies, dtype=float)
@@ -171,71 +182,58 @@ def generate_metrics_batch(
         raise ValueError("max_steps must be >= 0")
     segments = _segment_sizes(segments, batch)
 
+    shape = (batch, schedules.shape[1], kernel.n_m_features)
     if init_metrics is None:
         if rng is None:
             raise ValueError("need rng when init_metrics is omitted")
-        current = rng.uniform(
-            0.0, 1.0, size=(batch, schedules.shape[1], kernel.n_m_features)
-        )
+        current = rng.uniform(0.0, 1.0, size=shape)
     else:
         current = np.array(init_metrics, dtype=float, copy=True)
-        if current.shape[:1] != (batch,):
+        if current.shape != shape:
             raise ValueError(
-                f"init_metrics shape {current.shape} does not lead "
-                f"with batch {batch}"
+                f"init_metrics shape {current.shape} is not the "
+                f"[batch, n_hosts, n_m_features] stack {shape}"
             )
 
     # Read-only inputs are never copied here (broadcast views pass
     # through): the kernel copies S into its plan once per call.
     masks, push = kernel.graph_inputs(adjacencies)
-    first_moment = np.zeros_like(current)
-    second_moment = np.zeros_like(current)
-    scratch = np.empty_like(current)
-    update = np.empty_like(current)
-    (beta1, one_m_beta1, beta2, one_m_beta2, corrections1, corrections2,
-     eps, lo, hi) = _adam_constants(max_steps)
+    # Adam's first and second moments, and a pair buffer holding first
+    # their gradient terms, then their bias-corrected estimates.
+    moments = np.zeros((2,) + shape)
+    pair = np.empty_like(moments)
+    (betas, one_m_beta1, one_m_beta2, corrections, eps, lo,
+     hi) = _adam_constants(max_steps)
     multiply, add, divide = np.multiply, np.add, np.divide
 
     # One schedule tag per call: the kernel writes the constant S half
     # of its joint input once per call instead of every step.
     tag = object()
     with _ASCENT_SPAN.time():
-        scores, saved = kernel.forward(
-            current, schedules, masks, push, tag, segments
-        )
         for step in range(max_steps):
-            gradient = kernel.input_gradient(saved)
-            # Adam, in place: the same IEEE operations in the same
-            # order as ``m = b1*m + (1-b1)*g`` and friends.
-            multiply(first_moment, beta1, first_moment)
-            multiply(gradient, one_m_beta1, scratch)
-            add(first_moment, scratch, first_moment)
-            multiply(second_moment, beta2, second_moment)
-            np.square(gradient, scratch)
-            multiply(scratch, one_m_beta2, scratch)
-            add(second_moment, scratch, second_moment)
-            divide(first_moment, corrections1[step], update)
-            divide(second_moment, corrections2[step], scratch)
-            np.sqrt(scratch, scratch)
-            add(scratch, eps, scratch)
-            multiply(update, step_sizes, update)
-            divide(update, scratch, update)
-            add(current, update, current)
-            _clip(current, lo, hi, current)
-            # The next ascent point's forward; after the last step it
-            # scores M*.
-            scores, saved = kernel.forward(
+            _, saved = kernel.forward(
                 current, schedules, masks, push, tag, segments
             )
-        # ``scores`` is a kernel buffer: read it before the next call.
-        confidences = scores.tolist()
+            gradient = kernel.input_gradient(saved)
+            # Adam, in place: the same IEEE operations in the same
+            # order as ``m = b1*m + (1-b1)*g`` and friends, each one
+            # ufunc call over both moments where both take it.
+            multiply(moments, betas, moments)
+            multiply(gradient, one_m_beta1, pair[0])
+            np.square(gradient, pair[1])
+            multiply(pair[1], one_m_beta2, pair[1])
+            add(moments, pair, moments)
+            divide(moments, corrections[step], pair)  # m_hat, v_hat
+            np.sqrt(pair[1], pair[1])
+            add(pair[1], eps, pair[1])
+            multiply(pair[0], step_sizes, pair[0])
+            divide(pair[0], pair[1], pair[0])
+            add(current, pair[0], current)
+            _clip(current, lo, hi, current)
 
     results = [
-        SurrogateResult(
-            metrics=row, confidence=confidence, n_steps=max_steps,
-            converged=False,
-        )
-        for row, confidence in zip(current, confidences)
+        SurrogateResult(metrics=row, n_steps=max_steps, converged=False)
+        for row in current
     ]
     _ASCENT_CALLS.inc()
     _ASCENT_SEGMENTS.add(len(segments))

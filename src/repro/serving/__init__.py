@@ -10,7 +10,7 @@ The request path::
         │  TcpTransport: GON weights + trace stacks packed once, served to  │
         │      each worker on request; one reader thread per client socket  │
         │  GONScoringService: drain the queue -> one kernel                 │
-        │      generate_metrics_batch / score_stack per request -> reply    │
+        │      generate_metrics_batch per request -> reply (M* only)        │
         └──────────▲──────────────────────────────┬─────────────────────────┘
           requests │ (frames, one FIFO)           │ replies (per-client socket)
         ┌──────────┴────────────┐     ┌───────────▼─────────────┐
@@ -116,7 +116,8 @@ Transport guarantees, in the same spirit as the overlay invariants:
    instead of waiting forever.  Frame sizes are bounded, so a corrupt
    length prefix cannot trigger unbounded allocation.  Codes are
    pinned per message; wire protocol 3 retired the confidence frames
-   (codes 9 and 13) and protocol 4 added ``AscentRequest.segments``.
+   (codes 9 and 13), protocol 4 added ``AscentRequest.segments`` and
+   protocol 5 cut ``AscentReply`` to its ``M*`` stack.
 
 The elastic fleet protocol
 --------------------------

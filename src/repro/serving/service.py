@@ -8,8 +8,8 @@ Many lightweight simulation workers feed one scorer::
     worker N ──┘  (one queue)  │  loop     │  └─> reply queue N
                                └───────────┘
                  drain what is already queued,
-                 one kernel ascent / kernel forward per
-                 request, replies routed by client id
+                 one kernel ascent per request,
+                 replies routed by client id
 
 Each request carries a whole candidate stack (a tabu neighbourhood's
 cache misses).  The scorer blocks only while its queue is empty: once a
@@ -280,11 +280,14 @@ class WorkerLost:
 
 @dataclass(frozen=True)
 class AscentReply:
+    """The ``M*`` stack of one request, in submitted order.
+
+    Every element ran the request's ``max_steps`` and none converged
+    early, so the client fills those result fields itself.
+    """
+
     request_id: int
     metrics: np.ndarray      # [B, n, F] M* stack
-    confidences: np.ndarray  # [B]
-    n_steps: np.ndarray      # [B]
-    converged: np.ndarray    # [B] bool
 
 
 @dataclass
@@ -691,10 +694,10 @@ class GONScoringService:
         """One kernel ascent over one request's stack.
 
         A request that cannot be scored (an unknown model key,
-        segments that do not cover the stack, a bad gamma or
-        misshapen arrays) is its client's fault: the client is marked
-        lost, so its leases are requeued or poisoned, and the service
-        keeps scoring for the rest of the fleet.  An overlay protocol
+        segments that do not cover the stack, a bad gamma, misshapen
+        arrays or an empty stack) is its client's fault: the client is
+        marked lost, so its leases are requeued or poisoned, and the
+        service keeps scoring for the rest of the fleet.  An overlay protocol
         violation still stops the service (see :meth:`_resolve_model`).
         """
         self.stats.n_batches += 1
@@ -711,6 +714,10 @@ class GONScoringService:
                 max_steps=request.max_steps,
                 segments=request.segments,
             )
+            reply = AscentReply(
+                request_id=request.request_id,
+                metrics=np.stack([r.metrics for r in results]),
+            )
         except (KeyError, TypeError, ValueError) as error:
             self._mark_lost(
                 request.client_id,
@@ -718,21 +725,7 @@ class GONScoringService:
                 f"{type(error).__name__}: {error}",
             )
             return
-        self._send_reply(
-            request.client_id, _ascent_reply(request.request_id, results)
-        )
-
-
-def _ascent_reply(
-    request_id: int, results: Sequence[SurrogateResult]
-) -> AscentReply:
-    return AscentReply(
-        request_id=request_id,
-        metrics=np.stack([r.metrics for r in results]),
-        confidences=np.array([r.confidence for r in results]),
-        n_steps=np.array([r.n_steps for r in results], dtype=int),
-        converged=np.array([r.converged for r in results], dtype=bool),
-    )
+        self._send_reply(request.client_id, reply)
 
 
 class ScoringClient:
@@ -804,13 +797,8 @@ class ScoringClient:
             segments=tuple(int(size) for size in segments),
         ))
         return [
-            SurrogateResult(
-                metrics=reply.metrics[i],
-                confidence=float(reply.confidences[i]),
-                n_steps=int(reply.n_steps[i]),
-                converged=bool(reply.converged[i]),
-            )
-            for i in range(reply.metrics.shape[0])
+            SurrogateResult(metrics=row, n_steps=max_steps, converged=False)
+            for row in reply.metrics
         ]
 
     def close(self) -> None:

@@ -70,10 +70,10 @@ MAGIC = b"CRL1"
 #: Version 2 added the elastic-fleet frames (LEASE/CELL_DONE/PING) and
 #: the pre-shared auth token field in HELLO; version 3 retired the
 #: confidence request/reply frames; version 4 added
-#: ``AscentRequest.segments``.  The handshake rejects mismatched
-#: versions loudly, so mixed deployments fail fast instead of
-#: mis-decoding.
-PROTOCOL_VERSION = 4
+#: ``AscentRequest.segments``; version 5 cut ``AscentReply`` to its
+#: ``metrics``.  The handshake rejects mismatched versions loudly, so
+#: mixed deployments fail fast instead of mis-decoding.
+PROTOCOL_VERSION = 5
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -179,7 +179,7 @@ _MESSAGES = {
     AscentRequest: (8, ("metrics", "schedules", "adjacencies")),
     OverlayUpdate: (10, ("buffer",)),
     ClientDone: (11, ()),
-    AscentReply: (12, ("metrics", "confidences", "n_steps", "converged")),
+    AscentReply: (12, ("metrics",)),
     # STATS frame: the telemetry snapshot dict rides in the JSON
     # header (it is JSON-safe by construction), no packed body.
     StatsUpdate: (14, ()),

@@ -84,7 +84,7 @@ def generate_metrics(
     max_steps: int = 40,
     adaptive: bool = True,
 ) -> SurrogateResult:
-    """One-sample eq.-1 ascent; returns ``M*`` with its confidence."""
+    """One-sample eq.-1 ascent; returns ``M*``."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n_hosts = int(np.asarray(schedule).shape[0])
@@ -101,8 +101,8 @@ def generate_metrics(
     beta1, beta2 = 0.9, 0.999
     steps_taken = 0
     with _frozen_parameters(model):
-        score = model(current, schedule, adjacency)
         for step in range(max_steps):
+            score = model(current, schedule, adjacency)
             log_likelihood = score.clip(_EPS, 1.0 - _EPS).log()
             log_likelihood.backward()
             gradient = current.grad
@@ -120,11 +120,9 @@ def generate_metrics(
                 np.clip(current.data + update, 0.0, 3.0), requires_grad=True
             )
             steps_taken = step + 1
-            score = model(current, schedule, adjacency)
 
     return SurrogateResult(
         metrics=current.data.copy(),
-        confidence=float(score.data),
         n_steps=steps_taken,
         converged=False,
     )
@@ -175,9 +173,9 @@ def generate_metrics_batch(
     beta1, beta2 = 0.9, 0.999
     steps_taken = 0
     with _frozen_parameters(model):
-        tensor = Tensor(current, requires_grad=True)
-        scores = model.forward_batch(tensor, schedules, adjacencies)
         for step in range(max_steps):
+            tensor = Tensor(current, requires_grad=True)
+            scores = model.forward_batch(tensor, schedules, adjacencies)
             log_likelihood = scores.clip(_EPS, 1.0 - _EPS).log()
             log_likelihood.sum().backward()
             gradient = tensor.grad
@@ -195,13 +193,10 @@ def generate_metrics_batch(
                 update = gamma * gradient
             current = np.clip(current + update, 0.0, 3.0)
             steps_taken = step + 1
-            tensor = Tensor(current, requires_grad=True)
-            scores = model.forward_batch(tensor, schedules, adjacencies)
 
     return [
         SurrogateResult(
             metrics=current[i].copy(),
-            confidence=float(scores.data[i]),
             n_steps=steps_taken,
             converged=False,
         )

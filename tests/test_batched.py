@@ -124,9 +124,6 @@ class TestGenerateMetricsBatchParity:
             np.testing.assert_allclose(
                 vectorized.metrics, sequential.metrics, rtol=RTOL, atol=ATOL
             )
-            np.testing.assert_allclose(
-                vectorized.confidence, sequential.confidence, rtol=RTOL, atol=ATOL
-            )
             assert vectorized.n_steps == sequential.n_steps
             assert vectorized.converged == sequential.converged
 

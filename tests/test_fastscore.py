@@ -8,8 +8,10 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * ``nn/serialization`` inference export -- pack/unpack round-trip
   equality and loud refusal on architecture or shape mismatches;
 * the kernel ascent reproduces the oracle *bit for bit* (float64
-  throughout); a kernel keeps one compiled plan, reuses it across
-  same-shape calls and frees it with itself;
+  throughout), with one forward and one input gradient per step; its
+  clip ufunc and merged clip mask equal their two-op forms; a kernel
+  keeps one compiled plan, reuses it across same-shape calls and
+  frees it with itself;
 * segment exactness: a call cut into segments returns, for every
   element, bitwise what the call on its segment alone returns
   (random partitions);
@@ -43,7 +45,7 @@ import numpy as np
 import pytest
 
 from repro.core import GONDiscriminator
-from repro.core.fastscore import FastGONKernel, gon_inference_meta
+from repro.core.fastscore import FastGONKernel, _clip, gon_inference_meta
 from repro.core.scoring import LocalScorer
 from repro.core.surrogate import generate_metrics_batch
 from repro.core.training import TrainingConfig, train_gon
@@ -78,7 +80,6 @@ def _assert_results_bitwise(fast_results, oracle_results):
     assert len(fast_results) == len(oracle_results)
     for fast, oracle in zip(fast_results, oracle_results):
         assert np.array_equal(fast.metrics, oracle.metrics)
-        assert fast.confidence == oracle.confidence
         assert fast.n_steps == oracle.n_steps
         assert fast.converged == oracle.converged
 
@@ -249,6 +250,59 @@ class TestFastKernelParity:
         fast = generate_metrics_batch(kernel, schedules, adjacencies, **kwargs)
         oracle = oracle_batch(gon, schedules, adjacencies, **kwargs)
         _assert_results_bitwise(fast, oracle)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_ascent_runs_one_forward_and_gradient_per_step(
+        self, trained_gon, session_samples, steps
+    ):
+        # M* is never scored: an n-step ascent makes exactly n forwards
+        # and n input gradients.
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 4)
+        calls = {"forward": 0, "input_gradient": 0}
+
+        def counted(name):
+            method = getattr(kernel, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            setattr(kernel, name, counted(name))
+        generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=metrics,
+            gamma=1e-2, max_steps=steps,
+        )
+        assert calls == {"forward": steps, "input_gradient": steps}
+
+    @pytest.mark.parametrize("lo, hi", [
+        pytest.param(1e-8, 1.0 - 1e-8, id="log-likelihood"),
+        pytest.param(-60.0, 60.0, id="sigmoid-input"),
+    ])
+    def test_clip_ufunc_and_mask_equal_their_old_forms(self, lo, hi):
+        # The kernel clips with the clip ufunc and takes the clip's
+        # pass-through mask as ``clip(x) == x``; both must equal the
+        # forms the autodiff oracle's arithmetic was first matched
+        # with, ``minimum(maximum(x, lo), hi)`` and
+        # ``(x >= lo) & (x <= hi)``, bit for bit: on the bounds and
+        # their neighbours, signed zeros, infinities and NaN.
+        edges = [lo, hi, 0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+        edges += [np.nextafter(b, d) for b in (lo, hi) for d in (-np.inf, np.inf)]
+        values = np.concatenate([
+            np.array(edges),
+            np.random.default_rng(0).uniform(2 * lo - 1, 2 * hi + 1, 64),
+        ])
+        lo_, hi_ = np.asarray(lo), np.asarray(hi)
+        clipped = np.empty_like(values)
+        _clip(values, lo_, hi_, clipped)
+        old = np.minimum(np.maximum(values, lo_), hi_)
+        assert np.array_equal(clipped.view(np.uint64), old.view(np.uint64))
+        mask = np.empty(values.shape, dtype=bool)
+        np.equal(clipped, values, mask)
+        assert np.array_equal(mask, (values >= lo_) & (values <= hi_))
 
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
@@ -580,7 +634,8 @@ class TestServiceFastBackend:
         assert not thread.is_alive()
 
     @pytest.mark.parametrize(
-        "flaw", ["segments", "gamma", "model_key", "metrics"]
+        "flaw",
+        ["segments", "gamma", "model_key", "metrics", "warm_start", "empty"],
     )
     def test_malformed_request_drops_only_its_client(
         self, trained_gon, session_samples, flaw
@@ -606,6 +661,13 @@ class TestServiceFastBackend:
             "model_key": dict(model_key="no-such-scenario"),
             # A 0-d stack: no leading axis to count elements on.
             "metrics": dict(metrics=np.array(0.0)),
+            # A [B, n, 1] warm start: refused before any kernel work.
+            "warm_start": dict(metrics=metrics[..., :1]),
+            # No elements: nothing to stack into a reply.
+            "empty": dict(
+                metrics=metrics[:0], schedules=schedules[:0],
+                adjacencies=adjacencies[:0],
+            ),
         }[flaw])
         request_queue.put(AscentRequest(**bad))
         request_queue.put(AscentRequest(**good))
@@ -621,7 +683,6 @@ class TestServiceFastBackend:
         assert np.array_equal(
             reply.metrics, np.stack([r.metrics for r in oracle])
         )
-        assert reply.confidences.tolist() == [r.confidence for r in oracle]
 
     def test_concurrent_requests_stay_bitwise_without_merging(
         self, trained_gon, session_samples
@@ -695,10 +756,6 @@ class TestServiceFastBackend:
             assert np.array_equal(
                 reply.metrics, np.stack([r.metrics for r in oracle])
             )
-            assert reply.confidences.tolist() == [
-                r.confidence for r in oracle
-            ]
-            assert reply.n_steps.tolist() == [steps] * 3
 
     def test_serve_never_waits_while_holding_a_message(
         self, trained_gon, session_samples

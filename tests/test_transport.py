@@ -104,17 +104,12 @@ class TestWireCodec:
 
     def test_ascent_reply_roundtrip_is_writable(self, rng):
         reply = AscentReply(
-            request_id=5,
-            metrics=rng.standard_normal((3, 8, 7)),
-            confidences=rng.random(3),
-            n_steps=np.array([4, 9, 2], dtype=int),
-            converged=np.array([True, False, True]),
+            request_id=5, metrics=rng.standard_normal((3, 8, 7))
         )
         decoded = _decode_frame(wire.encode_message(reply))
+        assert decoded.request_id == 5
         assert np.array_equal(decoded.metrics, reply.metrics)
-        assert np.array_equal(decoded.n_steps, reply.n_steps)
-        assert decoded.n_steps.dtype == reply.n_steps.dtype
-        assert np.array_equal(decoded.converged, reply.converged)
+        assert decoded.metrics.dtype == reply.metrics.dtype
         # Replies decode to private writable copies: clients may
         # mutate result arrays.
         assert decoded.metrics.flags.writeable
@@ -297,7 +292,6 @@ class TestTcpScoringService:
         )
         for r, ref in zip(remote, local):
             assert np.array_equal(r.metrics, ref.metrics)
-            assert r.confidence == ref.confidence
             assert r.n_steps == ref.n_steps
             assert r.converged == ref.converged
         sign_off(channel, channel.client_id)
@@ -336,7 +330,6 @@ class TestTcpScoringService:
         )
         for r, ref in zip(remote, local):
             assert np.array_equal(r.metrics, ref.metrics)
-            assert r.confidence == ref.confidence
         sign_off(channel, channel.client_id)
         channel.close()
         thread.join(timeout=15)
@@ -532,19 +525,28 @@ class TestTransportFailureModes:
     def test_protocol_3_hello_is_refused(self):
         # Protocol 4 added AscentRequest.segments: a protocol-3 worker
         # would send stacks the service scores as one segment.
-        assert wire.PROTOCOL_VERSION == 4
+        # Protocol 5 cut AscentReply to its metrics: a protocol-4
+        # worker would reject every reply frame.
+        assert wire.PROTOCOL_VERSION == 5
         transport = TcpTransport()
         transport.start()
-        before = _rejections()
-        old = socket.create_connection((transport.host, transport.port))
         try:
-            old.sendall(wire.encode_message(wire.Hello(protocol=3)))
-            _wait_for(lambda: _rejections() == before + 1)
-            old.settimeout(5)
-            assert old.recv(1) == b""  # closed without a Welcome
-            assert transport.n_connected == 0
+            for protocol in (3, 4):
+                before = _rejections()
+                old = socket.create_connection(
+                    (transport.host, transport.port)
+                )
+                try:
+                    old.sendall(
+                        wire.encode_message(wire.Hello(protocol=protocol))
+                    )
+                    _wait_for(lambda: _rejections() == before + 1)
+                    old.settimeout(5)
+                    assert old.recv(1) == b""  # closed without a Welcome
+                    assert transport.n_connected == 0
+                finally:
+                    old.close()
         finally:
-            old.close()
             transport.close()
 
     def test_silent_connection_does_not_block_later_workers(self):
