@@ -327,10 +327,15 @@ class CAROL(ResilienceModel):
                     if cache.get(full_key) == index:
                         del cache[full_key]
                 raise
-            for index, (full_key, indices, result) in enumerate(
-                zip(element_keys, element_slots, results)
+            # Every M* scored in one objective call, bitwise each
+            # matrix's own (see QoSObjective).
+            values = self.objective(
+                np.stack([result.metrics for result in results])
+            ).tolist()
+            for index, (full_key, indices, result, value) in enumerate(
+                zip(element_keys, element_slots, results, values)
             ):
-                entry = (float(self.objective(result.metrics)), result.metrics)
+                entry = (value, result.metrics)
                 if cache.get(full_key) == index:  # not evicted since
                     cache[full_key] = entry
                     self._cache_bytes += result.metrics.nbytes

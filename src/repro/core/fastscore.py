@@ -10,11 +10,15 @@ The fixed-step Adam loop that drives these kernels lives in
 :func:`repro.core.surrogate.generate_metrics_batch` -- the one
 production ascent (decisions, the scoring service, training).
 
-A ``(stack, hosts)`` shape is compiled into a plan: every buffer and
-every reshaped, sliced or transposed view the kernels touch, so a
-step is straight-line ufunc/matmul work with no allocation.  A kernel
-keeps one plan, for its latest shape: an ascent runs all its steps at
-one shape, so the plan is built at most once per call.
+A ``(stack, hosts)`` shape is compiled into a plan: every reshaped,
+sliced or transposed view the kernels touch, so a step is
+straight-line ufunc/matmul work with no allocation.  A kernel keeps
+one grow-only buffer pool per host count, sized for the largest stack
+it has run at that count, and one plan per stack size, viewing the
+first ``k`` elements of the pool's buffers: a repeated size reuses its
+plan, and a stack larger than the pool replaces the pool and drops
+every plan over the old one.  Plans are built once per new size
+(``gon.plans.built`` counts them); an ascent runs all its steps on one.
 
 A stack may be cut into *segments* (consecutive runs of elements):
 every 2-D gemm -- the ``[M, S]`` encoder layers, the GAT ``W`` and
@@ -37,16 +41,26 @@ whole catalog).  Where one ufunc call gives the same bits as several,
 the kernel makes the one: the ``clip`` ufunc for ``minimum(maximum())``,
 the clip mask as ``clip(x) == x`` for ``(x >= lo) & (x <= hi)``
 (equal on the bounds, signed zeros, infinities and NaN), and one
-``1/n`` scale over both halves of the pooled embedding.  The test
-suite holds the first two to their two-op forms.
+``1/n`` scale over both halves of the pooled embedding.  Where a
+cheaper call gives the same bits, the kernel makes it: the 2-D gemms
+go through ``np.dot`` (the same BLAS call as ``np.matmul`` on these
+operands, with less dispatch), and the softmax row max reduces a
+transposed copy of the scores over its middle axis, which numpy runs
+as vector ``maximum`` calls across rows.  That max can differ from
+the last-axis reduce only in the sign of a zero maximum, which the
+shift's ``exp`` erases.  The test suite holds each of these to its
+old form.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import telemetry as _telemetry
 from ..nn.gat import adjacency_with_self_loops
 from ..nn.serialization import (
     InferencePack,
@@ -59,6 +73,9 @@ from .gon import GONDiscriminator
 __all__ = ["FastGONKernel", "gon_inference_meta"]
 
 _EPS = 1e-8  # clip epsilon of the ascent's log-likelihood
+
+#: Plans built, process-wide: a repeated stack size builds none.
+_PLANS_BUILT = _telemetry.counter("gon.plans.built")
 
 try:
     _clip = np._core.umath.clip  # the ufunc behind np.clip's wrappers
@@ -77,40 +94,74 @@ def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
     }
 
 
-class _Plan:
-    """Buffers of one ``(k, n)`` stack shape and every view of them.
+class _Pool:
+    """Grow-only buffers of one host count and the plans viewing them.
 
-    Built when the kernel's stack shape changes, so
+    ``buffers`` are flat arrays sized for ``capacity`` stack elements,
+    filled in allocation order by the first plan (the one at
+    ``capacity``); ``plans`` maps each stack size run so far to its
+    :class:`_Plan`.  ``tag`` names the schedule stack the joint input's
+    S half holds (see :meth:`FastGONKernel.forward`).
+    """
+
+    __slots__ = ("capacity", "buffers", "plans", "tag")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.buffers: List[np.ndarray] = []
+        self.plans: Dict[int, "_Plan"] = {}
+        self.tag: object = None
+
+
+class _Plan:
+    """Every view one ``(k, n)`` stack shape reads and writes.
+
+    Built once per stack size of a pool, so
     :meth:`FastGONKernel.forward` and
     :meth:`FastGONKernel.input_gradient` only make ufunc/matmul calls
-    on ready views and ascent steps allocate nothing.  A plan holds
-    arrays (and the last schedule tag) only -- never its kernel or
-    itself -- so a dropped kernel and its plan are freed by reference
-    counting, without waiting for the cycle collector.
+    on ready views and ascent steps allocate nothing.  Each buffer is
+    the first ``k`` elements of a pool buffer, so a plan's views are
+    laid out exactly as freshly allocated ``k``-element arrays would
+    be.  A plan holds arrays only -- never its pool, its kernel or
+    itself -- so a replaced pool and a dropped kernel are freed by
+    reference counting, without waiting for the cycle collector.
     """
 
     def __init__(self, k: int, n: int, hidden: int, n_layers: int,
                  n_m: int, n_s: int,
                  biases: Tuple[List[np.ndarray], np.ndarray, np.ndarray,
-                               np.ndarray]) -> None:
+                               np.ndarray],
+                 pool: List[np.ndarray]) -> None:
         h = hidden
         flat = k * n
         f_in = n_m + n_s
+        # An empty pool is allocated by this plan, in call order; later
+        # plans take the same buffers' prefixes in the same order.
+        fresh = not pool
+        taken = itertools.count()
 
         def empty(*shape, kind=float):
-            return np.empty(shape, dtype=kind)
+            size = math.prod(shape)
+            if fresh:
+                pool.append(np.empty(size, dtype=kind))
+            return pool[next(taken)][:size].reshape(shape)
 
-        self.shape = (k, n)
+        def repeat(bias, rows):
+            # Bias rows broadcast to the stack once: adding a
+            # same-shape array gives the same sums as the broadcast
+            # add, with a plain loop.  Prefixes of a filled pool
+            # buffer are already filled.
+            out = empty(rows, bias.shape[0])
+            if fresh:
+                out[...] = bias
+            return out
+
         self.inv_n = np.asarray(1.0 / n)
-        self.tag: object = None  # schedule tag of the S half (forward)
-        # Bias rows broadcast to the stack once: adding a same-shape
-        # array gives the same sums as the broadcast add, with a
-        # plain loop.
         ms_biases, gat_b, head_b0, head_b1 = biases
-        self.ms_bias = [np.repeat(b[None], flat, axis=0) for b in ms_biases]
-        self.gat_bias = np.repeat(gat_b[None], flat, axis=0)
-        self.head_bias0 = np.repeat(head_b0[None], k, axis=0)
-        self.head_bias1 = np.repeat(head_b1[None], k, axis=0)
+        self.ms_bias = [repeat(b, flat) for b in ms_biases]
+        self.gat_bias = repeat(gat_b, flat)
+        self.head_bias0 = repeat(head_b0, k)
+        self.head_bias1 = repeat(head_b1, k)
 
         # Forward.
         self.joint = empty(k, n, f_in)
@@ -131,7 +182,11 @@ class _Plan:
         self.q3 = self.q.reshape(k, n, h)
         self.att = empty(k, n, n)
         self.att_t = self.att.swapaxes(-1, -2)
+        # The scores transposed into their own buffer, whose middle
+        # axis the row max reduces.
+        self.att_tc = empty(k, n, n)
         self.row = empty(k, n, 1)
+        self.row_max = self.row.reshape(k, n)
         self.agg = empty(k, n, h)
         self.h0 = empty(k, 2 * h)
         self.h0_ms = self.h0[:, :h]
@@ -320,9 +375,8 @@ class FastGONKernel:
         self._hi = np.asarray(60.0)
         self._eps = np.asarray(_EPS)
         self._eps_hi = np.asarray(1.0 - _EPS)
-        # The compiled plan of the latest ``(stack, hosts)`` shape; see
-        # :class:`_Plan`.
-        self._last_plan: Optional[_Plan] = None
+        # One buffer pool per host count; see :class:`_Pool`.
+        self._pools: Dict[int, _Pool] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -333,17 +387,25 @@ class FastGONKernel:
         return cls(pack)
 
     # ------------------------------------------------------------------
-    def _plan(self, k: int, n: int) -> "_Plan":
-        """The compiled plan of a ``[k, n]`` stack; replaces the last."""
-        plan = self._last_plan
-        if plan is None or plan.shape != (k, n):
-            plan = self._last_plan = _Plan(
+    def _plan(self, k: int, n: int) -> Tuple[_Pool, _Plan]:
+        """The pool of ``n`` hosts and the plan of a ``[k, n]`` stack.
+
+        A stack larger than the pool replaces it (and its plans).
+        """
+        pool = self._pools.get(n)
+        if pool is None or k > pool.capacity:
+            pool = self._pools[n] = _Pool(k)
+        plan = pool.plans.get(k)
+        if plan is None:
+            plan = pool.plans[k] = _Plan(
                 k, n, self.hidden, self.n_layers, self.n_m_features,
                 self.n_s_features,
                 ([bias for _, bias in self._ms], self._gat_b,
                  self._head_b0, self._head_b1),
+                pool.buffers,
             )
-        return plan
+            _PLANS_BUILT.inc()
+        return pool, plan
 
     # ------------------------------------------------------------------
     def graph_inputs(
@@ -375,21 +437,21 @@ class FastGONKernel:
         the stack's segments (module docstring), empty for one.
         """
         k, n, _ = metrics.shape
-        p = self._plan(k, n)
+        pool, p = self._plan(k, n)
         cut = p.cut_for(segments or (k,))
-        matmul, add, multiply = np.matmul, np.add, np.multiply
+        dot, add, multiply = np.dot, np.add, np.multiply
         zero, one = self._zero, self._one
 
         # --- eq. 3: per-host feed-forward over [M, S], mean-pooled.
         p.joint_m[...] = metrics
-        if tag is None or p.tag is not tag:
+        if tag is None or pool.tag is not tag:
             p.joint_s[...] = schedules
-            p.tag = tag
+            pool.tag = tag
         for (weight, _), pairs, z, bias, mask in zip(
             self._ms, cut.ms, p.ms_z, p.ms_bias, p.ms_mask
         ):
             for rows, out in pairs:
-                matmul(rows, weight, out)
+                dot(rows, weight, out)
             add(z, bias, z)
             np.greater(z, zero, mask)
             multiply(z, mask, z)  # ReLU, every layer incl. the final one
@@ -401,17 +463,18 @@ class FastGONKernel:
         # from the joint input.
         msg = p.msg
         for rows, out in cut.gat_w:
-            matmul(rows, self._gat_w, out)
+            dot(rows, self._gat_w, out)
         add(msg, p.gat_bias, msg)
         np.tanh(msg, msg)  # messages_flat
         for rows, out in cut.gat_a:
-            matmul(rows, self._gat_a, out)
+            dot(rows, self._gat_a, out)
         att = p.att
-        matmul(p.q3, p.msg3_t, att)
+        np.matmul(p.q3, p.msg3_t, att)
         # Fused masked softmax (same arithmetic as nn.gat._masked_softmax).
         add(att, push, att)
         row = p.row
-        np.maximum.reduce(att, -1, None, row, True)
+        np.copyto(p.att_tc, p.att_t)
+        np.maximum.reduce(p.att_tc, 1, None, p.row_max)
         np.subtract(att, row, att)
         np.exp(att, att)
         multiply(att, masks, att)
@@ -419,7 +482,7 @@ class FastGONKernel:
         add(row, self._tiny, row)
         np.divide(att, row, att)
         agg = p.agg
-        matmul(att, p.msg3, agg)
+        np.matmul(att, p.msg3, agg)
         # sigma(agg).  The autodiff model clips the sigmoid input to
         # [-60, 60] first, but agg is an attention-weighted average of
         # tanh outputs: |agg| <= sum_j w_j |m_j| < 1 (weights are
@@ -435,13 +498,13 @@ class FastGONKernel:
         # --- eq. 5: sigmoid head over [E_MS, E_G].
         z1 = p.z1
         for rows, out in cut.head0:
-            matmul(rows, self._head_w0, out)
+            dot(rows, self._head_w0, out)
         add(z1, p.head_bias0, z1)
         np.greater(z1, zero, p.mask1)
         multiply(z1, p.mask1, z1)  # r1
         z2 = p.z2
         for rows, out in cut.head1:
-            matmul(rows, self._head_w1, out)
+            dot(rows, self._head_w1, out)
         add(z2, p.head_bias1, z2)
         # 1 / (1 + exp(-clip(z2, -60, 60))), in place.
         _clip(z2, self._lo, self._hi, z2)
@@ -462,7 +525,8 @@ class FastGONKernel:
         """
         scores = p.scores
         cut = p.cut
-        matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
+        dot, matmul = np.dot, np.matmul
+        multiply, subtract = np.multiply, np.subtract
         one = self._one
 
         # d log clip(D) / dD: the clip's inclusive pass-through mask
@@ -480,10 +544,10 @@ class FastGONKernel:
         subtract(one, scores, clipped)
         multiply(d_scores, clipped, d_scores)  # (d * D) * (1 - D): dz2
         for rows, out in cut.d_head1:
-            matmul(rows, self._head_w1_t, out)
+            dot(rows, self._head_w1_t, out)
         multiply(p.dr1, p.mask1, p.dz1)
         for rows, out in cut.d_head0:
-            matmul(rows, self._head_w0_t, out)
+            dot(rows, self._head_w0_t, out)
         multiply(p.dh0, p.inv_n, p.dh0)
 
         # --- GAT branch.
@@ -508,14 +572,14 @@ class FastGONKernel:
         matmul(dsc, p.msg3, tmp3)  # d queries
         dpre = p.dpre
         for rows, out in cut.d_gat_a:
-            matmul(rows, self._gat_a_t, out)
+            dot(rows, self._gat_a_t, out)
         dmsg = p.dmsg
         np.add(dmsg, dpre, dmsg)
         np.square(p.msg, dpre)
         subtract(one, dpre, dpre)
         multiply(dmsg, dpre, dmsg)  # now d(pre-tanh)
         for rows, out in cut.d_gat_w:
-            matmul(rows, self._gat_w_t, out)
+            dot(rows, self._gat_w_t, out)
 
         # --- [M, S] encoder branch, top layer first; the top layer's
         # upstream is d E_MS broadcast over the host axis.
@@ -525,7 +589,7 @@ class FastGONKernel:
         ):
             multiply(upstream, mask3, dz3)
             for rows, out in pairs:
-                matmul(rows, weight_t, out)
+                dot(rows, weight_t, out)
             upstream = out3
         # dM: the M half of d joint, plus the GAT input's gradient.
         np.add(p.grad_u, p.du3, p.grad_u)

@@ -125,17 +125,23 @@ def neighbours(topology: Topology, max_lei_size: int | None = None) -> List[Topo
                     continue
                 results.append(topology.demote(broker, target))
 
-    # Worker-to-broker: split an LEI at one of its workers.
+    # Worker-to-broker: split an LEI at one of its workers, which
+    # becomes the broker of every other of the LEI's remaining workers.
+    # One construction per option: the assignment a promote followed
+    # by one reassign per mover would leave, in the same key order.
     for broker in brokers:
         lei = topology.lei(broker)
         if len(lei) < 2:
             continue
         for worker in lei:
-            split = topology.promote(worker)
-            movers = [w for w in lei if w != worker][:: 2]
-            for mover in movers:
-                split = split.reassign(mover, worker)
-            results.append(split)
+            assignment = dict(topology.assignment)
+            del assignment[worker]
+            for mover in [w for w in lei if w != worker][:: 2]:
+                assignment[mover] = worker
+            results.append(
+                Topology(topology.n_hosts, topology.brokers | {worker},
+                         assignment)
+            )
 
     # Worker reassignment: move one worker to a different broker.
     for worker in topology.workers:

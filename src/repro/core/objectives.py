@@ -21,7 +21,16 @@ __all__ = ["QoSObjective"]
 
 
 class QoSObjective:
-    """Callable computing ``O(M)`` from a metric matrix."""
+    """Callable computing ``O(M)`` from a metric matrix or a stack.
+
+    A ``[n_hosts, features]`` matrix gives a float; a ``[k, n_hosts,
+    features]`` stack gives the ``[k]`` vector of its matrices'
+    objectives in one call, bitwise-equal to calling each matrix on its
+    own.  The stack is read in C order, so numpy sums each matrix's
+    column as the inner loop of the reduction, as it sums a lone
+    column (pairwise from 8 hosts up); with the stack axis innermost
+    it would add the hosts one by one instead.
+    """
 
     def __init__(self, alpha: float = 0.5, beta: float = 0.5) -> None:
         if abs(alpha + beta - 1.0) > 1e-9:
@@ -31,10 +40,18 @@ class QoSObjective:
         self.alpha = alpha
         self.beta = beta
 
-    def __call__(self, metrics: np.ndarray) -> float:
+    def __call__(self, metrics: np.ndarray):
         metrics = np.asarray(metrics)
+        if metrics.ndim == 3:
+            metrics = np.ascontiguousarray(metrics)
+            q_energy = metrics[:, :, ENERGY_COLUMN].sum(axis=1)
+            q_slo = metrics[:, :, SLO_COLUMN].sum(axis=1)
+            return self.alpha * q_energy + self.beta * q_slo
         if metrics.ndim != 2:
-            raise ValueError("metrics must be a [n_hosts, features] matrix")
+            raise ValueError(
+                "metrics must be a [n_hosts, features] matrix or a "
+                "[k, n_hosts, features] stack"
+            )
         q_energy = float(metrics[:, ENERGY_COLUMN].sum())
         q_slo = float(metrics[:, SLO_COLUMN].sum())
         return self.alpha * q_energy + self.beta * q_slo

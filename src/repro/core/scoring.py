@@ -99,9 +99,10 @@ class SurrogateScorer(Protocol):
 class LocalScorer:
     """In-process scorer over an owned :class:`GONDiscriminator`.
 
-    The kernel is built lazily on first ascent and rebuilt whenever
-    :meth:`fine_tune` bumps :attr:`generation`; so is the kernel
-    confidence reads use.
+    The kernel is built lazily on first use and rebuilt whenever
+    :meth:`fine_tune` bumps :attr:`generation`.  Ascents and
+    confidence reads share it: each stack size keeps its own plan, so
+    a single-sample read never replaces an ascent's.
     """
 
     def __init__(self, model: GONDiscriminator) -> None:
@@ -109,8 +110,6 @@ class LocalScorer:
         self.generation = 0
         self._kernel = None
         self._kernel_generation = -1
-        self._reader = None
-        self._reader_generation = -1
 
     def kernel(self) -> FastGONKernel:
         """The cached kernel, re-exported after fine-tuning."""
@@ -118,17 +117,6 @@ class LocalScorer:
             self._kernel = FastGONKernel.from_model(self.model)
             self._kernel_generation = self.generation
         return self._kernel
-
-    def confidence_kernel(self) -> FastGONKernel:
-        """The cached kernel of confidence reads.
-
-        Its own instance over the ascent kernel's export, so
-        single-sample reads never replace the ascent kernel's plan.
-        """
-        if self._reader is None or self._reader_generation != self.generation:
-            self._reader = FastGONKernel(self.kernel().pack)
-            self._reader_generation = self.generation
-        return self._reader
 
     def ascent(
         self,
@@ -150,7 +138,7 @@ class LocalScorer:
         )
 
     def confidence(self, sample: GONInput) -> float:
-        return sample_confidence(self.confidence_kernel(), sample)
+        return sample_confidence(self.kernel(), sample)
 
     def fine_tune(
         self,

@@ -48,6 +48,7 @@ bitwise-equal to a separate call on it alone (see
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -172,11 +173,18 @@ def generate_metrics_batch(
     batch = schedules.shape[0]
     if batch == 0:
         return []
-    gamma = np.asarray(gamma, dtype=float)
-    # ``not (gamma > 0)`` also catches NaN, which ``gamma <= 0`` lets by.
-    if not np.all(np.isfinite(gamma) & (gamma > 0)):
-        raise ValueError("gamma must be positive and finite")
-    step_sizes = np.broadcast_to(gamma, (batch,))[:, None, None]
+    # A scalar step size is checked in Python, without an array round
+    # trip.  ``not (gamma > 0)`` also catches NaN, which ``gamma <= 0``
+    # lets by.
+    if isinstance(gamma, (int, float)):
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError("gamma must be positive and finite")
+        step_sizes = np.asarray(float(gamma))
+    else:
+        gamma = np.asarray(gamma, dtype=float)
+        if not np.all(np.isfinite(gamma) & (gamma > 0)):
+            raise ValueError("gamma must be positive and finite")
+        step_sizes = np.broadcast_to(gamma, (batch,))[:, None, None]
     max_steps = operator.index(max_steps)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -188,7 +196,9 @@ def generate_metrics_batch(
             raise ValueError("need rng when init_metrics is omitted")
         current = rng.uniform(0.0, 1.0, size=shape)
     else:
-        current = np.array(init_metrics, dtype=float, copy=True)
+        # C order: a copy keeps the input's stride order by default,
+        # which puts the stack axis of a broadcast warm start innermost.
+        current = np.array(init_metrics, dtype=float, order="C")
         if current.shape != shape:
             raise ValueError(
                 f"init_metrics shape {current.shape} is not the "

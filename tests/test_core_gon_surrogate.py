@@ -212,6 +212,27 @@ class TestQoSObjective:
         assert q_energy == pytest.approx(1.0)
         assert q_slo == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [5, 8, 10, 13, 16])
+    @pytest.mark.parametrize("k", [1, 7, 24])
+    def test_stack_equals_per_matrix_calls(self, n, k):
+        # CAROL scores a call's whole M* stack in one objective call;
+        # each value must be the matrix's own call bit for bit, also
+        # from 8 hosts up, where numpy sums a column pairwise.  Mixed
+        # magnitudes make the summation order show in the last bits.
+        rng = np.random.default_rng([n, k])
+        matrices = [
+            rng.standard_normal((n, N_M_FEATURES))
+            * 10.0 ** rng.uniform(-6, 6, (n, N_M_FEATURES))
+            for _ in range(k)
+        ]
+        objective = QoSObjective(0.3, 0.7)
+        expected = [objective(m) for m in matrices]
+        stack = np.stack(matrices)
+        for layout in (stack, np.asfortranarray(stack)):
+            values = objective(layout)
+            assert values.shape == (k,)
+            assert values.tolist() == expected
+
     def test_rejects_vector_input(self):
         with pytest.raises(ValueError):
             QoSObjective()(np.zeros(N_M_FEATURES))

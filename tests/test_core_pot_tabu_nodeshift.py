@@ -164,6 +164,63 @@ class TestNeighbourhood:
         for option in options:
             assert max(option.lei_sizes().values()) <= 3
 
+    @pytest.mark.parametrize("max_lei_size", [None, 3])
+    def test_split_options_equal_promote_then_reassign(self, max_lei_size):
+        # Each split option is built as one Topology; the chain it
+        # replaced (promote the worker, then reassign each mover) is
+        # kept here as the oracle.  Same options, keys and assignment
+        # order, in the same order, on random topologies (some with
+        # unattached hosts, as after a failure).
+        def chained(topology):
+            results = []
+            brokers = sorted(topology.brokers)
+            if len(brokers) >= 2:
+                for broker in brokers:
+                    for target in brokers:
+                        if broker != target:
+                            results.append(topology.demote(broker, target))
+            for broker in brokers:
+                lei = topology.lei(broker)
+                if len(lei) < 2:
+                    continue
+                for worker in lei:
+                    split = topology.promote(worker)
+                    for mover in [w for w in lei if w != worker][:: 2]:
+                        split = split.reassign(mover, worker)
+                    results.append(split)
+            for worker in topology.workers:
+                for target in brokers:
+                    if target != topology.assignment[worker]:
+                        results.append(topology.reassign(worker, target))
+            if max_lei_size is not None:
+                results = [
+                    t for t in results
+                    if max(t.lei_sizes().values(), default=0) <= max_lei_size
+                ]
+            unique = {}
+            for result in results:
+                unique[result.canonical_key()] = result
+            unique.pop(topology.canonical_key(), None)
+            return list(unique.values())
+
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n_hosts = int(rng.integers(2, 17))
+            hosts = rng.permutation(n_hosts).tolist()
+            n_brokers = int(rng.integers(1, n_hosts // 2 + 1))
+            brokers, rest = hosts[:n_brokers], hosts[n_brokers:]
+            attached = rest[: int(rng.integers(0, len(rest) + 1))]
+            topology = Topology(n_hosts, brokers, {
+                worker: brokers[int(rng.integers(n_brokers))]
+                for worker in attached
+            })
+            new = neighbours(topology, max_lei_size=max_lei_size)
+            old = chained(topology)
+            assert [t.canonical_key() for t in new] == [
+                t.canonical_key() for t in old]
+            assert [list(t.assignment.items()) for t in new] == [
+                list(t.assignment.items()) for t in old]
+
     def test_random_shift_returns_neighbour(self, rng):
         topo = initial_topology(8, 2)
         shifted = random_node_shift(topo, rng)

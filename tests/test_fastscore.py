@@ -10,8 +10,9 @@ keeps the autodiff ascent it must reproduce.  Pinned here:
 * the kernel ascent reproduces the oracle *bit for bit* (float64
   throughout), with one forward and one input gradient per step; its
   clip ufunc and merged clip mask equal their two-op forms; a kernel
-  keeps one compiled plan, reuses it across same-shape calls and
-  frees it with itself;
+  keeps one buffer pool per host count and one plan per stack size,
+  builds no plan for a repeated size, and frees an outgrown pool and
+  a dropped kernel's pool by reference counting;
 * segment exactness: a call cut into segments returns, for every
   element, bitwise what the call on its segment alone returns
   (random partitions);
@@ -304,6 +305,94 @@ class TestFastKernelParity:
         np.equal(clipped, values, mask)
         assert np.array_equal(mask, (values >= lo_) & (values <= hi_))
 
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    def test_dot_gemms_equal_matmul(self, n):
+        # The kernel runs its 2-D gemms through ``np.dot``; each must
+        # equal ``np.matmul`` bit for bit on the operands the kernel
+        # hands it: segment row slices of its plan, the transposed
+        # weight views of the backward and the [k, 1] head.
+        rng = np.random.default_rng([n, 11])
+        gon = GONDiscriminator(rng, hidden=24, n_layers=2)
+        kernel = FastGONKernel.from_model(gon)
+        k = 13
+        metrics = rng.uniform(0, 1, size=(k, n, gon.n_m_features))
+        schedules = rng.uniform(0, 1, size=(k, n, gon.n_s_features))
+        adjacencies = (rng.random((k, n, n)) > 0.5).astype(float)
+        _, plan = kernel.forward(
+            metrics, schedules, *kernel.graph_inputs(adjacencies),
+            segments=(1, 7, 5),
+        )
+        kernel.input_gradient(plan)
+        cut = plan.cut
+        weights = {
+            "gat_w": kernel._gat_w, "gat_a": kernel._gat_a,
+            "head0": kernel._head_w0, "head1": kernel._head_w1,
+            "d_head1": kernel._head_w1_t, "d_head0": kernel._head_w0_t,
+            "d_gat_a": kernel._gat_a_t, "d_gat_w": kernel._gat_w_t,
+        }
+        gemms = [(weight, getattr(cut, name)) for name, weight in weights.items()]
+        gemms += zip([weight for weight, _ in kernel._ms], cut.ms)
+        gemms += zip(kernel._ms_back, cut.d_ms)
+        kinds = set()
+        for weight, pairs in gemms:
+            assert len(pairs) == 3
+            for rows, out in pairs:
+                kinds.add((weight.flags.c_contiguous, weight.shape[1] == 1))
+                np.matmul(rows, weight, out)
+                old = out.copy()
+                np.dot(rows, weight, out)
+                assert np.array_equal(out.view(np.uint64), old.view(np.uint64))
+        # Plain and transposed weights, and the [*, 1] head, were all
+        # among them.
+        assert kinds >= {(True, False), (False, False), (True, True)}
+
+    def test_transposed_row_max_equals_last_axis_max(self):
+        # The softmax shift reduces a transposed copy of the scores
+        # over its middle axis instead of the scores over their last
+        # axis.  On rows mixing signed zeros, infinities and NaN the
+        # two maxima are equal, or both NaN, and may differ only in the
+        # sign of a zero maximum; the shifted exponents the kernel
+        # reads from them are equal bit for bit.
+        rng = np.random.default_rng(3)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1e9])
+        for n in (5, 8, 13, 16):
+            scores = rng.standard_normal((64, n, n))
+            special = rng.random(scores.shape) < 0.4
+            scores[special] = rng.choice(specials, size=int(special.sum()))
+            old = np.empty((64, n, 1))
+            np.maximum.reduce(scores, -1, None, old, True)
+            transposed = np.empty_like(scores)
+            np.copyto(transposed, scores.swapaxes(-1, -2))
+            new = np.empty((64, n, 1))
+            np.maximum.reduce(transposed, 1, None, new.reshape(64, n))
+            assert np.array_equal(new, old, equal_nan=True)
+            with np.errstate(invalid="ignore"):
+                shifted_old = np.exp(scores - old)
+                shifted_new = np.exp(scores - new)
+            assert np.array_equal(shifted_new.view(np.uint64),
+                                  shifted_old.view(np.uint64))
+
+    def test_broadcast_warm_start_returns_c_contiguous_rows(
+        self, trained_gon, session_samples
+    ):
+        # CAROL warm-starts every candidate from one observed matrix
+        # through a broadcast view.  The ascent's copy of it is C
+        # ordered, so each returned M* row is one contiguous matrix,
+        # not a strided slice across the stack.
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 6)
+        warm = np.broadcast_to(metrics[0], metrics.shape)
+        results = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=warm,
+            gamma=1e-2, max_steps=2,
+        )
+        assert all(r.metrics.flags.c_contiguous for r in results)
+        copied = generate_metrics_batch(
+            kernel, schedules, adjacencies, init_metrics=warm.copy(),
+            gamma=1e-2, max_steps=2,
+        )
+        _assert_results_bitwise(results, copied)
+
     def test_per_element_parameters_match_split_calls(
         self, trained_gon, session_samples
     ):
@@ -359,13 +448,17 @@ class TestFastKernelParity:
     def test_workspace_cache_keeps_one_entry(
         self, trained_gon, session_samples
     ):
-        # Decisions interleave lone ascents, maintenance slates and
-        # tabu samples on one kernel.  The kernel keeps exactly one
-        # compiled plan, for the latest shape; a call at that shape
-        # reuses it, and every step of an ascent runs on it.
+        # Decisions interleave lone reads, maintenance slates and tabu
+        # samples on one kernel.  The kernel keeps one buffer pool per
+        # host count and one plan per stack size over it: a repeated
+        # size builds nothing and reuses its plan, and a larger stack
+        # replaces the pool and its plans.
+        from repro import telemetry
+
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 12)
         n = metrics.shape[1]
+        built = telemetry.counter("gon.plans.built")
 
         def ascend(size):
             return generate_metrics_batch(
@@ -373,15 +466,28 @@ class TestFastKernelParity:
                 init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
             )
 
-        for size in (1, 7, 12) * 2:
-            ascend(size)
-            plan = kernel._last_plan
-            assert plan.shape == (size, n)
-            ascend(size)
-            assert kernel._last_plan is plan
-        kernel.score_stack(metrics[:4], schedules[:4], adjacencies[:4])
-        assert kernel._last_plan.shape == (4, n)
-        # A replaced plan still reproduces the oracle bit for bit.
+        def builds(call):
+            before = built.value
+            call()
+            return built.value - before
+
+        assert [builds(lambda: ascend(size)) for size in (7, 1, 7, 1)] == [
+            1, 1, 0, 0]
+        pool = kernel._pools[n]
+        assert pool.capacity == 7 and sorted(pool.plans) == [1, 7]
+        plans = dict(pool.plans)
+        assert builds(lambda: kernel.score_stack(
+            metrics[:4], schedules[:4], adjacencies[:4])) == 1
+        assert all(pool.plans[size] is plans[size] for size in plans)
+        # Growth: a new pool, with only the new size's plan on it.
+        assert builds(lambda: ascend(12)) == 1
+        assert list(kernel._pools) == [n]
+        grown = kernel._pools[n]
+        assert grown is not pool and grown.capacity == 12
+        assert list(grown.plans) == [12]
+        assert [builds(lambda: ascend(size)) for size in (1, 7, 12) * 2] == [
+            1, 1, 0, 0, 0, 0]
+        # Prefix plans still reproduce the oracle bit for bit.
         for size in (1, 7, 12):
             _assert_results_bitwise(
                 ascend(size),
@@ -394,10 +500,12 @@ class TestFastKernelParity:
     def test_dropped_kernel_is_freed_by_reference_counting(
         self, trained_gon, session_samples
     ):
-        # A plan must not reference its kernel or itself: a cycle would
-        # keep every replaced plan and every re-exported kernel's
-        # buffers alive until the cycle collector happens to run.
+        # A plan must not reference its pool, its kernel or itself: a
+        # cycle would keep every outgrown pool and every re-exported
+        # kernel's buffers alive until the cycle collector happens to
+        # run.
         metrics, schedules, adjacencies = _stacks(session_samples, 7)
+        n = metrics.shape[1]
         kernel = FastGONKernel.from_model(trained_gon)
 
         def ascend(size):
@@ -406,19 +514,26 @@ class TestFastKernelParity:
                 init_metrics=metrics[:size], gamma=1e-2, max_steps=2,
             )
 
+        def pool_refs():
+            pool = kernel._pools[n]
+            return ([weakref.ref(buffer) for buffer in pool.buffers]
+                    + [weakref.ref(plan) for plan in pool.plans.values()])
+
+        ascend(3)
         ascend(1)
-        replaced = weakref.ref(kernel._last_plan)
+        outgrown = pool_refs()
         gc.disable()
         try:
             ascend(7)
-            assert replaced() is None
+            assert all(ref() is None for ref in outgrown)
             ascend(3)
             kernel.score_stack(metrics, schedules, adjacencies)
             alive = weakref.ref(kernel)
-            plan = weakref.ref(kernel._last_plan)
+            pool = pool_refs()
+            assert len(pool) > 2
             del kernel
             assert alive() is None
-            assert plan() is None
+            assert all(ref() is None for ref in pool)
         finally:
             gc.enable()
 
@@ -529,7 +644,7 @@ class TestLocalScorerBackends:
         # to the model's own forward.
         scorer = LocalScorer(trained_gon)
         assert {
-            array.dtype for array in scorer.confidence_kernel().pack.arrays.values()
+            array.dtype for array in scorer.kernel().pack.arrays.values()
         } == {np.dtype(np.float64)}
         for sample in session_samples[:12]:
             assert scorer.confidence(sample) == trained_gon.score(sample)
@@ -538,7 +653,7 @@ class TestLocalScorerBackends:
         self, trained_gon, session_samples, monkeypatch
     ):
         scorer = LocalScorer(trained_gon)
-        kernel = scorer.confidence_kernel()
+        kernel = scorer.kernel()
 
         def no_kernel(*args, **kwargs):
             raise AssertionError("kernel forward ran")
