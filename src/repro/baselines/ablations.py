@@ -17,18 +17,16 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.carol import CAROL, CAROLConfig
+from ..core.carol import CAROL, CAROLConfig, tabu_repair
 from ..core.features import GONInput, from_interval
 from ..core.gon import GONDiscriminator
 from ..core.interface import ResilienceModel
-from ..core.nodeshift import neighbours, random_node_shift
 from ..core.objectives import QoSObjective
 from ..core.pot import PeakOverThreshold
-from ..core.tabu import tabu_search
 from ..nn import Adam, FeedForward, Tensor, mse_loss
 from ..simulator.detection import FailureReport
 from ..simulator.engine import SystemView
@@ -44,41 +42,6 @@ __all__ = [
     "WithTraditionalSurrogate",
     "summary_features",
 ]
-
-
-def _tabu_repair(
-    report: FailureReport,
-    proposal: Topology,
-    omega: Callable[..., List[float]],
-    rng: np.random.Generator,
-    config: CAROLConfig,
-) -> Topology:
-    """The surrogate ablations' repair: per failed broker, a tabu
-    search scored by ``omega`` from a random node shift, over
-    neighbourhoods sampled down to ``config.neighbourhood_sample``.
-    ``rng`` draws the shift, then each oversized neighbourhood's sample.
-    """
-    def sampled_neighbours(topology: Topology) -> List[Topology]:
-        options = neighbours(topology)
-        limit = config.neighbourhood_sample
-        if len(options) > limit:
-            chosen = rng.choice(len(options), size=limit, replace=False)
-            options = [options[i] for i in chosen]
-        return options
-
-    current = proposal
-    for _failed in report.failed_brokers:
-        start = random_node_shift(current, rng)
-        result = tabu_search(
-            start,
-            objective=omega,
-            neighbourhood=sampled_neighbours,
-            tabu_size=config.tabu_size,
-            max_iterations=config.tabu_iterations,
-            patience=config.tabu_patience,
-        )
-        current = result.best
-    return current
 
 
 class AlwaysFineTune(CAROL):
@@ -307,7 +270,7 @@ class WithGAN(ResilienceModel):
                 for candidate in candidates
             ]
 
-        return _tabu_repair(report, proposal, omega, self.rng, self.config)
+        return tabu_repair(report, proposal, omega, self.rng, self.config)[0]
 
     def observe(self, metrics: IntervalMetrics, view: SystemView) -> None:
         sample = from_interval(metrics)
@@ -414,7 +377,7 @@ class WithTraditionalSurrogate(ResilienceModel):
                 for candidate in candidates
             ]
 
-        return _tabu_repair(report, proposal, omega, self.rng, self.config)
+        return tabu_repair(report, proposal, omega, self.rng, self.config)[0]
 
     def observe(self, metrics: IntervalMetrics, view: SystemView) -> None:
         sample = from_interval(metrics)

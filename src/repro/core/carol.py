@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +31,14 @@ from ..simulator.topology import Topology
 from .features import GONInput, from_interval
 from .gon import GONDiscriminator
 from .interface import ResilienceModel
-from .nodeshift import neighbours, random_node_shift, reassignment_neighbours
+from .nodeshift import neighbours, random_node_shift, reassignment_neighbours, sample
 from .objectives import QoSObjective
 from .pot import PeakOverThreshold
 from .scoring import LocalScorer, SurrogateScorer
 from .tabu import tabu_search
 from .training import TrainingConfig
 
-__all__ = ["CAROLConfig", "CAROL"]
+__all__ = ["CAROLConfig", "CAROL", "tabu_repair"]
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ class CAROLDiagnostics:
     and ``carol.fine_tunes``); the legacy attribute reads
     (``cache_hits`` etc.) and the :meth:`counters` keys are preserved
     as aliases.  This registry is deterministic bookkeeping that feeds
-    ``RunRecord.diagnostics``, so it stays enabled regardless of the
-    process-wide telemetry toggle.
+    ``RunRecord.diagnostics``.
     """
 
     confidences: List[float] = field(default_factory=list)
@@ -157,6 +156,38 @@ class CAROLDiagnostics:
             "cache_evictions": self.cache_evictions,
             "decision_digest": self.decision_digest,
         }
+
+
+def tabu_repair(
+    report: FailureReport,
+    proposal: Topology,
+    omega: Callable[..., List[float]],
+    rng: np.random.Generator,
+    config: CAROLConfig,
+) -> Tuple[Topology, tuple]:
+    """Alg. 2 lines 7-8: per failed broker, a tabu search scored by
+    ``omega`` from a random node shift of the incumbent, over
+    neighbourhoods sampled down to ``config.neighbourhood_sample``.
+
+    ``rng`` draws the shift, then each oversized neighbourhood's
+    sample.  Returns the last search's best topology and its canonical
+    key.
+    """
+    def sampled_neighbours(topology: Topology) -> List[Topology]:
+        return sample(neighbours(topology), config.neighbourhood_sample, rng)
+
+    best, best_key = proposal, proposal.canonical_key()
+    for _failed in report.failed_brokers:
+        result = tabu_search(
+            random_node_shift(best, rng),
+            objective=omega,
+            neighbourhood=sampled_neighbours,
+            tabu_size=config.tabu_size,
+            max_iterations=config.tabu_iterations,
+            patience=config.tabu_patience,
+        )
+        best, best_key = result.best, result.best_key
+    return best, best_key
 
 
 class CAROL(ResilienceModel):
@@ -385,31 +416,14 @@ class CAROL(ResilienceModel):
                 )
             ]
 
-        def sampled_neighbours(topology: Topology) -> List[Topology]:
-            options = neighbours(topology)
-            limit = self.config.neighbourhood_sample
-            if len(options) > limit:
-                chosen = self.rng.choice(len(options), size=limit, replace=False)
-                options = [options[i] for i in chosen]
-            return options
-
         if report.failed_brokers:
             # Lines 7-8: random node-shift as the search start, once
             # per failed broker, then tabu search.  The engine's
             # initialisation stays the incumbent: a weakly-trained
             # surrogate must beat it to move the topology.
-            current, current_key = proposal, None
-            for _failed in report.failed_brokers:
-                start = random_node_shift(current, self.rng)
-                result = tabu_search(
-                    start,
-                    objective=omega,
-                    neighbourhood=sampled_neighbours,
-                    tabu_size=self.config.tabu_size,
-                    max_iterations=self.config.tabu_iterations,
-                    patience=self.config.tabu_patience,
-                )
-                current, current_key = result.best, result.best_key
+            current, current_key = tabu_repair(
+                report, proposal, omega, self.rng, self.config
+            )
             repair_scores = omega(
                 [current, proposal],
                 keys=[current_key, proposal.canonical_key()],
@@ -419,11 +433,11 @@ class CAROL(ResilienceModel):
             # Line 4 / §V-C: per-interval node-shift maintenance.
             # Cheap reassignment moves only; the incumbent competes,
             # and the whole slate is scored in one batched ascent.
-            options = reassignment_neighbours(proposal)
-            limit = self.config.maintenance_candidates
-            if len(options) > limit:
-                picks = self.rng.choice(len(options), size=limit, replace=False)
-                options = [options[i] for i in picks]
+            options = sample(
+                reassignment_neighbours(proposal),
+                self.config.maintenance_candidates,
+                self.rng,
+            )
             slate = [proposal, *options]
             scores = omega(slate)
             chosen = slate[min(range(len(slate)), key=scores.__getitem__)]

@@ -28,6 +28,7 @@ __all__ = [
     "repair_options",
     "neighbours",
     "random_node_shift",
+    "sample",
     "shift_type_1",
     "shift_type_2",
     "shift_type_3",
@@ -104,7 +105,7 @@ def repair_options(
     return list(unique.values())
 
 
-def neighbours(topology: Topology, max_lei_size: int | None = None) -> List[Topology]:
+def neighbours(topology: Topology) -> List[Topology]:
     """Single node-shift neighbourhood of an intact topology.
 
     Contains, for each applicable host:
@@ -113,6 +114,10 @@ def neighbours(topology: Topology, max_lei_size: int | None = None) -> List[Topo
     * worker-to-broker splits (promote a worker and hand it half of its
       LEI);
     * single-worker reassignments between brokers.
+
+    Every move is distinct and none returns ``topology`` itself: merges
+    shrink the broker set, splits grow it, reassignments keep it, and
+    within each kind distinct arguments give distinct topologies.
     """
     results: List[Topology] = []
     brokers = sorted(topology.brokers)
@@ -144,24 +149,8 @@ def neighbours(topology: Topology, max_lei_size: int | None = None) -> List[Topo
             )
 
     # Worker reassignment: move one worker to a different broker.
-    for worker in topology.workers:
-        current = topology.assignment[worker]
-        for target in brokers:
-            if target == current:
-                continue
-            results.append(topology.reassign(worker, target))
-
-    if max_lei_size is not None:
-        results = [
-            t for t in results
-            if max(t.lei_sizes().values(), default=0) <= max_lei_size
-        ]
-
-    unique = {}
-    for result in results:
-        unique[result.canonical_key()] = result
-    unique.pop(topology.canonical_key(), None)
-    return list(unique.values())
+    results.extend(reassignment_neighbours(topology))
+    return results
 
 
 def reassignment_neighbours(topology: Topology) -> List[Topology]:
@@ -194,3 +183,17 @@ def random_node_shift(
     if not options:
         return topology
     return options[int(rng.integers(len(options)))]
+
+
+def sample(
+    options: List[Topology], limit: int, rng: np.random.Generator
+) -> List[Topology]:
+    """Up to ``limit`` of ``options``, drawn without replacement.
+
+    ``options`` come back as they are, and ``rng`` is not drawn from,
+    when there are no more than ``limit`` of them.  This bounds every
+    tabu neighbourhood and CAROL's maintenance slate.
+    """
+    if len(options) <= limit:
+        return options
+    return [options[i] for i in rng.choice(len(options), size=limit, replace=False)]

@@ -38,7 +38,7 @@ from ..simulator.engine import SystemView
 from ..simulator.topology import Topology
 from .carol import CAROL, CAROLConfig
 from .gon import GONDiscriminator
-from .nodeshift import neighbours
+from .nodeshift import neighbours, sample
 from .scoring import SurrogateScorer
 from .tabu import tabu_search
 
@@ -120,12 +120,9 @@ class ProactiveCAROL(CAROL):
             ]
 
         def sampled(topology: Topology) -> List[Topology]:
-            options = neighbours(topology)
-            limit = self.config.neighbourhood_sample
-            if len(options) > limit:
-                picks = self.rng.choice(len(options), size=limit, replace=False)
-                options = [options[i] for i in picks]
-            return options
+            return sample(
+                neighbours(topology), self.config.neighbourhood_sample, self.rng
+            )
 
         result = tabu_search(
             chosen,

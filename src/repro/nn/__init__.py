@@ -7,7 +7,7 @@ engine plus the layer zoo the reproduction needs:
   w.r.t. parameters *and* inputs (the GON generates samples by input-
   space gradient ascent, eq. 1);
 * feed-forward, LSTM, graph-attention and 1-D convolution layers;
-* Adam / SGD optimisers, losses, weight init and state-dict
+* the Adam optimiser, losses, weight init and state-dict
   serialization.
 
 Layers follow a batched convention: ops broadcast over leading axes,
@@ -19,7 +19,6 @@ graph layers) evaluate ``B`` samples in one vectorized pass -- see
 from .activations import ReLU, Sigmoid
 from .conv import Conv1d
 from .functional import (
-    binary_cross_entropy,
     kl_gaussian,
     mse_loss,
     relu,
@@ -31,7 +30,7 @@ from .gat import GraphAttention, GraphEncoder, adjacency_with_self_loops
 from .linear import FeedForward, Linear
 from .lstm import LSTM, LSTMCell
 from .module import Module, Parameter, Sequential
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .serialization import save_module, save_state
 from .tensor import Tensor, as_tensor, concatenate, stack, where
 from .utils import EarlyStopping, minibatches, train_test_split
@@ -56,14 +55,12 @@ __all__ = [
     "adjacency_with_self_loops",
     "Conv1d",
     "Optimizer",
-    "SGD",
     "Adam",
     "relu",
     "sigmoid",
     "tanh",
     "softmax",
     "mse_loss",
-    "binary_cross_entropy",
     "kl_gaussian",
     "save_state",
     "save_module",

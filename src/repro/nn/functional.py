@@ -1,10 +1,11 @@
 """Functional interface over :mod:`repro.nn.tensor`.
 
 Stateless functions used throughout the neural models: activations,
-losses and a numerically-stable softmax/log-likelihood family.  The GON
-training loop (Algorithm 1 of the paper) uses :func:`binary_cross_entropy`
-over discriminator scores, and the surrogate optimisation of eq. (1)
-ascends :func:`log` of the discriminator output.
+losses and a numerically-stable softmax.  The GON training loop
+(Algorithm 1 of the paper) builds its clipped log-likelihood terms
+itself (:func:`repro.core.training._gon_loss_batch`), and the
+surrogate optimisation of eq. (1) ascends the log of the
+discriminator output.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ __all__ = [
     "tanh",
     "softmax",
     "mse_loss",
-    "binary_cross_entropy",
     "kl_gaussian",
     "concatenate",
     "stack",
     "where",
 ]
-
-_EPS = 1e-12
 
 
 def relu(x: ArrayLike) -> Tensor:
@@ -56,19 +54,6 @@ def mse_loss(prediction: ArrayLike, target: ArrayLike) -> Tensor:
     target = as_tensor(target)
     diff = prediction - target.detach()
     return (diff * diff).mean()
-
-
-def binary_cross_entropy(prediction: ArrayLike, target: ArrayLike) -> Tensor:
-    """BCE over probabilities in (0, 1).
-
-    Inputs are clipped away from {0, 1} so the log never sees an exact
-    zero; this mirrors the log-likelihood trick the paper uses for
-    training stability (§III-B).
-    """
-    prediction = as_tensor(prediction).clip(_EPS, 1.0 - _EPS)
-    target = as_tensor(target).detach()
-    term = target * prediction.log() + (1.0 - target) * (1.0 - prediction).log()
-    return -term.mean()
 
 
 def kl_gaussian(mu: ArrayLike, log_var: ArrayLike) -> Tensor:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -31,36 +31,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            grad = parameter.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * parameter.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            parameter.data = parameter.data - self.lr * grad
 
 
 class Adam(Optimizer):

@@ -15,6 +15,9 @@ from repro.baselines import (
     summary_features,
 )
 from repro.core import CAROLConfig
+from repro.core.features import GONInput
+from repro.core.nodeshift import neighbours, random_node_shift
+from repro.core.tabu import tabu_search
 from repro.experiments import (
     EDGE_SLOWDOWN,
     TABLE1,
@@ -29,6 +32,7 @@ from repro.experiments import (
 )
 from repro.experiments.calibration import TrainedAssets
 from repro.simulator import EdgeFederation
+from repro.simulator.detection import FailureReport
 
 
 def tiny_carol_config():
@@ -49,6 +53,105 @@ def _drive(model, config, n=8):
         metrics = federation.run_interval()
         model.observe(metrics, federation.view)
     return federation
+
+
+def _reference_tabu_repair(report, proposal, omega, rng, config):
+    """The surrogate ablations' repair as it stood in their own module,
+    kept as the oracle: per failed broker, a tabu search from a random
+    node shift over neighbourhoods sampled down to
+    ``config.neighbourhood_sample``."""
+    def sampled_neighbours(topology):
+        options = neighbours(topology)
+        limit = config.neighbourhood_sample
+        if len(options) > limit:
+            chosen = rng.choice(len(options), size=limit, replace=False)
+            options = [options[i] for i in chosen]
+        return options
+
+    current = proposal
+    for _failed in report.failed_brokers:
+        start = random_node_shift(current, rng)
+        result = tabu_search(
+            start,
+            objective=omega,
+            neighbourhood=sampled_neighbours,
+            tabu_size=config.tabu_size,
+            max_iterations=config.tabu_iterations,
+            patience=config.tabu_patience,
+        )
+        current = result.best
+    return current
+
+
+def _broker_failure(small_config, n_failed):
+    """A federation warmed one interval, its next proposal and a
+    synthetic report failing its first ``n_failed`` brokers."""
+    federation = EdgeFederation(small_config)
+    federation.begin_interval()
+    federation.set_topology(federation.propose_topology())
+    federation.run_interval()
+    report = federation.begin_interval()
+    proposal = federation.propose_topology()
+    forced = FailureReport(
+        interval=report.interval,
+        failed_brokers=tuple(sorted(proposal.brokers)[:n_failed]),
+        failed_workers=(),
+        detection_delay_seconds=1.0,
+    )
+    return federation.view, forced, proposal
+
+
+class TestSurrogateAblationRepair:
+    """``WithGAN`` and ``WithTraditionalSurrogate`` repair through
+    CAROL's :func:`~repro.core.carol.tabu_repair` and pick what their
+    own copy of it picked."""
+
+    def _config(self):
+        return replace(tiny_carol_config(), tabu_iterations=2)
+
+    @pytest.mark.parametrize("n_failed", [1, 2])
+    def test_with_gan_matches_reference(self, rng, small_config, n_failed):
+        surrogate = GANSurrogate(small_config.federation.n_hosts, rng, hidden=32)
+        model = WithGAN(surrogate, 0.5, 0.5, self._config())
+        view, report, proposal = _broker_failure(small_config, n_failed)
+        schedule = np.asarray(view.last_metrics.schedule_encoding, dtype=float)
+
+        def omega(candidates, keys, segments):
+            return [
+                model.objective(
+                    surrogate.predict_metrics(schedule, candidate.adjacency())
+                )
+                for candidate in candidates
+            ]
+
+        reference = _reference_tabu_repair(
+            report, proposal, omega,
+            np.random.default_rng(model.config.seed), model.config,
+        )
+        chosen = model.repair(view, report, proposal)
+        assert chosen.canonical_key() == reference.canonical_key()
+
+    @pytest.mark.parametrize("n_failed", [1, 2])
+    def test_with_ff_surrogate_matches_reference(self, rng, small_config, n_failed):
+        surrogate = TraditionalSurrogate(rng, hidden=16)
+        model = WithTraditionalSurrogate(surrogate, 0.5, 0.5, self._config())
+        view, report, proposal = _broker_failure(small_config, n_failed)
+        last = view.last_metrics
+        metrics = np.asarray(last.host_metrics, dtype=float)
+        schedule = np.asarray(last.schedule_encoding, dtype=float)
+
+        def omega(candidates, keys, segments):
+            return [
+                surrogate.predict(GONInput(metrics, schedule, candidate.adjacency()))
+                for candidate in candidates
+            ]
+
+        reference = _reference_tabu_repair(
+            report, proposal, omega,
+            np.random.default_rng(model.config.seed), model.config,
+        )
+        chosen = model.repair(view, report, proposal)
+        assert chosen.canonical_key() == reference.canonical_key()
 
 
 class TestFineTuneAblations:

@@ -13,6 +13,7 @@ from repro.core import (
     shift_type_3,
     tabu_search,
 )
+from repro.core.nodeshift import sample
 from repro.simulator import Topology, initial_topology
 
 
@@ -158,14 +159,7 @@ class TestNeighbourhood:
         assert (3 - 1) in counts  # merge
         assert (3 + 1) in counts  # split
 
-    def test_max_lei_size_filter(self):
-        topo = initial_topology(8, 2)
-        options = neighbours(topo, max_lei_size=3)
-        for option in options:
-            assert max(option.lei_sizes().values()) <= 3
-
-    @pytest.mark.parametrize("max_lei_size", [None, 3])
-    def test_split_options_equal_promote_then_reassign(self, max_lei_size):
+    def test_split_options_equal_promote_then_reassign(self):
         # Each split option is built as one Topology; the chain it
         # replaced (promote the worker, then reassign each mover) is
         # kept here as the oracle.  Same options, keys and assignment
@@ -192,11 +186,6 @@ class TestNeighbourhood:
                 for target in brokers:
                     if target != topology.assignment[worker]:
                         results.append(topology.reassign(worker, target))
-            if max_lei_size is not None:
-                results = [
-                    t for t in results
-                    if max(t.lei_sizes().values(), default=0) <= max_lei_size
-                ]
             unique = {}
             for result in results:
                 unique[result.canonical_key()] = result
@@ -205,21 +194,41 @@ class TestNeighbourhood:
 
         rng = np.random.default_rng(5)
         for _ in range(40):
-            n_hosts = int(rng.integers(2, 17))
-            hosts = rng.permutation(n_hosts).tolist()
-            n_brokers = int(rng.integers(1, n_hosts // 2 + 1))
-            brokers, rest = hosts[:n_brokers], hosts[n_brokers:]
-            attached = rest[: int(rng.integers(0, len(rest) + 1))]
-            topology = Topology(n_hosts, brokers, {
-                worker: brokers[int(rng.integers(n_brokers))]
-                for worker in attached
-            })
-            new = neighbours(topology, max_lei_size=max_lei_size)
+            topology = _random_topology(rng)
+            new = neighbours(topology)
             old = chained(topology)
             assert [t.canonical_key() for t in new] == [
                 t.canonical_key() for t in old]
             assert [list(t.assignment.items()) for t in new] == [
                 list(t.assignment.items()) for t in old]
+
+    def test_moves_are_distinct_and_never_the_input(self):
+        # neighbours() keeps no dedup: every merge, split and
+        # reassignment it builds is a distinct topology other than the
+        # input, on random topologies with all or only some workers
+        # attached (as after a failure).
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            topology = _random_topology(rng)
+            brokers = len(topology.brokers)
+            merges = brokers * (brokers - 1)
+            splits = sum(
+                len(topology.lei(b)) for b in topology.brokers
+                if len(topology.lei(b)) >= 2
+            )
+            reassignments = len(topology.workers) * (brokers - 1)
+            options = neighbours(topology)
+            assert len(options) == merges + splits + reassignments
+            keys = {option.canonical_key() for option in options}
+            assert len(keys) == len(options)
+            assert topology.canonical_key() not in keys
+
+    def test_sample_keeps_small_lists_and_rng_untouched(self):
+        options = neighbours(initial_topology(8, 2))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert sample(options, len(options), rng) is options
+        assert rng.bit_generator.state == state
 
     def test_random_shift_returns_neighbour(self, rng):
         topo = initial_topology(8, 2)
@@ -229,6 +238,19 @@ class TestNeighbourhood:
     def test_random_shift_degenerate_topology(self, rng):
         topo = Topology(2, brokers=[0], assignment={1: 0})
         assert random_node_shift(topo, rng) == topo
+
+
+def _random_topology(rng):
+    """A random topology over 2-16 hosts whose workers may be only
+    partly attached, as after a broker failure."""
+    n_hosts = int(rng.integers(2, 17))
+    hosts = rng.permutation(n_hosts).tolist()
+    n_brokers = int(rng.integers(1, n_hosts // 2 + 1))
+    brokers, rest = hosts[:n_brokers], hosts[n_brokers:]
+    attached = rest[: int(rng.integers(0, len(rest) + 1))]
+    return Topology(n_hosts, brokers, {
+        worker: brokers[int(rng.integers(n_brokers))] for worker in attached
+    })
 
 
 def per_candidate(score):

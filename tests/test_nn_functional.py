@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     Tensor,
-    binary_cross_entropy,
     kl_gaussian,
     mse_loss,
     relu,
@@ -56,21 +55,6 @@ class TestLosses:
     def test_mse_value(self):
         pred = Tensor(np.array([1.0, 2.0]))
         assert float(mse_loss(pred, np.array([0.0, 0.0])).data) == pytest.approx(2.5)
-
-    def test_bce_perfect_prediction_near_zero(self):
-        pred = Tensor(np.array([0.9999999, 0.0000001]))
-        loss = binary_cross_entropy(pred, np.array([1.0, 0.0]))
-        assert float(loss.data) < 1e-4
-
-    def test_bce_wrong_prediction_large(self):
-        pred = Tensor(np.array([0.01]))
-        loss = binary_cross_entropy(pred, np.array([1.0]))
-        assert float(loss.data) > 4.0
-
-    def test_bce_survives_exact_zero_one(self):
-        pred = Tensor(np.array([0.0, 1.0]))
-        loss = binary_cross_entropy(pred, np.array([0.0, 1.0]))
-        assert np.isfinite(loss.data)
 
     def test_kl_standard_normal_is_zero(self):
         mu = np.zeros((2, 3))

@@ -9,7 +9,6 @@ from repro.nn import (
     Linear,
     Parameter,
     ReLU,
-    SGD,
     Sequential,
     Sigmoid,
     Tensor,
@@ -128,12 +127,6 @@ class TestOptimisers:
             opt.step()
         return float(loss.data)
 
-    def test_sgd_converges(self):
-        assert self._fit(SGD, lr=0.05) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self._fit(SGD, lr=0.02, momentum=0.9) < 1e-3
-
     def test_adam_converges(self):
         assert self._fit(Adam, lr=0.05, weight_decay=0.0) < 1e-3
 
@@ -151,7 +144,7 @@ class TestOptimisers:
 
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
-            SGD([])
+            Adam([])
 
 
 class TestInit:
