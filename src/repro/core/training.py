@@ -18,13 +18,19 @@ batched eq.-1 ascent over the whole batch -- on a graph-free
 weights, the same ascent path decisions use -- and the discriminator
 loss is a single autodiff graph over the stacked real+fake scores (see
 :mod:`repro.core.surrogate` for the batched conventions).
+
+The epoch loop runs only what it reads: early stopping reads the loss,
+so training makes one eq.-1 ascent per minibatch and nothing else.
+The test-set curves of Fig. 4 (generation MSE and mean confidence) are
+scored from per-epoch weight snapshots when a reader first asks for
+them (:class:`TrainingHistory`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,13 +80,62 @@ class TrainingConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch curves (the Fig. 4 series)."""
+    """Per-epoch curves (the Fig. 4 series).
+
+    Training records ``losses``, ``stopped_epoch`` and ``wall_seconds``
+    (the training loop alone: no test-set scoring is timed) and keeps a
+    ``state_dict()`` copy of each epoch's weights with the test split,
+    the GON architecture and :func:`evaluate`'s ``gamma``/``steps``.
+    The first read of ``mses``, ``confidences`` or :meth:`rows` scores
+    every snapshot with :func:`evaluate`, caches both curves and drops
+    the snapshots.  ``evaluate`` draws from its own ``default_rng(0)``
+    on a kernel exported from the weights, so the curves equal a
+    per-epoch evaluation during training bit for bit.
+    """
 
     losses: List[float] = field(default_factory=list)
-    mses: List[float] = field(default_factory=list)
-    confidences: List[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     stopped_epoch: int = 0
+    snapshots: List[Dict[str, np.ndarray]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    test_set: Sequence[GONInput] = field(default=(), repr=False, compare=False)
+    architecture: Dict[str, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    gamma: float = 1e-3
+    steps: int = 10
+    _curves: Optional[Tuple[List[float], List[float]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _scored(self) -> Tuple[List[float], List[float]]:
+        """(mses, confidences), scoring the snapshots on first call."""
+        if self._curves is None:
+            model = GONDiscriminator(
+                np.random.default_rng(0), **self.architecture
+            )
+            mses, confidences = [], []
+            for state in self.snapshots:
+                model.load_state_dict(state)
+                mse, confidence = evaluate(
+                    model, self.test_set, gamma=self.gamma, steps=self.steps
+                )
+                mses.append(mse)
+                confidences.append(confidence)
+            self._curves = (mses, confidences)
+            self.snapshots = []
+        return self._curves
+
+    @property
+    def mses(self) -> List[float]:
+        """Test-set MSE of eq.-1 generated metrics after each epoch."""
+        return self._scored()[0]
+
+    @property
+    def confidences(self) -> List[float]:
+        """Mean test-set confidence after each epoch."""
+        return self._scored()[1]
 
     def rows(self) -> List[tuple]:
         """(epoch, loss, mse, confidence) rows for reporting."""
@@ -232,7 +287,17 @@ def train_gon(
         weight_decay=config.weight_decay,
     )
     stopper = EarlyStopping(patience=config.early_stopping_patience)
-    history = TrainingHistory()
+    history = TrainingHistory(
+        test_set=test_set,
+        architecture={
+            "hidden": model.hidden,
+            "n_layers": model.n_layers,
+            "n_m_features": model.n_m_features,
+            "n_s_features": model.n_s_features,
+        },
+        gamma=config.generation_gamma,
+        steps=config.generation_steps,
+    )
     started = time.perf_counter()
 
     for epoch in range(1, config.epochs + 1):
@@ -243,13 +308,8 @@ def train_gon(
                 _train_step(model, optimizer, batch, config, rng)
             )
         loss = float(np.mean(epoch_losses))
-        mse, confidence = evaluate(
-            model, test_set,
-            gamma=config.generation_gamma, steps=config.generation_steps,
-        )
         history.losses.append(loss)
-        history.mses.append(mse)
-        history.confidences.append(confidence)
+        history.snapshots.append(model.state_dict())
         history.stopped_epoch = epoch
         if stopper.update(loss, epoch):
             break

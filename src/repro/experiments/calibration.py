@@ -75,15 +75,23 @@ PROACTIVE_NAME = "CAROL-Proactive"
 
 @dataclass
 class TrainedAssets:
-    """Everything trained offline before the evaluation runs."""
+    """Everything trained offline before the evaluation runs.
 
-    trace: Trace
+    :func:`prepare_assets` fills every field.  ``trace`` and
+    ``training_history`` are ``None`` where nothing reads them:
+    :func:`~repro.experiments.campaign.prepare_campaign_assets` drops
+    the history (campaigns never read the Fig. 4 curves), and fleet
+    workers rebuild their assets from the fetched samples and weights
+    alone, without either.
+    """
+
+    trace: Optional[Trace]
     samples: List[GONInput]
     objectives: List[float]
     gon_state: Dict[str, np.ndarray]
     gon_hidden: int
     gon_layers: int
-    training_history: TrainingHistory
+    training_history: Optional[TrainingHistory]
     gan_seed: int = 1
     seed: int = 0
 

@@ -60,7 +60,7 @@ same grid produce identical records.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -512,7 +512,10 @@ def prepare_campaign_assets(
     position, so the result is a pure function of the campaign config.
     Exposed separately so benches and tests can time campaign
     execution apart from offline training (pass the result to
-    :func:`run_campaign` via ``prepared_assets``).
+    :func:`run_campaign` via ``prepared_assets``).  The assets carry
+    ``training_history=None``, as fleet workers' fetched assets do:
+    no campaign reads the Fig. 4 curves, so their epoch snapshots are
+    dropped with the history.
     """
     tasks = plan_tasks(config) if tasks is None else tasks
     needed = sorted(
@@ -522,7 +525,7 @@ def prepare_campaign_assets(
     for scenario in needed:
         seed = _asset_seed(config, scenario)
         scenario_config = get_scenario(scenario).compile(seed=seed)
-        assets[scenario] = prepare_assets(
+        trained = prepare_assets(
             scenario_config,
             trace_intervals=config.trace_intervals,
             gon_hidden=config.gon_hidden,
@@ -532,6 +535,7 @@ def prepare_campaign_assets(
                 learning_rate=1e-3, generation_steps=20, seed=seed,
             ),
         )
+        assets[scenario] = replace(trained, training_history=None)
     return assets
 
 

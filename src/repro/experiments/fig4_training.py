@@ -4,7 +4,11 @@ Collect the DeFog trace, train the GON with Algorithm 1 and report the
 per-epoch loss, test-set MSE of generated metrics and mean confidence
 score -- the three series of the paper's training plot (loss falls,
 MSE falls, confidence rises; convergence around 30 epochs with early
-stopping).
+stopping).  Training records the loss; :func:`format_fig4`'s first
+read of the MSE and confidence series scores the history's per-epoch
+weight snapshots on the test split (see
+:class:`~repro.core.training.TrainingHistory`), so the reported
+training time excludes that scoring.
 """
 
 from __future__ import annotations

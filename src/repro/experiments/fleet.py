@@ -63,6 +63,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field
 from itertools import count as _count
+from multiprocessing.connection import wait as _wait_ready
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -131,25 +132,43 @@ _DUPLICATE_RECORDS = _telemetry.counter("fleet.duplicate_records")
 class _ResultPipe:
     """The workers' record channel to the campaign parent.
 
-    :meth:`put` returns once the frame is in the pipe (a
+    Each worker writes to a pipe of its own (:meth:`writer`), whose
+    ``send`` returns once the frame is in the pipe (a
     ``multiprocessing.Queue`` leaves it to a feeder thread, which a
-    killed worker takes down with it).  The lock keeps frames of
-    different workers from interleaving.
+    killed worker takes down with it).  No lock is shared between
+    workers: a worker SIGKILLed while holding one would block every
+    survivor's next record for good.  A killed worker's pipe, a
+    partial last frame included, reads as EOF and is dropped.
     """
 
     def __init__(self, ctx) -> None:
-        self._reader, self._writer = ctx.Pipe(duplex=False)
-        self._lock = ctx.Lock()
+        self._ctx = ctx
+        self._readers: List = []
 
-    def put(self, item) -> None:
-        with self._lock:
-            self._writer.send(item)
+    def writer(self):
+        """The write end of a new worker's pipe.
+
+        The caller closes its own copy once the worker has started, so
+        the read end sees EOF when the worker exits.
+        """
+        reader, writer = self._ctx.Pipe(duplex=False)
+        self._readers.append(reader)
+        return writer
 
     def get(self, timeout: float):
-        """The next frame, or ``queue.Empty`` after ``timeout`` seconds."""
-        if not self._reader.poll(timeout):
-            raise queue_module.Empty
-        return self._reader.recv()
+        """The next frame of any worker, or ``queue.Empty`` after
+        ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = max(0.0, deadline - time.monotonic())
+            for reader in _wait_ready(list(self._readers), remaining):
+                try:
+                    return reader.recv()
+                except (EOFError, OSError):  # OSError: EOF mid-frame
+                    self._readers.remove(reader)
+                    reader.close()
+            if time.monotonic() >= deadline:
+                raise queue_module.Empty
 
 
 @dataclass(frozen=True)
@@ -286,7 +305,7 @@ def _run_lease_loop(
     channel: TcpWorkerChannel,
     tasks_by_cell: Dict[int, RunTask],
     assets_by_scenario: Dict[str, TrainedAssets],
-    results_queue,
+    results,
     base: dict,
 ) -> Tuple[int, ...]:
     """Pull-run-acknowledge until the coordinator reports the grid drained.
@@ -321,7 +340,7 @@ def _run_lease_loop(
         )
         # The record is in the parent's pipe before CellDone settles
         # the cell, so no kill between the two can lose it.
-        results_queue.put(record)
+        results.send(record)
         channel.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
         # Cumulative-so-far snapshot for the service's live /status
         # view (latest per client replaces earlier ones).
@@ -372,7 +391,7 @@ def _worker_main(
     worker_id: int,
     tasks: Sequence[RunTask],
     address: str,
-    results_queue,
+    results,
     heartbeat_interval: float = 5.0,
     auth_token: str = "",
 ) -> None:
@@ -396,9 +415,9 @@ def _worker_main(
             channel.client_id, channel.put, heartbeat_interval
         )
         poisoned = _run_lease_loop(
-            channel, tasks_by_cell, assets_by_scenario, results_queue, base
+            channel, tasks_by_cell, assets_by_scenario, results, base
         )
-        results_queue.put(
+        results.send(
             _WorkerDone(worker_id, _telemetry.delta(base), poisoned)
         )
     finally:
@@ -695,15 +714,17 @@ def run_fleet_campaign(
         worker_ids = _count()
 
         def spawn_worker():
+            writer = results_queue.writer()
             worker = ctx.Process(
                 target=_worker_main,
                 args=(
-                    next(worker_ids), tasks, address, results_queue,
+                    next(worker_ids), tasks, address, writer,
                     interval, config.auth_token,
                 ),
                 daemon=True,
             )
             worker.start()
+            writer.close()
             workers.append(worker)
             return worker
 

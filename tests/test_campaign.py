@@ -146,6 +146,39 @@ class TestExecution:
         assert len(result.records) == 1
         assert result.records[0].model == "CAROL"
 
+    def test_asset_preparation_ascends_once_per_minibatch(self, monkeypatch):
+        """Offline training runs one eq.-1 ascent per minibatch step and
+        scores no test set; campaign assets carry no training history."""
+        from repro import telemetry
+        from repro.core import training
+        from repro.experiments import prepare_campaign_assets
+
+        steps = []
+        train_step = training._train_step
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return train_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_train_step", counted)
+        config = CampaignConfig(
+            scenarios=("paper-default",),
+            models=("carol",),
+            n_seeds=1,
+            seed=1,
+            trace_intervals=40,
+            gon_hidden=8,
+            gon_layers=2,
+            gon_epochs=3,
+            shared_assets=True,
+        )
+        calls = telemetry.counter("gon.ascent.calls")
+        before = calls.value
+        assets = prepare_campaign_assets(config)
+        assert len(steps) > config.gon_epochs
+        assert calls.value - before == len(steps)
+        assert assets["paper-default"].training_history is None
+
 
 class TestAggregation:
     @pytest.fixture(scope="class")

@@ -13,8 +13,51 @@ from repro.core import (
     fine_tune,
     train_gon,
 )
-from repro.nn import EarlyStopping
+from repro import telemetry
+from repro.core.training import _train_step
+from repro.nn import Adam, EarlyStopping, minibatches, train_test_split
 from repro.experiments import run_experiment
+
+
+def _eager_train_gon(model, samples, config):
+    """Algorithm 1 scoring the test split after every epoch.
+
+    The reference for :class:`TrainingHistory`'s lazily scored curves:
+    ``evaluate`` on the live weights at the end of each epoch.  Returns
+    ``(losses, mses, confidences, stopped_epoch)``.
+    """
+    rng = np.random.default_rng(config.seed)
+    train_idx, test_idx = train_test_split(
+        len(samples), config.test_fraction, rng
+    )
+    train_set = [samples[i] for i in train_idx]
+    test_set = [samples[i] for i in test_idx]
+    optimizer = Adam(
+        model.parameters(),
+        lr=config.learning_rate,
+        weight_decay=config.weight_decay,
+    )
+    stopper = EarlyStopping(patience=config.early_stopping_patience)
+    losses, mses, confidences, stopped = [], [], [], 0
+    for epoch in range(1, config.epochs + 1):
+        epoch_losses = [
+            _train_step(
+                model, optimizer, [train_set[i] for i in batch], config, rng
+            )
+            for batch in minibatches(len(train_set), config.batch_size, rng)
+        ]
+        loss = float(np.mean(epoch_losses))
+        mse, confidence = evaluate(
+            model, test_set,
+            gamma=config.generation_gamma, steps=config.generation_steps,
+        )
+        losses.append(loss)
+        mses.append(mse)
+        confidences.append(confidence)
+        stopped = epoch
+        if stopper.update(loss, epoch):
+            break
+    return losses, mses, confidences, stopped
 
 
 class TestTrainingConfigAndHistory:
@@ -62,6 +105,54 @@ class TestTrainingConfigAndHistory:
         # long before the 50-epoch budget (generation noise can reset
         # patience a few times, so the bound is loose).
         assert history.stopped_epoch < 30
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(epochs=3, learning_rate=2e-3),
+            # Zero learning rate: the loss stalls and training stops
+            # before its epoch budget.
+            dict(epochs=12, learning_rate=0.0, early_stopping_patience=1),
+        ],
+        ids=["full", "early-stop"],
+    )
+    def test_lazy_curves_equal_eager_evaluation(
+        self, session_samples, overrides
+    ):
+        config = TrainingConfig(
+            batch_size=8, generation_steps=6, seed=5, **overrides
+        )
+
+        def fresh():
+            return GONDiscriminator(
+                np.random.default_rng(5), hidden=8, n_layers=2
+            )
+
+        eager_model, lazy_model = fresh(), fresh()
+        losses, mses, confidences, stopped = _eager_train_gon(
+            eager_model, session_samples, config
+        )
+        history = train_gon(lazy_model, session_samples, config)
+        for name, weights in eager_model.state_dict().items():
+            assert np.array_equal(lazy_model.state_dict()[name], weights)
+        assert history.losses == losses
+        assert history.stopped_epoch == stopped
+        if overrides["learning_rate"] == 0.0:
+            assert stopped < config.epochs
+
+        calls = telemetry.counter("gon.ascent.calls")
+        before = calls.value
+        assert history.mses == mses
+        assert history.confidences == confidences
+        # One ascent per epoch snapshot (one host count), on first read.
+        assert calls.value - before == stopped
+        before = calls.value
+        assert history.rows() == list(
+            zip(range(1, stopped + 1), losses, mses, confidences)
+        )
+        assert history.mses == mses
+        assert history.confidences == confidences
+        assert calls.value == before
 
     def test_early_stopping_unit(self):
         stopper = EarlyStopping(patience=2)

@@ -27,6 +27,7 @@ import multiprocessing
 import os
 import queue
 import signal
+import struct
 import threading
 import time
 import urllib.error
@@ -45,6 +46,7 @@ from repro.experiments import (
 from repro.experiments.campaign import CampaignConfig, plan_tasks
 from repro.experiments.fleet import (
     _ElasticCollector,
+    _ResultPipe,
     _WorkerDone,
     run_fleet_campaign,
 )
@@ -412,6 +414,23 @@ class TestElasticCollector:
         assert sorted(records) == [0, 1, 2]
         assert poisoned == {7}
         assert len(snapshots) == 2
+
+
+class TestResultPipe:
+    def test_a_writer_killed_mid_frame_blocks_no_other_worker(self):
+        # A worker SIGKILLed while sending leaves a partial frame and no
+        # writer: its pipe reads as end of file and is dropped, and the
+        # other workers' frames still arrive.
+        pipe = _ResultPipe(multiprocessing.get_context())
+        killed, survivor = pipe.writer(), pipe.writer()
+        os.write(killed.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+        killed.close()
+        survivor.send("record")
+        assert pipe.get(timeout=2.0) == "record"
+        with pytest.raises(queue.Empty):
+            pipe.get(timeout=0.1)
+        assert len(pipe._readers) == 1
+        survivor.close()
 
 
 class TestCampaignChaos:
