@@ -20,6 +20,10 @@ holds the whole ``(scenario, model, seed)`` grid as a lease-based
 queue (:class:`~repro.serving.CellCoordinator`); every worker pulls
 one cell at a time (``LeaseRequest`` -> ``LeaseGrant``), runs it,
 ships the record, acknowledges with ``CellDone`` and pulls the next.
+A request that finds every remaining cell leased elsewhere is answered
+late, by the re-queue or the drain that resolves it, so an idle worker
+blocks on its reply instead of sleeping and polling; a campaign ends
+one event after its last cell.
 Because :func:`campaign.run_cell` derives every RNG stream from the
 cell's own ``SeedSequence.spawn`` child, *which worker* runs a cell --
 or how often it is retried after a worker dies -- never changes the
@@ -116,10 +120,6 @@ _GON_CAROL_CLASSES = {
 
 #: Seconds to wait for a straggler record/worker before giving up.
 _COLLECT_TIMEOUT = 120.0
-
-#: Worker-side backoff between lease polls when the queue is empty but
-#: not drained (cells still leased elsewhere might come back).
-_LEASE_POLL_SECONDS = 0.1
 
 #: Seconds of post-mortem queue drain once every worker has exited.
 _DRAIN_GRACE_SECONDS = 10.0
@@ -310,10 +310,15 @@ def _run_lease_loop(
 ) -> Tuple[int, ...]:
     """Pull-run-acknowledge until the coordinator reports the grid drained.
 
+    Each ``LeaseRequest`` blocks until the service can answer it: with
+    a cell, or with the drain once every cell is completed or
+    poisoned.  A worker asking while all remaining cells are leased
+    elsewhere waits, without polling, for the event that frees one.
     Returns the poisoned cell ids the drained grant carried.  Raises
     on protocol violations (the reply to a ``LeaseRequest`` must be
-    the matching ``LeaseGrant`` -- anything else means the service and
-    worker disagree about the conversation state).
+    the matching ``LeaseGrant`` naming a cell or the drain -- anything
+    else means the service and worker disagree about the conversation
+    state).
     """
     client_id = channel.client_id
     request_ids = _count(1)
@@ -329,10 +334,10 @@ def _run_lease_loop(
         if grant.drained:
             return tuple(int(cell) for cell in grant.poisoned)
         if grant.cell_id < 0:
-            # Queue momentarily empty but not drained: cells leased
-            # elsewhere may yet be revoked and re-queued.
-            time.sleep(_LEASE_POLL_SECONDS)
-            continue
+            raise RuntimeError(
+                f"worker {client_id} lease request {request_id} answered "
+                "with no cell and no drain: fleet protocol violated"
+            )
         task = tasks_by_cell[grant.cell_id]
         client = ScoringClient(client_id, task.scenario, channel, channel)
         record = _execute_fleet_run(

@@ -116,8 +116,9 @@ Transport guarantees, in the same spirit as the overlay invariants:
    instead of waiting forever.  Frame sizes are bounded, so a corrupt
    length prefix cannot trigger unbounded allocation.  Codes are
    pinned per message; wire protocol 3 retired the confidence frames
-   (codes 9 and 13), protocol 4 added ``AscentRequest.segments`` and
-   protocol 5 cut ``AscentReply`` to its ``M*`` stack.
+   (codes 9 and 13), protocol 4 added ``AscentRequest.segments``,
+   protocol 5 cut ``AscentReply`` to its ``M*`` stack and protocol 6
+   answers a ``LeaseRequest`` late instead of with "poll again".
 
 The elastic fleet protocol
 --------------------------
@@ -131,7 +132,9 @@ queue (:class:`CellCoordinator`) and workers *pull* work::
                              <──  LeaseGrant(cell_id, attempt)
     ... run the cell, ship the record on the results path ...
     CellDone(cell_id)        ──>  mark completed (first-wins)
-    LeaseRequest             ──>  ...
+    LeaseRequest             ──>  no free cell: park the request
+                                  (fleet.lease_waits) until a cell is
+                                  re-queued or the grid drains
                              <──  LeaseGrant(drained=True, poisoned=(...))
     ClientDone               ──>  sign off
 

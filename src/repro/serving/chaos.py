@@ -17,7 +17,10 @@ fleet is built to absorb:
   from a worker's first reply on.
 * ``requeue_cell`` -- revoke a leased cell without blaming the worker,
   making the old lease-holder a zombie whose late result must be
-  deduplicated.
+  deduplicated.  It goes through
+  :meth:`~repro.serving.GONScoringService.requeue_cell`, which wakes
+  the serve loop so a worker parked on an empty queue gets the cell
+  at once.
 
 Every injection is appended to a bounded in-memory log (surfaced in
 ``/status`` under ``fleet.injections``) and counted in the
@@ -103,6 +106,6 @@ class ChaosControl:
             if not leases:
                 raise ValueError("no cell_id given and no cell is leased")
             cell_id = leases[0]
-        if not self.coordinator.requeue_cell(cell_id):
+        if not self.service.requeue_cell(cell_id):
             raise ValueError(f"cell {cell_id} is not currently leased")
         return {"cell_id": cell_id}

@@ -21,7 +21,12 @@ State machine per cell::
 
 * ``lease(worker_id)`` hands out the next pending cell, or reports
   "wait" (queue empty but leases outstanding) or "drained" (every cell
-  completed or poisoned -- the worker should sign off).
+  completed or poisoned -- the worker should sign off).  A worker told
+  to wait is *parked* (``status()["waiting"]``, counted once per
+  parked request in ``fleet.lease_waits``) until a later ``lease``
+  grants or drains it or ``release_worker`` forgets it; the scoring
+  service holds its request and asks again whenever a cell is
+  re-queued or the grid drains.
 * ``complete(cell_id, worker_id)`` is idempotent and first-wins: a
   zombie worker whose lease was revoked may still deliver its result;
   the duplicate is counted, never double-stored.  A completion beats a
@@ -52,6 +57,9 @@ _LEASES = _telemetry.counter("fleet.leases")
 _REQUEUED = _telemetry.counter("fleet.cells_requeued")
 _POISONED = _telemetry.counter("fleet.cells_poisoned")
 _DUPLICATES = _telemetry.counter("fleet.duplicate_completions")
+#: Lease requests that found the queue empty but the grid not drained
+#: and were parked until a re-queue or the drain answered them.
+_LEASE_WAITS = _telemetry.counter("fleet.lease_waits")
 #: Cells pre-completed from a campaign store instead of leased out --
 #: same counter name the campaign parent uses for records it restores.
 _RESUMED = _telemetry.counter("fleet.cells_resumed")
@@ -102,6 +110,8 @@ class CellCoordinator:
         self._attempts: Dict[int, int] = {cell: 0 for cell in cells}
         self._failures: Dict[int, int] = {cell: 0 for cell in cells}
         self._by_worker: Dict[int, Set[int]] = {}
+        #: Workers parked on an empty queue (see :meth:`lease`).
+        self._waiting: Set[int] = set()
         #: cell_id -> worker_id (first wins; -1 = restored from a store)
         self.completed: Dict[int, int] = {cell: -1 for cell in resumed}
         #: Cells that were pre-completed at construction (resume view).
@@ -119,19 +129,28 @@ class CellCoordinator:
         """Grant the next cell to ``worker_id``.
 
         Returns ``(cell_id, attempt, drained)``: a real cell id with its
-        1-based attempt number, ``(None, 0, False)`` when the worker
-        should wait and poll again, or ``(None, 0, True)`` when the grid
-        is fully drained and the worker should sign off.
+        1-based attempt number, ``(None, 0, True)`` when the grid is
+        fully drained and the worker should sign off, or ``(None, 0,
+        False)`` when no cell is free yet.  That last answer parks the
+        worker: its caller holds the request and asks again once a
+        cell is re-queued or the grid drains, which a later call
+        answers.
         """
+        worker = int(worker_id)
         with self._lock:
             if self.finished:
+                self._waiting.discard(worker)
                 return None, 0, True
             if not self._pending:
+                if worker not in self._waiting:
+                    self._waiting.add(worker)
+                    _LEASE_WAITS.inc()
                 return None, 0, False
+            self._waiting.discard(worker)
             cell = self._pending.popleft()
             self._attempts[cell] += 1
-            self._leases[cell] = int(worker_id)
-            self._by_worker.setdefault(int(worker_id), set()).add(cell)
+            self._leases[cell] = worker
+            self._by_worker.setdefault(worker, set()).add(cell)
             _LEASES.inc()
             return cell, self._attempts[cell], False
 
@@ -166,12 +185,14 @@ class CellCoordinator:
 
         Each revoked cell is charged one failure and either re-queued
         (front of the queue, so retries happen promptly) or poisoned
-        once its failures reach the retry budget.  Returns the
-        ``(requeued, poisoned)`` cell-id lists.
+        once its failures reach the retry budget.  A parked worker is
+        no longer waiting.  Returns the ``(requeued, poisoned)``
+        cell-id lists.
         """
         requeued: List[int] = []
         poisoned: List[int] = []
         with self._lock:
+            self._waiting.discard(int(worker_id))
             cells = sorted(self._by_worker.pop(int(worker_id), set()))
             for cell in cells:
                 if self._leases.get(cell) != int(worker_id):
@@ -190,7 +211,13 @@ class CellCoordinator:
         return requeued, poisoned
 
     def requeue_cell(self, cell_id: int) -> bool:
-        """Operator/chaos re-queue: revoke the lease, charge no failure."""
+        """Operator/chaos re-queue: revoke the lease, charge no failure.
+
+        While a scoring service is serving, call
+        :meth:`~repro.serving.GONScoringService.requeue_cell` instead:
+        it also wakes the serve loop, so a parked lease request takes
+        the cell at once.
+        """
         cell = int(cell_id)
         with self._lock:
             owner = self._leases.pop(cell, None)
@@ -231,6 +258,7 @@ class CellCoordinator:
                 "pending": len(self._pending),
                 "leased": len(self._leases),
                 "completed": len(self.completed),
+                "waiting": len(self._waiting),
                 "leases": {
                     str(cell): {"worker": worker, "attempt": self._attempts[cell]}
                     for cell, worker in sorted(self._leases.items())

@@ -54,6 +54,22 @@ its overlay (one fire-and-forget message) before submitting any
 generation-N request, and the service applies messages in arrival
 order, so an ascent can never observe a stale replica.  Overlays are
 evicted when their client signs off (:class:`ClientDone`).
+
+Deferred lease grants
+---------------------
+A :class:`LeaseRequest` that finds the cell queue empty while cells
+are still leased elsewhere is *parked*, not answered: the worker stays
+blocked on its reply and never sleeps or polls.  After every step of
+the serve loop the service asks the coordinator again for each parked
+request, oldest first, so the request is answered by the event that
+resolves it -- a cell re-queued (a worker lost, a worker signing off
+with a lease, an operator's :meth:`GONScoringService.requeue_cell`)
+or the grid draining (``drained=True`` with the poisoned cells).
+``requeue_cell`` runs on the HTTP status thread and enqueues a
+:class:`CellRequeued` notice, so the serve loop wakes at once instead
+of at its next idle poll.  A lost or signed-off client's parked
+request is dropped, and deferred grants go out through the same reply
+path as any other reply, injected delays included.
 """
 
 from __future__ import annotations
@@ -89,6 +105,7 @@ __all__ = [
     "CellDone",
     "Ping",
     "WorkerLost",
+    "CellRequeued",
     "ServiceStats",
     "GONScoringService",
     "ScoringClient",
@@ -215,13 +232,14 @@ class LeaseGrant:
     """The coordinator's answer to a :class:`LeaseRequest`.
 
     ``cell_id >= 0`` grants that cell (``attempt`` is 1-based; > 1
-    means a retry after a revoked lease).  ``cell_id < 0`` with
-    ``drained=False`` means "no cell right now, poll again" (the queue
-    is empty but other leases are outstanding and may yet be revoked).
-    ``drained=True`` ends the worker's campaign: every cell is either
+    means a retry after a revoked lease).  ``drained=True`` (with
+    ``cell_id < 0``) ends the worker's campaign: every cell is either
     completed or quarantined -- the ``poisoned`` tuple reports the
     quarantined cell ids so workers can surface them to the campaign
-    parent.
+    parent.  There is no third answer: a request that finds no free
+    cell is answered late, once a cell is re-queued or the grid
+    drains, so ``cell_id < 0`` without ``drained`` is a protocol
+    violation.
     """
 
     request_id: int
@@ -274,6 +292,19 @@ class WorkerLost:
 
     client_id: int
     reason: str = ""
+
+    n_elements: int = 0
+
+
+@dataclass(frozen=True)
+class CellRequeued:
+    """Service-internal wake-up: an operator re-queued a leased cell.
+
+    Enqueued by :meth:`GONScoringService.requeue_cell` from the thread
+    that re-queued the cell, so the serve loop answers a parked
+    :class:`LeaseRequest` at once.  Never sent by workers and never
+    crosses the wire.
+    """
 
     n_elements: int = 0
 
@@ -379,6 +410,9 @@ class GONScoringService:
         #: serve loop drains, so one delayed client holds up no other.
         self._delayed: List[tuple] = []
         self._delayed_seq = itertools.count()
+        #: Lease requests the queue could not fill yet, by client, in
+        #: arrival order (see "Deferred lease grants" above).
+        self._parked_leases: Dict[int, LeaseRequest] = {}
 
     # ------------------------------------------------------------------
     def merged_telemetry(self) -> dict:
@@ -406,7 +440,10 @@ class GONScoringService:
         The loop blocks only while the queue is empty, and no longer
         than the next delayed reply's due time.  Once a message is in
         hand it takes whatever else is already queued, up to
-        ``_MAX_BATCH_ELEMENTS``, and dispatches at once.
+        ``_MAX_BATCH_ELEMENTS``, and dispatches at once.  Every step
+        ends with the liveness check and a new try at the parked lease
+        requests, since either may have freed a cell or drained the
+        grid.
         """
         while not self._serve_complete():
             timeout = self._deliver_due_replies()
@@ -414,6 +451,7 @@ class GONScoringService:
                 message = self.request_queue.get(timeout=timeout)
             except queue_module.Empty:
                 self._check_liveness()
+                self._grant_parked_leases()
                 if abort is not None and abort():
                     raise RuntimeError(
                         "scoring service aborted: worker died before "
@@ -429,6 +467,7 @@ class GONScoringService:
                         break
             self.signed_off.update(self._dispatch(pending))
             self._check_liveness()
+            self._grant_parked_leases()
         return self.stats
 
     def _serve_complete(self) -> bool:
@@ -466,7 +505,8 @@ class GONScoringService:
         }
 
     def _mark_lost(self, client_id: int, reason: str = "") -> None:
-        """Revoke a dead client's leases and evict its overlays.
+        """Revoke a dead client's leases, evict its overlays and drop
+        its parked lease request.
 
         Idempotent, and a no-op for clients that already signed off
         (their work is settled; a late death notice carries no news).
@@ -476,6 +516,7 @@ class GONScoringService:
         self.lost.add(client_id)
         _WORKERS_LOST.inc()
         self._evict_overlays(client_id)
+        self._parked_leases.pop(client_id, None)
         requeued, poisoned = self.coordinator.release_worker(client_id)
         detail = f"worker {client_id} lost ({reason or 'unknown'})"
         if requeued:
@@ -498,6 +539,19 @@ class GONScoringService:
             self.reply_delays.pop(int(client_id), None)
         else:
             self.reply_delays[int(client_id)] = float(seconds)
+
+    def requeue_cell(self, cell_id: int) -> bool:
+        """Operator re-queue of a leased cell; safe from any thread.
+
+        Revokes the lease without charging a failure
+        (:meth:`~repro.serving.coordinator.CellCoordinator.requeue_cell`)
+        and wakes the serve loop, so a parked lease request takes the
+        cell at once.  Returns False when the cell was not leased.
+        """
+        if not self.coordinator.requeue_cell(cell_id):
+            return False
+        self.request_queue.put(CellRequeued())
+        return True
 
     @staticmethod
     def _pending_elements(pending: Sequence) -> int:
@@ -585,6 +639,8 @@ class GONScoringService:
             if isinstance(message, WorkerLost):
                 self._mark_lost(message.client_id, message.reason)
                 continue
+            if isinstance(message, CellRequeued):
+                continue  # the serve loop grants parked leases next
             client_id = getattr(message, "client_id", None)
             if client_id is not None:
                 if client_id in self.lost:
@@ -596,6 +652,7 @@ class GONScoringService:
             if isinstance(message, ClientDone):
                 signed_off.add(message.client_id)
                 self._evict_overlays(message.client_id)
+                self._parked_leases.pop(message.client_id, None)
                 # Signing off while still holding a lease means the
                 # worker errored mid-cell and cleaned up on the way out
                 # -- treat the lease like a death so the cell is
@@ -630,6 +687,23 @@ class GONScoringService:
         return signed_off
 
     def _grant_lease(self, request: LeaseRequest) -> None:
+        """Answer a lease request now, or park it until a cell frees."""
+        if not self._try_grant(request):
+            self._parked_leases[request.client_id] = request
+
+    def _grant_parked_leases(self) -> None:
+        """Answer the parked lease requests the queue can fill now.
+
+        Oldest first; the first request left waiting means the queue
+        is empty, so the ones behind it stay parked too.
+        """
+        for client_id, request in list(self._parked_leases.items()):
+            if not self._try_grant(request):
+                return
+            self._parked_leases.pop(client_id, None)
+
+    def _try_grant(self, request: LeaseRequest) -> bool:
+        """Send the grant that resolves ``request``; False to wait."""
         cell_id, attempt, drained = self.coordinator.lease(request.client_id)
         if drained:
             grant = LeaseGrant(
@@ -639,7 +713,7 @@ class GONScoringService:
                 poisoned=tuple(sorted(self.coordinator.poisoned)),
             )
         elif cell_id is None:
-            grant = LeaseGrant(request_id=request.request_id, cell_id=-1)
+            return False
         else:
             grant = LeaseGrant(
                 request_id=request.request_id,
@@ -647,9 +721,10 @@ class GONScoringService:
                 attempt=int(attempt),
             )
         self._send_reply(request.client_id, grant)
+        return True
 
     def _send_reply(self, client_id: int, reply) -> None:
-        """Deliver one reply, or park it if the client is delayed.
+        """Deliver one reply, or hold it if the client is delayed.
 
         A delayed reply waits in the due-time heap that :meth:`serve`
         drains; the scorer keeps serving every other client meanwhile.
@@ -666,7 +741,7 @@ class GONScoringService:
     def _deliver_due_replies(self) -> float:
         """Send every delayed reply now due; return the next wait.
 
-        The wait is ``_POLL_SECONDS``, or less when a parked reply
+        The wait is ``_POLL_SECONDS``, or less when a held reply
         falls due sooner.
         """
         while self._delayed:

@@ -71,9 +71,11 @@ MAGIC = b"CRL1"
 #: the pre-shared auth token field in HELLO; version 3 retired the
 #: confidence request/reply frames; version 4 added
 #: ``AscentRequest.segments``; version 5 cut ``AscentReply`` to its
-#: ``metrics``.  The handshake rejects mismatched versions loudly, so
-#: mixed deployments fail fast instead of mis-decoding.
-PROTOCOL_VERSION = 5
+#: ``metrics``; version 6 answers a ``LeaseRequest`` late, once a cell
+#: frees or the grid drains, and never with "no cell, poll again".
+#: The handshake rejects mismatched versions loudly, so mixed
+#: deployments fail fast instead of mis-decoding.
+PROTOCOL_VERSION = 6
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -165,8 +167,9 @@ class ServiceError:
 #: packed body).  Codes are pinned: a message keeps its code for as
 #: long as it exists, and a retired code is never reused (9 and 13
 #: were the confidence request and reply, retired in protocol 3).
-#: The service-internal WorkerLost notice deliberately has no code: it
-#: is enqueued locally by the transport and must never arrive from a
+#: The service-internal WorkerLost and CellRequeued notices
+#: deliberately have no code: they are enqueued locally (by the
+#: transport and by an operator re-queue) and must never arrive from a
 #: client.
 _MESSAGES = {
     Hello: (1, ()),

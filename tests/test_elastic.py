@@ -7,7 +7,8 @@ Exercises the lease-based cell queue end to end:
   poison quarantine at the retry budget);
 * the :meth:`GONScoringService.serve` lease loop driven over plain
   in-process queues (lease round trips, ``WorkerLost`` re-queue,
-  heartbeat-timeout eviction);
+  heartbeat-timeout eviction, deferred grants answered by the event
+  that frees a cell or drains the grid);
 * TCP auth (token mismatch rejected before ``Welcome``, the accept
   loop surviving the rejection) and heartbeats not counting as
   activity;
@@ -28,6 +29,7 @@ import os
 import queue
 import signal
 import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -38,6 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro import telemetry as _telemetry
 from repro.experiments import (
     fleet_ci_campaign_config,
     prepare_campaign_assets,
@@ -47,6 +50,7 @@ from repro.experiments.campaign import CampaignConfig, plan_tasks
 from repro.experiments.fleet import (
     _ElasticCollector,
     _ResultPipe,
+    _run_lease_loop,
     _WorkerDone,
     run_fleet_campaign,
 )
@@ -154,6 +158,30 @@ class TestCellCoordinator:
         coord.lease(0)
         json.dumps(coord.status())
 
+    def test_wait_parks_the_worker_once_until_granted_or_released(self):
+        waits = _telemetry.counter("fleet.lease_waits")
+        before = waits.value
+        coord = CellCoordinator([1, 2])
+        coord.lease(0)
+        coord.lease(1)
+        assert coord.status()["waiting"] == 0
+        assert coord.lease(2) == (None, 0, False)
+        assert coord.lease(2) == (None, 0, False)  # asking again: same wait
+        assert coord.lease(3) == (None, 0, False)
+        assert coord.status()["waiting"] == 2
+        assert waits.value == before + 2
+        coord.release_worker(3)  # a parked worker lost: no longer waiting
+        assert coord.status()["waiting"] == 1
+        coord.release_worker(0)  # cell 1 back in the queue
+        assert coord.lease(2) == (1, 2, False)
+        assert coord.status()["waiting"] == 0
+        coord.complete(1, 2)
+        assert coord.lease(2) == (None, 0, False)
+        coord.complete(2, 1)
+        assert coord.lease(2) == (None, 0, True)
+        assert coord.status()["waiting"] == 0
+        assert waits.value == before + 3
+
 
 # ---------------------------------------------------------------------------
 # Elastic service loop over in-process queues
@@ -257,6 +285,284 @@ class TestElasticServiceLoop:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert coordinator.completed == {5: 0}
+
+
+class _RecordingReplies(queue.Queue):
+    """A reply queue that also keeps every reply put on it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sent: list = []
+
+    def put(self, item, block=True, timeout=None) -> None:
+        self.sent.append(item)
+        super().put(item, block, timeout)
+
+
+def _assert_quiet(replies, seconds=0.05):
+    """No reply reaches ``replies`` within ``seconds``."""
+    with pytest.raises(queue.Empty):
+        replies.get(timeout=seconds)
+
+
+class TestDeferredLeaseGrants:
+    """A lease request the queue cannot fill is answered late, by the
+    event that frees a cell or drains the grid, never with "poll
+    again"."""
+
+    @pytest.fixture(autouse=True)
+    def _no_poll_again(self):
+        # Every grant any test here sends names a cell or the drain.
+        self.replies = []
+        yield
+        grants = [
+            reply for queue_ in self.replies for reply in queue_.sent
+            if isinstance(reply, LeaseGrant)
+        ]
+        assert grants
+        assert all(grant.cell_id >= 0 or grant.drained for grant in grants)
+
+    def _start(self, cells, n_clients, retry_budget=3):
+        coordinator = CellCoordinator(cells, retry_budget=retry_budget)
+        requests = queue.Queue()
+        replies = {i: _RecordingReplies() for i in range(n_clients)}
+        self.replies.extend(replies.values())
+        service = GONScoringService({}, requests, replies, coordinator)
+        thread = threading.Thread(target=service.serve, daemon=True)
+        thread.start()
+        return coordinator, service, requests, replies, thread
+
+    @staticmethod
+    def _park(coordinator, requests, replies, client_id, request_id=1):
+        requests.put(LeaseRequest(client_id=client_id, request_id=request_id))
+        _wait_for(
+            lambda: coordinator.status()["waiting"] >= 1,
+            message=f"client {client_id}'s request to park",
+        )
+        _assert_quiet(replies[client_id])
+
+    @staticmethod
+    def _finish(requests, thread, client_ids):
+        for client_id in client_ids:
+            requests.put(ClientDone(client_id=client_id))
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("event", ["lost", "signs off"])
+    def test_parked_request_gets_the_cell_its_holder_gives_up(self, event):
+        waits = _telemetry.counter("fleet.lease_waits")
+        before = waits.value
+        coordinator, service, requests, replies, thread = self._start(
+            [7], n_clients=2
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 7
+        self._park(coordinator, requests, replies, 1)
+        assert waits.value == before + 1
+        if event == "lost":
+            requests.put(WorkerLost(client_id=0, reason="unit test kill"))
+        else:  # a worker that errored mid-cell signs off with its lease
+            requests.put(ClientDone(client_id=0))
+        grant = replies[1].get(timeout=5.0)
+        assert (grant.request_id, grant.cell_id, grant.attempt) == (1, 7, 2)
+        assert coordinator.status()["waiting"] == 0
+        requests.put(CellDone(client_id=1, cell_id=7))
+        requests.put(LeaseRequest(client_id=1, request_id=2))
+        assert replies[1].get(timeout=5.0).drained
+        self._finish(requests, thread, [1])
+        assert coordinator.completed == {7: 1}
+
+    def test_parked_requests_are_drained_when_the_last_cell_completes(self):
+        coordinator, service, requests, replies, thread = self._start(
+            [3], n_clients=3
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 3
+        self._park(coordinator, requests, replies, 1)
+        requests.put(LeaseRequest(client_id=2, request_id=4))
+        _wait_for(lambda: coordinator.status()["waiting"] == 2)
+        requests.put(CellDone(client_id=0, cell_id=3))
+        for client_id, request_id in ((1, 1), (2, 4)):
+            grant = replies[client_id].get(timeout=5.0)
+            assert (grant.request_id, grant.drained, grant.poisoned) == (
+                request_id, True, (),
+            )
+        requests.put(LeaseRequest(client_id=0, request_id=2))
+        assert replies[0].get(timeout=5.0).drained
+        self._finish(requests, thread, [0, 1, 2])
+
+    def test_parked_request_is_drained_when_the_last_cell_is_poisoned(self):
+        coordinator, service, requests, replies, thread = self._start(
+            [3, 4], n_clients=3, retry_budget=1
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 3
+        requests.put(LeaseRequest(client_id=1, request_id=1))
+        assert replies[1].get(timeout=5.0).cell_id == 4
+        self._park(coordinator, requests, replies, 2)
+        requests.put(CellDone(client_id=1, cell_id=4))
+        requests.put(LeaseRequest(client_id=1, request_id=2))
+        _wait_for(lambda: coordinator.status()["waiting"] == 2)
+        _assert_quiet(replies[2])
+        # Worker 0 dies holding cell 3 with a budget of 1: the cell is
+        # quarantined and the grid drains.
+        requests.put(WorkerLost(client_id=0, reason="unit test kill"))
+        for client_id in (2, 1):
+            grant = replies[client_id].get(timeout=5.0)
+            assert grant.drained
+            assert grant.poisoned == (3,)
+        self._finish(requests, thread, [1, 2])
+        assert coordinator.poisoned == {3}
+
+    def test_requeue_from_another_thread_wakes_the_serve_loop(
+        self, monkeypatch
+    ):
+        # With a 30 s idle poll, only the re-queue's own wake-up can
+        # answer the parked request within the deadline below.
+        monkeypatch.setattr(service_module, "_POLL_SECONDS", 30.0)
+        coordinator, service, requests, replies, thread = self._start(
+            [5], n_clients=2
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 5
+        self._park(coordinator, requests, replies, 1)
+        control = ChaosControl(service, transport=None)
+        started = time.monotonic()
+        operator = threading.Thread(
+            target=control.inject, args=("requeue_cell", {"cell_id": 5})
+        )
+        operator.start()
+        grant = replies[1].get(timeout=5.0)
+        assert time.monotonic() - started < 2.0
+        operator.join(timeout=5.0)
+        assert (grant.cell_id, grant.attempt) == (5, 2)
+        # Worker 0 is now a zombie of cell 5; worker 1's result lands.
+        requests.put(CellDone(client_id=1, cell_id=5))
+        requests.put(LeaseRequest(client_id=1, request_id=2))
+        assert replies[1].get(timeout=5.0).drained
+        self._finish(requests, thread, [0, 1])
+        assert coordinator.completed == {5: 1}
+
+    def test_delayed_client_gets_its_deferred_grant_late(self):
+        coordinator, service, requests, replies, thread = self._start(
+            [1], n_clients=2
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 1
+        self._park(coordinator, requests, replies, 1)
+        service.inject_delay(1, 0.3)
+        resolved = time.monotonic()
+        requests.put(CellDone(client_id=0, cell_id=1))
+        grant = replies[1].get(timeout=5.0)
+        assert time.monotonic() - resolved >= 0.3
+        assert grant.drained
+        requests.put(LeaseRequest(client_id=0, request_id=2))
+        assert replies[0].get(timeout=5.0).drained
+        self._finish(requests, thread, [0, 1])
+
+    @pytest.mark.parametrize("event", ["lost", "signs off"])
+    def test_parked_request_of_a_departed_client_is_dropped(self, event):
+        coordinator, service, requests, replies, thread = self._start(
+            [2], n_clients=3
+        )
+        requests.put(LeaseRequest(client_id=0, request_id=1))
+        assert replies[0].get(timeout=5.0).cell_id == 2
+        self._park(coordinator, requests, replies, 1)
+        if event == "lost":
+            requests.put(WorkerLost(client_id=1, reason="unit test kill"))
+            _wait_for(lambda: service.lost == {1})
+        else:
+            requests.put(ClientDone(client_id=1))
+            _wait_for(lambda: service.signed_off == {1})
+        assert coordinator.status()["waiting"] == 0
+        # Worker 0 dies: its cell goes to the next asker, not to the
+        # departed client 1.
+        requests.put(WorkerLost(client_id=0, reason="unit test kill"))
+        requests.put(LeaseRequest(client_id=2, request_id=1))
+        assert replies[2].get(timeout=5.0).cell_id == 2
+        requests.put(CellDone(client_id=2, cell_id=2))
+        requests.put(LeaseRequest(client_id=2, request_id=2))
+        assert replies[2].get(timeout=5.0).drained
+        self._finish(requests, thread, [2])
+        assert replies[1].sent == []
+
+
+    def test_stress_many_workers_and_operator_requeues(self):
+        # More worker threads than cores lease, finish and ask again
+        # while an operator thread re-queues leased cells; a lost
+        # wake-up would leave a worker parked past the join deadline.
+        n_workers, cells = 6, list(range(24))
+        waits = _telemetry.counter("fleet.lease_waits").value
+        coordinator, service, requests, replies, thread = self._start(
+            cells, n_clients=n_workers
+        )
+        outcome = {}
+
+        def worker(client_id):
+            request_ids = iter(range(1, 1000))
+            while True:
+                request_id = next(request_ids)
+                requests.put(
+                    LeaseRequest(client_id=client_id, request_id=request_id)
+                )
+                grant = replies[client_id].get(timeout=10.0)
+                assert grant.request_id == request_id
+                if grant.drained:
+                    requests.put(ClientDone(client_id=client_id))
+                    outcome[client_id] = request_id
+                    return
+                time.sleep(0.002 * (1 + client_id % 3))
+                requests.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
+
+        def operator():
+            for _ in range(10):
+                leases = sorted(coordinator.lease_view())
+                if leases:
+                    service.requeue_cell(leases[-1])
+                time.sleep(0.002)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(n_workers)
+            ] + [threading.Thread(target=operator, daemon=True)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert not thread.is_alive()
+        assert sorted(outcome) == list(range(n_workers))
+        assert sorted(coordinator.completed) == cells
+        assert coordinator.status()["waiting"] == 0
+        assert coordinator.requeued_total >= 1
+        assert _telemetry.counter("fleet.lease_waits").value > waits
+
+
+class _ScriptedChannel:
+    """A worker channel that answers every request with one reply."""
+
+    client_id = 0
+
+    def __init__(self, reply) -> None:
+        self._reply = reply
+
+    def put(self, message) -> None:
+        pass
+
+    def get(self):
+        return self._reply
+
+
+def test_worker_raises_on_a_grant_without_cell_or_drain():
+    channel = _ScriptedChannel(LeaseGrant(request_id=1, cell_id=-1))
+    with pytest.raises(RuntimeError, match="no cell and no drain"):
+        _run_lease_loop(channel, {}, {}, results=None, base={})
 
 
 class TestInjectedReplyDelay:
@@ -433,6 +739,32 @@ class TestResultPipe:
         survivor.close()
 
 
+#: Seconds every reply to the chaos grid's workers is held before a
+#: SIGKILL (see :func:`_kill_a_lease_holder`).
+_HOLD_SECONDS = 0.5
+
+
+def _kill_a_lease_holder(handle) -> None:
+    """SIGKILL ``workers[0]`` while each of the three workers holds a lease.
+
+    Every reply to clients 0-2 is held for ``_HOLD_SECONDS``, lease
+    grants included, so no cell can finish before the kill.  Each
+    worker settles its cell before asking for another, so three
+    concurrent leases are held by three distinct workers, and
+    ``workers[0]`` is one of them.  The held replies go out at their
+    due times once the delays are cleared.
+    """
+    for client_id in range(3):
+        handle.service.inject_delay(client_id, _HOLD_SECONDS)
+    _wait_for(
+        lambda: len(handle.coordinator.lease_view()) >= 3,
+        message="three concurrent leases",
+    )
+    os.kill(handle.workers[0].pid, signal.SIGKILL)
+    for client_id in range(3):
+        handle.service.inject_delay(client_id, 0.0)
+
+
 class TestCampaignChaos:
     def test_sigkill_mid_cell_stays_bit_identical_to_serial(
         self, chaos_grid, chaos_assets, serial_rows
@@ -441,12 +773,7 @@ class TestCampaignChaos:
         state = {}
 
         def chaos(handle):
-            # All three workers hold a lease => all are mid-cell.
-            _wait_for(
-                lambda: len(handle.coordinator.lease_view()) >= 3,
-                message="three concurrent leases",
-            )
-            os.kill(handle.workers[0].pid, signal.SIGKILL)
+            _kill_a_lease_holder(handle)
             state["coordinator"] = handle.coordinator
             state["service"] = handle.service
 
@@ -523,11 +850,7 @@ class TestCampaignChaos:
         state = {}
 
         def chaos(handle):
-            _wait_for(
-                lambda: len(handle.coordinator.lease_view()) >= 3,
-                message="three concurrent leases",
-            )
-            os.kill(handle.workers[0].pid, signal.SIGKILL)
+            _kill_a_lease_holder(handle)
             state["coordinator"] = handle.coordinator
 
         records = run_fleet_campaign(grid, tasks, chaos_assets, chaos=chaos)
@@ -573,7 +896,7 @@ class TestCampaignChaos:
                     if hold.held and coordinator.lease_view().get(
                         cell, {}
                     ).get("worker") == worker:
-                        coordinator.requeue_cell(cell)
+                        service.requeue_cell(cell)
                         # The re-run may lease and finish the cell
                         # between two polls: a completion counts too
                         # (``worker`` is blocked, so it is another's).

@@ -526,12 +526,14 @@ class TestTransportFailureModes:
         # Protocol 4 added AscentRequest.segments: a protocol-3 worker
         # would send stacks the service scores as one segment.
         # Protocol 5 cut AscentReply to its metrics: a protocol-4
-        # worker would reject every reply frame.
-        assert wire.PROTOCOL_VERSION == 5
+        # worker would reject every reply frame.  Protocol 6 answers a
+        # lease request late and never with "poll again", which a
+        # protocol-6 worker raises on.
+        assert wire.PROTOCOL_VERSION == 6
         transport = TcpTransport()
         transport.start()
         try:
-            for protocol in (3, 4):
+            for protocol in (3, 4, 5):
                 before = _rejections()
                 old = socket.create_connection(
                     (transport.host, transport.port)
