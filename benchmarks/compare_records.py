@@ -5,9 +5,9 @@ service, once against a separately served one (``repro serve``) --
 plus chaos, resume and serial runs of the same grids, and this check
 pins the cross-mode contract in the pipeline itself: the
 deterministic record surface (scenario, model, seeds, every metric)
-must be **bit-identical** across execution modes.  Execution observability
-legitimately differs between modes -- diagnostics counters (overlay/
-fallback/cache) *and* the merged telemetry snapshot, which carries
+must be **bit-identical** across execution modes.  Execution
+observability is not part of that surface -- the per-record
+diagnostics counters *and* the merged telemetry snapshot, which carries
 wall-clock spans that differ on every run -- so both are explicitly
 stripped before comparison, exactly as ``RunRecord.row()`` excludes
 them from the deterministic surface.
@@ -15,9 +15,10 @@ them from the deterministic surface.
 ``--decisions`` additionally asserts *decision parity*: each CAROL-
 family record's ``diagnostics["decision_digest"]`` (the rolling hash
 over every repair choice and POT gate outcome) must match record-for-
-record.  This is the gate CI holds the fleet's service-side kernel
-ascents to -- a fleet dump must make bit-identical records *and*
-identical decisions versus a serial dump of the same grid.
+record.  This is the gate CI holds the fleet's kernel ascents (on the
+service before a cell's first fine-tune, on the worker after it) to
+-- a fleet dump must make bit-identical records *and* identical
+decisions versus a serial dump of the same grid.
 
 Either side may also be a ``campaign --store sqlite`` database
 (sniffed by the SQLite magic bytes) -- the store's records are read

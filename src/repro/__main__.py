@@ -26,8 +26,8 @@ scenario instead of once per run; ``--fleet`` additionally runs the
 campaign through the shared scoring service of :mod:`repro.serving`
 (``--ci --fleet`` runs the tiny fleet smoke grid).  The §VI proactive
 scheme is a first-class campaign model (``--models carol-proactive``,
-alias ``proactive``) in every mode -- in fleet mode its fine-tuned
-replicas stay on the scoring service via per-client weight overlays.
+alias ``proactive``) in every mode -- in fleet mode a fine-tuned
+replica scores its own ascents on the worker.
 ``--record-json PATH`` dumps the full per-run records (metrics +
 scorer diagnostics) as JSON; CI uploads the fleet smokes' dumps as
 build artifacts.
@@ -413,9 +413,7 @@ def _cmd_serve(args) -> int:
         return 1
     print(
         f"service done: {stats.n_requests} requests / {stats.n_elements} "
-        f"stacked candidates in {stats.n_batches} batches; "
-        f"{stats.overlay_installs} overlay installs, "
-        f"{stats.overlay_evictions} evictions"
+        f"stacked candidates in {stats.n_batches} kernel calls"
     )
     if args.telemetry_json and telemetry_sink:
         import json

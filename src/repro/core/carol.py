@@ -24,7 +24,7 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..simulator.detection import FailureReport
-from ..telemetry import MetricsRegistry, merge_snapshots
+from ..telemetry import MetricsRegistry
 from ..simulator.engine import SystemView
 from ..simulator.metrics import IntervalMetrics
 from ..simulator.topology import Topology
@@ -492,34 +492,25 @@ class CAROL(ResilienceModel):
 
     # ------------------------------------------------------------------
     def scorer_diagnostics(self) -> dict:
-        """The execution backend's counters plus this model's own.
+        """This model's integer counters and decision digest.
 
-        Flat dict of integer counters (``overlay_installs`` when
-        fleet-mounted, the cache counters, ``n_fine_tunes``) plus the
+        Flat dict of the cache counters and ``n_fine_tunes`` plus the
         ``decision_digest`` hex string, surfaced into campaign records
-        so fleet runs can assert, e.g., that every fine-tune shipped
-        its overlay (``overlay_installs == n_fine_tunes``) and so
-        record dumps from different execution modes can be checked for
-        decision parity (``benchmarks/compare_records.py
+        so record dumps from different execution modes can be checked
+        for decision parity (``benchmarks/compare_records.py
         --decisions``).
         """
-        counters = dict(getattr(self.scorer, "diagnostics", None) or {})
-        counters.update(self.diagnostics.counters())
-        return counters
+        return self.diagnostics.counters()
 
     def telemetry_snapshot(self) -> dict:
-        """Merged per-instance registries (model + scorer).
+        """This model's per-instance registry.
 
-        The namespaced (``carol.*`` / ``scorer.*``) registry view of
+        The namespaced (``carol.*``) registry view of
         :meth:`scorer_diagnostics`; :func:`repro.experiments.campaign.run_cell`
         folds it into the process registry after every cell so campaign
         telemetry aggregates per-model counters fleet-wide.
         """
-        snaps = [self.diagnostics.telemetry.snapshot()]
-        scorer_registry = getattr(self.scorer, "telemetry", None)
-        if scorer_registry is not None:
-            snaps.append(scorer_registry.snapshot())
-        return merge_snapshots(*snaps)
+        return self.diagnostics.telemetry.snapshot()
 
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:

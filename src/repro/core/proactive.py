@@ -21,10 +21,9 @@ Campaigns sweep this scheme under the model name ``CAROL-Proactive``
 (``python -m repro campaign --models carol-proactive ...``), in every
 execution mode including ``--fleet``: the proactive loop scores all
 its slates through the shared :class:`~repro.core.scoring.SurrogateScorer`
-seam, so fleet runs consolidate into the batched scoring service, and
--- because ProactiveCAROL fine-tunes like reactive CAROL does -- rely
-on the service's per-client weight overlays to stay there after the
-POT gate first opens (see :mod:`repro.serving`).
+seam, so fleet runs score on the shared scoring service until the POT
+gate first opens and on the worker's fine-tuned replica after that
+(see :mod:`repro.serving`).
 """
 
 from __future__ import annotations

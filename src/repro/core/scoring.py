@@ -8,20 +8,15 @@ down as the *scorer* interface so the execution backend is swappable:
 * :class:`LocalScorer` (the default) runs everything in-process on the
   model CAROL owns;
 * ``repro.serving.FleetScorer`` routes ascent stacks to a shared
-  scoring service consolidating many concurrent federations into one
-  batched GON stream; when fine-tuning diverges this replica from the
-  fleet, the new weights ship to the service as a per-client overlay
-  so the run stays in the consolidated stream.
+  scoring service that holds the published weights of many concurrent
+  federations; once fine-tuning diverges this replica from the fleet,
+  it scores on its own kernel exactly as :class:`LocalScorer` does.
 
 Every scorer carries a monotone ``generation`` counter, bumped exactly
 when :meth:`fine_tune` mutates the model.  CAROL's persistent surrogate
 cache keys its validity on this counter: scores stay reusable across
 scheduling intervals precisely as long as the generation stands still
 (the model only changes when the POT gate opens -- §III-B).
-
-A scorer may also expose a ``diagnostics`` mapping of integer
-counters and a ``telemetry`` registry; CAROL folds both into its
-records when present (``FleetScorer`` counts its overlay installs).
 
 Every ascent runs the one production path,
 :func:`repro.core.surrogate.generate_metrics_batch`, on a

@@ -50,7 +50,7 @@ scenario in the parent -- seeded from the campaign root, not the run
 seed -- and shipped to workers as pickled copies.  ``mode="fleet"``
 (which implies shared assets) instead packs those assets *once*,
 serves them over TCP, and runs lightweight simulation workers that
-feed one batched GON scoring service -- see
+share one GON scoring service until their first fine-tune -- see
 :mod:`repro.serving` and :mod:`repro.experiments.fleet`.  The
 bit-identity guarantee extends across all modes at equal
 ``shared_assets``: serial, process-pool and fleet execution of the
@@ -165,8 +165,8 @@ class CampaignConfig:
     gon_layers: int = 2
     gon_epochs: int = 6
     #: Execution backend: "process" fans runs across a process pool;
-    #: "fleet" runs simulation workers against one shared batched GON
-    #: scoring service (implies ``shared_assets``).
+    #: "fleet" runs simulation workers against one shared GON scoring
+    #: service (implies ``shared_assets``).
     mode: str = "process"
     #: Fleet plumbing.  ``"tcp"`` is the only transport: the service
     #: frames its request/reply dataclasses over sockets
@@ -190,7 +190,7 @@ class CampaignConfig:
     #: and picklable).  Part of the grid spec, so the serial == process
     #: == fleet bit-identity contract covers it -- e.g.
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
-    #: gate and exercise fine-tuning (the overlay path in fleet mode).
+    #: gate and exercise fine-tuning (worker-local ascents in fleet mode).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
@@ -420,12 +420,10 @@ class RunRecord:
     #: The integer seed actually used for the run.
     seed: int
     metrics: Dict[str, float]
-    #: Execution telemetry (scorer overlay counters, cache
-    #: and fine-tune counts).  Deliberately excluded from :meth:`row`:
-    #: it describes *how* the cell executed, not the deterministic
-    #: outcome, so the cross-mode bit-identity contract ignores it
-    #: (a fleet record legitimately reports overlay installs where its
-    #: serial twin has none).
+    #: Execution telemetry (cache and fine-tune counts, the decision
+    #: digest).  Deliberately excluded from :meth:`row`: it describes
+    #: *how* the cell executed, not the deterministic outcome, so the
+    #: cross-mode bit-identity contract ignores it.
     diagnostics: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
@@ -708,7 +706,7 @@ class CampaignResult:
         What ``python -m repro campaign --record-json`` writes and CI
         uploads as an artifact; records carry both the deterministic
         metrics (the bit-identity surface) and the execution
-        diagnostics (overlay/cache counters).
+        diagnostics (cache and fine-tune counters).
         """
         return {
             "config": {
@@ -945,8 +943,7 @@ def ci_campaign_config(workers: int = 2) -> CampaignConfig:
 
 def fleet_ci_campaign_config(workers: int = 2) -> CampaignConfig:
     """The fleet-mode smoke grid: a tiny CAROL + ProactiveCAROL
-    campaign through the TCP-served assets and the batched scoring
-    service.
+    campaign through the TCP-served assets and the scoring service.
 
     One scenario x {CAROL, CAROL-Proactive} x two seeds at three
     intervals with a midget GON -- seconds of work, yet it exercises

@@ -52,9 +52,9 @@ scored stacks are exactly the stacks an in-process scorer would run
 could not be bitwise), (b) workers keep
 every RNG stream local, (c) a run whose POT gate opens fine-tunes a
 private copy-on-write weight copy exactly as its serial twin would,
-then ships the diverged state back as a per-client overlay
-(``pack_state`` roundtrips are bit-exact), and (d) the wire moves
-float64 payloads as raw packed bytes, never through text.
+then scores its ascents on that copy's own kernel, as the serial twin
+does, and (d) the wire moves float64 payloads as raw packed bytes,
+never through text.
 """
 
 from __future__ import annotations
@@ -107,10 +107,9 @@ from .campaign import (
 
 __all__ = ["run_fleet_campaign", "serve_fleet_service", "FleetChaosHandle"]
 
-#: CAROL-family models whose GON evaluations route through the service.
-#: ProactiveCAROL fine-tunes aggressively, so its fleet presence leans
-#: on the service's per-client weight overlays to stay consolidated
-#: past the first POT-gated fine-tune.
+#: CAROL-family models whose generation-0 ascents route through the
+#: service; after a cell's first POT-gated fine-tune its ascents run
+#: on the worker's own replica.
 _GON_CAROL_CLASSES = {
     "CAROL": CAROL,
     PROACTIVE_NAME: ProactiveCAROL,

@@ -1,9 +1,9 @@
 """``repro.serving`` -- fleet-scale GON scoring infrastructure.
 
 Turns a campaign from "N processes x 1 surrogate each" into "N
-lightweight simulation workers feeding one batched GON scorer", the
-consolidation that sharing one inference stream across federations
-buys.  Workers and service talk over TCP only, on one machine or many.
+lightweight simulation workers sharing one GON scorer" until a
+worker's replica fine-tunes.  Workers and service talk over TCP only,
+on one machine or many.
 The request path::
 
         ┌───────────────────────── serving process ─────────────────────────┐
@@ -15,8 +15,8 @@ The request path::
           requests │ (frames, one FIFO)           │ replies (per-client socket)
         ┌──────────┴────────────┐     ┌───────────▼─────────────┐
         │ worker k: simulation  │     │ FleetScorer: ascents    │
-        │ + CAROL decision loop │ ──> │ remote at every         │
-        │ (fetched weights)     │     │ generation via overlays │
+        │ + CAROL decision loop │ ──> │ remote until the first  │
+        │ (fetched weights)     │     │ fine-tune, then local   │
         └───────────────────────┘     └─────────────────────────┘
 
 * :mod:`repro.serving.shared` -- the worker-side asset fetch: each
@@ -28,42 +28,22 @@ The request path::
   fleet campaigns (see :mod:`repro.experiments.fleet`).
 
 The invariants this docstring states in protocol terms -- bit-identity
-with serial execution, the overlay/generation rules, the lease/poison
-lifecycle, and the cell-id/config-hash scheme that lets a
-:mod:`repro.storage` store pre-complete the coordinator on resume --
-are collected with their soundness arguments in
-``docs/architecture.md``.
+with serial execution, the lease/poison lifecycle, and the
+cell-id/config-hash scheme that lets a :mod:`repro.storage` store
+pre-complete the coordinator on resume -- are collected with their
+soundness arguments in ``docs/architecture.md``.
 
-The overlay protocol
---------------------
+Fine-tuned replicas score locally
+---------------------------------
 CAROL fine-tunes its GON whenever the POT confidence gate opens, and a
 fine-tuned replica no longer matches the fleet's published weights.
-The :class:`FleetScorer` then ships its packed post-fine-tune state
-(``nn/serialization.pack_state``) to the service as an
-:class:`OverlayUpdate`; the service installs it as a *copy-on-write
-per-client weight overlay* and keeps answering that client's ascents
-from the consolidated batched stream.  Three invariants make this
-safe and exact:
-
-1. **Ordering** -- overlay installs and scoring requests share one
-   FIFO request queue and clients are synchronous, so an install
-   always lands before the first request at its generation and no
-   request can observe a stale replica.
-2. **Isolation** -- kernels are keyed by ``(generation, owner)``:
-   generation-0 requests from any client share the base model, while
-   generation > 0 weights are private to the owning client -- two
-   clients at different generations, or two diverged clients at the
-   same generation, never share a replica or a kernel.
-3. **Bit-identity** -- ``pack_state``/``unpack_state`` roundtrips are
-   bit-exact and the service runs the same ``generate_metrics_batch``
-   on identical stack shapes, so overlay-scored fleet records remain
-   bit-identical to serial execution even after fine-tuning; the
-   contract `tests/test_fleet.py::TestOverlayLifecycle` asserts.
-
-Overlays are evicted when their owning client signs off
-(:class:`ClientDone`).  Every fine-tune ships one overlay, so a fleet
-record's ``diagnostics["overlay_installs"]`` equals its
-``n_fine_tunes``.
+:class:`FleetScorer` materialises a private writable copy of the
+weights before the first fine-tune and from then on runs every ascent
+on its own replica's kernel, exactly as an in-process
+:class:`~repro.core.scoring.LocalScorer` would, so fleet records stay
+bit-identical to serial execution past the first fine-tune
+(``tests/test_fleet.py::TestFleetScorer``).  Only generation-0 ascents
+reach the service, which scores them on the published weights.
 
 The transport and the wire format
 --------------------------------
@@ -86,39 +66,42 @@ length-prefixed binary framing::
              | body(pack_state buffer: raw array bytes)
 
 and it carries the service's protocol dataclasses
-(:class:`AscentRequest`, :class:`OverlayUpdate`, the lease frames,
-:class:`ClientDone`, the replies) plus a handshake (HELLO/WELCOME
+(:class:`AscentRequest`, the lease frames, :class:`ClientDone`, the
+replies) plus a handshake (HELLO/WELCOME
 assigns client ids in handshake order) and an asset channel (workers fetch each scenario's packed weights and trace
 stacks once, cached per process -- see
 :func:`~repro.serving.shared.fetch_array_pack`).
 
-Transport guarantees, in the same spirit as the overlay invariants:
+Transport guarantees:
 
 1. **Ordering** -- each client's socket is read by one dedicated
    reader thread feeding the service's single FIFO, so a client's
-   messages enter the queue in send order and install-before-score
-   survives the network hop.  Cross-client interleaving is unordered
-   and harmless: generation > 0 overlays are private per client.
+   messages enter the queue in send order.  Cross-client interleaving
+   is unordered and harmless: every request scores on the published
+   weights.
 2. **Bit-identity** -- float64 payloads cross the wire as raw packed
    bytes (no text round-trip), so a TCP fleet campaign on localhost
-   produces records bit-identical to serial execution, overlays
-   included (asserted by ``tests/test_fleet.py::TestTcpFleetCampaign``).
+   produces records bit-identical to serial execution, fine-tuned
+   cells included (asserted by
+   ``tests/test_fleet.py::TestTcpFleetCampaign``).
 3. **No hangs, and one client's fault stays its own** -- a client
    that sends a malformed or truncated frame, spoofs another id, asks
    for an unknown asset pack or disconnects before
    :class:`ClientDone` is dropped and reported as a
    :class:`WorkerLost` (its leases are re-queued); a failed handshake
    is closed and counted (``fleet.handshake_rejections``).  A fault of
-   the scorer loop itself, such as a stale-generation request, raises
-   out of ``serve()``, and
+   the scorer loop itself, such as the dead-fleet abort, raises out of
+   ``serve()``, and
    :func:`~repro.serving.transports.serve_transport` broadcasts it to
    every connected client before re-raising, so blocked workers raise
    instead of waiting forever.  Frame sizes are bounded, so a corrupt
    length prefix cannot trigger unbounded allocation.  Codes are
    pinned per message; wire protocol 3 retired the confidence frames
    (codes 9 and 13), protocol 4 added ``AscentRequest.segments``,
-   protocol 5 cut ``AscentReply`` to its ``M*`` stack and protocol 6
-   answers a ``LeaseRequest`` late instead of with "poll again".
+   protocol 5 cut ``AscentReply`` to its ``M*`` stack, protocol 6
+   answers a ``LeaseRequest`` late instead of with "poll again", and
+   protocol 7 retired the weight-overlay frame (code 10) and
+   ``AscentRequest.generation``.
 
 The elastic fleet protocol
 --------------------------
@@ -218,7 +201,6 @@ from .service import (
     GONScoringService,
     LeaseGrant,
     LeaseRequest,
-    OverlayUpdate,
     Ping,
     ScoringClient,
     ServiceStats,
@@ -245,7 +227,6 @@ __all__ = [
     "GONScoringService",
     "LeaseGrant",
     "LeaseRequest",
-    "OverlayUpdate",
     "Ping",
     "ScoringClient",
     "ServiceStats",

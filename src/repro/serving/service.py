@@ -15,16 +15,16 @@ Each request carries a whole candidate stack (a tabu neighbourhood's
 cache misses).  The scorer blocks only while its queue is empty: once a
 message is in hand it takes whatever else is already queued, without
 waiting for more (bounded by ``_MAX_BATCH_ELEMENTS`` so latency stays
-bounded), and answers every request with a batched GON evaluation on
-its resident model replica -- the scoring weights live once, in the
-service, instead of once per worker.  Requests that arrive while a
-batch is being scored form the next batch.
+bounded), and answers every request with its own kernel call on the
+published weights; two requests are never merged.  Requests that
+arrive while a batch is being scored form the next batch.
 
 Ascents run through the same production path as in-process scoring:
 :func:`repro.core.surrogate.generate_metrics_batch` on a
-:class:`~repro.core.fastscore.FastGONKernel` cached per resident
-replica.  Confidence reads never cross the wire: :class:`FleetScorer`
-runs them on its own replica.
+:class:`~repro.core.fastscore.FastGONKernel` cached per published
+weight set.  Only generation-0 ascents cross the wire: confidence
+reads, and every ascent after a replica's first fine-tune, run in
+:class:`FleetScorer` on the worker's own replica.
 
 Replies are keyed by ``(client, request)``; within a request, results
 are positional in the submitted stack.  Each request's stack runs as
@@ -35,25 +35,6 @@ execution.  Merging stacks is exact only through segments: a gemm's
 rows can change in the last ulp with the number of rows it multiplies
 (BLAS edge kernels), so an unsegmented concatenation of requests would
 not be bitwise.  Requests from different clients are not merged.
-
-Per-client weight overlays
---------------------------
-A client whose replica fine-tunes past generation 0 no longer matches
-the published weights, but it does not have to leave the consolidated
-stream: it ships its full packed state (``nn/serialization.pack_state``)
-as an :class:`OverlayUpdate`, and the service installs a *copy-on-write
-overlay* -- a private replica mounted over the shipped buffer, resident
-next to the generation-0 base model.  Requests carry the client's
-``generation``: generation-0 requests from any client score on the base
-model, and past generation 0 each client scores on its own overlay, so
-two clients at different generations (or two diverged clients at the
-same generation) never share weights or a cached kernel.
-
-Queue FIFO ordering makes the protocol race-free: a client installs
-its overlay (one fire-and-forget message) before submitting any
-generation-N request, and the service applies messages in arrival
-order, so an ascent can never observe a stale replica.  Overlays are
-evicted when their client signs off (:class:`ClientDone`).
 
 Deferred lease grants
 ---------------------
@@ -89,15 +70,13 @@ from .. import telemetry as _telemetry
 from ..core.features import GONInput
 from ..core.gon import GONDiscriminator
 from ..core.fastscore import FastGONKernel
-from ..core.scoring import sample_confidence
+from ..core.scoring import LocalScorer, sample_confidence
 from ..core.surrogate import SurrogateResult, generate_metrics_batch
 from ..core.training import TrainingConfig, fine_tune
-from ..nn.serialization import pack_state, unpack_state
-from ..telemetry import SIZE_EDGES, MetricsRegistry, merge_snapshots
+from ..telemetry import SIZE_EDGES, merge_snapshots
 
 __all__ = [
     "AscentRequest",
-    "OverlayUpdate",
     "ClientDone",
     "StatsUpdate",
     "LeaseRequest",
@@ -121,9 +100,6 @@ _DISPATCH_SPAN = _telemetry.span("service.dispatch")
 _REQUESTS = _telemetry.counter("service.requests")
 _ELEMENTS = _telemetry.counter("service.elements")
 _BATCHES = _telemetry.counter("service.batches")
-_OVERLAY_INSTALLS = _telemetry.counter("service.overlay_installs")
-_OVERLAY_EVICTIONS = _telemetry.counter("service.overlay_evictions")
-_OVERLAY_ELEMENTS = _telemetry.counter("service.overlay_elements")
 _STATS_UPDATES = _telemetry.counter("service.stats_updates")
 _BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
 
@@ -153,9 +129,6 @@ class AscentRequest:
     adjacencies: np.ndarray  # [B, n, n]
     gamma: float
     max_steps: int
-    #: The client replica's fine-tune generation; > 0 scores on that
-    #: client's installed weight overlay instead of the base model.
-    generation: int = 0
     #: Sizes of the stack's segments, each scored as a call of its own
     #: (see :func:`~repro.core.surrogate.generate_metrics_batch`);
     #: empty is one segment.
@@ -167,28 +140,6 @@ class AscentRequest:
         # leading axis counts as empty, and _run_ascent rejects it.
         shape = np.shape(self.metrics)
         return int(shape[0]) if shape else 0
-
-
-@dataclass(frozen=True)
-class OverlayUpdate:
-    """A diverged client shipping its packed fine-tuned state.
-
-    ``buffer``/``manifest`` come from ``nn/serialization.pack_state``
-    on the client's post-fine-tune state dict; the roundtrip is
-    bit-exact, which is what keeps overlay-scored fleet records
-    bit-identical to worker-local scoring.  Fire-and-forget: queue
-    FIFO ordering guarantees the install lands before any request at
-    this generation.
-    """
-
-    client_id: int
-    model_key: str
-    generation: int
-    buffer: np.ndarray
-    manifest: Tuple[Tuple[str, Tuple[int, ...], str, int], ...]
-
-    #: Overlay installs never count toward ``_MAX_BATCH_ELEMENTS``.
-    n_elements: int = 0
 
 
 @dataclass(frozen=True)
@@ -285,9 +236,9 @@ class WorkerLost:
     """Service-internal notice that a client died before signing off.
 
     Enqueued by the transport layer (TCP reader threads on EOF) --
-    never sent by workers and never crosses the wire.  The service revokes
-    the dead client's leases and evicts its overlays; the message is
-    idempotent and ignored for clients that already signed off.
+    never sent by workers and never crosses the wire.  The service
+    revokes the dead client's leases; the message is idempotent and
+    ignored for clients that already signed off.
     """
 
     client_id: int
@@ -333,13 +284,6 @@ class ServiceStats:
     n_requests: int = 0
     n_elements: int = 0
     n_batches: int = 0
-    #: Per-client weight overlays installed (including re-installs when
-    #: a client fine-tunes again and replaces its previous overlay).
-    overlay_installs: int = 0
-    #: Overlays dropped because their owning client signed off.
-    overlay_evictions: int = 0
-    #: Stacked elements scored on an overlay replica (generation > 0).
-    overlay_elements: int = 0
 
 
 class GONScoringService:
@@ -376,15 +320,10 @@ class GONScoringService:
         self.request_queue = request_queue
         self.reply_queues = reply_queues
         self.coordinator = coordinator
-        #: ``(model_key, generation, owner) -> FastGONKernel``, cached
-        #: per resident replica; invalidated when an overlay
-        #: (re)installs.
-        self._kernels: Dict[tuple, object] = {}
+        #: ``model_key -> FastGONKernel``, exported once per published
+        #: weight set.
+        self._kernels: Dict[str, FastGONKernel] = {}
         self.stats = ServiceStats()
-        #: Copy-on-write per-client replicas installed by
-        #: :class:`OverlayUpdate`: ``(client_id, model_key) ->
-        #: (generation, replica)``.  Base models stay untouched.
-        self._overlays: Dict[Tuple[int, str], Tuple[int, GONDiscriminator]] = {}
         #: Latest :class:`StatsUpdate` snapshot per client, guarded for
         #: the status-endpoint thread (see :meth:`merged_telemetry`).
         self.worker_snapshots: Dict[int, dict] = {}
@@ -505,8 +444,8 @@ class GONScoringService:
         }
 
     def _mark_lost(self, client_id: int, reason: str = "") -> None:
-        """Revoke a dead client's leases, evict its overlays and drop
-        its parked lease request.
+        """Revoke a dead client's leases and drop its parked lease
+        request.
 
         Idempotent, and a no-op for clients that already signed off
         (their work is settled; a late death notice carries no news).
@@ -515,7 +454,6 @@ class GONScoringService:
             return
         self.lost.add(client_id)
         _WORKERS_LOST.inc()
-        self._evict_overlays(client_id)
         self._parked_leases.pop(client_id, None)
         requeued, poisoned = self.coordinator.release_worker(client_id)
         detail = f"worker {client_id} lost ({reason or 'unknown'})"
@@ -557,82 +495,17 @@ class GONScoringService:
     def _pending_elements(pending: Sequence) -> int:
         return sum(getattr(m, "n_elements", 0) for m in pending)
 
-    # ------------------------------------------------------------------
-    # Per-client weight overlays
-    # ------------------------------------------------------------------
-    def _install_overlay(self, update: OverlayUpdate) -> None:
-        """Mount a diverged client's shipped weights as a replica.
-
-        The replica's parameters are zero-copy views into the shipped
-        buffer (the service only scores, never trains, so read-only
-        views suffice); installing at a newer generation replaces the
-        client's previous overlay.
-        """
-        base = self.models[update.model_key]
-        replica = base.clone_architecture(np.random.default_rng(0))
-        replica.load_state_dict(
-            unpack_state(update.buffer, list(update.manifest)), copy=False
-        )
-        self._overlays[(update.client_id, update.model_key)] = (
-            update.generation, replica,
-        )
-        # Any kernel exported from this client's previous overlay
-        # is stale now; the next request re-exports from the replica.
-        for key in [
-            k for k in self._kernels
-            if k[0] == update.model_key and k[2] == update.client_id
-        ]:
-            del self._kernels[key]
-        self.stats.overlay_installs += 1
-        _OVERLAY_INSTALLS.inc()
-
-    def _evict_overlays(self, client_id: int) -> None:
-        """Drop every overlay owned by a disconnecting client."""
-        owned = [key for key in self._overlays if key[0] == client_id]
-        for key in owned:
-            del self._overlays[key]
-        for key in [k for k in self._kernels if k[2] == client_id]:
-            del self._kernels[key]
-        self.stats.overlay_evictions += len(owned)
-        _OVERLAY_EVICTIONS.add(len(owned))
-
-    def _resolve_model(self, request) -> GONDiscriminator:
-        """The replica a request scores on: base weights or overlay."""
-        generation = request.generation
-        if generation == 0:
-            return self.models[request.model_key]
-        entry = self._overlays.get((request.client_id, request.model_key))
-        if entry is None or entry[0] != generation:
-            raise RuntimeError(
-                f"client {request.client_id} requested generation "
-                f"{generation} of {request.model_key!r} but the installed "
-                f"overlay is {entry[0] if entry else 'absent'}: overlay "
-                "protocol violated (updates must precede requests)"
-            )
-        self.stats.overlay_elements += request.n_elements
-        _OVERLAY_ELEMENTS.add(request.n_elements)
-        return entry[1]
-
-    def _kernel_for(self, request, model: GONDiscriminator) -> FastGONKernel:
-        """The cached kernel for a request's resolved replica."""
-        # Generation 0 is the published weight set every client shares
-        # (owner -1); past it each client scores on its own overlay.
-        owner = request.client_id if request.generation else -1
-        key = (request.model_key, request.generation, owner)
-        kernel = self._kernels.get(key)
+    def _kernel_for(self, model_key: str) -> FastGONKernel:
+        """The cached kernel of one published weight set."""
+        kernel = self._kernels.get(model_key)
         if kernel is None:
-            kernel = FastGONKernel.from_model(model)
-            self._kernels[key] = kernel
+            kernel = FastGONKernel.from_model(self.models[model_key])
+            self._kernels[model_key] = kernel
         return kernel
 
     # ------------------------------------------------------------------
     def _dispatch(self, pending: Sequence) -> set:
-        """Apply the drained messages, score, reply; returns sign-offs.
-
-        Messages apply in arrival order, so an :class:`OverlayUpdate`
-        drained alongside its client's follow-up requests installs
-        before any request is scored.
-        """
+        """Apply the drained messages, score, reply; returns sign-offs."""
         signed_off: set = set()
         requests: list = []
         for message in pending:
@@ -651,7 +524,6 @@ class GONScoringService:
                 self._note_alive(client_id)
             if isinstance(message, ClientDone):
                 signed_off.add(message.client_id)
-                self._evict_overlays(message.client_id)
                 self._parked_leases.pop(message.client_id, None)
                 # Signing off while still holding a lease means the
                 # worker errored mid-cell and cleaned up on the way out
@@ -666,9 +538,6 @@ class GONScoringService:
                 self.coordinator.complete(message.cell_id, message.client_id)
                 continue
             if isinstance(message, Ping):
-                continue
-            if isinstance(message, OverlayUpdate):
-                self._install_overlay(message)
                 continue
             if isinstance(message, StatsUpdate):
                 with self._stats_lock:
@@ -772,16 +641,14 @@ class GONScoringService:
         segments that do not cover the stack, a bad gamma, misshapen
         arrays or an empty stack) is its client's fault: the client is
         marked lost, so its leases are requeued or poisoned, and the
-        service keeps scoring for the rest of the fleet.  An overlay protocol
-        violation still stops the service (see :meth:`_resolve_model`).
+        service keeps scoring for the rest of the fleet.
         """
         self.stats.n_batches += 1
         _BATCHES.inc()
         _BATCH_ELEMENTS.observe(request.n_elements)
         try:
-            model = self._resolve_model(request)
             results = generate_metrics_batch(
-                self._kernel_for(request, model),
+                self._kernel_for(request.model_key),
                 request.schedules,
                 request.adjacencies,
                 init_metrics=request.metrics,
@@ -806,10 +673,7 @@ class GONScoringService:
 class ScoringClient:
     """Worker-side stub: submit stacks, block for the keyed reply.
 
-    ``generation`` on the scoring calls names the weight set to score
-    on: 0 is the published base model, anything newer must first have
-    been shipped through :meth:`install_overlay` (fire-and-forget;
-    queue FIFO ordering makes install-before-score automatic).
+    Every ascent scores on the published weights of ``model_key``.
     """
 
     def __init__(self, client_id: int, model_key: str,
@@ -835,19 +699,6 @@ class ScoringClient:
             )
         return reply
 
-    def install_overlay(
-        self, state: Dict[str, np.ndarray], generation: int
-    ) -> None:
-        """Ship this client's fine-tuned state as a service overlay."""
-        buffer, manifest = pack_state(dict(state))
-        self.request_queue.put(OverlayUpdate(
-            client_id=self.client_id,
-            model_key=self.model_key,
-            generation=generation,
-            buffer=buffer,
-            manifest=tuple(manifest),
-        ))
-
     def ascent(
         self,
         metrics: np.ndarray,
@@ -855,7 +706,6 @@ class ScoringClient:
         adjacencies: np.ndarray,
         gamma: float,
         max_steps: int,
-        generation: int = 0,
         segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
         self._next_request += 1
@@ -868,7 +718,6 @@ class ScoringClient:
             adjacencies=np.asarray(adjacencies, dtype=float),
             gamma=gamma,
             max_steps=max_steps,
-            generation=generation,
             segments=tuple(int(size) for size in segments),
         ))
         return [
@@ -877,47 +726,35 @@ class ScoringClient:
         ]
 
     def close(self) -> None:
-        """Sign off; the service evicts this client's overlays and
-        exits once every client has."""
+        """Sign off; the service exits once every client has."""
         self.request_queue.put(ClientDone(self.client_id))
 
 
-class FleetScorer:
-    """CAROL scorer routing ascents to the shared scoring service.
+class FleetScorer(LocalScorer):
+    """CAROL scorer that shares the service's weights until it diverges.
 
-    Implements the :class:`repro.core.scoring.SurrogateScorer` surface:
+    Implements the :class:`repro.core.scoring.SurrogateScorer` surface
+    on the kernel :class:`~repro.core.scoring.LocalScorer` exports from
+    this worker's replica:
 
-    * **ascent** -- forwarded to the service: at generation 0 it scores
-      on the published shared weights, and past the first fine-tune on
-      this client's installed overlay, so diverged replicas stay in
-      the consolidated batched stream;
-    * **confidence** -- computed locally on the replica (one float64
-      kernel forward, re-exported whenever :attr:`generation` moves;
-      cheaper than a queue round-trip and bitwise-identical to
-      in-process execution);
+    * **ascent** -- at generation 0 forwarded to the service, which
+      scores on the published shared weights; after the first
+      fine-tune run on this replica's own kernel, so no request
+      crosses the wire;
+    * **confidence** -- always local, one kernel forward (cheaper than
+      a round trip and bitwise-identical to in-process execution);
     * **fine_tune** -- copy-on-write divergence: the read-only shared
-      parameters are materialised into private writable arrays, the
-      fine-tune runs locally, and the new state ships to the service
-      as a weight overlay.
+      parameters are materialised into private writable arrays before
+      the first fine-tune, which then runs locally.
+
+    The three methods are defined here rather than inherited so that
+    each runs as one call of its own (``perfbench/tracer.py`` times
+    them per class).
     """
 
     def __init__(self, client: ScoringClient, model: GONDiscriminator) -> None:
+        super().__init__(model)
         self.client = client
-        self.model = model
-        self.generation = 0
-        self._reader: Optional[FastGONKernel] = None
-        self._reader_generation = -1
-        #: Per-instance registry backing :attr:`diagnostics` (always
-        #: enabled -- these are deterministic record diagnostics, not
-        #: wall-clock telemetry), surfaced into campaign records by
-        #: ``experiments.campaign.run_cell``.
-        self.telemetry = MetricsRegistry()
-        self._installs = self.telemetry.counter("scorer.overlay_installs")
-
-    @property
-    def diagnostics(self) -> Dict[str, int]:
-        """Legacy integer-counter view of :attr:`telemetry`."""
-        return {"overlay_installs": self._installs.value}
 
     def ascent(
         self,
@@ -928,16 +765,16 @@ class FleetScorer:
         max_steps: int,
         segments: Sequence[int] = (),
     ) -> List[SurrogateResult]:
+        if self.generation:
+            return super().ascent(
+                metrics, schedules, adjacencies, gamma, max_steps, segments
+            )
         return self.client.ascent(
-            metrics, schedules, adjacencies, gamma, max_steps,
-            generation=self.generation, segments=segments,
+            metrics, schedules, adjacencies, gamma, max_steps, segments
         )
 
     def confidence(self, sample: GONInput) -> float:
-        if self._reader is None or self._reader_generation != self.generation:
-            self._reader = FastGONKernel.from_model(self.model)
-            self._reader_generation = self.generation
-        return sample_confidence(self._reader, sample)
+        return sample_confidence(self.kernel(), sample)
 
     def fine_tune(
         self,
@@ -958,9 +795,4 @@ class FleetScorer:
             rng=rng,
         )
         self.generation += 1
-        # Ship the diverged state before any further scoring call: FIFO
-        # queue order guarantees the service installs it ahead of this
-        # client's next generation-N request.
-        self.client.install_overlay(self.model.state_dict(), self.generation)
-        self._installs.inc()
         return loss

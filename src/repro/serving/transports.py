@@ -8,10 +8,8 @@ counterpart.  The service listens on a socket; each accepted client
 gets a dedicated **reader thread** that decodes length-prefixed frames
 (:mod:`repro.serving.wire`) and feeds them into the service's single
 FIFO request queue.  A client's socket is read sequentially, so its
-messages enter the FIFO in send order and the overlay protocol's
-install-before-score guarantee survives the network hop; cross-client
-interleaving is harmless because generation > 0 overlays are private
-per client.
+messages enter the FIFO in send order; cross-client interleaving is
+harmless because every request scores on the published weights.
 
 Failure semantics keep one client's fault from sinking the fleet,
 and never hang.  A client that sends a malformed or truncated frame,
@@ -23,8 +21,8 @@ Each handshake runs on its own thread under a
 sends its :class:`Hello` delays no other worker; a connection that fails
 the handshake or misses the deadline is closed and counted in
 ``fleet.handshake_rejections``.  Whatever kills the scorer loop itself
-(a stale-generation request, say) is broadcast to every connected
-client by :func:`serve_transport` before re-raising, so remote workers
+(the dead-fleet abort, say) is broadcast to every connected client
+by :func:`serve_transport` before re-raising, so remote workers
 blocked on a reply fail loudly too.
 
 The transport doubles as the asset channel: publish
@@ -564,9 +562,9 @@ class TcpWorkerChannel:
 def serve_transport(service, transport, abort=None):
     """Run ``service.serve`` and fail every client loudly on error.
 
-    Whatever kills the scorer loop (protocol violation, stale
-    generation, transport fault) is broadcast to connected clients as
-    a :class:`wire.ServiceError` before re-raising, so synchronous
+    Whatever kills the scorer loop (an ``abort`` that returns True,
+    a transport fault) is broadcast to connected clients as a
+    :class:`wire.ServiceError` before re-raising, so synchronous
     workers blocked on a reply raise instead of hanging.
     """
     try:

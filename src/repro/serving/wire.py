@@ -2,8 +2,7 @@
 
 The socket transport (:mod:`repro.serving.transports`) ships the
 service's protocol dataclasses -- :class:`AscentRequest`,
-:class:`OverlayUpdate`, the lease frames, :class:`ClientDone` and the
-replies -- over a wire format with no pickle anywhere:
+the lease frames, :class:`ClientDone` and the replies -- over a wire format with no pickle anywhere:
 
 ``frame := MAGIC(4) | type(1) | header_len(u32) | body_len(u32)
            | header(JSON) | body(packed arrays)``
@@ -43,7 +42,6 @@ from .service import (
     ClientDone,
     LeaseGrant,
     LeaseRequest,
-    OverlayUpdate,
     Ping,
     StatsUpdate,
 )
@@ -72,10 +70,12 @@ MAGIC = b"CRL1"
 #: confidence request/reply frames; version 4 added
 #: ``AscentRequest.segments``; version 5 cut ``AscentReply`` to its
 #: ``metrics``; version 6 answers a ``LeaseRequest`` late, once a cell
-#: frees or the grid drains, and never with "no cell, poll again".
+#: frees or the grid drains, and never with "no cell, poll again";
+#: version 7 retired the weight-overlay frame and
+#: ``AscentRequest.generation`` (a fine-tuned worker scores locally).
 #: The handshake rejects mismatched versions loudly, so mixed
 #: deployments fail fast instead of mis-decoding.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -166,7 +166,8 @@ class ServiceError:
 #: Message class -> (type code, ndarray field names shipped in the
 #: packed body).  Codes are pinned: a message keeps its code for as
 #: long as it exists, and a retired code is never reused (9 and 13
-#: were the confidence request and reply, retired in protocol 3).
+#: were the confidence request and reply, retired in protocol 3, and
+#: 10 the weight overlay, retired in protocol 7).
 #: The service-internal WorkerLost and CellRequeued notices
 #: deliberately have no code: they are enqueued locally (by the
 #: transport and by an operator re-queue) and must never arrive from a
@@ -180,7 +181,6 @@ _MESSAGES = {
     AssetReply: (6, ("buffer",)),
     ServiceError: (7, ()),
     AscentRequest: (8, ("metrics", "schedules", "adjacencies")),
-    OverlayUpdate: (10, ("buffer",)),
     ClientDone: (11, ()),
     AscentReply: (12, ("metrics",)),
     # STATS frame: the telemetry snapshot dict rides in the JSON
@@ -201,7 +201,7 @@ _COPY_ON_DECODE = (AscentReply,)
 
 #: Fields holding a ``pack_state`` manifest: JSON turns the nested
 #: tuples into lists, so decoding restores the tuple shape.
-_MANIFEST_FIELDS = {OverlayUpdate: ("manifest",), AssetReply: ("manifest",)}
+_MANIFEST_FIELDS = {AssetReply: ("manifest",)}
 
 #: Scalar-tuple fields (JSON round-trips them as lists; decoding
 #: restores the frozen-dataclass tuple shape).

@@ -10,8 +10,7 @@ only) metrics layer threaded through every hot path:
 * the surrogate score cache and tabu search (hit/miss/eviction and
   iteration/evaluation counters),
 * the :class:`~repro.serving.GONScoringService` scorer loop (the
-  span that takes already-queued messages, the batch-size histogram,
-  overlay install/eviction counters),
+  span that takes already-queued messages, the batch-size histogram),
 * wire framing (frames/bytes sent and received).
 
 The model

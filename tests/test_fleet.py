@@ -4,7 +4,8 @@ Covers the fleet subsystems end to end:
 
 * read-only state export and zero-copy loading (``repro.nn``);
 * the scoring service -- results bitwise equal to in-process scoring;
-* ``FleetScorer`` copy-on-write divergence on fine-tune;
+* ``FleetScorer`` copy-on-write divergence on fine-tune, after which
+  its ascents run on the replica's own kernel, not on the service;
 * CAROL's persistent surrogate cache: counters monotone, entries
   reused across intervals, full invalidation exactly when fine-tuning
   fires, capacity-bounded eviction;
@@ -26,13 +27,7 @@ from repro.core import (
     TrainingConfig,
 )
 from repro.nn.serialization import freeze_state, pack_state, unpack_state
-from repro.serving import (
-    AscentRequest,
-    FleetScorer,
-    GONScoringService,
-    OverlayUpdate,
-    ScoringClient,
-)
+from repro.serving import FleetScorer, GONScoringService, ScoringClient
 from repro.simulator import EdgeFederation
 from repro.simulator.detection import FailureReport
 
@@ -160,10 +155,44 @@ def _shared_replica(trained_gon):
     return replica
 
 
+def _published_copy(model):
+    """Private copies of ``model``'s weights, to check it stays put."""
+    return {name: np.array(array) for name, array in model.state_dict().items()}
+
+
+def _assert_same_weights(model, expected):
+    state = model.state_dict()
+    assert set(state) == set(expected)
+    for name, array in expected.items():
+        assert np.array_equal(state[name], array)
+
+
+def _tune(scorer, samples, seed=0):
+    return scorer.fine_tune(
+        samples,
+        TrainingConfig(epochs=1, generation_steps=2, seed=seed),
+        iterations=1,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def _assert_bitwise(results, model, metrics, schedules, adjacencies, steps):
+    """``results`` equal the autodiff oracle's ascent on ``model``."""
+    reference = generate_metrics_batch(
+        model, schedules, adjacencies, init_metrics=metrics,
+        gamma=1e-2, max_steps=steps,
+    )
+    assert len(results) == len(reference)
+    for result, ref in zip(results, reference):
+        assert np.array_equal(result.metrics, ref.metrics)
+        assert result.n_steps == ref.n_steps
+
+
 class TestFleetScorer:
     def test_copy_on_write_divergence(self, service_setup, trained_gon,
                                       session_samples):
-        service, thread, client = service_setup()
+        _service, thread, client = service_setup()
+        published = _published_copy(trained_gon)
         replica = _shared_replica(trained_gon)
         scorer = FleetScorer(client, replica)
         assert scorer.generation == 0
@@ -172,183 +201,78 @@ class TestFleetScorer:
         sample = session_samples[0]
         assert scorer.confidence(sample) == trained_gon.score(sample)
 
-        scorer.fine_tune(
-            session_samples[:6],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
+        _tune(scorer, session_samples[:6])
         assert scorer.generation == 1
         assert replica.parameters()[0].data.flags.writeable
         # The published weights must be untouched by the divergence.
-        assert np.array_equal(
-            trained_gon.parameters()[0].data,
-            freeze_state(trained_gon.state_dict())[
-                next(iter(trained_gon.state_dict()))
-            ],
-        )
+        _assert_same_weights(trained_gon, published)
         # Confidence reads re-export from the diverged replica.
         assert scorer.confidence(sample) == replica.score(sample)
         assert scorer.confidence(sample) != trained_gon.score(sample)
-        # Post-divergence ascents stay on the service, on the overlay.
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=2)
-        assert len(remote) == 2
-        assert scorer.diagnostics == {"overlay_installs": 1}
-        sign_off(client.request_queue, client.client_id)
-        thread.join(timeout=10)
-        assert service.stats.overlay_elements == 2
-
-
-# ----------------------------------------------------------------------
-# Per-client weight overlays
-# ----------------------------------------------------------------------
-class TestOverlayLifecycle:
-    def test_fine_tune_installs_overlay_scores_bitwise(
-        self, service_setup, trained_gon, session_samples
-    ):
-        """fine-tune -> overlay install -> service scores bit-identical
-        to worker-local scoring on the fine-tuned weights."""
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-
-        scorer.fine_tune(
-            session_samples[:6],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        assert scorer.generation == 1
-        assert scorer.diagnostics["overlay_installs"] == 1
-
-        metrics, schedules, adjacencies = _stacks(session_samples[:5])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
-        local = generate_metrics_batch(
-            scorer.model, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-            assert r.n_steps == ref.n_steps
-        sign_off(client.request_queue, client.client_id)
-        thread.join(timeout=10)
-        assert service.stats.overlay_installs == 1
-        assert service.stats.overlay_elements == 5
-        # Base weights are untouched by the overlay.
-        state = trained_gon.state_dict()
-        assert np.array_equal(
-            trained_gon.parameters()[0].data, state[next(iter(state))]
-        )
-
-    def test_second_fine_tune_replaces_overlay(
-        self, service_setup, trained_gon, session_samples
-    ):
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        for seed in (0, 1):
-            scorer.fine_tune(
-                session_samples[:4],
-                TrainingConfig(epochs=1, generation_steps=2, seed=seed),
-                iterations=1,
-                rng=np.random.default_rng(seed),
-            )
-        assert scorer.generation == 2
-        metrics, schedules, adjacencies = _stacks(session_samples[:3])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=3)
-        local = generate_metrics_batch(
-            scorer.model, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=3,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-        sign_off(client.request_queue, client.client_id)
-        thread.join(timeout=10)
-        assert service.stats.overlay_installs == 2
-        assert scorer.diagnostics["overlay_installs"] == 2
-
-    def test_overlay_evicted_on_disconnect(
-        self, service_setup, trained_gon, session_samples
-    ):
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        scorer.fine_tune(
-            session_samples[:4],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        # One scored request so the install is definitely applied.
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        scorer.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
         sign_off(client.request_queue, client.client_id)
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert service._overlays == {}
-        assert service.stats.overlay_evictions == 1
 
-    def test_generations_never_share_a_bucket(
-        self, trained_gon, session_samples
+    def test_generation_zero_ascent_scores_on_the_service(
+        self, service_setup, trained_gon, session_samples
     ):
-        # Requests share a cached kernel only when they score on the
-        # same weights: generation 0 is the shared base model, while
-        # every diverged client scores on its own overlay.
-        service = GONScoringService(
-            {"scenario": trained_gon}, queue.Queue(),
-            {0: queue.Queue(), 1: queue.Queue()}, one_cell_grid(),
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        buffer, manifest = pack_state(trained_gon.state_dict())
+        service, thread, client = service_setup()
+        scorer = FleetScorer(client, _shared_replica(trained_gon))
+        stacks = _stacks(session_samples[:5])
+        results = scorer.ascent(*stacks, gamma=1e-2, max_steps=5)
+        _assert_bitwise(results, trained_gon, *stacks, steps=5)
+        sign_off(client.request_queue, client.client_id)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert service.stats.n_requests == 1
+        assert service.stats.n_elements == 5
 
-        def install(client_id, generation):
-            service._install_overlay(OverlayUpdate(
-                client_id=client_id, model_key="scenario",
-                generation=generation, buffer=buffer,
-                manifest=tuple(manifest),
-            ))
-
-        def kernel(client_id, generation):
-            request = AscentRequest(
-                client_id=client_id, request_id=1, model_key="scenario",
-                metrics=metrics, schedules=schedules,
-                adjacencies=adjacencies, gamma=1e-2, max_steps=5,
-                generation=generation,
-            )
-            return service._kernel_for(
-                request, service._resolve_model(request)
-            )
-
-        install(0, 1)
-        install(1, 1)
-        # Generation 0 is the shared base model: clients share it.
-        assert kernel(0, 0) is kernel(1, 0)
-        # Different generations never share a kernel...
-        first = kernel(0, 1)
-        assert first is not kernel(0, 0)
-        # ...and neither do two diverged clients at equal generation
-        # (their overlay weights are private).
-        assert first is not kernel(1, 1)
-        # A newer overlay retires the client's stale kernel.
-        install(0, 2)
-        assert kernel(0, 2) is not first
-
-    def test_stale_generation_request_is_a_protocol_error(
-        self, trained_gon, session_samples
+    def test_fine_tuned_replica_scores_locally_bitwise(
+        self, service_setup, trained_gon, session_samples
     ):
-        service = GONScoringService(
-            {"scenario": trained_gon}, queue.Queue(), {0: queue.Queue()},
-            one_cell_grid(),
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        orphan = AscentRequest(
-            client_id=0, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=2, generation=3,
-        )
-        with pytest.raises(RuntimeError, match="overlay"):
-            service._resolve_model(orphan)
+        """After a fine-tune no ascent reaches the service, and the
+        local results equal the oracle on the fine-tuned replica."""
+        service, thread, client = service_setup()
+        published = _published_copy(trained_gon)
+        scorer = FleetScorer(client, _shared_replica(trained_gon))
+        stacks = _stacks(session_samples[:5])
+        scorer.ascent(*stacks, gamma=1e-2, max_steps=2)  # one request
+
+        _tune(scorer, session_samples[:6])
+        for steps in (5, 3):
+            results = scorer.ascent(*stacks, gamma=1e-2, max_steps=steps)
+            _assert_bitwise(results, scorer.model, *stacks, steps=steps)
+        # Segments cut the local call as they cut a service call.
+        results = scorer.ascent(*stacks, gamma=1e-2, max_steps=3,
+                                segments=(2, 3))
+        _assert_bitwise(results[:2], scorer.model,
+                        *(a[:2] for a in stacks), steps=3)
+        _assert_bitwise(results[2:], scorer.model,
+                        *(a[2:] for a in stacks), steps=3)
+        sign_off(client.request_queue, client.client_id)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert service.stats.n_requests == 1
+        _assert_same_weights(trained_gon, published)
+
+    def test_second_fine_tune_reexports_the_kernel(
+        self, service_setup, trained_gon, session_samples
+    ):
+        service, thread, client = service_setup()
+        scorer = FleetScorer(client, _shared_replica(trained_gon))
+        stacks = _stacks(session_samples[:3])
+        _tune(scorer, session_samples[:4], seed=0)
+        first = scorer.kernel()
+        scorer.ascent(*stacks, gamma=1e-2, max_steps=3)
+        _tune(scorer, session_samples[:4], seed=1)
+        assert scorer.generation == 2
+        assert scorer.kernel() is not first
+        results = scorer.ascent(*stacks, gamma=1e-2, max_steps=3)
+        _assert_bitwise(results, scorer.model, *stacks, steps=3)
+        sign_off(client.request_queue, client.client_id)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert service.stats.n_requests == 0
 
 
 # ----------------------------------------------------------------------
@@ -589,8 +513,8 @@ class TestFleetCampaign:
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
         """The acceptance contract: a fleet ProactiveCAROL campaign
-        whose POT gate opens stays bit-identical to serial execution,
-        with an overlay shipped for every fine-tune."""
+        whose POT gate opens stays bit-identical to serial execution
+        after its replica diverges."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -613,18 +537,12 @@ class TestFleetCampaign:
         assert serial.rows() == fleet.rows()
 
         (record,) = fleet.records
-        # The gate opened and every fine-tune shipped its overlay.
+        # The gate opened, so ascents after the first fine-tune ran on
+        # the worker's replica, and the serial twin fine-tuned and
+        # decided identically (same counters, same decision digest).
         assert record.diagnostics["n_fine_tunes"] >= 1
-        assert (
-            record.diagnostics["overlay_installs"]
-            == record.diagnostics["n_fine_tunes"]
-        )
-        # The serial twin fine-tuned identically (same decision path).
         (serial_record,) = serial.records
-        assert (
-            serial_record.diagnostics["n_fine_tunes"]
-            == record.diagnostics["n_fine_tunes"]
-        )
+        assert serial_record.diagnostics == record.diagnostics
 
     def test_transport_and_service_addr_validated(self):
         from repro.experiments import CampaignConfig
@@ -740,8 +658,8 @@ class TestTcpFleetCampaign:
     ):
         """The acceptance contract for the socket transport: a
         two-worker ProactiveCAROL campaign over TCP on localhost, POT
-        gate opening and overlays shipping across the wire, stays
-        bit-identical to serial execution."""
+        gate opening and fine-tuned replicas scoring on the workers,
+        stays bit-identical to serial execution."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -759,16 +677,12 @@ class TestTcpFleetCampaign:
         )
         fleet = run_campaign(grid, prepared_assets=tiny_fleet_assets)
         assert serial.rows() == fleet.rows()
-        # Fine-tuning fired somewhere in the grid, and every fine-tune
-        # shipped its overlay across the socket.
-        for r in fleet.records:
-            assert (
-                r.diagnostics["overlay_installs"]
-                == r.diagnostics["n_fine_tunes"]
-            )
-        assert sum(
-            r.diagnostics["overlay_installs"] for r in fleet.records
-        ) >= 1
+        # Fine-tuning fired somewhere in the grid, and every cell
+        # decided as its serial twin did.
+        assert sum(r.diagnostics["n_fine_tunes"] for r in fleet.records) >= 1
+        assert [r.diagnostics for r in serial.records] == [
+            r.diagnostics for r in fleet.records
+        ]
 
     def test_remote_service_campaign_matches_serial(
         self, tiny_fleet_grid, tiny_fleet_assets

@@ -1,20 +1,22 @@
 """TCP fleet transport: wire codec, socket scoring, failure modes.
 
-The contract under test mirrors ``TestOverlayLifecycle``'s semantics
-over the network hop:
+The contract under test carries the fleet scorer's semantics over the
+network hop:
 
 * the wire codec round-trips every protocol dataclass bit-exactly and
-  refuses malformed or truncated frames loudly;
+  refuses malformed or truncated frames (and retired type codes)
+  loudly;
 * a scoring service behind :class:`TcpTransport` answers ascents
-  bitwise-identical to in-process execution, overlays included;
+  bitwise-identical to in-process execution, and a fine-tuned
+  replica's ascents never reach it;
 * a misbehaving client -- garbage frames, truncated frames, spoofed
   ids, unknown asset packs, a disconnect mid-ascent, a handshake
   without Hello -- is dropped (a ``WorkerLost``, or a counted
   handshake rejection) while a second client connected at the same
   time still gets its ascent; a connection that never sends Hello
   blocks no later worker and is dropped at the handshake deadline; a
-  stale-generation request kills the service loudly on both sides of
-  the socket; nothing hangs;
+  scorer loop that aborts (the dead-fleet path) fails loudly on both
+  sides of the socket; nothing hangs;
 * the peak number of connected workers outlives their sockets.
 """
 
@@ -44,7 +46,7 @@ from repro.serving import (
     serve_transport,
 )
 from repro.serving import transports, wire
-from repro.serving.service import AscentReply, ClientDone, OverlayUpdate
+from repro.serving.service import AscentReply, ClientDone
 
 from fleet_harness import one_cell_grid, sign_off
 from gon_oracle import generate_metrics_batch
@@ -85,7 +87,6 @@ class TestWireCodec:
             adjacencies=rng.standard_normal((4, 8, 8)),
             gamma=1e-2,
             max_steps=25,
-            generation=2,
             segments=(1, 3),
         )
         decoded = _decode_frame(wire.encode_message(request))
@@ -96,7 +97,6 @@ class TestWireCodec:
         assert decoded.model_key == "paper-default"
         assert decoded.gamma == request.gamma
         assert decoded.max_steps == 25
-        assert decoded.generation == 2
         for field in ("metrics", "schedules", "adjacencies"):
             sent, received = getattr(request, field), getattr(decoded, field)
             assert np.array_equal(sent, received)
@@ -113,20 +113,6 @@ class TestWireCodec:
         # Replies decode to private writable copies: clients may
         # mutate result arrays.
         assert decoded.metrics.flags.writeable
-
-    def test_overlay_update_roundtrip(self, rng):
-        state = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
-        buffer, manifest = pack_state(state)
-        update = OverlayUpdate(
-            client_id=1,
-            model_key="scenario",
-            generation=2,
-            buffer=buffer,
-            manifest=tuple(manifest),
-        )
-        decoded = _decode_frame(wire.encode_message(update))
-        assert decoded.manifest == tuple(manifest)
-        assert np.array_equal(decoded.buffer, buffer)
 
     def test_control_messages_roundtrip(self):
         done = _decode_frame(wire.encode_message(ClientDone(client_id=4)))
@@ -152,9 +138,12 @@ class TestWireCodec:
 
     def test_unknown_type_code_is_loud(self):
         # 9 and 13 were the confidence request and reply, retired in
-        # protocol 3: retired codes stay unknown forever.
-        for code in (9, 13, 99):
-            with pytest.raises(wire.WireError, match="unknown wire message"):
+        # protocol 3, and 10 the weight overlay, retired in protocol 7:
+        # retired codes stay unknown forever.
+        for code in (9, 10, 13, 99):
+            with pytest.raises(
+                wire.WireError, match=f"^unknown wire message type {code}$"
+            ):
                 wire.decode_payload(code, b"{}", b"")
 
     def test_garbage_header_is_loud(self):
@@ -246,7 +235,7 @@ def tcp_service(trained_gon):
     """Start a TCP-fronted scoring service; yields a factory."""
     transports = []
 
-    def start(asset_packs=None, asset_index=None):
+    def start(asset_packs=None, asset_index=None, abort=None):
         transport = TcpTransport(
             asset_packs=asset_packs, asset_index=asset_index
         )
@@ -263,7 +252,9 @@ def tcp_service(trained_gon):
 
         def run():
             try:
-                outcome["stats"] = serve_transport(service, transport)
+                outcome["stats"] = serve_transport(
+                    service, transport, abort=abort
+                )
             except BaseException as error:
                 outcome["error"] = error
 
@@ -300,11 +291,12 @@ class TestTcpScoringService:
         assert not thread.is_alive()
         assert "error" not in outcome
 
-    def test_overlay_lifecycle_over_tcp(
+    def test_fine_tuned_replica_sends_no_ascent_over_tcp(
         self, tcp_service, trained_gon, session_samples
     ):
-        """fine-tune -> overlay install -> TCP-scored ascents bitwise
-        equal to worker-local scoring on the fine-tuned weights."""
+        """A generation-0 ascent crosses the socket; after a fine-tune
+        the worker scores on its own replica, bitwise equal to the
+        oracle on the fine-tuned weights, and sends nothing."""
         from repro.nn.serialization import freeze_state
 
         transport, service, thread, outcome = tcp_service()
@@ -315,27 +307,27 @@ class TestTcpScoringService:
             freeze_state(trained_gon.state_dict()), copy=False
         )
         scorer = FleetScorer(client, replica)
+        metrics, schedules, adjacencies = _stacks(session_samples[:5])
+        scorer.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
         scorer.fine_tune(
             session_samples[:6],
             TrainingConfig(epochs=1, generation_steps=2, seed=0),
             iterations=1,
             rng=np.random.default_rng(0),
         )
-        metrics, schedules, adjacencies = _stacks(session_samples[:5])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
+        tuned = scorer.ascent(metrics, schedules, adjacencies,
+                              gamma=1e-2, max_steps=5)
         local = generate_metrics_batch(
             scorer.model, schedules, adjacencies, init_metrics=metrics,
             gamma=1e-2, max_steps=5,
         )
-        for r, ref in zip(remote, local):
+        for r, ref in zip(tuned, local):
             assert np.array_equal(r.metrics, ref.metrics)
         sign_off(channel, channel.client_id)
         channel.close()
         thread.join(timeout=15)
         assert not thread.is_alive()
-        assert outcome["stats"].overlay_installs == 1
-        assert outcome["stats"].overlay_evictions == 1
+        assert outcome["stats"].n_requests == 1
 
     def test_asset_fetch_is_cached_per_process(self, tcp_service, rng):
         arrays = {"w": rng.standard_normal((6, 4)), "b": rng.standard_normal(4)}
@@ -454,23 +446,24 @@ class TestTransportFailureModes:
             peer, thread, outcome, trained_gon, session_samples
         )
 
-    def test_stale_generation_over_tcp_is_loud_on_both_sides(
-        self, tcp_service, session_samples
+    def test_service_abort_over_tcp_is_loud_on_both_sides(
+        self, tcp_service
     ):
-        transport, _service, thread, outcome = tcp_service()
+        # The fleet driver aborts the scorer loop once every worker
+        # process has died; the abort fires at the loop's next idle
+        # poll after the client is connected.
+        connected = threading.Event()
+        transport, _service, thread, outcome = tcp_service(
+            abort=connected.is_set
+        )
         channel = TcpWorkerChannel(transport.address)
-        metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        channel.put(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=2, generation=3,
-        ))
+        connected.set()
         thread.join(timeout=15)
         assert not thread.is_alive()
-        # The service died on the overlay-protocol violation...
-        assert "overlay" in str(outcome["error"])
+        # The service died on the abort...
+        assert "aborted" in str(outcome["error"])
         # ...and the blocked client hears about it instead of hanging.
-        with pytest.raises(TransportError, match="overlay"):
+        with pytest.raises(TransportError, match="aborted"):
             channel.get()
         channel.close()
 
@@ -528,12 +521,14 @@ class TestTransportFailureModes:
         # Protocol 5 cut AscentReply to its metrics: a protocol-4
         # worker would reject every reply frame.  Protocol 6 answers a
         # lease request late and never with "poll again", which a
-        # protocol-6 worker raises on.
-        assert wire.PROTOCOL_VERSION == 6
+        # protocol-5 worker raises on.  Protocol 7 retired the weight
+        # overlay and AscentRequest.generation: a protocol-6 worker
+        # would ship overlays the service cannot decode.
+        assert wire.PROTOCOL_VERSION == 7
         transport = TcpTransport()
         transport.start()
         try:
-            for protocol in (3, 4, 5):
+            for protocol in (3, 4, 5, 6):
                 before = _rejections()
                 old = socket.create_connection(
                     (transport.host, transport.port)
